@@ -41,6 +41,7 @@ from .errors import (
     ChainMismatchError,
     FormatError,
     GradedmtError,
+    InternalError,
     ParseError,
     PreconditionError,
     SignatureError,

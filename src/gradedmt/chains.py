@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
-from .errors import FormatError, GradedmtError
+from .errors import FormatError, GradedmtError, InternalError
 from .generation import AssignmentGrid, qf_matrices
 from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure
 from .semantics import Structure, eval_formula
@@ -164,7 +164,8 @@ def check_tarski_vaught(
                 if a != b:
                     direct = eval_formula(phi, member, asg)
                     direct_union = eval_formula(phi, union, asg)
-                    assert direct == a and direct_union == b
+                    if direct != a or direct_union != b:
+                        raise InternalError("grid and evaluator disagree")
                     report.qf_violations.append((index, phi, tup, a, b))
     report.quantifier_free_ok = not report.qf_violations
     if depth is None:

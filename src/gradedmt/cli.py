@@ -533,7 +533,6 @@ def cmd_verify(args) -> int:
 
 def _add_common(p, seed=False, bounds=False, out=True):
     p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (current build runs sequentially)")
     if out:
         p.add_argument("--out", help="write the report to this path instead of stdout")
     if seed:

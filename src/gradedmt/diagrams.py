@@ -7,16 +7,32 @@ interpretation of those constants reproduces every recorded value; for
 quantifier-free diagrams over relational signatures this is equivalent
 to the existence of a strong embedding, and that equivalence is checked
 mechanically here.
+
+Both sides run on shared code.  The embedding side is the candidate loop
+of `search_structure_map`, in its candidate order.  The diagram side is
+the scan of `diagram_model_exists`, which compiles atomic entries into
+positional checks on the constants' images and evaluates only the other
+entries through `models_diagram`.  On atomic diagrams, as in
+`cor1_sweep`, both sides read the same predicate tables, so their
+agreement is a consistency check of that code rather than an independent
+proof, until the diagram side goes through `models_diagram` (see ROADMAP).
 """
 
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping, Sequence
 
+from .algebra import identity_map
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, SignatureError
-from .generation import atoms_over, generate_sentences, ground_terms
-from .morphisms import is_elementary_up_to_depth, search_strong_embedding
+from .generation import atoms_over, enumerate_structures, generate_sentences, ground_terms
+from .morphisms import (
+    StructureMap,
+    _first_map,
+    _transport_entries,
+    is_elementary_up_to_depth,
+    search_structure_map,
+)
 from .semantics import Structure, eval_formula
 from .syntax import (
     App,
@@ -168,12 +184,13 @@ def render_diagram(diagram: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_atomic_entries(diagram: Diagram, source_positions: Mapping[str, int]):
-    """Turn atomic entries into positional checks for the fast sweep.
+def _compile_atomic_entries(diagram: Diagram):
+    """Turn atomic entries into positional checks on the constants' images.
 
     Returns (pred_checks, eq_checks, residue) where pred_checks are
     (name, arg positions, value) and eq_checks are (i, j, equal).
     """
+    source_positions = {name: i for i, name in enumerate(diagram.constants)}
     pred_checks = []
     eq_checks = []
     residue = []
@@ -206,21 +223,13 @@ def _compile_atomic_entries(diagram: Diagram, source_positions: Mapping[str, int
     return pred_checks, eq_checks, residue
 
 
-def diagram_model_exists(
-    target: Structure, diagram: Diagram, budget: int | None = None
-) -> tuple[bool, tuple | None]:
-    """Search all constant interpretations for one modelling the diagram.
-
-    Returns (found, images).  Atomic entries are checked positionally;
-    any non-atomic entries fall back to expansion plus evaluation.
-    """
-    positions = {name: i for i, name in enumerate(diagram.constants)}
-    n = len(diagram.constants)
-    check_budget(len(target.domain) ** n, "diagram interpretation sweep", budget)
-    pred_checks, eq_checks, residue = _compile_atomic_entries(diagram, positions)
+def _first_images(target: Structure, diagram: Diagram, pred_checks, eq_checks, residue):
+    """First tuple of constant images, in product order, that passes every
+    compiled check, or None.  Residue entries fall back to expansion plus
+    evaluation."""
     top, bottom = target.chain.top, target.chain.bottom
     tables = target.predicates
-    for images in product(target.domain, repeat=n):
+    for images in product(target.domain, repeat=len(diagram.constants)):
         ok = True
         for i, j, value in eq_checks:
             same = images[i] == images[j]
@@ -230,7 +239,7 @@ def diagram_model_exists(
         if not ok:
             continue
         for name, arg_pos, value in pred_checks:
-            if tables[name][tuple(images[p] for p in arg_pos)] != value:
+            if tables[name][tuple(map(images.__getitem__, arg_pos))] != value:
                 ok = False
                 break
         if not ok:
@@ -239,8 +248,22 @@ def diagram_model_exists(
             expanded = interpret_constants(target, diagram, images)
             if not models_diagram(expanded, diagram).ok:
                 continue
-        return True, images
-    return False, None
+        return images
+    return None
+
+
+def diagram_model_exists(
+    target: Structure, diagram: Diagram, budget: int | None = None
+) -> tuple[bool, tuple | None]:
+    """Search all constant interpretations for one modelling the diagram.
+
+    Returns (found, images).  Atomic entries are checked positionally;
+    any non-atomic entries fall back to expansion plus evaluation.
+    """
+    n = len(diagram.constants)
+    check_budget(len(target.domain) ** n, "diagram interpretation sweep", budget)
+    images = _first_images(target, diagram, *_compile_atomic_entries(diagram))
+    return images is not None, images
 
 
 @dataclass(frozen=True)
@@ -274,21 +297,17 @@ def diagram_embedding_equivalence(
         raise ChainMismatchError("both structures must share one chain")
     d = diagram if diagram is not None else build_diagram(source, kind, bounds)
     found, images = diagram_model_exists(target, d, budget=budget)
-    if kind == DIAG:
-        emb = search_strong_embedding(source, target, budget=budget)
-        emb_ok = emb is not None
-        depth = None
-    else:
-        emb = None
-        for candidate in _embedding_candidates(source, target, budget):
-            rep = is_elementary_up_to_depth(
-                candidate, source, target, bounds.quantifier_depth
-            )
-            if rep.ok:
-                emb = candidate
-                break
-        emb_ok = emb is not None
+    depth = extra_filter = None
+    if kind != DIAG:
         depth = bounds.quantifier_depth
+
+        def extra_filter(alg, g):
+            return is_elementary_up_to_depth(StructureMap(alg, g), source, target, depth).ok
+
+    emb = search_structure_map(
+        source, target, injective=True, extra_filter=extra_filter, budget=budget
+    )
+    emb_ok = emb is not None
     return Cor1Report(
         diagram_side=found,
         embedding_side=emb_ok,
@@ -298,23 +317,6 @@ def diagram_embedding_equivalence(
         kind=kind,
         depth=depth,
     )
-
-
-def _embedding_candidates(source, target, budget):
-    from itertools import permutations
-
-    from .algebra import identity_map
-    from .morphisms import StructureMap, _fast_map_ok
-
-    check_budget(
-        max(len(target.domain), 1) ** len(source.domain), "embedding candidates", budget
-    )
-    ident = identity_map(source.chain)
-    f = ident.map
-    for combo in permutations(target.domain, len(source.domain)):
-        g = dict(zip(source.domain, combo))
-        if _fast_map_ok(f, g, source, target):
-            yield StructureMap(ident, g, kind="embedding")
 
 
 @dataclass
@@ -343,51 +345,30 @@ def cor1_sweep(
     Every source structure up to max_source_size is paired with every
     target up to max_target_size over the same chain and signature; the
     report counts agreements between the diagram and embedding sides.
+    Each source's diagram and transport entries are compiled once.  Per
+    target, the diagram side is the scan of `diagram_model_exists`, with
+    its positional compilation, and the embedding side is the candidate
+    loop of `search_structure_map`, in its candidate order.  Both sides
+    read the same predicate tables, so their agreement is a consistency
+    check of that shared code until the diagram side is routed through
+    `models_diagram`.
     """
-    from .generation import enumerate_structures
-    from .morphisms import _fast_map_ok
-
-    from itertools import permutations
-
     report = SweepReport()
     sources = list(enumerate_structures(sig, chain, max_source_size, budget=budget))
     targets = list(
         enumerate_structures(sig, chain, max_target_size, label_prefix="t", budget=budget)
     )
     check_budget(len(sources) * len(targets), "diagram sweep", budget)
+    algebra = [identity_map(chain)]
     for source in sources:
         diagram = build_diagram(source, DIAG, bounds)
-        positions = {name: i for i, name in enumerate(diagram.constants)}
-        pred_checks, eq_checks, residue = _compile_atomic_entries(diagram, positions)
+        pred_checks, eq_checks, residue = _compile_atomic_entries(diagram)
         if residue:
             raise FormatError("atomic diagram expected in the sweep")
-        n = len(diagram.constants)
-        f = tuple(range(chain.size))
-        src_domain = source.domain
+        entries = _transport_entries(source)
         for target in targets:
-            top, bottom = chain.top, chain.bottom
-            tables = target.predicates
-            diagram_side = False
-            for images in product(target.domain, repeat=n):
-                ok = True
-                for i, j, value in eq_checks:
-                    if (top if images[i] == images[j] else bottom) != value:
-                        ok = False
-                        break
-                if ok:
-                    for name, arg_pos, value in pred_checks:
-                        if tables[name][tuple(images[p] for p in arg_pos)] != value:
-                            ok = False
-                            break
-                if ok:
-                    diagram_side = True
-                    break
-            embedding_side = False
-            for combo in permutations(target.domain, len(src_domain)):
-                g = dict(zip(src_domain, combo))
-                if _fast_map_ok(f, g, source, target):
-                    embedding_side = True
-                    break
+            diagram_side = _first_images(target, diagram, pred_checks, eq_checks, residue) is not None
+            embedding_side = _first_map(source, target, algebra, entries, True) is not None
             report.instances += 1
             if diagram_side == embedding_side:
                 report.agreements += 1

@@ -36,3 +36,7 @@ class PreconditionError(GradedmtError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class InternalError(GradedmtError):
+    """Two internal computations of the same value disagree: a bug in gradedmt."""

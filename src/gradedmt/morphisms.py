@@ -11,7 +11,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import AlgebraMap, FiniteChain, identity_map, is_algebra_homomorphism
 from .budget import check_budget
-from .errors import ChainMismatchError, FormatError, SignatureError
+from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
 from .generation import AssignmentGrid, elementary_family
 from .semantics import Structure, eval_formula
 from .syntax import Formula
@@ -60,13 +60,37 @@ def _check_signatures_match(source: Structure, target: Structure) -> None:
             raise SignatureError(f"target does not interpret function {name!r}/{arity}")
 
 
+def _transport_entries(source: Structure) -> list:
+    """Function symbols, then predicate symbols, each with its sorted table."""
+    functions = [(True, n, sorted(source.functions[n].items())) for n in sorted(source.sig.functions)]
+    predicates = [(False, n, sorted(source.predicates[n].items())) for n in sorted(source.sig.predicates)]
+    return functions + predicates
+
+
+def _first_untransported(f, g: Mapping[str, str], entries: list, target: Structure):
+    """First entry the pair (f, g) fails to transport, or None.
+
+    A failure is (is_function, name, args, got, want): g must commute with
+    each function, f must carry each predicate value to the target's.
+    """
+    for is_function, name, items in entries:
+        t_table = (target.functions if is_function else target.predicates)[name]
+        h = g if is_function else f
+        for args, value in items:
+            want = t_table[tuple(map(g.__getitem__, args))]
+            if h[value] != want:
+                return is_function, name, args, h[value], want
+    return None
+
+
 def is_strong_homomorphism(m: StructureMap, source: Structure, target: Structure) -> MapReport:
     """Verify function commutation and transport of predicate values.
 
     The algebra map must be a chain homomorphism, the domain map total;
     for every function symbol g(F(d...)) must equal F(g(d)...), and for
     every predicate symbol f applied to the source value must give the
-    target value at the mapped tuple.  Returns the first failing atom.
+    target value at the mapped tuple.  Returns the first failing atom,
+    functions before predicates, each in sorted order.
     """
     if m.algebra_map.source != source.chain or m.algebra_map.target != target.chain:
         raise ChainMismatchError("algebra map does not connect the two chains")
@@ -81,29 +105,11 @@ def is_strong_homomorphism(m: StructureMap, source: Structure, target: Structure
     out_of_range = [d for d in source.domain if g[d] not in target.domain]
     if out_of_range:
         return MapReport(False, f"domain map leaves the target domain at {out_of_range[0]!r}")
-    f = m.algebra_map.map
-    for name in sorted(source.sig.functions):
-        table = source.functions[name]
-        t_table = target.functions[name]
-        for args, value in sorted(table.items()):
-            mapped = tuple(g[a] for a in args)
-            if g[value] != t_table[mapped]:
-                return MapReport(
-                    False,
-                    "function commutation fails",
-                    (name, args, g[value], t_table[mapped]),
-                )
-    for name in sorted(source.sig.predicates):
-        table = source.predicates[name]
-        t_table = target.predicates[name]
-        for args, value in sorted(table.items()):
-            mapped = tuple(g[a] for a in args)
-            if f[value] != t_table[mapped]:
-                return MapReport(
-                    False,
-                    "predicate value not transported",
-                    (name, args, f[value], t_table[mapped]),
-                )
+    miss = _first_untransported(m.algebra_map.map, g, _transport_entries(source), target)
+    if miss is not None:
+        is_function, name, args, got, want = miss
+        reason = "function commutation fails" if is_function else "predicate value not transported"
+        return MapReport(False, reason, (name, args, got, want))
     return MapReport(True)
 
 
@@ -191,7 +197,8 @@ def is_elementary_up_to_depth(
                 # replay with the plain evaluator before reporting
                 direct = f[eval_formula(cand.formula, source, asg_s)]
                 direct_t = eval_formula(cand.formula, target, asg_t)
-                assert direct == lhs and direct_t == rhs, "grid and evaluator disagree"
+                if direct != lhs or direct_t != rhs:
+                    raise InternalError("grid and evaluator disagree")
                 return ElementarityReport(
                     False, depth, separator=cand.formula, params=tup, formulas_checked=checked
                 )
@@ -384,21 +391,6 @@ def _reduct_to_subalgebra(s: Structure, indices: tuple[int, ...]) -> Structure |
 # --- searches ---
 
 
-def _fast_map_ok(f, g: dict, source: Structure, target: Structure) -> bool:
-    """Strong-homomorphism conditions for a candidate, algebra part assumed."""
-    for name, table in source.functions.items():
-        t_table = target.functions[name]
-        for args, value in table.items():
-            if g[value] != t_table[tuple(g[a] for a in args)]:
-                return False
-    for name, table in source.predicates.items():
-        t_table = target.predicates[name]
-        for args, value in table.items():
-            if f[value] != t_table[tuple(g[a] for a in args)]:
-                return False
-    return True
-
-
 def _algebra_map_candidates(
     source: Structure, target: Structure, fix_algebra_identity: bool
 ) -> list[AlgebraMap]:
@@ -421,18 +413,18 @@ def _domain_candidates(
     injective: bool,
     agreement: Mapping[str, str] | None,
 ) -> Iterator[dict]:
-    fixed = dict(agreement or {})
+    fixed = agreement or {}
     free = [d for d in source.domain if d not in fixed]
     if injective:
         taken = set(fixed.values())
         if len(taken) != len(fixed):
             return
         pool = [d for d in target.domain if d not in taken]
-        for combo in permutations(pool, len(free)):
-            yield {**fixed, **dict(zip(free, combo))}
+        combos = permutations(pool, len(free))
     else:
-        for combo in product(target.domain, repeat=len(free)):
-            yield {**fixed, **dict(zip(free, combo))}
+        combos = product(target.domain, repeat=len(free))
+    for combo in combos:
+        yield {**fixed, **dict(zip(free, combo))} if fixed else dict(zip(free, combo))
 
 
 def _count_domain_candidates(source, target, injective, agreement) -> int:
@@ -444,6 +436,25 @@ def _count_domain_candidates(source, target, injective, agreement) -> int:
             count *= max(n - i, 0)
         return count
     return len(target.domain) ** free
+
+
+def _first_map(source, target, alg_candidates, entries, injective, agreement=None, extra_filter=None):
+    """The candidate loop of `search_structure_map`.
+
+    Returns the first (alg, g) that passes the transport check and
+    `extra_filter`, or None.  The caller does the setup: it keeps only
+    injective algebra maps when `injective` and builds the source's
+    transport entries, so a sweep does both once per source.
+    """
+    for alg in alg_candidates:
+        f = alg.map
+        for g in _domain_candidates(source, target, injective, agreement):
+            if _first_untransported(f, g, entries, target) is not None:
+                continue
+            if extra_filter is not None and not extra_filter(alg, g):
+                continue
+            return alg, g
+    return None
 
 
 def search_structure_map(
@@ -459,24 +470,17 @@ def search_structure_map(
 
     Candidates are ordered by the source domain list against the target
     domain list; an optional agreement pins part of the domain map.
-    `extra_filter(g) -> bool` can impose additional conditions.
+    `extra_filter(alg, g) -> bool` can impose additional conditions.
     """
     _check_signatures_match(source, target)
     alg_candidates = _algebra_map_candidates(source, target, fix_algebra_identity)
     per_alg = _count_domain_candidates(source, target, injective, agreement)
     check_budget(per_alg * len(alg_candidates), "structure map search", budget)
-    for alg in alg_candidates:
-        f = alg.map
-        if injective and not alg.injective:
-            continue
-        for g in _domain_candidates(source, target, injective, agreement):
-            if not _fast_map_ok(f, g, source, target):
-                continue
-            if extra_filter is not None and not extra_filter(alg, g):
-                continue
-            kind = "embedding" if injective else "strong"
-            return StructureMap(alg, g, kind=kind)
-    return None
+    if injective:
+        alg_candidates = [alg for alg in alg_candidates if alg.injective]
+    entries = _transport_entries(source)
+    found = _first_map(source, target, alg_candidates, entries, injective, agreement, extra_filter)
+    return None if found is None else StructureMap(*found, kind="embedding" if injective else "strong")
 
 
 def search_strong_homomorphism(source, target, fix_algebra_identity=True, budget=None):

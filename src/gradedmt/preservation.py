@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 from .algebra import enumerate_mtl_chains
 from .budget import BudgetMeter
 from .chains import StructureChain, check_tarski_vaught, union_of_chain, validate_chain_of_structures
-from .errors import FormatError, PreconditionError, SignatureError
+from .errors import FormatError, InternalError, PreconditionError, SignatureError
 from .generation import (
     AssignmentGrid,
     enumerate_structures,
@@ -129,8 +129,10 @@ def implies_exists_n(
         rv = grid_right.fold_prefix(grid_right.values(cand.matrix), cand.prefix)
         if grid_right.value_at(rv, assignment) != top:
             relevant = {p: assignment[p] for p in cand.params}
-            assert eval_formula(cand.formula, left, relevant) == top
-            assert eval_formula(cand.formula, right, relevant) != top
+            left_top = eval_formula(cand.formula, left, relevant) == top
+            right_top = eval_formula(cand.formula, right, relevant) == top
+            if not left_top or right_top:
+                raise InternalError("grid and evaluator disagree")
             return ExistsFlowReport(
                 False, n, cand.formula, tuple(assignment[p] for p in cand.params), checked, bounds
             )

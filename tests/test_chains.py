@@ -1,5 +1,6 @@
 import pytest
 
+from gradedmt import chains
 from gradedmt.chains import (
     ChainValidationError,
     check_tarski_vaught,
@@ -7,6 +8,7 @@ from gradedmt.chains import (
     union_of_chain,
     validate_chain_of_structures,
 )
+from gradedmt.errors import InternalError
 from gradedmt.morphisms import induced_substructure, is_substructure
 from gradedmt.semantics import Structure
 from tests.conftest import crisp_complete
@@ -120,3 +122,20 @@ def test_normalize_chain_unembeddable(complete_graphs, g4, sig_r):
     )
     with pytest.raises(ChainValidationError):
         normalize_chain([edgeless, complete_graphs[2]])
+
+
+def test_tarski_vaught_replay_disagreement_raises(monkeypatch, complete_graphs):
+    k2, k3 = complete_graphs[2], complete_graphs[3]
+    chain = validate_chain_of_structures([k2, k3])
+    # a union that differs from the last member reaches the replay, where
+    # the stubbed evaluator cannot match both grid values
+    looped = Structure(
+        chain=k3.chain,
+        sig=k3.sig,
+        domain=k3.domain,
+        predicates={"R": {p: k3.chain.top for p in k3.predicates["R"]}},
+    )
+    monkeypatch.setattr(chains, "union_of_chain", lambda c: looped)
+    monkeypatch.setattr(chains, "eval_formula", lambda *args: 0)
+    with pytest.raises(InternalError):
+        check_tarski_vaught(chain)

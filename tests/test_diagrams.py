@@ -1,5 +1,9 @@
+from itertools import permutations
+
 import pytest
 
+from gradedmt import diagrams, morphisms
+from gradedmt.algebra import identity_map
 from gradedmt.diagrams import (
     DIAG,
     ELDIAG,
@@ -14,6 +18,7 @@ from gradedmt.diagrams import (
     render_diagram,
 )
 from gradedmt.errors import SignatureError
+from gradedmt.morphisms import StructureMap, is_elementary_up_to_depth, is_embedding
 from gradedmt.parser import parse_formula, parse_theory
 from gradedmt.semantics import Structure, eval_formula
 
@@ -128,3 +133,45 @@ def test_render_diagram_parses_back(one_element):
     licensed = expand_with_truth_constants(sig, one_element.chain)
     parsed = parse_theory(text, licensed)
     assert len(parsed) == len(diagram.entries)
+
+
+def test_eldiag_returns_first_elementary_embedding(b2, sig_r):
+    # a -> b into the transitive tournament t0 -> t1 -> t2: three edges
+    # embed it, but only the one from the source to the sink is elementary
+    def digraph(domain, edges):
+        table = {(x, y): int((x, y) in edges) for x in domain for y in domain}
+        return Structure(chain=b2, sig=sig_r, domain=domain, predicates={"R": table})
+
+    s = digraph(("a", "b"), {("a", "b")})
+    t = digraph(("t0", "t1", "t2"), {("t0", "t1"), ("t1", "t2"), ("t0", "t2")})
+    embeddings = []
+    for combo in permutations(t.domain, len(s.domain)):
+        m = StructureMap(identity_map(b2), dict(zip(s.domain, combo)))
+        if is_embedding(m, s, t).ok:
+            embeddings.append((m, is_elementary_up_to_depth(m, s, t, 1).ok))
+    first = next(m for m, elementary in embeddings if elementary)
+    assert first.domain_map != embeddings[0][0].domain_map
+    report = diagram_embedding_equivalence(s, t, kind=ELDIAG, bounds=DiagramBounds(quantifier_depth=1))
+    assert report.diagram_side and report.embedding_side and report.agree
+    assert report.embedding.domain_map == first.domain_map == {"a": "t0", "b": "t2"}
+    assert report.embedding.kind == "embedding"
+
+
+def test_sweep_fails_when_map_search_drops_injectivity(monkeypatch, b2, sig_r):
+    original = morphisms._domain_candidates
+    monkeypatch.setattr(
+        morphisms, "_domain_candidates", lambda s, t, injective, agreement: original(s, t, False, agreement)
+    )
+    report = cor1_sweep(b2, sig_r, 2, 2)
+    assert not report.ok
+    assert all(emb and not diag for _, _, diag, emb in report.disagreements)
+
+
+def test_sweep_fails_when_diagram_scan_skips_identity_checks(monkeypatch, b2, sig_r):
+    original = diagrams._first_images
+    monkeypatch.setattr(
+        diagrams, "_first_images", lambda t, d, preds, eqs, residue: original(t, d, preds, [], residue)
+    )
+    report = cor1_sweep(b2, sig_r, 2, 2)
+    assert not report.ok
+    assert all(diag and not emb for _, _, diag, emb in report.disagreements)

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from gradedmt import morphisms
 from gradedmt.algebra import identity_map
-from gradedmt.errors import ChainMismatchError
+from gradedmt.errors import ChainMismatchError, InternalError
 from gradedmt.generation import qf_matrices
 from gradedmt.morphisms import (
     StructureMap,
@@ -277,3 +278,64 @@ def test_composition_of_strong_homomorphisms(complete_graphs):
     second = inclusion_map(k3, k4)
     composite = compose_maps(first, second)
     assert is_strong_homomorphism(composite, k2, k4).ok
+
+
+def test_strong_homomorphism_witness_follows_sorted_order(g4, b2):
+    # domain labels listed out of sorted order: the reported failure is the
+    # least failing entry in sorted order, functions before predicates
+    sig = Signature(predicates={"R": 2, "P": 1})
+    s = Structure(
+        chain=g4,
+        sig=sig,
+        domain=("b", "a"),
+        predicates={
+            "P": {("b",): 1, ("a",): 2},
+            "R": {("b", "b"): 0, ("b", "a"): 1, ("a", "b"): 2, ("a", "a"): 3},
+        },
+    )
+    reversed_r = {("y", "y"): 3, ("y", "x"): 2, ("x", "y"): 1, ("x", "x"): 0}
+    t = Structure(
+        chain=g4,
+        sig=sig,
+        domain=("y", "x"),
+        predicates={"P": {("y",): 1, ("x",): 2}, "R": reversed_r},
+    )
+    m = StructureMap(identity_map(g4), {"b": "y", "a": "x"})
+    report = is_strong_homomorphism(m, s, t)
+    assert report.reason == "predicate value not transported"
+    assert report.witness == ("R", ("a", "a"), 3, 0)
+    swapped = Structure(
+        chain=g4,
+        sig=sig,
+        domain=("y", "x"),
+        predicates={"P": {("y",): 2, ("x",): 1}, "R": reversed_r},
+    )
+    assert is_strong_homomorphism(m, s, swapped).witness == ("P", ("a",), 2, 1)
+    fsig = Signature(functions={"h": 1}, predicates={"P": 1})
+    fs = Structure(
+        chain=b2,
+        sig=fsig,
+        domain=("b", "a"),
+        predicates={"P": {("b",): 1, ("a",): 0}},
+        functions={"h": {("b",): "a", ("a",): "b"}},
+    )
+    ft = Structure(
+        chain=b2,
+        sig=fsig,
+        domain=("y", "x"),
+        predicates={"P": {("y",): 0, ("x",): 1}},
+        functions={"h": {("y",): "y", ("x",): "x"}},
+    )
+    report = is_strong_homomorphism(StructureMap(identity_map(b2), m.domain_map), fs, ft)
+    assert report.reason == "function commutation fails"
+    assert report.witness == ("h", ("a",), "y", "x")
+
+
+def test_elementarity_replay_disagreement_raises(monkeypatch, g4, sig_r):
+    point = Structure(chain=g4, sig=sig_r, domain=("a",), predicates={"R": {("a", "a"): 0}})
+    k2 = crisp_complete(g4, ["a", "b"])
+    incl = inclusion_map(point, k2)
+    assert not is_elementary_up_to_depth(incl, point, k2, 1).ok
+    monkeypatch.setattr(morphisms, "eval_formula", lambda *args: 0)
+    with pytest.raises(InternalError):
+        is_elementary_up_to_depth(incl, point, k2, 1)

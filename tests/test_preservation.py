@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from gradedmt import corpus
+from gradedmt import corpus, preservation
 from gradedmt.chains import validate_chain_of_structures
-from gradedmt.errors import FormatError, PreconditionError
+from gradedmt.errors import FormatError, InternalError, PreconditionError
 from gradedmt.generation import qf_matrices
 from gradedmt.morphisms import (
     induced_substructure,
@@ -261,3 +261,12 @@ def test_suite_sentences_classify_within_target():
     for lead, blocks in ((FORALL, 1), (FORALL, 2)):
         for phi in _suite_sentences(chain, lead, blocks, FormulaBounds(max_candidates=40)):
             assert classify_prenex(phi).within(PrenexClass(lead, blocks))
+
+
+def test_exists_flow_replay_disagreement_raises(monkeypatch, g4, sig_p):
+    left = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): g4.top}})
+    right = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): 0}})
+    assert not implies_exists_n(left, right, (), 1).ok
+    monkeypatch.setattr(preservation, "eval_formula", lambda *args: g4.top)
+    with pytest.raises(InternalError):
+        implies_exists_n(left, right, (), 1)

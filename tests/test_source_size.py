@@ -1,0 +1,12 @@
+"""Source size is a tracked metric: the package may not grow past its baseline."""
+
+from pathlib import Path
+
+# lines in src/gradedmt/*.py when the metric was introduced (see ROADMAP.md)
+BASELINE_LINES = 5487
+
+
+def test_source_size_within_baseline():
+    package = Path(__file__).resolve().parents[1] / "src" / "gradedmt"
+    lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
+    assert lines <= BASELINE_LINES
