@@ -657,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--formula", required=True)
     p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
-    p.add_argument("--truth-constants", action="store_true", default=True)
+    p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
     _add_common(p)
     p.set_defaults(handler=cmd_consequence)
 
@@ -665,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", required=True)
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
-    p.add_argument("--truth-constants", action="store_true", default=True)
+    p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
     _add_common(p, bounds=True)
     p.set_defaults(handler=cmd_universal_consequences)
 

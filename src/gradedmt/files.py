@@ -92,6 +92,28 @@ def _join_key(args: tuple) -> str:
     return ",".join(args)
 
 
+def _symbol_tables(specs, what: str, read_value) -> tuple[dict, dict]:
+    """Arities and value tables of one kind of symbol in a structure file."""
+    if not isinstance(specs, Mapping):
+        raise FormatError(f"{what}s must be given as a JSON object")
+    arities, tables = {}, {}
+    for name, spec in specs.items():
+        where = f"{what} {name!r}"
+        try:
+            arity = int(spec.get("arity", -1))
+            table = dict(spec.get("table", {}))
+        except (AttributeError, TypeError, ValueError):
+            raise FormatError(f"{where}: expected an integer arity and an object table") from None
+        if arity < 0:
+            raise FormatError(f"{where} needs an arity")
+        arities[name] = arity
+        tables[name] = {
+            _split_key(key, arity, where): read_value(where, label)
+            for key, label in table.items()
+        }
+    return arities, tables
+
+
 def load_structure(path, algebra: FiniteChain | None = None) -> Structure:
     """Load and validate a structure file.
 
@@ -117,36 +139,18 @@ def load_structure(path, algebra: FiniteChain | None = None) -> Structure:
     domain = tuple(str(d) for d in data.get("domain", ()))
     if not domain:
         raise FormatError(f"{path}: empty or missing domain")
-    predicates_spec = data.get("predicates", {})
-    functions_spec = data.get("functions", {})
-    sig_preds = {}
-    sig_funcs = {}
-    predicates = {}
-    functions = {}
-    for name, spec in dict(predicates_spec).items():
-        arity = int(spec.get("arity", -1))
-        if arity < 0:
-            raise FormatError(f"{path}: predicate {name!r} needs an arity")
-        sig_preds[name] = arity
-        table = {}
-        for key, label in dict(spec.get("table", {})).items():
-            args = _split_key(key, arity, f"{path}: predicate {name!r}")
-            if not chain.has_label(str(label)):
-                raise FormatError(
-                    f"{path}: predicate {name!r} value {label!r} is not a chain element"
-                )
-            table[args] = chain.index(str(label))
-        predicates[name] = table
-    for name, spec in dict(functions_spec).items():
-        arity = int(spec.get("arity", -1))
-        if arity < 0:
-            raise FormatError(f"{path}: function {name!r} needs an arity")
-        sig_funcs[name] = arity
-        table = {}
-        for key, label in dict(spec.get("table", {})).items():
-            args = _split_key(key, arity, f"{path}: function {name!r}")
-            table[args] = str(label)
-        functions[name] = table
+
+    def chain_index(where: str, label) -> int:
+        if not chain.has_label(str(label)):
+            raise FormatError(f"{where} value {label!r} is not a chain element")
+        return chain.index(str(label))
+
+    sig_preds, predicates = _symbol_tables(
+        data.get("predicates", {}), f"{path}: predicate", chain_index
+    )
+    sig_funcs, functions = _symbol_tables(
+        data.get("functions", {}), f"{path}: function", lambda where, label: str(label)
+    )
     sig = Signature(predicates=sig_preds, functions=sig_funcs)
     try:
         return Structure(

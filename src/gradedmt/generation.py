@@ -12,8 +12,8 @@ Two generators drive every bounded check in the package:
   connective depth wrapped in alternating quantifier-block prefixes.
 
 Both are deterministic, deduplicate structurally, and respect a search
-budget.  `AssignmentGrid` evaluates a formula simultaneously at every
-variable assignment, which keeps exhaustive sweeps cheap.
+budget.  `AssignmentGrid` evaluates a formula at every variable
+assignment at once, and folds each (value vector, prefix) pair once.
 """
 
 from dataclasses import dataclass
@@ -329,27 +329,20 @@ def elementary_family(
         total_vars = depth + 1
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
     matrices = qf_matrices(sig, chain_labels, variables, matrix_depth, extra_terms, budget)
-    target = PrenexClass(FORALL, depth)
+    # matrices are distinct and blocks alternate, so (matrix, prefix) names
+    # one formula; `matrices` outlives the loop, so the ids stay unique
     seen: set = set()
     for n_params in range(0, total_vars + 1):
         quantifiable = variables[n_params:]
-        for cand in prenex_candidates(matrices, quantifiable, target):
-            if cand.blocks > depth:
-                continue
-            key = (cand.formula, cand.params)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield cand
-        # widen the target so EXISTS-led prefixes of full depth appear too
-        for cand in prenex_candidates(matrices, quantifiable, PrenexClass(EXISTS, depth)):
-            if cand.blocks > depth:
-                continue
-            key = (cand.formula, cand.params)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield cand
+        for target in (PrenexClass(FORALL, depth), PrenexClass(EXISTS, depth)):
+            for cand in prenex_candidates(matrices, quantifiable, target):
+                if cand.blocks > depth:
+                    continue
+                key = (id(cand.matrix), cand.prefix, cand.params)
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield cand
 
 
 # --- grid evaluation ---
@@ -361,21 +354,28 @@ class AssignmentGrid:
     The grid for t variables over a domain of size m is a flat list of
     m**t chain indices, first variable most significant.  Quantifying a
     variable folds its axis and broadcasts the result so further
-    combination stays aligned.
+    combination stays aligned.  Variables in `fixed` are not axes: they
+    take their given element in every cell.  `fold_prefix` memoises on the
+    value vector and the prefix, so equal-valued matrices share one fold;
+    the lists `values` and `fold_prefix` return are shared, never mutated.
     """
 
-    def __init__(self, structure: Structure, variables: Sequence[str]):
+    def __init__(self, structure: Structure, variables: Sequence[str], *, fixed=None):
         self.structure = structure
         self.variables = tuple(variables)
+        self.fixed = dict(fixed or {})
         self.m = structure.size
         t = len(self.variables)
         self.size = self.m**t
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
         self._dom_pos = {d: i for i, d in enumerate(structure.domain)}
         self._cache: dict[Formula, list[int]] = {}
+        self._folds: dict[tuple, list[int]] = {}
 
     def _term_column(self, term) -> list[str]:
         if isinstance(term, Var):
+            if term.name in self.fixed:
+                return [self.fixed[term.name]] * self.size
             stride = self.strides[term.name]
             dom = self.structure.domain
             return [dom[(idx // stride) % self.m] for idx in range(self.size)]
@@ -441,21 +441,24 @@ class AssignmentGrid:
     def fold(self, values: list[int], var: str, kind: str) -> list[int]:
         stride = self.strides[var]
         m = self.m
-        out = values[:]
+        block = stride * m
         pick = min if kind == FORALL else max
-        for idx in range(self.size):
-            if (idx // stride) % m == 0:
-                folded = pick(values[idx + j * stride] for j in range(m))
-                for j in range(m):
-                    out[idx + j * stride] = folded
+        out: list[int] = []
+        for start in range(0, self.size, block):
+            columns = [values[i:i + stride] for i in range(start, start + block, stride)]
+            out += list(map(pick, zip(*columns))) * m
         return out
 
     def fold_prefix(self, matrix_values: list[int], prefix) -> list[int]:
         """Apply quantifier blocks, innermost first."""
-        out = matrix_values
-        for kind, part in reversed(prefix):
-            for var in part:
-                out = self.fold(out, var, kind)
+        key = (tuple(matrix_values), prefix)
+        out = self._folds.get(key)
+        if out is None:
+            out = matrix_values
+            for kind, part in reversed(prefix):
+                for var in part:
+                    out = self.fold(out, var, kind)
+            self._folds[key] = out
         return out
 
     def value_at(self, values: list[int], assignment) -> int:

@@ -111,10 +111,9 @@ def implies_exists_n(
     qvars, pvars, candidates = _exists_candidates(
         left.sig, left.chain.elements, params, n, bounds
     )
-    all_vars = tuple(qvars + pvars)
-    grid_left = AssignmentGrid(left, all_vars)
-    grid_right = AssignmentGrid(right, all_vars)
     assignment = dict(zip(pvars, params))
+    grid_left = AssignmentGrid(left, qvars, fixed=assignment)
+    grid_right = AssignmentGrid(right, qvars, fixed=assignment)
     top = left.chain.top
     meter = BudgetMeter("existential transfer", bounds.budget)
     checked = 0

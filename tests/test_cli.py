@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from gradedmt.cli import main
 from gradedmt.corpus import data_dir
@@ -300,3 +301,48 @@ def test_eval_bind_outside_domain(capsys):
     ])
     assert code == 2
     assert "domain" in capsys.readouterr().err
+
+
+def test_consequence_truth_constants_on_and_off(capsys):
+    argv = [
+        "consequence",
+        "--theory", str(DATA / "weighted_graph.thy"),
+        "--algebra", str(DATA / "godel4.json"),
+        "--formula", "forall x. (R(x,x) -> val(3/4))",
+        "--max-domain", "1",
+    ]
+    assert main(argv) == 0
+    assert main(argv + ["--truth-constants"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--no-truth-constants"]) == 2
+    assert "unknown truth constant val(3/4)" in capsys.readouterr().err
+
+
+def test_universal_consequences_truth_constants_on_and_off(capsys):
+    argv = [
+        "universal-consequences",
+        "--theory", str(DATA / "weighted_graph.thy"),
+        "--algebra", str(DATA / "godel3.json"),
+        "--max-domain", "1",
+        "--max-candidates", "200",
+    ]
+    for flags, licensed in (([], True), (["--truth-constants"], True),
+                            (["--no-truth-constants"], False)):
+        code, payload = run_json(capsys, *argv, *flags)
+        assert code == 0
+        assert any("val(1/2)" in s for s in payload["report"]["sentences"]) == licensed
+
+
+@pytest.mark.parametrize("spec", [
+    {"arity": "one", "table": {"a": "1"}},  # was a ValueError traceback
+    [1, {"a": "1"}],  # was an AttributeError traceback
+])
+def test_enum_subs_rejects_malformed_predicate_spec(capsys, tmp_path, spec):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "algebra": str(DATA / "bool2.json"),
+        "domain": ["a"],
+        "predicates": {"P": spec},
+    }))
+    assert main(["enum-subs", "--structure", str(path)]) == 2
+    assert "predicate 'P': expected an integer arity and an object table" in capsys.readouterr().err

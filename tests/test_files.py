@@ -90,6 +90,23 @@ def test_missing_predicate_entry_rejected(tmp_path):
         load_structure(path)
 
 
+@pytest.mark.parametrize("predicates, message", [
+    ([1], "predicates must be given as a JSON object"),
+    ({"P": {"arity": 1, "table": ["a"]}}, "predicate 'P': expected an integer arity"),
+])
+def test_malformed_predicate_specs_rejected(tmp_path, predicates, message):
+    data = {
+        "algebra": {"elements": ["0", "1"], "star": [[0, 0], [0, 1]]},
+        "domain": ["a"],
+        "predicates": predicates,
+    }
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError) as err:
+        load_structure(path)
+    assert message in str(err.value)
+
+
 def test_structure_roundtrip(tmp_path, struct_m):
     path = tmp_path / "m.json"
     save_structure(struct_m, path)

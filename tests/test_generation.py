@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradedmt.errors import BudgetError, SignatureError
+from gradedmt import corpus
+from gradedmt.errors import BudgetError, InternalError, SignatureError
 from gradedmt.generation import (
     AssignmentGrid,
     enumerate_structures,
@@ -11,7 +13,9 @@ from gradedmt.generation import (
     prenex_candidates,
     qf_matrices,
 )
+from gradedmt.morphisms import inclusion_map, is_elementary_up_to_depth
 from gradedmt.parser import parse_formula
+from gradedmt.preservation import implies_exists_n
 from gradedmt.semantics import Structure, all_assignments, eval_formula
 from gradedmt.syntax import (
     EXISTS,
@@ -103,6 +107,72 @@ def test_grid_fold_matches_quantifier(g4, sig_r):
     phi = parse_formula("forall x2. R(x1,x2)", sig_r)
     for d in s.domain:
         assert grid.value_at(folded, {"x1": d}) == eval_formula(phi, s, {"x1": d})
+
+
+G3 = corpus.godel3()
+SIG_PR = Signature(predicates={"P": 1, "R": 2})
+GRID_VARS = ("x1", "x2", "x3")
+PR_MATRICES = qf_matrices(SIG_PR, G3.elements, GRID_VARS, 1)
+
+
+@st.composite
+def pr_structures(draw):
+    domain = tuple(f"d{i}" for i in range(draw(st.integers(1, 3))))
+    values = st.integers(0, G3.size - 1)
+    predicates = {
+        name: {args: draw(values) for args in itertools.product(domain, repeat=arity)}
+        for name, arity in SIG_PR.predicates.items()
+    }
+    return Structure(chain=G3, sig=SIG_PR, domain=domain, predicates=predicates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=pr_structures(),
+    matrices=st.lists(st.sampled_from(PR_MATRICES), min_size=1, max_size=4),
+    order=st.permutations(GRID_VARS),
+)
+def test_prefix_folds_match_plain_evaluator(s, matrices, order):
+    # x1 and x2 are quantified, x3 stays a parameter; the drawn axis order
+    # puts every stride under a fold
+    grid = AssignmentGrid(s, order)
+    sliced = {d: AssignmentGrid(s, [v for v in order if v != "x3"], fixed={"x3": d})
+              for d in s.domain}
+    for target in (PrenexClass(FORALL, 2), PrenexClass(EXISTS, 2)):
+        for cand in prenex_candidates(matrices, ["x1", "x2"], target):
+            vals = grid.fold_prefix(grid.values(cand.matrix), cand.prefix)
+            assert grid.fold_prefix(grid.values(cand.matrix), cand.prefix) is vals
+            for asg in all_assignments(GRID_VARS, s.domain):
+                assert grid.value_at(vals, asg) == eval_formula(cand.formula, s, asg)
+            for d, part in sliced.items():
+                part_vals = part.fold_prefix(part.values(cand.matrix), cand.prefix)
+                for asg in all_assignments(part.variables, s.domain):
+                    assert part.value_at(part_vals, asg) == grid.value_at(vals, {**asg, "x3": d})
+
+
+def test_swapped_fold_is_caught_by_the_evaluator_replays(monkeypatch):
+    sig = Signature(predicates={"P": 1})
+    point = Structure(chain=G3, sig=sig, domain=("a",), predicates={"P": {("a",): G3.top}})
+    pair = Structure(chain=G3, sig=sig, domain=("a", "b"),
+                     predicates={"P": {("a",): G3.top, ("b",): 0}})
+    incl = inclusion_map(point, pair)
+    # existential sentences go up to a superstructure; the inclusion is not
+    # elementary, but "exists x1 . P(x1)" takes top on both sides
+    assert implies_exists_n(point, pair, (), 1).ok
+    assert implies_exists_n(point, pair, ("a",), 1).ok
+    assert not is_elementary_up_to_depth(incl, point, pair, 1).ok
+    fold = AssignmentGrid.fold
+
+    def swapped(self, values, var, kind):
+        return fold(self, values, var, EXISTS if kind == FORALL else FORALL)
+
+    monkeypatch.setattr(AssignmentGrid, "fold", swapped)
+    with pytest.raises(InternalError):
+        implies_exists_n(point, pair, (), 1)
+    with pytest.raises(InternalError):
+        implies_exists_n(point, pair, ("a",), 1)
+    with pytest.raises(InternalError):
+        is_elementary_up_to_depth(incl, point, pair, 1)
 
 
 def test_ground_terms_nesting():
