@@ -12,7 +12,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import FormatError, GradedmtError, InternalError
-from .generation import AssignmentGrid, qf_matrices
+from .generation import AssignmentGrid, fragment
 from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure
 from .semantics import Structure, eval_formula
 from .syntax import App
@@ -140,16 +140,10 @@ def check_tarski_vaught(
     union = union_of_chain(chain)
     variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
     report = TarskiVaughtReport(True, 0, elementary_requested=depth)
-    first_sig = chain.members[0].sig
-    constant_terms = [App(c) for c in first_sig.constants()]
-    matrices = qf_matrices(
-        first_sig,
-        chain.members[0].chain.elements,
-        variables,
-        matrix_depth,
-        extra_terms=constant_terms,
-        budget=budget,
-    )
+    first = chain.members[0]
+    constant_terms = [App(c) for c in first.sig.constants()]
+    matrices = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms,
+                        budget).matrices
     union_grid = AssignmentGrid(union, variables)
     for index, member in enumerate(chain.members):
         grid = AssignmentGrid(member, variables)

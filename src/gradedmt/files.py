@@ -136,9 +136,10 @@ def load_structure(path, algebra: FiniteChain | None = None) -> Structure:
             report = validate_chain(chain)
             if not report.ok:
                 raise FormatError(f"{path}: inline algebra invalid: {report.violations[0]}")
-    domain = tuple(str(d) for d in data.get("domain", ()))
-    if not domain:
-        raise FormatError(f"{path}: empty or missing domain")
+    domain = data.get("domain", [])
+    if not isinstance(domain, list) or not domain:
+        raise FormatError(f"{path}: domain must be a non-empty JSON list, got {domain!r}")
+    domain = tuple(str(d) for d in domain)
 
     def chain_index(where: str, label) -> int:
         if not chain.has_label(str(label)):

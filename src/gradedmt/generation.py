@@ -7,22 +7,26 @@ Two generators drive every bounded check in the package:
   when it is built by one connective from formulas whose levels sum to
   k - 1, or by one quantifier block over a level k - 1 formula;
 
-* a prenex family (`qf_matrices` + `prenex_candidates`) used for
-  fragment-bounded checks: quantifier-free matrices of bounded
-  connective depth wrapped in alternating quantifier-block prefixes.
+* a prenex family used for fragment-bounded checks: quantifier-free
+  matrices of bounded connective depth, built once per key by `fragment`
+  and kept in a small LRU cache, wrapped in alternating quantifier-block
+  prefixes by `Fragment.stream` as (matrix, prefix, params) triples.
 
 Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates a formula at every variable
-assignment at once, and folds each (value vector, prefix) pair once.
+assignment at once, caches by node identity, and folds each (value
+vector, prefix) pair once.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetMeter, check_budget
 from .errors import SignatureError
-from .semantics import Structure, eval_term
+from .semantics import Structure, _truth_constant_index, eval_term
 from .syntax import (
     And,
     App,
@@ -91,8 +95,7 @@ def literals_over(sig: Signature, terms: Sequence, labels: Sequence[str]) -> lis
 def _variable_subsets(names: Sequence[str]) -> Iterator[tuple[str, ...]]:
     ordered = list(names)
     for size in range(1, len(ordered) + 1):
-        for picked in combinations(ordered, size):
-            yield picked
+        yield from combinations(ordered, size)
 
 
 class _LevelledPool:
@@ -214,22 +217,102 @@ def ground_terms(sig: Signature, constants: Iterable[str], term_depth: int = 0):
 # --- prenex families ---
 
 
+def prenex_formula(matrix: Formula, prefix) -> Formula:
+    """Wrap a matrix in quantifier blocks, given outermost first."""
+    for kind, part in reversed(prefix):
+        matrix = (forall_block if kind == FORALL else exists_block)(part, matrix)
+    return matrix
+
+
 @dataclass(frozen=True)
 class PrenexCandidate:
     """A matrix with a quantifier-block prefix and free parameter slots."""
 
-    formula: Formula
     matrix: Formula
     prefix: tuple  # ((kind, vars), ...) outermost first
     params: tuple  # free variable names, sorted
-    lead: str | None
-    blocks: int
+
+    @cached_property
+    def formula(self) -> Formula:
+        return prenex_formula(self.matrix, self.prefix)
+
+    @property
+    def lead(self) -> str | None:
+        return self.prefix[0][0] if self.prefix else None
+
+    @property
+    def blocks(self) -> int:
+        return len(self.prefix)
 
     @property
     def prenex_class(self) -> PrenexClass:
-        if self.blocks == 0:
-            return quantifier_free_class()
-        return PrenexClass(self.lead, self.blocks)
+        return PrenexClass(self.lead, self.blocks) if self.prefix else quantifier_free_class()
+
+
+class Fragment:
+    """Quantifier-free matrices in generation order, each with its free
+    variables.  Shared between callers, so both tuples are read-only."""
+
+    def __init__(self, entries: Sequence[tuple[Formula, frozenset]]):
+        self.matrices = tuple(phi for phi, _ in entries)
+        sets: dict = {}  # one object per distinct set: a family has only a few
+        self.free = tuple(sets.setdefault(fv, fv) for _, fv in entries)
+
+    def stream(self, steps) -> Iterator[tuple[Formula, tuple, tuple]]:
+        """(matrix, prefix, params) for each (quantifiable, target) step in
+        turn, as `prenex_candidates` wraps them; a (prefix, params) pair a
+        matrix had at an earlier step is skipped.  Which pairs are new
+        depends only on the matrix's free variables: worked out once per set.
+        """
+        rows: dict = {}
+        for fv in set(self.free):
+            seen: set = set()
+            rows[fv] = []
+            for quantifiable, target in steps:
+                to_bind = tuple(v for v in quantifiable if v in fv)
+                params = tuple(sorted(fv.difference(to_bind)))
+                new = [p for p in _prefixes(to_bind, target) if (p, params) not in seen]
+                seen.update((p, params) for p in new)
+                rows[fv].append((new, params))
+        for i in range(len(steps)):
+            for matrix, fv in zip(self.matrices, self.free):
+                new, params = rows[fv][i]
+                for prefix in new:
+                    yield matrix, prefix, params
+
+
+_FRAGMENT_CACHE_SIZE = 16
+_fragments: OrderedDict = OrderedDict()
+
+
+def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
+             extra_terms: Sequence = (), budget: int | None = None) -> Fragment:
+    """The `qf_matrices` family, built once and then served from an LRU
+    cache.  A hit charges the family's size to a fresh meter, so it fails
+    on a short budget exactly as a fresh build would."""
+    labels = tuple(truth_constant_labels(sig, chain_labels))
+    key = (tuple(sorted(sig.predicates.items())), tuple(sorted(sig.functions.items())),
+           labels, tuple(variables), depth, tuple(extra_terms))
+    family = _fragments.get(key)
+    if family is None:
+        family = _fragments[key] = _build_fragment(sig, labels, variables, depth, extra_terms, budget)
+        if len(_fragments) > _FRAGMENT_CACHE_SIZE:
+            _fragments.popitem(last=False)
+    else:
+        _fragments.move_to_end(key)
+        meter = BudgetMeter("matrix generation", budget)
+        meter.tick(min(len(family.matrices), meter.limit + 1))
+    return family
+
+
+def _build_fragment(sig, labels, variables, depth, extra_terms, budget) -> Fragment:
+    terms = [Var(v) for v in variables] + list(extra_terms)
+    pool = _LevelledPool("matrix generation", budget)
+    for lit in literals_over(sig, terms, labels):
+        pool.push(lit, 0)
+    for level in range(1, depth + 1):
+        pool.binary_combos(level, pool.push)
+    return Fragment([entry for bucket in pool.levels for entry in bucket])
 
 
 def qf_matrices(
@@ -241,33 +324,25 @@ def qf_matrices(
     budget: int | None = None,
 ) -> list[Formula]:
     """Quantifier-free formulas over the variable pool, ops-count levels."""
-    labels = truth_constant_labels(sig, chain_labels)
-    terms = [Var(v) for v in variables] + list(extra_terms)
-    pool = _LevelledPool("matrix generation", budget)
-    out: list[Formula] = []
-
-    def push(phi: Formula, level: int):
-        if pool.push(phi, level):
-            out.append(phi)
-
-    for lit in literals_over(sig, terms, labels):
-        push(lit, 0)
-    for level in range(1, depth + 1):
-        pool.binary_combos(level, push)
-    return out
+    return list(fragment(sig, chain_labels, variables, depth, extra_terms, budget).matrices)
 
 
-def _compositions(seq: Sequence[str], max_parts: int) -> Iterator[tuple[tuple[str, ...], ...]]:
-    items = list(seq)
-    n = len(items)
-    for parts in range(1, min(max_parts, n) + 1):
-        for cuts in combinations(range(1, n), parts - 1):
-            bounds = (0,) + cuts + (n,)
-            yield tuple(tuple(items[bounds[i]:bounds[i + 1]]) for i in range(parts))
-
-
-def _other(kind: str) -> str:
-    return EXISTS if kind == FORALL else FORALL
+@lru_cache(maxsize=None)
+def _prefixes(to_bind: tuple, target: PrenexClass) -> tuple:
+    """Alternating block prefixes binding `to_bind` in order that fit within
+    `target`: lead forall first, then fewer blocks, then by cut points."""
+    if not to_bind:
+        return ((),) if quantifier_free_class().within(target) else ()
+    n = len(to_bind)
+    out = []
+    for kinds in ((FORALL, EXISTS), (EXISTS, FORALL)):
+        for parts in range(1, min(target.blocks, n) + 1):
+            if PrenexClass(kinds[0], parts).within(target):
+                for cuts in combinations(range(1, n), parts - 1):
+                    bounds = (0,) + cuts + (n,)
+                    out.append(tuple((kinds[i % 2], to_bind[bounds[i]:bounds[i + 1]])
+                                     for i in range(parts)))
+    return tuple(out)
 
 
 def prenex_candidates(
@@ -281,32 +356,17 @@ def prenex_candidates(
     quantified; remaining free variables are parameter slots.  Pure
     parameter matrices are emitted once, as quantifier-free candidates.
     """
-    for matrix in matrices:
-        fv = free_variables(matrix)
-        to_bind = [v for v in quantifiable if v in fv]
-        params = tuple(sorted(fv - set(to_bind)))
-        if not to_bind:
-            cand = PrenexCandidate(matrix, matrix, (), params, None, 0)
-            if cand.prenex_class.within(target):
-                yield cand
-            continue
-        for lead in (FORALL, EXISTS):
-            for comp in _compositions(to_bind, target.blocks):
-                blocks = len(comp)
-                if not PrenexClass(lead, blocks).within(target):
-                    continue
-                kinds = []
-                kind = lead
-                for _ in comp:
-                    kinds.append(kind)
-                    kind = _other(kind)
-                phi = matrix
-                for part_kind, part in reversed(list(zip(kinds, comp))):
-                    builder = forall_block if part_kind == FORALL else exists_block
-                    phi = builder(part, phi)
-                yield PrenexCandidate(
-                    phi, matrix, tuple(zip(kinds, comp)), params, lead, blocks
-                )
+    family = Fragment([(phi, frozenset(free_variables(phi))) for phi in matrices])
+    for triple in family.stream([(quantifiable, target)]):
+        yield PrenexCandidate(*triple)
+
+
+def elementary_triples(sig, chain_labels, depth, total_vars, matrix_depth=1, extra_terms=(), budget=None):
+    """The (matrix, prefix, params) triples behind `elementary_family`."""
+    variables = [f"x{i}" for i in range(1, total_vars + 1)]
+    steps = [(variables[n:], target) for n in range(total_vars + 1)
+             for target in (PrenexClass(FORALL, depth), PrenexClass(EXISTS, depth))]
+    return fragment(sig, chain_labels, variables, matrix_depth, extra_terms, budget).stream(steps)
 
 
 def elementary_family(
@@ -327,22 +387,9 @@ def elementary_family(
     """
     if total_vars is None:
         total_vars = depth + 1
-    variables = [f"x{i}" for i in range(1, total_vars + 1)]
-    matrices = qf_matrices(sig, chain_labels, variables, matrix_depth, extra_terms, budget)
-    # matrices are distinct and blocks alternate, so (matrix, prefix) names
-    # one formula; `matrices` outlives the loop, so the ids stay unique
-    seen: set = set()
-    for n_params in range(0, total_vars + 1):
-        quantifiable = variables[n_params:]
-        for target in (PrenexClass(FORALL, depth), PrenexClass(EXISTS, depth)):
-            for cand in prenex_candidates(matrices, quantifiable, target):
-                if cand.blocks > depth:
-                    continue
-                key = (id(cand.matrix), cand.prefix, cand.params)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield cand
+    for triple in elementary_triples(sig, chain_labels, depth, total_vars, matrix_depth,
+                                     extra_terms, budget):
+        yield PrenexCandidate(*triple)
 
 
 # --- grid evaluation ---
@@ -355,9 +402,11 @@ class AssignmentGrid:
     m**t chain indices, first variable most significant.  Quantifying a
     variable folds its axis and broadcasts the result so further
     combination stays aligned.  Variables in `fixed` are not axes: they
-    take their given element in every cell.  `fold_prefix` memoises on the
-    value vector and the prefix, so equal-valued matrices share one fold;
-    the lists `values` and `fold_prefix` return are shared, never mutated.
+    take their given element in every cell.  `values` caches by node
+    identity, each entry pinning its formula so the id stays unique;
+    `fold_prefix` memoises on the value vector and the prefix, so
+    equal-valued matrices share one fold.  The lists both return are
+    shared, never mutated.
     """
 
     def __init__(self, structure: Structure, variables: Sequence[str], *, fixed=None):
@@ -369,7 +418,7 @@ class AssignmentGrid:
         self.size = self.m**t
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
         self._dom_pos = {d: i for i, d in enumerate(structure.domain)}
-        self._cache: dict[Formula, list[int]] = {}
+        self._cache: dict[int, tuple[Formula, list[int]]] = {}
         self._folds: dict[tuple, list[int]] = {}
 
     def _term_column(self, term) -> list[str]:
@@ -383,12 +432,10 @@ class AssignmentGrid:
         return [value] * self.size
 
     def values(self, phi: Formula) -> list[int]:
-        cached = self._cache.get(phi)
-        if cached is not None:
-            return cached
-        out = self._compute(phi)
-        self._cache[phi] = out
-        return out
+        hit = self._cache.get(id(phi))
+        if hit is None:
+            hit = self._cache[id(phi)] = (phi, self._compute(phi))
+        return hit[1]
 
     def _compute(self, phi: Formula) -> list[int]:
         chain = self.structure.chain
@@ -402,8 +449,6 @@ class AssignmentGrid:
             top, bot = chain.top, chain.bottom
             return [top if lcol[i] == rcol[i] else bot for i in range(self.size)]
         if isinstance(phi, Val):
-            from .semantics import _truth_constant_index
-
             v = _truth_constant_index(chain, phi.label)
             return [v] * self.size
         if isinstance(phi, Not):

@@ -12,9 +12,9 @@ from typing import Iterator, Mapping, Sequence
 from .algebra import AlgebraMap, FiniteChain, identity_map, is_algebra_homomorphism
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
-from .generation import AssignmentGrid, elementary_family
+from .generation import AssignmentGrid, elementary_triples, prenex_formula
 from .semantics import Structure, eval_formula
-from .syntax import Formula
+from .syntax import App, Formula
 
 
 @dataclass(frozen=True)
@@ -166,49 +166,38 @@ def is_elementary_up_to_depth(
         total_vars = depth + 1
     f = m.algebra_map.map
     g = m.domain_map
-    labels = source.chain.elements
-    constant_terms = _shared_constant_terms(source)
+    grid_vars = tuple(f"x{i}" for i in range(1, total_vars + 1))
+    grid_s = AssignmentGrid(source, grid_vars)
+    grid_t = AssignmentGrid(target, grid_vars)
     checked = 0
-    grid_vars = None
-    grid_s: AssignmentGrid | None = None
-    grid_t: AssignmentGrid | None = None
-    for cand in elementary_family(
-        source.sig,
-        labels,
-        depth,
-        total_vars=total_vars,
-        matrix_depth=matrix_depth,
-        extra_terms=constant_terms,
-        budget=budget,
+    passed: set = set()  # (source fold, target fold, params), folds shared by the memo
+    constant_terms = [App(c) for c in source.sig.constants()]
+    for matrix, prefix, params in elementary_triples(
+        source.sig, source.chain.elements, depth, total_vars, matrix_depth, constant_terms, budget
     ):
-        if grid_s is None:
-            grid_vars = tuple(f"x{i}" for i in range(1, total_vars + 1))
-            grid_s = AssignmentGrid(source, grid_vars)
-            grid_t = AssignmentGrid(target, grid_vars)
-        vals_s = grid_s.fold_prefix(grid_s.values(cand.matrix), cand.prefix)
-        vals_t = grid_t.fold_prefix(grid_t.values(cand.matrix), cand.prefix)
+        vals_s = grid_s.fold_prefix(grid_s.values(matrix), prefix)
+        vals_t = grid_t.fold_prefix(grid_t.values(matrix), prefix)
         checked += 1
-        for tup in product(source.domain, repeat=len(cand.params)):
-            asg_s = dict(zip(cand.params, tup))
+        key = (id(vals_s), id(vals_t), params)
+        if key in passed:
+            continue
+        passed.add(key)
+        for tup in product(source.domain, repeat=len(params)):
+            asg_s = dict(zip(params, tup))
             asg_t = {p: g[d] for p, d in asg_s.items()}
             lhs = f[grid_s.value_at(vals_s, asg_s)]
             rhs = grid_t.value_at(vals_t, asg_t)
             if lhs != rhs:
                 # replay with the plain evaluator before reporting
-                direct = f[eval_formula(cand.formula, source, asg_s)]
-                direct_t = eval_formula(cand.formula, target, asg_t)
+                phi = prenex_formula(matrix, prefix)
+                direct = f[eval_formula(phi, source, asg_s)]
+                direct_t = eval_formula(phi, target, asg_t)
                 if direct != lhs or direct_t != rhs:
                     raise InternalError("grid and evaluator disagree")
                 return ElementarityReport(
-                    False, depth, separator=cand.formula, params=tup, formulas_checked=checked
+                    False, depth, separator=phi, params=tup, formulas_checked=checked
                 )
     return ElementarityReport(True, depth, formulas_checked=checked)
-
-
-def _shared_constant_terms(source: Structure):
-    from .syntax import App
-
-    return [App(c) for c in source.sig.constants()]
 
 
 # --- substructures ---

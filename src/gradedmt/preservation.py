@@ -17,12 +17,7 @@ from .algebra import enumerate_mtl_chains
 from .budget import BudgetMeter
 from .chains import StructureChain, check_tarski_vaught, union_of_chain, validate_chain_of_structures
 from .errors import FormatError, InternalError, PreconditionError, SignatureError
-from .generation import (
-    AssignmentGrid,
-    enumerate_structures,
-    prenex_candidates,
-    qf_matrices,
-)
+from .generation import AssignmentGrid, enumerate_structures, fragment, prenex_formula
 from .morphisms import (
     StructureMap,
     enumerate_substructures,
@@ -76,20 +71,13 @@ class ExistsFlowReport:
         return self.ok
 
 
-def _exists_candidates(sig, chain_labels, params, n, bounds):
+def _family(sig, chain, n_params: int, bounds: FormulaBounds):
+    """Quantified variables, parameter variables and the matrices over both."""
     qvars = [f"x{i}" for i in range(1, bounds.num_vars + 1)]
-    pvars = [f"p{i}" for i in range(1, len(params) + 1)]
-    constant_terms = [App(c) for c in sig.constants()]
-    matrices = qf_matrices(
-        sig,
-        chain_labels,
-        qvars + pvars,
-        bounds.matrix_depth,
-        extra_terms=constant_terms,
-        budget=bounds.budget,
-    )
-    target = PrenexClass(EXISTS, n)
-    return qvars, pvars, prenex_candidates(matrices, qvars, target)
+    pvars = [f"p{i}" for i in range(1, n_params + 1)]
+    terms = [App(c) for c in sig.constants()]
+    return qvars, pvars, fragment(sig, chain.elements, qvars + pvars, bounds.matrix_depth, terms,
+                                  bounds.budget)
 
 
 def implies_exists_n(
@@ -108,32 +96,31 @@ def implies_exists_n(
     for d in params:
         if d not in left.domain or d not in right.domain:
             raise FormatError(f"parameter {d!r} must lie in both domains")
-    qvars, pvars, candidates = _exists_candidates(
-        left.sig, left.chain.elements, params, n, bounds
-    )
+    qvars, pvars, family = _family(left.sig, left.chain, len(params), bounds)
     assignment = dict(zip(pvars, params))
     grid_left = AssignmentGrid(left, qvars, fixed=assignment)
     grid_right = AssignmentGrid(right, qvars, fixed=assignment)
     top = left.chain.top
     meter = BudgetMeter("existential transfer", bounds.budget)
     checked = 0
-    for cand in candidates:
+    for matrix, prefix, slots in family.stream([(qvars, PrenexClass(EXISTS, n))]):
         if bounds.max_candidates is not None and checked >= bounds.max_candidates:
             break
         meter.tick()
         checked += 1
-        lv = grid_left.fold_prefix(grid_left.values(cand.matrix), cand.prefix)
+        lv = grid_left.fold_prefix(grid_left.values(matrix), prefix)
         if grid_left.value_at(lv, assignment) != top:
             continue
-        rv = grid_right.fold_prefix(grid_right.values(cand.matrix), cand.prefix)
+        rv = grid_right.fold_prefix(grid_right.values(matrix), prefix)
         if grid_right.value_at(rv, assignment) != top:
-            relevant = {p: assignment[p] for p in cand.params}
-            left_top = eval_formula(cand.formula, left, relevant) == top
-            right_top = eval_formula(cand.formula, right, relevant) == top
+            phi = prenex_formula(matrix, prefix)
+            relevant = {p: assignment[p] for p in slots}
+            left_top = eval_formula(phi, left, relevant) == top
+            right_top = eval_formula(phi, right, relevant) == top
             if not left_top or right_top:
                 raise InternalError("grid and evaluator disagree")
             return ExistsFlowReport(
-                False, n, cand.formula, tuple(assignment[p] for p in cand.params), checked, bounds
+                False, n, phi, tuple(assignment[p] for p in slots), checked, bounds
             )
     return ExistsFlowReport(True, n, None, (), checked, bounds)
 
@@ -248,22 +235,18 @@ def universal_consequences_bounded(
         for s in enumerate_structures(sig, chain, max_domain, budget=bounds.budget)
         if all(satisfies(phi, s) for phi in theory)
     ]
-    qvars = [f"x{i}" for i in range(1, bounds.num_vars + 1)]
-    constant_terms = [App(c) for c in sig.constants()]
-    matrices = qf_matrices(
-        sig, chain.elements, qvars, bounds.matrix_depth, extra_terms=constant_terms,
-        budget=bounds.budget,
-    )
+    qvars, _, family = _family(sig, chain, 0, bounds)
     out = []
     checked = 0
-    for cand in prenex_candidates(matrices, qvars, PrenexClass(FORALL, 1)):
-        if cand.lead != FORALL:
+    for matrix, prefix, _ in family.stream([(qvars, PrenexClass(FORALL, 1))]):
+        if not prefix:  # Forall(1) admits no other lead; skip quantifier-free
             continue
         if bounds.max_candidates is not None and checked >= bounds.max_candidates:
             break
         checked += 1
-        if all(satisfies(cand.formula, s) for s in models):
-            out.append(cand.formula)
+        phi = prenex_formula(matrix, prefix)
+        if all(satisfies(phi, s) for s in models):
+            out.append(phi)
     return out
 
 
@@ -388,28 +371,18 @@ def universal_transport_ok(
 ) -> bool:
     """Generated one-block universal formulas with value top at a source
     tuple keep value top at the mapped tuple."""
-    qvars = [f"x{i}" for i in range(1, bounds.num_vars + 1)]
-    pvars = [f"p{i}" for i in range(1, bounds.num_vars + 1)]
-    constant_terms = [App(c) for c in source.sig.constants()]
-    matrices = qf_matrices(
-        source.sig,
-        source.chain.elements,
-        qvars + pvars,
-        bounds.matrix_depth,
-        extra_terms=constant_terms,
-        budget=bounds.budget,
-    )
+    qvars, pvars, family = _family(source.sig, source.chain, bounds.num_vars, bounds)
     all_vars = tuple(qvars + pvars)
     grid_s = AssignmentGrid(source, all_vars)
     grid_t = AssignmentGrid(target, all_vars)
     top = source.chain.top
-    for cand in prenex_candidates(matrices, qvars, PrenexClass(FORALL, 1)):
-        if cand.lead != FORALL:
+    for matrix, prefix, params in family.stream([(qvars, PrenexClass(FORALL, 1))]):
+        if not prefix:  # Forall(1) admits no other lead; skip quantifier-free
             continue
-        vs = grid_s.fold_prefix(grid_s.values(cand.matrix), cand.prefix)
-        vt = grid_t.fold_prefix(grid_t.values(cand.matrix), cand.prefix)
-        for tup in product(source.domain, repeat=len(cand.params)):
-            asg_s = dict(zip(cand.params, tup))
+        vs = grid_s.fold_prefix(grid_s.values(matrix), prefix)
+        vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
+        for tup in product(source.domain, repeat=len(params)):
+            asg_s = dict(zip(params, tup))
             if grid_s.value_at(vs, asg_s) != top:
                 continue
             asg_t = {p: g[d] for p, d in asg_s.items()}
@@ -624,13 +597,12 @@ def _suite_sentences(chain, lead: str, blocks: int, bounds: FormulaBounds, licen
         from .syntax import expand_with_truth_constants
 
         sig = expand_with_truth_constants(sig, chain)
-    qvars = [f"x{i}" for i in range(1, bounds.num_vars + 1)]
-    matrices = qf_matrices(sig, chain.elements, qvars, bounds.matrix_depth, budget=bounds.budget)
+    qvars, _, family = _family(sig, chain, 0, bounds)
     out = []
-    for cand in prenex_candidates(matrices, qvars, PrenexClass(lead, blocks)):
-        if cand.lead != lead or cand.params:
+    for matrix, prefix, params in family.stream([(qvars, PrenexClass(lead, blocks))]):
+        if not prefix or prefix[0][0] != lead or params:
             continue
-        out.append(cand.formula)
+        out.append(prenex_formula(matrix, prefix))
         if bounds.max_candidates is not None and len(out) >= bounds.max_candidates:
             break
     _SENTENCE_CACHE[key] = out

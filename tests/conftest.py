@@ -1,8 +1,9 @@
 import itertools
+from collections import OrderedDict
 
 import pytest
 
-from gradedmt import corpus
+from gradedmt import corpus, generation
 from gradedmt.semantics import Structure
 from gradedmt.syntax import Signature
 
@@ -60,3 +61,18 @@ def crisp_complete(chain, names, sig=None):
 @pytest.fixture(scope="session")
 def complete_graphs(g4):
     return {n: crisp_complete(g4, [f"v{i}" for i in range(n)]) for n in (2, 3, 4, 5)}
+
+
+@pytest.fixture
+def fresh_fragments(monkeypatch):
+    """An empty fragment cache, and the keys of every family built into it."""
+    monkeypatch.setattr(generation, "_fragments", OrderedDict())
+    built = []
+    build = generation._build_fragment
+
+    def counting(sig, labels, variables, depth, extra_terms, budget):
+        built.append((tuple(labels), tuple(variables), depth))
+        return build(sig, labels, variables, depth, extra_terms, budget)
+
+    monkeypatch.setattr(generation, "_build_fragment", counting)
+    return built

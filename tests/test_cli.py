@@ -346,3 +346,15 @@ def test_enum_subs_rejects_malformed_predicate_spec(capsys, tmp_path, spec):
     }))
     assert main(["enum-subs", "--structure", str(path)]) == 2
     assert "predicate 'P': expected an integer arity and an object table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", [
+    5,  # was a TypeError traceback
+    "ab",  # was read as the domain ("a", "b")
+    {"a": 1},  # was read as its keys
+])
+def test_enum_subs_rejects_a_domain_that_is_not_a_list(capsys, tmp_path, domain):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": str(DATA / "bool2.json"), "domain": domain}))
+    assert main(["enum-subs", "--structure", str(path)]) == 2
+    assert "domain must be a non-empty JSON list" in capsys.readouterr().err

@@ -157,6 +157,23 @@ def test_eldiag_returns_first_elementary_embedding(b2, sig_r):
     assert report.embedding.kind == "embedding"
 
 
+def test_eldiag_search_builds_its_family_once(fresh_fragments, b2, sig_r):
+    # every candidate embedding is certified against one elementary family
+    def digraph(domain, edges):
+        table = {(x, y): int((x, y) in edges) for x in domain for y in domain}
+        return Structure(chain=b2, sig=sig_r, domain=domain, predicates={"R": table})
+
+    s = digraph(("a", "b"), {("a", "b")})
+    t = digraph(("t0", "t1", "t2"), {("t0", "t1"), ("t1", "t2"), ("t0", "t2")})
+    report = diagram_embedding_equivalence(s, t, kind=ELDIAG, bounds=DiagramBounds(quantifier_depth=1))
+    assert report.embedding.domain_map == {"a": "t0", "b": "t2"}
+    assert fresh_fragments == [(("0", "1"), ("x1", "x2"), 1)]
+    incl = StructureMap(identity_map(b2), {"a": "t0", "b": "t2"})
+    first = is_elementary_up_to_depth(incl, s, t, 1)
+    assert is_elementary_up_to_depth(incl, s, t, 1) == first
+    assert len(fresh_fragments) == 1
+
+
 def test_sweep_fails_when_map_search_drops_injectivity(monkeypatch, b2, sig_r):
     original = morphisms._domain_candidates
     monkeypatch.setattr(

@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedmt import corpus
+from gradedmt import corpus, generation
 from gradedmt.errors import BudgetError, InternalError, SignatureError
 from gradedmt.generation import (
     AssignmentGrid,
+    elementary_family,
     enumerate_structures,
     generate_sentences,
     ground_terms,
@@ -14,19 +15,25 @@ from gradedmt.generation import (
     qf_matrices,
 )
 from gradedmt.morphisms import inclusion_map, is_elementary_up_to_depth
-from gradedmt.parser import parse_formula
+from gradedmt.parser import parse_formula, render_formula
 from gradedmt.preservation import implies_exists_n
 from gradedmt.semantics import Structure, all_assignments, eval_formula
 from gradedmt.syntax import (
     EXISTS,
     FORALL,
+    App,
     PrenexClass,
     Signature,
     classify_prenex,
+    exists_block,
     expand_with_truth_constants,
+    forall_block,
     free_variables,
     is_sentence,
+    quantifier_free_class,
 )
+
+G3 = corpus.godel3()
 
 
 def test_sentences_are_closed_and_deterministic(sig_p, g4):
@@ -84,6 +91,142 @@ def test_prenex_candidates_include_degenerate_lead(sig_r, g4):
     assert (FORALL, 2) not in leads
 
 
+# --- the cached family against the earlier per-call builders ---
+
+
+def _reference_prenex_candidates(matrices, quantifiable, target):
+    """The per-call builder the cached family replaced, kept as an order
+    oracle: (formula, matrix, prefix, params, lead, blocks) tuples."""
+    for matrix in matrices:
+        fv = free_variables(matrix)
+        to_bind = [v for v in quantifiable if v in fv]
+        params = tuple(sorted(fv - set(to_bind)))
+        if not to_bind:
+            if quantifier_free_class().within(target):
+                yield matrix, matrix, (), params, None, 0
+            continue
+        n = len(to_bind)
+        for lead in (FORALL, EXISTS):
+            for parts in range(1, min(target.blocks, n) + 1):
+                for cuts in itertools.combinations(range(1, n), parts - 1):
+                    bounds = (0,) + cuts + (n,)
+                    comp = [tuple(to_bind[bounds[i]:bounds[i + 1]]) for i in range(parts)]
+                    if not PrenexClass(lead, parts).within(target):
+                        continue
+                    other = EXISTS if lead == FORALL else FORALL
+                    kinds = [lead if i % 2 == 0 else other for i in range(parts)]
+                    phi = matrix
+                    for kind, part in reversed(list(zip(kinds, comp))):
+                        phi = (forall_block if kind == FORALL else exists_block)(part, phi)
+                    yield phi, matrix, tuple(zip(kinds, comp)), params, lead, parts
+
+
+def _reference_elementary_family(matrices, variables, depth):
+    seen = set()
+    for n_params in range(len(variables) + 1):
+        for target in (PrenexClass(FORALL, depth), PrenexClass(EXISTS, depth)):
+            for cand in _reference_prenex_candidates(matrices, variables[n_params:], target):
+                key = (id(cand[1]), cand[2], cand[3])
+                if cand[5] <= depth and key not in seen:
+                    seen.add(key)
+                    yield cand
+
+
+def _rows(candidates):
+    return [(render_formula(c.formula), c.matrix, c.prefix, c.params, c.lead, c.blocks)
+            for c in candidates]
+
+
+def _reference_rows(candidates):
+    return [(render_formula(phi), *rest) for phi, *rest in candidates]
+
+
+ORDER_SIGNATURES = {
+    "plain": (Signature(predicates={"P": 1, "R": 2}), ()),
+    "truth-constants": (expand_with_truth_constants(Signature(predicates={"P": 1, "R": 2}), G3), ()),
+    "constant": (Signature(predicates={"P": 1, "R": 2}, functions={"c": 0}), (App("c"),)),
+}
+# three variables at matrix depth 1 give ~120k elementary candidates; depth 0 covers them
+ORDER_POOLS = [(1, 1), (2, 1), (3, 0)]
+
+
+@pytest.mark.parametrize("which", sorted(ORDER_SIGNATURES))
+@pytest.mark.parametrize("total_vars, matrix_depth", ORDER_POOLS)
+def test_prenex_candidates_match_reference_order(which, total_vars, matrix_depth):
+    sig, extra = ORDER_SIGNATURES[which]
+    variables = [f"x{i}" for i in range(1, total_vars + 1)]
+    matrices = qf_matrices(sig, G3.elements, variables, matrix_depth, extra)
+    for blocks in (1, 2, 3):
+        for kind in (FORALL, EXISTS):
+            target = PrenexClass(kind, blocks)
+            for quantifiable in (variables, variables[1:]):
+                got = _rows(prenex_candidates(matrices, quantifiable, target))
+                want = _reference_rows(_reference_prenex_candidates(matrices, quantifiable, target))
+                assert got == want
+
+
+@pytest.mark.parametrize("which", sorted(ORDER_SIGNATURES))
+@pytest.mark.parametrize("total_vars, matrix_depth", ORDER_POOLS)
+def test_elementary_family_matches_reference_order(which, total_vars, matrix_depth):
+    sig, extra = ORDER_SIGNATURES[which]
+    variables = [f"x{i}" for i in range(1, total_vars + 1)]
+    matrices = qf_matrices(sig, G3.elements, variables, matrix_depth, extra)
+    for depth in (1, 2, 3):
+        got = _rows(elementary_family(sig, G3.elements, depth, total_vars=total_vars,
+                                      matrix_depth=matrix_depth, extra_terms=extra))
+        want = _reference_rows(_reference_elementary_family(matrices, variables, depth))
+        assert len(got) == len(want)
+        assert got == want
+
+
+def test_warm_fragment_fails_on_budget_like_a_fresh_build(monkeypatch, fresh_fragments, sig_r, g4):
+    args = (sig_r, g4.elements, ["x1", "x2"], 1)
+    size = len(qf_matrices(*args))
+    monkeypatch.setenv("GRADEDMT_BUDGET", str(size - 1))
+    with pytest.raises(BudgetError) as warm:
+        qf_matrices(*args)
+    assert len(fresh_fragments) == 1
+    generation._fragments.clear()
+    with pytest.raises(BudgetError) as fresh:
+        qf_matrices(*args)
+    assert len(fresh_fragments) == 2
+    assert str(warm.value) == str(fresh.value) == f"matrix generation exceeded budget of {size - 1}"
+    assert (warm.value.required, warm.value.budget) == (fresh.value.required, fresh.value.budget)
+    monkeypatch.setenv("GRADEDMT_BUDGET", str(size))
+    assert len(qf_matrices(*args)) == size
+
+
+def test_fragment_cache_is_bounded_lru(fresh_fragments, sig_p, g4):
+    limit = generation._FRAGMENT_CACHE_SIZE
+    pools = [[f"y{i}"] for i in range(limit + 1)]
+    for pool in pools:
+        qf_matrices(sig_p, g4.elements, pool, 0)
+    assert len(generation._fragments) == limit
+    qf_matrices(sig_p, g4.elements, pools[-1], 0)  # newest: still cached
+    assert len(fresh_fragments) == limit + 1
+    qf_matrices(sig_p, g4.elements, pools[0], 0)  # oldest: dropped, built again
+    assert len(fresh_fragments) == limit + 2
+    assert len(generation._fragments) == limit
+
+
+def test_fragment_cache_keys_on_licensed_labels(fresh_fragments, sig_r, g3, g4):
+    # without licences only the endpoints are available, so both chains share one family
+    assert qf_matrices(sig_r, g3.elements, ["x1"], 1) == qf_matrices(sig_r, g4.elements, ["x1"], 1)
+    assert len(fresh_fragments) == 1
+    qf_matrices(expand_with_truth_constants(sig_r, g4), g4.elements, ["x1"], 1)
+    assert len(fresh_fragments) == 2
+
+
+def test_mutating_returned_matrices_does_not_reach_the_cache(fresh_fragments, sig_r, g4):
+    args = (sig_r, g4.elements, ["x1", "x2"], 1)
+    first = qf_matrices(*args)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert qf_matrices(*args) == expected
+    assert len(fresh_fragments) == 1
+
+
 def test_grid_matches_plain_evaluator(g4, sig_r):
     table = {}
     values = [0, 1, 2, 3, 1, 2, 0, 3, 2]
@@ -109,7 +252,6 @@ def test_grid_fold_matches_quantifier(g4, sig_r):
         assert grid.value_at(folded, {"x1": d}) == eval_formula(phi, s, {"x1": d})
 
 
-G3 = corpus.godel3()
 SIG_PR = Signature(predicates={"P": 1, "R": 2})
 GRID_VARS = ("x1", "x2", "x3")
 PR_MATRICES = qf_matrices(SIG_PR, G3.elements, GRID_VARS, 1)
