@@ -12,7 +12,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import FormatError, GradedmtError, InternalError
-from .generation import AssignmentGrid, fragment
+from .generation import AssignmentGrid, family_values, fragment
 from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure
 from .semantics import Structure, eval_formula
 from .syntax import App
@@ -47,14 +47,8 @@ def validate_chain_of_structures(
             )
     verified_depth = None
     if elementary_depth is not None:
-        for i in range(len(members) - 1):
-            rep = is_elementary_up_to_depth(
-                inclusion_map(members[i], members[i + 1]),
-                members[i],
-                members[i + 1],
-                elementary_depth,
-            )
-            if not rep.ok:
+        for i, (small, big) in enumerate(zip(members, members[1:])):
+            if not is_elementary_up_to_depth(inclusion_map(small, big), small, big, elementary_depth).ok:
                 raise ChainValidationError(
                     f"inclusion of member {i} is not elementary to depth "
                     f"{elementary_depth}; separated by a generated formula"
@@ -77,24 +71,14 @@ def union_of_chain(chain: StructureChain) -> Structure:
     predicates: dict = {name: {} for name in first.sig.predicates}
     functions: dict = {name: {} for name in first.sig.functions}
     for member in members:
-        for name, table in member.predicates.items():
-            for args, value in table.items():
-                known = predicates[name].get(args)
-                if known is None:
-                    predicates[name][args] = value
-                elif known != value:
-                    raise GradedmtError(
-                        f"inconsistent chain: {name}{args} is {known} and {value}"
-                    )
-        for name, table in member.functions.items():
-            for args, value in table.items():
-                known = functions[name].get(args)
-                if known is None:
-                    functions[name][args] = value
-                elif known != value:
-                    raise GradedmtError(
-                        f"inconsistent chain: {name}{args} is {known!r} and {value!r}"
-                    )
+        for merged, tables in ((predicates, member.predicates), (functions, member.functions)):
+            for name, table in tables.items():
+                for args, value in table.items():
+                    known = merged[name].setdefault(args, value)
+                    if known != value:
+                        raise GradedmtError(
+                            f"inconsistent chain: {name}{args} is {known!r} and {value!r}"
+                        )
     return Structure(
         chain=first.chain,
         sig=first.sig,
@@ -142,58 +126,45 @@ def check_tarski_vaught(
     report = TarskiVaughtReport(True, 0, elementary_requested=depth)
     first = chain.members[0]
     constant_terms = [App(c) for c in first.sig.constants()]
-    matrices = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms,
-                        budget).matrices
-    union_grid = AssignmentGrid(union, variables)
+    family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms, budget)
+    # one row per matrix: every member's cells, in `product` order, then the union's
+    grids = [AssignmentGrid(s, variables) for s in (*chain.members, union)]
+    rows = family_values(family, grids)
+    tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
+    n = len(tuples)
+    # read from the cell numbers themselves, `value_at` gives each tuple's union cell
+    cells = [n + grids[-1].value_at(range(grids[-1].size), dict(zip(variables, tup))) for tup in tuples]
+    report.quantifier_free_checked = n * len(rows)
+    differing = [k for k, row in enumerate(rows) if [row[j] for j in cells] != row[:n]]
+    end = 0
     for index, member in enumerate(chain.members):
-        grid = AssignmentGrid(member, variables)
-        for phi in matrices:
-            member_vals = grid.values(phi)
-            union_vals = union_grid.values(phi)
-            for tup in product(member.domain, repeat=num_vars):
-                asg = dict(zip(variables, tup))
-                report.quantifier_free_checked += 1
-                a = grid.value_at(member_vals, asg)
-                b = union_grid.value_at(union_vals, asg)
+        start, end = end, end + grids[index].size
+        for k in differing:
+            phi, row = family.matrices[k], rows[k]
+            for p in range(start, end):
+                a, b = row[p], row[cells[p]]
                 if a != b:
-                    direct = eval_formula(phi, member, asg)
-                    direct_union = eval_formula(phi, union, asg)
-                    if direct != a or direct_union != b:
+                    asg = dict(zip(variables, tuples[p]))
+                    if eval_formula(phi, member, asg) != a or eval_formula(phi, union, asg) != b:
                         raise InternalError("grid and evaluator disagree")
-                    report.qf_violations.append((index, phi, tup, a, b))
+                    report.qf_violations.append((index, phi, tuples[p], a, b))
     report.quantifier_free_ok = not report.qf_violations
     if depth is None:
         return report
-    precheck_ok = True
-    for i in range(len(chain.members) - 1):
-        rep = is_elementary_up_to_depth(
-            inclusion_map(chain.members[i], chain.members[i + 1]),
-            chain.members[i],
-            chain.members[i + 1],
-            depth,
-            matrix_depth=matrix_depth,
-            budget=budget,
-        )
-        if not rep.ok:
-            precheck_ok = False
-            break
-    report.elementary_precheck_ok = precheck_ok
-    if not precheck_ok:
+
+    def elementary(small: Structure, big: Structure):
+        return is_elementary_up_to_depth(inclusion_map(small, big), small, big, depth,
+                                         matrix_depth=matrix_depth, budget=budget)
+
+    members = chain.members
+    report.elementary_precheck_ok = all(elementary(a, b).ok for a, b in zip(members, members[1:]))
+    if not report.elementary_precheck_ok:
         return report
-    depth_ok = True
-    for index, member in enumerate(chain.members):
-        rep = is_elementary_up_to_depth(
-            inclusion_map(member, union),
-            member,
-            union,
-            depth,
-            matrix_depth=matrix_depth,
-            budget=budget,
-        )
+    for index, member in enumerate(members):
+        rep = elementary(member, union)
         if not rep.ok:
-            depth_ok = False
             report.depth_violations.append((index, rep.separator, rep.params))
-    report.depth_ok = depth_ok
+    report.depth_ok = not report.depth_violations
     return report
 
 

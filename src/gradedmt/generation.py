@@ -13,9 +13,9 @@ Two generators drive every bounded check in the package:
   prefixes by `Fragment.stream` as (matrix, prefix, params) triples.
 
 Both are deterministic, deduplicate structurally, and respect a search
-budget.  `AssignmentGrid` evaluates a formula at every variable
-assignment at once, caches by node identity, and folds each (value
-vector, prefix) pair once.
+budget.  `AssignmentGrid` evaluates formulas at every variable assignment
+at once, a node on demand (`values`) or a whole family in one pass
+(`family_values`), and folds each (value vector, prefix) pair once.
 """
 
 from collections import OrderedDict
@@ -54,6 +54,15 @@ from .syntax import (
 
 _CONNECTIVES = (And, Or, Strong, Implies, Iff)
 _COMMUTATIVE = (And, Or, Strong, Iff)
+
+
+@lru_cache(maxsize=64)
+def _connective_tables(star: tuple, implies: tuple) -> dict:
+    """Each connective's arithmetic on chain indices: a row for negation, else a k-by-k table."""
+    r = range(len(star))
+    return {Not: [implies[x][0] for x in r], Strong: star, Implies: implies,
+            And: [[min(x, y) for y in r] for x in r], Or: [[max(x, y) for y in r] for x in r],
+            Iff: [[min(implies[x][y], implies[y][x]) for y in r] for x in r]}
 
 
 def truth_constant_labels(sig: Signature, chain_labels: Sequence[str]) -> list[str]:
@@ -106,14 +115,16 @@ class _LevelledPool:
         self.levels: list[list[tuple[Formula, frozenset]]] = []
         self.seen: set = set()
 
-    def push(self, phi: Formula, level: int) -> bool:
-        if phi in self.seen:
-            return False
+    def push(self, phi: Formula, level: int, fv: frozenset | None = None) -> bool:
+        """Add `phi` unless seen, hashing it once; `fv` is its known free-variable set."""
+        size = len(self.seen)
         self.seen.add(phi)
+        if len(self.seen) == size:
+            return False
         self.meter.tick()
         while len(self.levels) <= level:
             self.levels.append([])
-        self.levels[level].append((phi, frozenset(free_variables(phi))))
+        self.levels[level].append((phi, frozenset(free_variables(phi)) if fv is None else fv))
         return True
 
     def binary_combos(self, level: int, sink, closed_only: bool = False):
@@ -142,7 +153,7 @@ class _LevelledPool:
                                 continue
                             if same and j < i:
                                 continue
-                        sink(conn(phi, psi), level)
+                        sink(conn(phi, psi), level, fv_i | fv_j)
 
 
 def generate_sentences(
@@ -167,8 +178,8 @@ def generate_sentences(
     pool = _LevelledPool("sentence generation", budget)
     sentences: list[Formula] = []
 
-    def push(phi: Formula, level: int):
-        if pool.push(phi, level) and not free_variables(phi):
+    def push(phi: Formula, level: int, fv: frozenset | None = None):
+        if pool.push(phi, level, fv) and not pool.levels[level][-1][1]:
             sentences.append(phi)
 
     for lit in literals_over(sig, terms, labels):
@@ -185,8 +196,8 @@ def generate_sentences(
             for subset in _variable_subsets(ordered):
                 if final and set(subset) != fv:
                     continue
-                push(forall_block(subset, phi), level)
-                push(exists_block(subset, phi), level)
+                push(forall_block(subset, phi), level, fv.difference(subset))
+                push(exists_block(subset, phi), level, fv.difference(subset))
         pool.binary_combos(level, push, closed_only=final)
     return sentences
 
@@ -257,6 +268,16 @@ class Fragment:
         self.matrices = tuple(phi for phi, _ in entries)
         sets: dict = {}  # one object per distinct set: a family has only a few
         self.free = tuple(sets.setdefault(fv, fv) for _, fv in entries)
+
+    @cached_property
+    def program(self) -> tuple:
+        """Per matrix, (connective, left, right): the family positions of its
+        operands, which a built family lists before their uses; a negation
+        names its body twice, and an atom is (None, 0, 0)."""
+        pos = {id(phi): i for i, phi in enumerate(self.matrices)}
+        return tuple((Not, pos[id(phi.body)], pos[id(phi.body)]) if isinstance(phi, Not)
+                     else (type(phi), pos[id(phi.left)], pos[id(phi.right)])
+                     if isinstance(phi, _CONNECTIVES) else (None, 0, 0) for phi in self.matrices)
 
     def stream(self, steps) -> Iterator[tuple[Formula, tuple, tuple]]:
         """(matrix, prefix, params) for each (quantifiable, target) step in
@@ -402,11 +423,14 @@ class AssignmentGrid:
     m**t chain indices, first variable most significant.  Quantifying a
     variable folds its axis and broadcasts the result so further
     combination stays aligned.  Variables in `fixed` are not axes: they
-    take their given element in every cell.  `values` caches by node
-    identity, each entry pinning its formula so the id stays unique;
-    `fold_prefix` memoises on the value vector and the prefix, so
-    equal-valued matrices share one fold.  The lists both return are
-    shared, never mutated.
+    take their given element in every cell.  One evaluator, two drivers:
+    `_leaf` (atoms, identities, truth constants) and `_combine` (each
+    connective as a chain table) serve both `values`, which recurses on
+    demand and caches by node identity, each entry pinning its formula so
+    the id stays unique, and `family_values`, which runs a family's
+    `program` over several grids at once.  `fold_prefix` memoises on the
+    value vector and the prefix, so equal-valued matrices share one fold.
+    The lists `values` and `fold_prefix` return are shared, never mutated.
     """
 
     def __init__(self, structure: Structure, variables: Sequence[str], *, fixed=None):
@@ -419,69 +443,60 @@ class AssignmentGrid:
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
         self._dom_pos = {d: i for i, d in enumerate(structure.domain)}
         self._cache: dict[int, tuple[Formula, list[int]]] = {}
+        self._columns: dict = {}  # term -> its value at every cell
+        self._tables = _connective_tables(structure.chain.star, structure.chain.implies)
         self._folds: dict[tuple, list[int]] = {}
 
     def _term_column(self, term) -> list[str]:
-        if isinstance(term, Var):
-            if term.name in self.fixed:
-                return [self.fixed[term.name]] * self.size
-            stride = self.strides[term.name]
-            dom = self.structure.domain
-            return [dom[(idx // stride) % self.m] for idx in range(self.size)]
-        value = eval_term(term, self.structure, {})
-        return [value] * self.size
+        col = self._columns.get(term)
+        if col is None:
+            if not isinstance(term, Var):
+                col = [eval_term(term, self.structure, {})] * self.size
+            elif term.name in self.fixed:
+                col = [self.fixed[term.name]] * self.size
+            else:
+                stride, dom = self.strides[term.name], self.structure.domain
+                col = [dom[(idx // stride) % self.m] for idx in range(self.size)]
+            self._columns[term] = col
+        return col
 
     def values(self, phi: Formula) -> list[int]:
+        """On-demand driver: operands through the cache, then this node."""
         hit = self._cache.get(id(phi))
         if hit is None:
-            hit = self._cache[id(phi)] = (phi, self._compute(phi))
+            if isinstance(phi, Not):
+                vals = self._combine(Not, self.values(phi.body))
+            elif isinstance(phi, _CONNECTIVES):
+                vals = self._combine(type(phi), self.values(phi.left), self.values(phi.right))
+            elif isinstance(phi, (Forall, Exists)):
+                kind = FORALL if isinstance(phi, Forall) else EXISTS
+                vals = self.fold(self.values(phi.body), phi.var, kind)
+            else:
+                vals = self._leaf(phi)
+            hit = self._cache[id(phi)] = (phi, vals)
         return hit[1]
 
-    def _compute(self, phi: Formula) -> list[int]:
+    def _leaf(self, phi: Formula) -> list[int]:
+        """Atoms, identities and truth constants."""
         chain = self.structure.chain
         if isinstance(phi, Atom):
             table = self.structure.predicates[phi.name]
             cols = [self._term_column(t) for t in phi.args]
-            return [table[tuple(col[i] for col in cols)] for i in range(self.size)]
+            return [table[args] for args in zip(*cols)] if cols else [table[()]] * self.size
         if isinstance(phi, Eq):
-            lcol = self._term_column(phi.left)
-            rcol = self._term_column(phi.right)
             top, bot = chain.top, chain.bottom
-            return [top if lcol[i] == rcol[i] else bot for i in range(self.size)]
+            return [top if x == y else bot
+                    for x, y in zip(self._term_column(phi.left), self._term_column(phi.right))]
         if isinstance(phi, Val):
-            v = _truth_constant_index(chain, phi.label)
-            return [v] * self.size
-        if isinstance(phi, Not):
-            body = self.values(phi.body)
-            row = [chain.implies[x][0] for x in range(chain.size)]
-            return [row[x] for x in body]
-        if isinstance(phi, And):
-            a, b = self.values(phi.left), self.values(phi.right)
-            return [x if x < y else y for x, y in zip(a, b)]
-        if isinstance(phi, Or):
-            a, b = self.values(phi.left), self.values(phi.right)
-            return [x if x > y else y for x, y in zip(a, b)]
-        if isinstance(phi, Strong):
-            a, b = self.values(phi.left), self.values(phi.right)
-            table = chain.star
-            return [table[x][y] for x, y in zip(a, b)]
-        if isinstance(phi, Implies):
-            a, b = self.values(phi.left), self.values(phi.right)
-            table = chain.implies
-            return [table[x][y] for x, y in zip(a, b)]
-        if isinstance(phi, Iff):
-            a, b = self.values(phi.left), self.values(phi.right)
-            table = chain.implies
-            out = []
-            for x, y in zip(a, b):
-                fwd, bwd = table[x][y], table[y][x]
-                out.append(fwd if fwd < bwd else bwd)
-            return out
-        if isinstance(phi, (Forall, Exists)):
-            body = self.values(phi.body)
-            kind = FORALL if isinstance(phi, Forall) else EXISTS
-            return self.fold(body, phi.var, kind)
+            return [_truth_constant_index(chain, phi.label)] * self.size
         raise TypeError(f"not a formula: {phi!r}")
+
+    def _combine(self, kind: type, a: list[int], b: list[int] | None = None) -> list[int]:
+        """One connective (its node class) over its operands' value vectors."""
+        table = self._tables[kind]
+        if kind is Not:
+            return [table[x] for x in a]
+        return [table[x][y] for x, y in zip(a, b)]
 
     def fold(self, values: list[int], var: str, kind: str) -> list[int]:
         stride = self.strides[var]
@@ -512,6 +527,16 @@ class AssignmentGrid:
             if v in assignment:
                 idx += self._dom_pos[assignment[v]] * self.strides[v]
         return values[idx]
+
+
+def family_values(family: Fragment, grids: Sequence[AssignmentGrid]) -> list[list[int]]:
+    """Whole-family driver: per matrix, its values at the cells of each grid
+    in turn (the grids share one chain), in one pass over `family.program`
+    that reads operands by position."""
+    combine, out = grids[0]._combine, []
+    for phi, (kind, i, j) in zip(family.matrices, family.program):
+        out.append(combine(kind, out[i], out[j]) if kind else [v for g in grids for v in g._leaf(phi)])
+    return out
 
 
 # --- structure enumeration ---

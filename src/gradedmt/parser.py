@@ -259,7 +259,10 @@ class _Parser:
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse one formula against a signature."""
     parser = _Parser(text, sig)
-    phi = parser.formula()
+    try:
+        phi = parser.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(f"trailing input {tail.text!r} at {tail.span}")

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from gradedmt import chains
@@ -9,8 +11,9 @@ from gradedmt.chains import (
     validate_chain_of_structures,
 )
 from gradedmt.errors import InternalError
+from gradedmt.generation import qf_matrices
 from gradedmt.morphisms import induced_substructure, is_substructure
-from gradedmt.semantics import Structure
+from gradedmt.semantics import Structure, eval_formula
 from tests.conftest import crisp_complete
 
 
@@ -139,3 +142,29 @@ def test_tarski_vaught_replay_disagreement_raises(monkeypatch, complete_graphs):
     monkeypatch.setattr(chains, "eval_formula", lambda *args: 0)
     with pytest.raises(InternalError):
         check_tarski_vaught(chain)
+
+
+def test_tarski_vaught_violations_match_a_per_tuple_recount(monkeypatch, complete_graphs):
+    k2, k3 = complete_graphs[2], complete_graphs[3]
+    chain = validate_chain_of_structures([k2, k3])
+    # a union off its last member at a loop inside k2 and at an edge outside it
+    table = dict(k3.predicates["R"])
+    table[("v0", "v0")] = 1
+    table[("v2", "v1")] = 2
+    union = Structure(chain=k3.chain, sig=k3.sig, domain=k3.domain, predicates={"R": table})
+    monkeypatch.setattr(chains, "union_of_chain", lambda c: union)
+    report = check_tarski_vaught(chain)
+    variables = ("x1", "x2")
+    expected, checked = [], 0
+    for index, member in enumerate(chain.members):
+        for phi in qf_matrices(k3.sig, k3.chain.elements, variables, 1):
+            for tup in product(member.domain, repeat=2):
+                asg = dict(zip(variables, tup))
+                checked += 1
+                a, b = eval_formula(phi, member, asg), eval_formula(phi, union, asg)
+                if a != b:
+                    expected.append((index, phi, tup, a, b))
+    assert {v[0] for v in expected} == {0, 1}
+    assert report.qf_violations == expected
+    assert report.quantifier_free_checked == checked
+    assert not report.quantifier_free_ok and not report.ok

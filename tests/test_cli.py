@@ -358,3 +358,9 @@ def test_enum_subs_rejects_a_domain_that_is_not_a_list(capsys, tmp_path, domain)
     path.write_text(json.dumps({"algebra": str(DATA / "bool2.json"), "domain": domain}))
     assert main(["enum-subs", "--structure", str(path)]) == 2
     assert "domain must be a non-empty JSON list" in capsys.readouterr().err
+
+
+def test_deeply_nested_formula_is_a_parse_error(capsys):
+    formula = "(" * 3000 + "P(x)" + ")" * 3000
+    assert main(["classify", "--formula", formula]) == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -21,9 +21,15 @@ from gradedmt.semantics import Structure, all_assignments, eval_formula
 from gradedmt.syntax import (
     EXISTS,
     FORALL,
+    And,
     App,
+    Iff,
+    Implies,
+    Not,
+    Or,
     PrenexClass,
     Signature,
+    Strong,
     classify_prenex,
     exists_block,
     expand_with_truth_constants,
@@ -290,6 +296,29 @@ def test_prefix_folds_match_plain_evaluator(s, matrices, order):
                 part_vals = part.fold_prefix(part.values(cand.matrix), cand.prefix)
                 for asg in all_assignments(part.variables, s.domain):
                     assert part.value_at(part_vals, asg) == grid.value_at(vals, {**asg, "x3": d})
+
+
+PAIR_VARS = ("x1", "x2")
+PAIR_FAMILY = generation.fragment(expand_with_truth_constants(SIG_PR, G3), G3.elements, PAIR_VARS, 1)
+
+
+def test_family_program_reads_only_earlier_positions():
+    for k, (phi, (kind, i, j)) in enumerate(zip(PAIR_FAMILY.matrices, PAIR_FAMILY.program)):
+        assert kind is (type(phi) if isinstance(phi, (Not, And, Or, Strong, Implies, Iff)) else None)
+        assert kind is None or (i < k and j < k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=pr_structures(), t=pr_structures(), order=st.permutations(PAIR_VARS))
+def test_family_values_match_values_and_plain_evaluator(s, t, order):
+    grid, other = AssignmentGrid(s, order), AssignmentGrid(t, order)
+    rows = generation.family_values(PAIR_FAMILY, [grid])
+    both = generation.family_values(PAIR_FAMILY, [grid, other])
+    for phi, row, joint in zip(PAIR_FAMILY.matrices, rows, both):
+        assert row == grid.values(phi)
+        assert joint == row + other.values(phi)
+        for asg in all_assignments(order, s.domain):
+            assert grid.value_at(row, asg) == eval_formula(phi, s, asg)
 
 
 def test_swapped_fold_is_caught_by_the_evaluator_replays(monkeypatch):

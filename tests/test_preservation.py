@@ -244,6 +244,28 @@ def test_suites_small():
     assert unions.ok and unions.instances == 10
 
 
+def test_union_suite_fails_on_a_union_with_one_flipped_entry(monkeypatch, capsys):
+    from gradedmt import chains
+    from gradedmt.cli import main
+
+    union_of_chain = chains.union_of_chain
+
+    def flipped(chain):
+        union = union_of_chain(chain)
+        table = dict(union.predicates["P"])
+        args = min(table)
+        table[args] = (table[args] + 1) % union.chain.size
+        return replace(union, predicates={**union.predicates, "P": table})
+
+    monkeypatch.setattr(chains, "union_of_chain", flipped)
+    monkeypatch.setattr(preservation, "union_of_chain", flipped)
+    report = union_preservation_suite(3, 4)
+    assert not report.ok
+    assert any(v.context.startswith("quantifier-free union clause") for v in report.violations)
+    assert main(["verify", "--suite", "unions-chain-lemma", "--seed", "3", "--instances", "4"]) == 1
+    assert "suite unions-chain-lemma: FAIL" in capsys.readouterr().out
+
+
 def test_suite_reports_serialize():
     import json
 
