@@ -98,6 +98,7 @@ class TarskiVaughtReport:
     elementary_precheck_ok: bool | None = None
     depth_ok: bool | None = None
     depth_violations: list = field(default_factory=list)
+    union: Structure | None = None
 
     @property
     def ok(self) -> bool:
@@ -123,7 +124,7 @@ def check_tarski_vaught(
     """
     union = union_of_chain(chain)
     variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
-    report = TarskiVaughtReport(True, 0, elementary_requested=depth)
+    report = TarskiVaughtReport(True, 0, elementary_requested=depth, union=union)
     first = chain.members[0]
     constant_terms = [App(c) for c in first.sig.constants()]
     family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms, budget)

@@ -3,6 +3,8 @@
 A map between structures is a pair: an algebra map between the chains
 and a domain map.  Claimed kinds are always re-verified, never trusted.
 Searches run in a fixed candidate order so results are reproducible.
+Generated formulas travel along a map in one routine with two relations,
+`first_transfer_failure`, and every separator it reports is replayed.
 """
 
 from dataclasses import dataclass
@@ -139,6 +141,59 @@ class ElementarityReport:
         return self.ok
 
 
+def first_transfer_failure(grid_s, grid_t, triples, f, g, tuples, meter=None):
+    """First generated formula whose value at a source tuple does not
+    transfer along (f, g) to the image tuple: f must carry the source value
+    to the target value, or with f None a top source value must stay top.
+    `triples` yields (matrix, prefix, params), each ticked on `meter` if
+    given; `tuples(params)` lists the source tuples.  Returns (triples
+    checked, separator, source tuple) after replaying the separator through
+    `eval_formula`, or (checked, None, None)."""
+    top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
+    cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
+    passed: set = set()  # (source fold, target fold, params), folds shared by the memo
+    checked = 0
+    for matrix, prefix, params in triples:
+        if meter is not None:
+            meter.tick()
+        checked += 1
+        row = cells.get(params)
+        if row is None:
+            row = cells[params] = [
+                (tup, grid_s.value_at(range(grid_s.size), dict(zip(params, tup))),
+                 grid_t.value_at(range(grid_t.size), {p: g[d] for p, d in zip(params, tup)}))
+                for tup in tuples(params)]
+        vs = grid_s.fold_prefix(grid_s.values(matrix), prefix)
+        vt = bad = None
+        if f is None:  # the target is folded only under a top source cell
+            for tup, i, j in row:
+                if vs[i] == top_s:
+                    if vt is None:
+                        vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
+                    if vt[j] != top_t:
+                        bad = tup, i, j
+                        break
+        else:
+            vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
+            key = (id(vs), id(vt), params)
+            if key in passed:
+                continue
+            passed.add(key)
+            for tup, i, j in row:
+                if f[vs[i]] != vt[j]:
+                    bad = tup, i, j
+                    break
+        if bad is not None:
+            tup, i, j = bad
+            phi = prenex_formula(matrix, prefix)
+            asg = dict(zip(params, tup))
+            if (eval_formula(phi, grid_s.structure, asg) != vs[i]
+                    or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != vt[j]):
+                raise InternalError("grid and evaluator disagree")
+            return checked, phi, tup
+    return checked, None, None
+
+
 def is_elementary_up_to_depth(
     m: StructureMap,
     source: Structure,
@@ -164,40 +219,13 @@ def is_elementary_up_to_depth(
         raise SignatureError("elementarity checks need a relational-plus-constants signature")
     if total_vars is None:
         total_vars = depth + 1
-    f = m.algebra_map.map
-    g = m.domain_map
     grid_vars = tuple(f"x{i}" for i in range(1, total_vars + 1))
-    grid_s = AssignmentGrid(source, grid_vars)
-    grid_t = AssignmentGrid(target, grid_vars)
-    checked = 0
-    passed: set = set()  # (source fold, target fold, params), folds shared by the memo
-    constant_terms = [App(c) for c in source.sig.constants()]
-    for matrix, prefix, params in elementary_triples(
-        source.sig, source.chain.elements, depth, total_vars, matrix_depth, constant_terms, budget
-    ):
-        vals_s = grid_s.fold_prefix(grid_s.values(matrix), prefix)
-        vals_t = grid_t.fold_prefix(grid_t.values(matrix), prefix)
-        checked += 1
-        key = (id(vals_s), id(vals_t), params)
-        if key in passed:
-            continue
-        passed.add(key)
-        for tup in product(source.domain, repeat=len(params)):
-            asg_s = dict(zip(params, tup))
-            asg_t = {p: g[d] for p, d in asg_s.items()}
-            lhs = f[grid_s.value_at(vals_s, asg_s)]
-            rhs = grid_t.value_at(vals_t, asg_t)
-            if lhs != rhs:
-                # replay with the plain evaluator before reporting
-                phi = prenex_formula(matrix, prefix)
-                direct = f[eval_formula(phi, source, asg_s)]
-                direct_t = eval_formula(phi, target, asg_t)
-                if direct != lhs or direct_t != rhs:
-                    raise InternalError("grid and evaluator disagree")
-                return ElementarityReport(
-                    False, depth, separator=phi, params=tup, formulas_checked=checked
-                )
-    return ElementarityReport(True, depth, formulas_checked=checked)
+    triples = elementary_triples(source.sig, source.chain.elements, depth, total_vars, matrix_depth,
+                                 [App(c) for c in source.sig.constants()], budget)
+    checked, separator, tup = first_transfer_failure(
+        AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars), triples,
+        m.algebra_map.map, m.domain_map, lambda params: product(source.domain, repeat=len(params)))
+    return ElementarityReport(separator is None, depth, separator, tup or (), checked)
 
 
 # --- substructures ---

@@ -1,26 +1,27 @@
 """Preservation checks, bounded amalgamation, and the randomized suites.
 
-The relation checked by `implies_exists_n` reads: every generated
-existential sentence (with parameters) satisfied on the left is
-satisfied on the right.  It is the hypothesis of both amalgam searches.
-All relations here are bounded by formula-generation limits; the limits
-travel with every report, and a search that runs out of room reports
-inconclusive rather than claiming a refutation.
+The relation checked by `implies_exists_n`, the hypothesis of both
+amalgam searches, reads: every generated existential sentence (with
+parameters) satisfied on the left is satisfied on the right.  It and the
+n = 2 universal transport are thin calls to `first_transfer_failure`.
+All relations here are bounded by formula-generation limits, which travel
+with every report; running out of room is inconclusive, not a refutation.
 """
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import islice, product
 from typing import Mapping, Sequence
 
 from .algebra import enumerate_mtl_chains
 from .budget import BudgetMeter
 from .chains import StructureChain, check_tarski_vaught, union_of_chain, validate_chain_of_structures
-from .errors import FormatError, InternalError, PreconditionError, SignatureError
+from .errors import FormatError, PreconditionError, SignatureError
 from .generation import AssignmentGrid, enumerate_structures, fragment, prenex_formula
 from .morphisms import (
     StructureMap,
     enumerate_substructures,
+    first_transfer_failure,
     inclusion_map,
     induced_substructure,
     is_elementary_up_to_depth,
@@ -98,31 +99,12 @@ def implies_exists_n(
             raise FormatError(f"parameter {d!r} must lie in both domains")
     qvars, pvars, family = _family(left.sig, left.chain, len(params), bounds)
     assignment = dict(zip(pvars, params))
-    grid_left = AssignmentGrid(left, qvars, fixed=assignment)
-    grid_right = AssignmentGrid(right, qvars, fixed=assignment)
-    top = left.chain.top
-    meter = BudgetMeter("existential transfer", bounds.budget)
-    checked = 0
-    for matrix, prefix, slots in family.stream([(qvars, PrenexClass(EXISTS, n))]):
-        if bounds.max_candidates is not None and checked >= bounds.max_candidates:
-            break
-        meter.tick()
-        checked += 1
-        lv = grid_left.fold_prefix(grid_left.values(matrix), prefix)
-        if grid_left.value_at(lv, assignment) != top:
-            continue
-        rv = grid_right.fold_prefix(grid_right.values(matrix), prefix)
-        if grid_right.value_at(rv, assignment) != top:
-            phi = prenex_formula(matrix, prefix)
-            relevant = {p: assignment[p] for p in slots}
-            left_top = eval_formula(phi, left, relevant) == top
-            right_top = eval_formula(phi, right, relevant) == top
-            if not left_top or right_top:
-                raise InternalError("grid and evaluator disagree")
-            return ExistsFlowReport(
-                False, n, phi, tuple(assignment[p] for p in slots), checked, bounds
-            )
-    return ExistsFlowReport(True, n, None, (), checked, bounds)
+    triples = islice(family.stream([(qvars, PrenexClass(EXISTS, n))]), bounds.max_candidates)
+    checked, separator, tup = first_transfer_failure(
+        AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
+        triples, None, dict(zip(params, params)), lambda slots: [tuple(assignment[p] for p in slots)],
+        BudgetMeter("existential transfer", bounds.budget))
+    return ExistsFlowReport(separator is None, n, separator, tup or (), checked, bounds)
 
 
 # --- preservation reports and checkers ---
@@ -372,23 +354,12 @@ def universal_transport_ok(
     """Generated one-block universal formulas with value top at a source
     tuple keep value top at the mapped tuple."""
     qvars, pvars, family = _family(source.sig, source.chain, bounds.num_vars, bounds)
-    all_vars = tuple(qvars + pvars)
-    grid_s = AssignmentGrid(source, all_vars)
-    grid_t = AssignmentGrid(target, all_vars)
-    top = source.chain.top
-    for matrix, prefix, params in family.stream([(qvars, PrenexClass(FORALL, 1))]):
-        if not prefix:  # Forall(1) admits no other lead; skip quantifier-free
-            continue
-        vs = grid_s.fold_prefix(grid_s.values(matrix), prefix)
-        vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
-        for tup in product(source.domain, repeat=len(params)):
-            asg_s = dict(zip(params, tup))
-            if grid_s.value_at(vs, asg_s) != top:
-                continue
-            asg_t = {p: g[d] for p, d in asg_s.items()}
-            if grid_t.value_at(vt, asg_t) != top:
-                return False
-    return True
+    # Forall(1) admits no other lead, so skipping an empty prefix skips quantifier-free
+    triples = (triple for triple in family.stream([(qvars, PrenexClass(FORALL, 1))]) if triple[1])
+    _, separator, _ = first_transfer_failure(
+        AssignmentGrid(source, qvars + pvars), AssignmentGrid(target, qvars + pvars), triples, None,
+        g, lambda params: product(source.domain, repeat=len(params)))
+    return separator is None
 
 
 def search_amalgam(
@@ -684,18 +655,17 @@ def union_preservation_suite(
             subset = sorted(rnd.sample(range(previous.size), size))
             members.insert(0, induced_substructure(previous, [previous.domain[i] for i in subset]))
         structure_chain = validate_chain_of_structures(members)
-        union = union_of_chain(structure_chain)
+        tv = check_tarski_vaught(structure_chain, matrix_depth=tv_matrix_depth)
         sentences = _suite_sentences(chain, FORALL, 2, bounds)
         top = chain.top
         report.instances += 1
         for phi in sentences:
             if all(eval_formula(phi, member) == top for member in structure_chain.members):
                 report.checks += 1
-                if eval_formula(phi, union) != top:
+                if eval_formula(phi, tv.union) != top:
                     report.violations.append(
                         PreservationViolation(index, phi, "union of random chain", ())
                     )
-        tv = check_tarski_vaught(structure_chain, matrix_depth=tv_matrix_depth)
         report.checks += tv.quantifier_free_checked
         if not tv.quantifier_free_ok:
             for member_index, phi, tup, a, b in tv.qf_violations:

@@ -3,8 +3,9 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gradedmt import corpus, preservation
+from gradedmt import corpus, morphisms
 from gradedmt.chains import validate_chain_of_structures
 from gradedmt.errors import FormatError, InternalError, PreconditionError
 from gradedmt.generation import qf_matrices
@@ -26,9 +27,10 @@ from gradedmt.preservation import (
     substructure_preservation_suite,
     union_preservation_suite,
     universal_consequences_bounded,
+    universal_transport_ok,
 )
 from gradedmt.semantics import Structure, eval_formula, satisfies
-from gradedmt.syntax import EXISTS, Signature, expand_with_truth_constants
+from gradedmt.syntax import EXISTS, Forall, Signature, expand_with_truth_constants, free_variables
 
 
 def expanded_pair():
@@ -244,6 +246,20 @@ def test_suites_small():
     assert unions.ok and unions.instances == 10
 
 
+def test_union_suite_builds_each_union_once(monkeypatch):
+    from gradedmt import chains, preservation
+
+    union_of_chain, built = chains.union_of_chain, []
+
+    def counted(chain):
+        built.append(chain)
+        return union_of_chain(chain)
+
+    for module in (chains, preservation):
+        monkeypatch.setattr(module, "union_of_chain", counted)
+    assert union_preservation_suite(3, 4).instances == len(built) == 4
+
+
 def test_union_suite_fails_on_a_union_with_one_flipped_entry(monkeypatch, capsys):
     from gradedmt import chains
     from gradedmt.cli import main
@@ -258,7 +274,6 @@ def test_union_suite_fails_on_a_union_with_one_flipped_entry(monkeypatch, capsys
         return replace(union, predicates={**union.predicates, "P": table})
 
     monkeypatch.setattr(chains, "union_of_chain", flipped)
-    monkeypatch.setattr(preservation, "union_of_chain", flipped)
     report = union_preservation_suite(3, 4)
     assert not report.ok
     assert any(v.context.startswith("quantifier-free union clause") for v in report.violations)
@@ -289,6 +304,81 @@ def test_exists_flow_replay_disagreement_raises(monkeypatch, g4, sig_p):
     left = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): g4.top}})
     right = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): 0}})
     assert not implies_exists_n(left, right, (), 1).ok
-    monkeypatch.setattr(preservation, "eval_formula", lambda *args: g4.top)
+    monkeypatch.setattr(morphisms, "eval_formula", lambda *args: g4.top)
     with pytest.raises(InternalError):
         implies_exists_n(left, right, (), 1)
+
+
+def test_universal_transport_replay_disagreement_raises(monkeypatch, g4, sig_p):
+    point = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): g4.top}})
+    pair = Structure(chain=g4, sig=sig_p, domain=("a", "b"),
+                     predicates={"P": {("a",): g4.top, ("b",): 0}})
+    # "forall x1 . P(x1)" is top on the point only
+    assert universal_transport_ok({"a": "a"}, point, point, FormulaBounds())
+    assert not universal_transport_ok({"a": "a"}, point, pair, FormulaBounds())
+    monkeypatch.setattr(morphisms, "eval_formula", lambda *args: g4.top)
+    with pytest.raises(InternalError):
+        universal_transport_ok({"a": "a"}, point, pair, FormulaBounds())
+
+
+SIG_PR = Signature(predicates={"P": 1, "R": 2})
+
+
+@st.composite
+def transport_instances(draw):
+    """A source and a target P/R structure of 1-3 elements over one chain,
+    and a map between their domains.  Half the targets are the source with
+    at most one entry changed, and half of those maps are the identity, so
+    that both verdicts occur."""
+    chain = draw(st.sampled_from([corpus.bool2(), corpus.godel3()]))
+    values = st.integers(0, chain.size - 1)
+
+    def structure():
+        domain = tuple(f"d{i}" for i in range(draw(st.integers(1, 3))))
+        predicates = {name: {args: draw(values) for args in itertools.product(domain, repeat=arity)}
+                      for name, arity in SIG_PR.predicates.items()}
+        return Structure(chain=chain, sig=SIG_PR, domain=domain, predicates=predicates)
+
+    source = structure()
+    if not draw(st.booleans()):
+        target = structure()
+    else:
+        name = draw(st.sampled_from(sorted(SIG_PR.predicates)))
+        table = dict(source.predicates[name])
+        table[draw(st.sampled_from(sorted(table)))] = draw(values)
+        target = replace(source, predicates={**source.predicates, name: table})
+        if draw(st.booleans()):
+            return {d: d for d in source.domain}, source, target
+    return {d: draw(st.sampled_from(target.domain)) for d in source.domain}, source, target
+
+
+def universal_transport_reference(g, source, target, bounds) -> bool:
+    """Each generated matrix under one universal block over the quantifiable
+    variables it contains, evaluated tuple by tuple with `eval_formula`."""
+    qvars = [f"x{i}" for i in range(1, bounds.num_vars + 1)]
+    pvars = [f"p{i}" for i in range(1, bounds.num_vars + 1)]
+    top = source.chain.top
+    for matrix in qf_matrices(source.sig, source.chain.elements, qvars + pvars, bounds.matrix_depth):
+        free = free_variables(matrix)
+        bound = [v for v in qvars if v in free]
+        if not bound:
+            continue
+        phi = matrix
+        for v in reversed(bound):
+            phi = Forall(v, phi)
+        params = sorted(free.difference(bound))
+        for tup in itertools.product(source.domain, repeat=len(params)):
+            asg = dict(zip(params, tup))
+            if (eval_formula(phi, source, asg) == top
+                    and eval_formula(phi, target, {p: g[d] for p, d in asg.items()}) != top):
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=transport_instances(),
+       bounds=st.sampled_from([FormulaBounds(num_vars=2, matrix_depth=0), FormulaBounds(num_vars=1)]))
+def test_universal_transport_matches_plain_evaluator(instance, bounds):
+    g, source, target = instance
+    assert universal_transport_ok(g, source, target, bounds) == universal_transport_reference(
+        g, source, target, bounds)

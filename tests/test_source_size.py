@@ -2,8 +2,8 @@
 
 from pathlib import Path
 
-# lines in src/gradedmt/*.py when the metric was introduced (see ROADMAP.md)
-BASELINE_LINES = 5487
+# lines in src/gradedmt/*.py, lowered to the count of the last change that shrank it
+BASELINE_LINES = 5484
 
 
 def test_source_size_within_baseline():
