@@ -3,11 +3,12 @@ from dataclasses import replace
 import pytest
 
 from gradedmt.consequence import bounded_consequence, equiv_up_to_depth
-from gradedmt.errors import ChainMismatchError, FormatError
+from gradedmt.errors import BudgetError, ChainMismatchError, FormatError, SignatureError
 from gradedmt.generation import enumerate_structures
 from gradedmt.parser import parse_formula, parse_theory
+from gradedmt.preservation import FormulaBounds, universal_consequences_bounded
 from gradedmt.semantics import satisfies
-from gradedmt.syntax import expand_with_truth_constants
+from gradedmt.syntax import Atom, Forall, Signature, Val, Var, expand_with_truth_constants
 
 
 @pytest.fixture()
@@ -105,3 +106,64 @@ def test_equiv_chain_mismatch(struct_m, b2, sig_p):
     other = Structure(chain=b2, sig=sig_p, domain=("a",), predicates={"P": {("a",): 1}})
     with pytest.raises(ChainMismatchError):
         equiv_up_to_depth(struct_m, other, 1)
+
+
+# --- error pins: which exception each malformed input raises, and when ---
+
+_x = Var("x")
+_unknown = Forall("x", Atom("Q", (_x,)))  # Q is not in the signature
+_foreign = Val("3/4")  # no element of godel3 has this label
+
+
+@pytest.mark.parametrize("theory, phi, error", [
+    ([], _unknown, SignatureError),
+    ([_unknown], Val("1"), SignatureError),
+    ([], _foreign, ChainMismatchError),
+    ([Forall("x", Atom("R", (_x, _x)))], _foreign, ChainMismatchError),
+])
+def test_bounded_consequence_error_pins(theory, phi, error, sig_r, g3):
+    with pytest.raises(error):
+        bounded_consequence(theory, phi, sig_r, g3, 2)
+
+
+def test_bounded_consequence_skips_sentences_no_structure_reaches(sig_r, g3):
+    # no structure models val(0), so neither the later axiom nor phi is evaluated
+    res = bounded_consequence([Val("0"), _unknown], _foreign, sig_r, g3, 2)
+    assert res.holds and res.structures_checked == 3 + 3**4
+
+
+def test_bounded_consequence_rejects_proper_functions(g3):
+    sig = Signature(predicates={"R": 2}, functions={"f": 1})
+    with pytest.raises(SignatureError):
+        bounded_consequence([], Val("1"), sig, g3, 1)
+
+
+def test_bounded_consequence_budget_names_its_phase(sig_r, g3):
+    with pytest.raises(BudgetError, match="structure enumeration") as err:
+        bounded_consequence([], Val("1"), sig_r, g3, 2, budget=50)
+    assert (err.value.required, err.value.budget) == (3 + 3**4, 50)
+
+
+@pytest.mark.parametrize("theory, error", [
+    ([_unknown], SignatureError),
+    ([Forall("x", Atom("R", (_x, _x))), _foreign], ChainMismatchError),
+    ([Atom("R", (_x, _x))], FormatError),
+])
+def test_universal_consequences_error_pins(theory, error, sig_r, g3):
+    with pytest.raises(error):
+        universal_consequences_bounded(theory, sig_r, g3, 2)
+
+
+def test_universal_consequences_skip_unreached_sentences(sig_r, g3):
+    # no structure models val(0): the later members are never evaluated, every candidate holds
+    out = universal_consequences_bounded([Val("0"), _unknown, Atom("R", (_x, _x))], sig_r, g3, 1,
+                                         FormulaBounds(max_candidates=5))
+    assert len(out) == 5
+
+
+def test_universal_consequences_budget_names_its_phase(sig_r, g3):
+    with pytest.raises(BudgetError, match="structure enumeration"):
+        universal_consequences_bounded([], sig_r, g3, 2, FormulaBounds(budget=50))
+    sig = Signature(predicates={"R": 2}, functions={"f": 1})
+    with pytest.raises(SignatureError):
+        universal_consequences_bounded([], sig, g3, 1)

@@ -63,6 +63,28 @@ CASES = {
         "check-diagram", "--kind", "eldiag", "--source", _data("edgeless2.json"),
         "--target", _data("edgeless3.json"),
     ],
+    "check-diagram-diag-fails": [
+        "check-diagram", "--kind", "diag", "--source", _data("path3.json"),
+        "--target", _data("edgeless3.json"),
+    ],
+    "check-diagram-diag-holds": [
+        "check-diagram", "--kind", "diag", "--source", _data("edgeless2.json"),
+        "--target", _data("path3.json"),
+    ],
+    "consequence-countermodel": [
+        "consequence", "--theory", _data("weighted_graph.thy"), "--algebra", _data("godel3.json"),
+        "--formula", "forall x y. (R(x,y) -> val(1/2))", "--max-domain", "3",
+    ],
+    "consequence-holds": [
+        "consequence", "--theory", _data("weighted_graph.thy"), "--algebra", _data("godel3.json"),
+        "--formula", "forall x y. (R(y,x) -> R(x,y))", "--max-domain", "2",
+    ],
+    "universal-consequences-weighted-graph": [
+        "universal-consequences", "--theory", _data("weighted_graph.thy"),
+        "--algebra", _data("godel3.json"), "--max-domain", "2",
+    ],
+    # a fixed suite: it ignores --seed and --instances
+    "verify-bounded-consequence": ["verify", "--suite", "bounded-consequence"],
 }
 for _seed in range(3):
     for _suite in ("amalgamation", "unions-chain-lemma", "los-tarski-lemma"):
