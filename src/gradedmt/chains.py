@@ -14,6 +14,7 @@ from typing import Sequence
 from .errors import FormatError, GradedmtError, InternalError
 from .generation import AssignmentGrid, family_values, fragment
 from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure
+from .parser import render_formula
 from .semantics import Structure, eval_formula
 from .syntax import App
 
@@ -48,10 +49,11 @@ def validate_chain_of_structures(
     verified_depth = None
     if elementary_depth is not None:
         for i, (small, big) in enumerate(zip(members, members[1:])):
-            if not is_elementary_up_to_depth(inclusion_map(small, big), small, big, elementary_depth).ok:
+            rep = is_elementary_up_to_depth(inclusion_map(small, big), small, big, elementary_depth)
+            if not rep.ok:
                 raise ChainValidationError(
-                    f"inclusion of member {i} is not elementary to depth "
-                    f"{elementary_depth}; separated by a generated formula"
+                    f"inclusion of member {i} is not elementary to depth {elementary_depth}; "
+                    f"separated by {render_formula(rep.separator)} at parameters {rep.params}"
                 )
         verified_depth = elementary_depth
     return StructureChain(tuple(members), verified_depth)

@@ -8,8 +8,8 @@ say so in their results.
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ChainMismatchError, FormatError, SignatureError
-from .generation import enumerate_structures, generate_sentences
+from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
+from .generation import generate_sentences, structure_space
 from .semantics import Structure, eval_formula, is_model
 from .syntax import Formula, Signature, is_sentence
 
@@ -35,20 +35,27 @@ def bounded_consequence(
 ) -> ConsequenceResult:
     """Check that every model of the theory with domain size <= max_domain
     satisfies phi; return the first countermodel in canonical order otherwise.
+
+    Each block of the structure space is read at once: the countermodel is
+    the lowest bit of models & ~phi, and the one `Structure` built, for it,
+    is replayed through `is_model` and `eval_formula`.
     """
     if max_domain < 1:
         raise FormatError("max_domain must be at least 1")
     for sentence in list(theory) + [phi]:
         if not is_sentence(sentence):
             raise FormatError("bounded consequence needs sentences")
-    checked = 0
-    for s in enumerate_structures(sig, chain, max_domain, budget=budget):
-        checked += 1
-        if not is_model(theory, s).ok:
-            continue
-        if eval_formula(phi, s) != chain.top:
-            return ConsequenceResult(False, s, checked, max_domain)
-    return ConsequenceResult(True, None, checked, max_domain)
+    blocks = structure_space(sig, chain, max_domain, budget=budget)
+    for block in blocks:
+        models = block.models(theory)
+        refuted = models and models & ~block.planes(phi)[-1]
+        if refuted:
+            index = (refuted & -refuted).bit_length() - 1
+            s = block.at(index)
+            if not is_model(theory, s).ok or eval_formula(phi, s) == chain.top:
+                raise InternalError("structure planes and evaluator disagree on a countermodel")
+            return ConsequenceResult(False, s, block.offset + index + 1, max_domain)
+    return ConsequenceResult(True, None, sum(block.count for block in blocks), max_domain)
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,11 @@ quantifier-free diagrams over relational signatures this is equivalent
 to the existence of a strong embedding, and that equivalence is checked
 mechanically here.
 
-Both sides run on shared code.  The embedding side is the candidate loop
-of `search_structure_map`, in its candidate order.  The diagram side is
-the scan of `diagram_model_exists`, which compiles atomic entries into
-positional checks on the constants' images and evaluates only the other
-entries through `models_diagram`.  On atomic diagrams, as in
-`cor1_sweep`, both sides read the same predicate tables, so their
-agreement is a consistency check of that code rather than an independent
-proof, until the diagram side goes through `models_diagram` (see ROADMAP).
+The two sides run on separate code.  The embedding side is the
+candidate loop of `search_structure_map`, in its candidate order.  The
+diagram side evaluates the recorded sentences themselves: one target at
+a time through `models_diagram` in `diagram_model_exists`, or every
+target of a structure-space block at once in `cor1_sweep`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,7 +22,8 @@ from typing import Mapping, Sequence
 from .algebra import identity_map
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, SignatureError
-from .generation import atoms_over, enumerate_structures, generate_sentences, ground_terms
+from .generation import (StructureBlock, atoms_over, enumerate_structures, generate_sentences,
+                         ground_terms, qf_matrices, structure_space)
 from .morphisms import (
     StructureMap,
     _first_map,
@@ -34,14 +32,7 @@ from .morphisms import (
     search_structure_map,
 )
 from .semantics import Structure, eval_formula
-from .syntax import (
-    App,
-    Atom,
-    Eq,
-    Formula,
-    constant_name_for,
-    expand_with_domain_constants,
-)
+from .syntax import App, Formula, constant_name_for, expand_with_domain_constants
 
 DIAG = "diag"
 ELDIAG = "eldiag"
@@ -113,32 +104,18 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
         push(atom)
     completeness = "atomic"
     if bounds.connective_depth > 0:
-        from .generation import qf_matrices
-
-        for phi in qf_matrices(
-            s.sig, s.chain.elements, [], bounds.connective_depth, extra_terms=terms
-        ):
+        for phi in qf_matrices(s.sig, s.chain.elements, [], bounds.connective_depth, extra_terms=terms):
             push(phi)
         completeness = f"quantifier-free to depth {bounds.connective_depth}"
     if kind == ELDIAG:
-        for phi in generate_sentences(
-            sharp.sig,
-            s.chain.elements,
-            bounds.quantifier_depth,
-            num_vars=bounds.num_vars,
-            extra_terms=terms,
-        ):
+        for phi in generate_sentences(sharp.sig, s.chain.elements, bounds.quantifier_depth,
+                                      num_vars=bounds.num_vars, extra_terms=terms):
             push(phi)
         completeness += f"; quantified to depth {bounds.quantifier_depth}"
-    return Diagram(
-        kind=kind,
-        constants=constants,
-        constant_elements={constant_name_for(d): d for d in s.domain},
-        entries=tuple(entries),
-        bounds=bounds,
-        completeness=completeness,
-        chain_labels=s.chain.elements,
-    )
+    return Diagram(kind=kind, constants=constants,
+                   constant_elements={constant_name_for(d): d for d in s.domain},
+                   entries=tuple(entries), bounds=bounds, completeness=completeness,
+                   chain_labels=s.chain.elements)
 
 
 @dataclass(frozen=True)
@@ -184,86 +161,34 @@ def render_diagram(diagram: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_atomic_entries(diagram: Diagram):
-    """Turn atomic entries into positional checks on the constants' images.
-
-    Returns (pred_checks, eq_checks, residue) where pred_checks are
-    (name, arg positions, value) and eq_checks are (i, j, equal).
-    """
-    source_positions = {name: i for i, name in enumerate(diagram.constants)}
-    pred_checks = []
-    eq_checks = []
-    residue = []
-    for entry in diagram.entries:
-        phi = entry.sentence
-        if isinstance(phi, Atom) and all(
-            isinstance(a, App) and not a.args and a.name in source_positions for a in phi.args
-        ):
-            pred_checks.append(
-                (phi.name, tuple(source_positions[a.name] for a in phi.args), entry.value)
-            )
-        elif (
-            isinstance(phi, Eq)
-            and isinstance(phi.left, App)
-            and isinstance(phi.right, App)
-            and not phi.left.args
-            and not phi.right.args
-            and phi.left.name in source_positions
-            and phi.right.name in source_positions
-        ):
-            eq_checks.append(
-                (
-                    source_positions[phi.left.name],
-                    source_positions[phi.right.name],
-                    entry.value,
-                )
-            )
-        else:
-            residue.append(entry)
-    return pred_checks, eq_checks, residue
-
-
-def _first_images(target: Structure, diagram: Diagram, pred_checks, eq_checks, residue):
-    """First tuple of constant images, in product order, that passes every
-    compiled check, or None.  Residue entries fall back to expansion plus
-    evaluation."""
-    top, bottom = target.chain.top, target.chain.bottom
-    tables = target.predicates
-    for images in product(target.domain, repeat=len(diagram.constants)):
-        ok = True
-        for i, j, value in eq_checks:
-            same = images[i] == images[j]
-            if (top if same else bottom) != value:
-                ok = False
-                break
-        if not ok:
-            continue
-        for name, arg_pos, value in pred_checks:
-            if tables[name][tuple(map(images.__getitem__, arg_pos))] != value:
-                ok = False
-                break
-        if not ok:
-            continue
-        if residue:
-            expanded = interpret_constants(target, diagram, images)
-            if not models_diagram(expanded, diagram).ok:
-                continue
-        return images
-    return None
-
-
-def diagram_model_exists(
-    target: Structure, diagram: Diagram, budget: int | None = None
-) -> tuple[bool, tuple | None]:
+def diagram_model_exists(target: Structure, diagram: Diagram, budget: int | None = None) -> tuple:
     """Search all constant interpretations for one modelling the diagram.
 
-    Returns (found, images).  Atomic entries are checked positionally;
-    any non-atomic entries fall back to expansion plus evaluation.
+    Returns (found, images): the first image tuple, in `product` order,
+    whose expansion of the target passes `models_diagram`.
     """
     n = len(diagram.constants)
     check_budget(len(target.domain) ** n, "diagram interpretation sweep", budget)
-    images = _first_images(target, diagram, *_compile_atomic_entries(diagram))
-    return images is not None, images
+    for images in product(target.domain, repeat=n):
+        if models_diagram(interpret_constants(target, diagram, images), diagram).ok:
+            return True, images
+    return False, None
+
+
+def _diagram_side(block: StructureBlock, diagram: Diagram) -> int:
+    """The structures of the block that some interpretation of the diagram's
+    constants makes reproduce every recorded value, as a bitset."""
+    found = 0
+    for images in product(block.domain, repeat=len(diagram.constants)):
+        env = {**block.env, **{App(c): d for c, d in zip(diagram.constants, images)}}
+        ok = block.all
+        for entry in diagram.entries:
+            planes = block.planes(entry.sentence, env) + [0]
+            ok &= planes[entry.value] & ~planes[entry.value + 1]
+            if not ok:
+                break
+        found |= ok
+    return found
 
 
 @dataclass(frozen=True)
@@ -308,15 +233,8 @@ def diagram_embedding_equivalence(
         source, target, injective=True, extra_filter=extra_filter, budget=budget
     )
     emb_ok = emb is not None
-    return Cor1Report(
-        diagram_side=found,
-        embedding_side=emb_ok,
-        agree=found == emb_ok,
-        images=images,
-        embedding=emb,
-        kind=kind,
-        depth=depth,
-    )
+    return Cor1Report(diagram_side=found, embedding_side=emb_ok, agree=found == emb_ok,
+                      images=images, embedding=emb, kind=kind, depth=depth)
 
 
 @dataclass
@@ -345,29 +263,23 @@ def cor1_sweep(
     Every source structure up to max_source_size is paired with every
     target up to max_target_size over the same chain and signature; the
     report counts agreements between the diagram and embedding sides.
-    Each source's diagram and transport entries are compiled once.  Per
-    target, the diagram side is the scan of `diagram_model_exists`, with
-    its positional compilation, and the embedding side is the candidate
-    loop of `search_structure_map`, in its candidate order.  Both sides
-    read the same predicate tables, so their agreement is a consistency
-    check of that shared code until the diagram side is routed through
-    `models_diagram`.
+    The diagram side evaluates each source's diagram on the structure
+    planes of every target block at once, one interpretation of its
+    constants at a time; the embedding side is the candidate loop of
+    `search_structure_map` per pair.  The two sides share no code.
     """
     report = SweepReport()
     sources = list(enumerate_structures(sig, chain, max_source_size, budget=budget))
-    targets = list(
-        enumerate_structures(sig, chain, max_target_size, label_prefix="t", budget=budget)
-    )
+    targets = list(enumerate_structures(sig, chain, max_target_size, label_prefix="t", budget=budget))
     check_budget(len(sources) * len(targets), "diagram sweep", budget)
+    blocks = structure_space(sig, chain, max_target_size, "t", budget)
     algebra = [identity_map(chain)]
     for source in sources:
         diagram = build_diagram(source, DIAG, bounds)
-        pred_checks, eq_checks, residue = _compile_atomic_entries(diagram)
-        if residue:
-            raise FormatError("atomic diagram expected in the sweep")
+        sides = "".join(format(_diagram_side(b, diagram), f"0{b.count}b")[::-1] for b in blocks)
         entries = _transport_entries(source)
-        for target in targets:
-            diagram_side = _first_images(target, diagram, pred_checks, eq_checks, residue) is not None
+        for target, side in zip(targets, sides):
+            diagram_side = side == "1"
             embedding_side = _first_map(source, target, algebra, entries, True) is not None
             report.instances += 1
             if diagram_side == embedding_side:

@@ -20,12 +20,13 @@ at once, a node on demand (`values`) or a whole family in one pass
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetMeter, check_budget
-from .errors import SignatureError
+from .errors import FormatError, SignatureError
 from .semantics import Structure, _truth_constant_index, eval_term
 from .syntax import (
     And,
@@ -156,14 +157,8 @@ class _LevelledPool:
                         sink(conn(phi, psi), level, fv_i | fv_j)
 
 
-def generate_sentences(
-    sig: Signature,
-    chain_labels: Sequence[str],
-    depth: int,
-    num_vars: int | None = None,
-    extra_terms: Sequence = (),
-    budget: int | None = None,
-) -> list[Formula]:
+def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
+                       extra_terms: Sequence = (), budget: int | None = None) -> list[Formula]:
     """Closed formulas of generation level <= depth, in canonical order.
 
     Variables are x1..xd (d = num_vars, default depth).  At the final
@@ -336,14 +331,8 @@ def _build_fragment(sig, labels, variables, depth, extra_terms, budget) -> Fragm
     return Fragment([entry for bucket in pool.levels for entry in bucket])
 
 
-def qf_matrices(
-    sig: Signature,
-    chain_labels: Sequence[str],
-    variables: Sequence[str],
-    depth: int,
-    extra_terms: Sequence = (),
-    budget: int | None = None,
-) -> list[Formula]:
+def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
+                extra_terms: Sequence = (), budget: int | None = None) -> list[Formula]:
     """Quantifier-free formulas over the variable pool, ops-count levels."""
     return list(fragment(sig, chain_labels, variables, depth, extra_terms, budget).matrices)
 
@@ -539,51 +528,138 @@ def family_values(family: Fragment, grids: Sequence[AssignmentGrid]) -> list[lis
     return out
 
 
-# --- structure enumeration ---
+# --- structure spaces ---
 
 
-def enumerate_structures(
-    sig: Signature,
-    chain,
-    max_size: int,
-    label_prefix: str = "d",
-    budget: int | None = None,
-) -> Iterator[Structure]:
-    """All structures with domains d0..d(m-1) for m = 1..max_size.
+class StructureBlock:
+    """The structures of one domain size and constant assignment; structure
+    i has value (i // k**(n-1-s)) % k at slot s of n.  `planes` evaluates a
+    formula in all of them at once, as k Python ints whose bit i says "value
+    >= v in structure i" (plane 0 is every structure): a third driver of the
+    chain tables, where and/or and the quantifiers are AND and OR of planes
+    and the other connectives combine one-hot planes through the tables."""
 
-    The signature must be relational plus constants.  Constants vary in
-    the outer position, predicate tables lexicographically inside, so
-    the stream order is canonical and countermodels are deterministic.
-    """
+    def __init__(self, sig, chain, domain, slots, constants, offset, planes):
+        self.sig, self.chain, self.domain, self.slots, self.offset = sig, chain, domain, slots, offset
+        self.functions = {c: {(): v} for c, v in constants}
+        self.env = {App(c): v for c, v in constants}  # term -> element, for `planes`
+        self.count = chain.size ** len(slots)
+        self.all = (1 << self.count) - 1
+        self._tables = _connective_tables(chain.star, chain.implies)
+        self._slot_planes = planes  # shared by the blocks of one domain size
+
+    def structure(self, values) -> Structure:
+        """The structure with these slot values: the digits of its index."""
+        predicates: dict = {p: {} for p in sorted(self.sig.predicates)}
+        for (p, args), v in zip(self.slots, values):
+            predicates[p][args] = v
+        return Structure(chain=self.chain, sig=self.sig, domain=self.domain,
+                         predicates=predicates, functions=self.functions)
+
+    def structures(self) -> Iterator[Structure]:
+        return map(self.structure, product(range(self.chain.size), repeat=len(self.slots)))
+
+    def at(self, index: int) -> Structure:
+        k, n = self.chain.size, len(self.slots)
+        return self.structure([index // k ** (n - 1 - s) % k for s in range(n)])
+
+    def models(self, theory: Sequence[Formula]) -> int:
+        """The block's models of the theory; a sentence is evaluated only
+        while some structure models every sentence before it."""
+        out = self.all
+        for phi in theory:
+            if not out:
+                break
+            if free_variables(phi):
+                raise FormatError("theories must consist of sentences")
+            out &= self.planes(phi)[-1]
+        return out
+
+    def planes(self, phi: Formula, env: dict | None = None) -> list[int]:
+        """Threshold planes of phi; `env` maps terms (variables, constants) to elements."""
+        env = self.env if env is None else env
+        if isinstance(phi, (Forall, Exists)):
+            out = [self.planes(phi.body, {**env, Var(phi.var): d}) for d in self.domain]
+            return [reduce(and_ if isinstance(phi, Forall) else or_, col) for col in zip(*out)]
+        if isinstance(phi, Not):
+            return self._combine(Not, self.planes(phi.body, env))
+        if isinstance(phi, _CONNECTIVES):
+            return self._combine(type(phi), self.planes(phi.left, env), self.planes(phi.right, env))
+        k = self.chain.size
+        try:
+            if isinstance(phi, Atom):
+                if phi.name not in self.sig.predicates:
+                    raise SignatureError(f"structure does not interpret predicate {phi.name!r}")
+                return self._slot((phi.name, tuple(env[t] for t in phi.args)))
+            if isinstance(phi, Eq):
+                c = k - 1 if env[phi.left] == env[phi.right] else 0
+            elif isinstance(phi, Val):
+                c = _truth_constant_index(self.chain, phi.label)
+            else:
+                raise TypeError(f"not a formula: {phi!r}")
+        except KeyError as err:
+            raise SignatureError(f"structure does not interpret term {err}") from None
+        return [self.all] * (c + 1) + [0] * (k - 1 - c)
+
+    def _slot(self, slot) -> list[int]:
+        planes = self._slot_planes.get(slot)
+        if planes is None:
+            k = self.chain.size
+            stride = k ** (len(self.slots) - 1 - self.slots.index(slot))
+            planes = [self.all]
+            for v in range(1, k):  # "value >= v" is one run a period, repeated by doubling
+                bits, width = (1 << k * stride) - (1 << v * stride), k * stride
+                while width < self.count:
+                    bits, width = bits | bits << width, 2 * width
+                planes.append(bits & self.all)
+            self._slot_planes[slot] = planes
+        return planes
+
+    def _combine(self, kind: type, a: list[int], b: list[int] | None = None) -> list[int]:
+        """One connective over its operands' planes."""
+        if kind is And or kind is Or:
+            return list(map(and_ if kind is And else or_, a, b))
+        table, k = self._tables[kind], len(a)
+        hot_a, hot = [a[v] & ~a[v + 1] for v in range(k - 1)] + [a[-1]], [0] * k
+        if kind is Not:
+            for x, p in enumerate(hot_a):
+                hot[table[x]] |= p
+        else:
+            hot_b = [b[v] & ~b[v + 1] for v in range(k - 1)] + [b[-1]]
+            for x, p in enumerate(hot_a):
+                for y, q in enumerate(hot_b):
+                    hot[table[x][y]] |= p & q
+        for v in range(k - 2, -1, -1):
+            hot[v] |= hot[v + 1]
+        return hot
+
+
+def structure_space(sig: Signature, chain, max_size: int, label_prefix: str = "d",
+                    budget: int | None = None) -> list[StructureBlock]:
+    """All structures with domains d0..d(m-1) for m = 1..max_size, as blocks
+    in canonical order (constants outer, predicate tables lexicographic
+    inside), so countermodels are deterministic.  The signature must be
+    relational plus constants."""
     if not sig.is_relational_with_constants():
-        raise SignatureError(
-            "structure enumeration needs a relational-plus-constants signature"
-        )
-    constants = sig.constants()
-    pred_names = sorted(sig.predicates)
-    k = chain.size
-    total = 0
-    for m in range(1, max_size + 1):
-        cells = sum(m ** sig.predicates[p] for p in pred_names)
-        total += (m ** len(constants)) * (k**cells)
-    check_budget(total, "structure enumeration", budget)
-
+        raise SignatureError("structure enumeration needs a relational-plus-constants signature")
+    constants, k = sig.constants(), chain.size
+    check_budget(sum(m ** len(constants) * k ** sum(m**a for a in sig.predicates.values())
+                     for m in range(1, max_size + 1)), "structure enumeration", budget)
+    blocks: list[StructureBlock] = []
     for m in range(1, max_size + 1):
         domain = tuple(f"{label_prefix}{i}" for i in range(m))
-        slots = []
-        for p in pred_names:
-            for args in product(domain, repeat=sig.predicates[p]):
-                slots.append((p, args))
-        for const_values in product(domain, repeat=len(constants)):
-            functions = {c: {(): v} for c, v in zip(constants, const_values)}
-            for values in product(range(k), repeat=len(slots)):
-                predicates: dict = {p: {} for p in pred_names}
-                for (p, args), v in zip(slots, values):
-                    predicates[p][args] = v
-                yield Structure(
-                    chain=chain,
-                    sig=sig,
-                    domain=domain,
-                    predicates=predicates,
-                    functions=functions,
-                )
+        slots = [(p, args) for p in sorted(sig.predicates)
+                 for args in product(domain, repeat=sig.predicates[p])]
+        planes: dict = {}
+        for values in product(domain, repeat=len(constants)):
+            offset = blocks[-1].offset + blocks[-1].count if blocks else 0
+            blocks.append(StructureBlock(sig, chain, domain, slots, tuple(zip(constants, values)),
+                                         offset, planes))
+    return blocks
+
+
+def enumerate_structures(sig: Signature, chain, max_size: int, label_prefix: str = "d",
+                         budget: int | None = None) -> Iterator[Structure]:
+    """The structures of `structure_space`, one at a time, in its order."""
+    for block in structure_space(sig, chain, max_size, label_prefix, budget):
+        yield from block.structures()

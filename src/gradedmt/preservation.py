@@ -17,7 +17,7 @@ from .algebra import enumerate_mtl_chains
 from .budget import BudgetMeter
 from .chains import StructureChain, check_tarski_vaught, union_of_chain, validate_chain_of_structures
 from .errors import FormatError, PreconditionError, SignatureError
-from .generation import AssignmentGrid, enumerate_structures, fragment, prenex_formula
+from .generation import AssignmentGrid, fragment, prenex_formula, structure_space
 from .morphisms import (
     StructureMap,
     enumerate_substructures,
@@ -211,12 +211,10 @@ def universal_consequences_bounded(
     bounds: FormulaBounds = FormulaBounds(),
 ) -> list[Formula]:
     """Generated universal sentences that hold in every bounded model of
-    the theory.  Models are enumerated once and reused per sentence."""
-    models = [
-        s
-        for s in enumerate_structures(sig, chain, max_domain, budget=bounds.budget)
-        if all(satisfies(phi, s) for phi in theory)
-    ]
+    the theory.  Each block's models are found once, as a bitset, and each
+    sentence is evaluated on every such block at once."""
+    models = [(block, block.models(theory))
+              for block in structure_space(sig, chain, max_domain, budget=bounds.budget)]
     qvars, _, family = _family(sig, chain, 0, bounds)
     out = []
     checked = 0
@@ -227,7 +225,7 @@ def universal_consequences_bounded(
             break
         checked += 1
         phi = prenex_formula(matrix, prefix)
-        if all(satisfies(phi, s) for s in models):
+        if not any(bits & ~block.planes(phi)[-1] for block, bits in models if bits):
             out.append(phi)
     return out
 

@@ -364,3 +364,12 @@ def test_deeply_nested_formula_is_a_parse_error(capsys):
     formula = "(" * 3000 + "P(x)" + ")" * 3000
     assert main(["classify", "--formula", formula]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_check_chain_names_the_separator_of_a_non_elementary_inclusion(capsys, tmp_path):
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps([str(DATA / "edgeless2.json"), str(DATA / "edgeless3.json")]))
+    code = main(["check-chain", "--chain", str(chain), "--elementary-depth", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "forall x1 x2 . exists x3 . x1 ~ x3 <-> x2 ~ x3 at parameters ()" in err

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -21,6 +22,7 @@ from gradedmt.errors import SignatureError
 from gradedmt.morphisms import StructureMap, is_elementary_up_to_depth, is_embedding
 from gradedmt.parser import parse_formula, parse_theory
 from gradedmt.semantics import Structure, eval_formula
+from gradedmt.syntax import Eq
 
 
 @pytest.fixture()
@@ -185,10 +187,12 @@ def test_sweep_fails_when_map_search_drops_injectivity(monkeypatch, b2, sig_r):
 
 
 def test_sweep_fails_when_diagram_scan_skips_identity_checks(monkeypatch, b2, sig_r):
-    original = diagrams._first_images
-    monkeypatch.setattr(
-        diagrams, "_first_images", lambda t, d, preds, eqs, residue: original(t, d, preds, [], residue)
-    )
+    original = diagrams._diagram_side
+
+    def without_identities(block, d):
+        return original(block, replace(d, entries=tuple(e for e in d.entries if not isinstance(e.sentence, Eq))))
+
+    monkeypatch.setattr(diagrams, "_diagram_side", without_identities)
     report = cor1_sweep(b2, sig_r, 2, 2)
     assert not report.ok
     assert all(diag and not emb for _, _, diag, emb in report.disagreements)
