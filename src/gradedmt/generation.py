@@ -579,7 +579,8 @@ class StructureBlock:
         """Threshold planes of phi; `env` maps terms (variables, constants) to elements."""
         env = self.env if env is None else env
         if isinstance(phi, (Forall, Exists)):
-            out = [self.planes(phi.body, {**env, Var(phi.var): d}) for d in self.domain]
+            var = Var(phi.var)
+            out = [self.planes(phi.body, {**env, var: d}) for d in self.domain]
             return [reduce(and_ if isinstance(phi, Forall) else or_, col) for col in zip(*out)]
         if isinstance(phi, Not):
             return self._combine(Not, self.planes(phi.body, env))

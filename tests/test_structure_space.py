@@ -41,7 +41,8 @@ def _sentence(rnd, sig, chain, depth):
 def test_every_plane_matches_the_plain_evaluator(seed, chain, sig, size):
     chain = CHAINS[chain]
     rnd = random.Random(seed)
-    blocks = [b for b in structure_space(sig, chain, size) if len(b.domain) == size and b.count <= MAX_BITS]
+    space = structure_space(sig, chain, size, budget=10**9)  # blocks hold no planes until asked
+    blocks = [b for b in space if len(b.domain) == size and b.count <= MAX_BITS]
     if not blocks:
         return
     block = rnd.choice(blocks)
