@@ -190,7 +190,8 @@ def test_sweep_fails_when_diagram_scan_skips_identity_checks(monkeypatch, b2, si
     original = diagrams._diagram_side
 
     def without_identities(block, d):
-        return original(block, replace(d, entries=tuple(e for e in d.entries if not isinstance(e.sentence, Eq))))
+        kept = tuple(e for e in d.entries if not isinstance(e.sentence, Eq))
+        return original(block, replace(d, entries=kept))
 
     monkeypatch.setattr(diagrams, "_diagram_side", without_identities)
     report = cor1_sweep(b2, sig_r, 2, 2)

@@ -107,14 +107,13 @@ def _levels_from_two(original):
     return lambda *args, **kwargs: [b for b in original(*args, **kwargs) if len(b.domain) > 1]
 
 
-@pytest.mark.parametrize("target, fault", [
-    (StructureBlock, "_combine"),
-    (consequence, "structure_space"),
+@pytest.mark.parametrize("target, name, fault", [
+    (StructureBlock, "_combine", _implies_swapped),
+    (consequence, "structure_space", _levels_from_two),
 ])
-def test_bounded_consequence_suite_fails_on_a_seeded_fault(monkeypatch, capsys, target, fault):
+def test_bounded_consequence_suite_fails_on_a_seeded_fault(monkeypatch, capsys, target, name, fault):
     assert _suite_bounded_consequence(None)["ok"]
-    original = getattr(target, fault)
-    monkeypatch.setattr(target, fault, (_implies_swapped if fault == "_combine" else _levels_from_two)(original))
+    monkeypatch.setattr(target, name, fault(getattr(target, name)))
     assert not _suite_bounded_consequence(None)["ok"]
     assert main(["verify", "--suite", "bounded-consequence"]) == 1
     capsys.readouterr()
@@ -125,7 +124,8 @@ def test_universal_consequences_match_the_per_structure_loop(sig_r, b2, g3):
               parse_formula("forall x y. (R(x,y) -> R(y,x))", sig_r)]
     bounds = FormulaBounds()
     for chain in (b2, g3):
-        models = [s for s in enumerate_structures(sig_r, chain, 2) if all(satisfies(phi, s) for phi in theory)]
+        models = [s for s in enumerate_structures(sig_r, chain, 2)
+                  if all(satisfies(phi, s) for phi in theory)]
         qvars, _, family = _family(sig_r, chain, 0, bounds)
         expected = [generation.prenex_formula(matrix, prefix)
                     for matrix, prefix, _ in family.stream([(qvars, PrenexClass(FORALL, 1))]) if prefix]
@@ -151,7 +151,8 @@ def test_diagram_model_exists_returns_the_first_embedding_in_product_order(b2, s
         pairs = [((i, j), source.predicates["R"][(a, b)])
                  for i, a in enumerate(source.domain) for j, b in enumerate(source.domain)]
         for target in list(enumerate_structures(sig_r, b2, 3, label_prefix="t"))[-512::7]:
-            expected = next((images for images in product(target.domain, repeat=2) if images[0] != images[1]
+            expected = next((images for images in product(target.domain, repeat=2)
+                             if images[0] != images[1]
                              and all(target.predicates["R"][(images[i], images[j])] == v
                                      for (i, j), v in pairs)), None)
             assert diagram_model_exists(target, diagram) == (expected is not None, expected)
