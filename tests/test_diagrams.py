@@ -18,7 +18,7 @@ from gradedmt.diagrams import (
     models_diagram,
     render_diagram,
 )
-from gradedmt.errors import SignatureError
+from gradedmt.errors import BudgetError, SignatureError
 from gradedmt.morphisms import StructureMap, is_elementary_up_to_depth, is_embedding
 from gradedmt.parser import parse_formula, parse_theory
 from gradedmt.semantics import Structure, eval_formula
@@ -197,3 +197,34 @@ def test_sweep_fails_when_diagram_scan_skips_identity_checks(monkeypatch, b2, si
     report = cor1_sweep(b2, sig_r, 2, 2)
     assert not report.ok
     assert all(diag and not emb for _, _, diag, emb in report.disagreements)
+
+
+def test_sweep_fault_disagreements_are_pinned(monkeypatch, b2, sig_r):
+    # the pairs the injectivity fault exposes, source-major in stream order
+    def digraph(domain, values):
+        pairs = [(x, y) for x in domain for y in domain]
+        return Structure(chain=b2, sig=sig_r, domain=domain, predicates={"R": dict(zip(pairs, values))})
+
+    original = morphisms._domain_candidates
+    monkeypatch.setattr(
+        morphisms, "_domain_candidates", lambda s, t, injective, agreement: original(s, t, False, agreement)
+    )
+    report = cor1_sweep(b2, sig_r, 2, 2)
+    assert len(report.disagreements) == 24
+    assert (report.instances, report.both_true, report.both_false) == (324, 54, 246)
+    assert report.disagreements[0] == (digraph(("d0", "d1"), (0, 0, 0, 0)), digraph(("t0",), (0,)), False, True)
+    assert report.disagreements[-1] == (
+        digraph(("d0", "d1"), (1, 1, 1, 1)), digraph(("t0", "t1"), (1, 1, 1, 0)), False, True
+    )
+
+
+@pytest.mark.parametrize("sizes, phase, required", [
+    ((2, 2), "diagram sweep", 324),
+    ((1, 2), "structure enumeration", 18),
+])
+def test_sweep_budget_names_its_phase(b2, sig_r, sizes, phase, required):
+    # 18 structures of R/2 over bool2 up to size 2: the pair count, then the targets, overrun
+    with pytest.raises(BudgetError) as err:
+        cor1_sweep(b2, sig_r, *sizes, budget=required - 1)
+    assert str(err.value) == f"{phase} needs {required} candidates, budget is {required - 1}"
+    assert (err.value.required, err.value.budget) == (required, required - 1)

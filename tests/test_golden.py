@@ -83,8 +83,9 @@ CASES = {
         "universal-consequences", "--theory", _data("weighted_graph.thy"),
         "--algebra", _data("godel3.json"), "--max-domain", "2",
     ],
-    # a fixed suite: it ignores --seed and --instances
+    # fixed suites: they ignore --seed and --instances
     "verify-bounded-consequence": ["verify", "--suite", "bounded-consequence"],
+    "verify-cor1-equivalence": ["verify", "--suite", "cor1-equivalence"],
 }
 for _seed in range(3):
     for _suite in ("amalgamation", "unions-chain-lemma", "los-tarski-lemma"):
