@@ -127,15 +127,6 @@ class FiniteChain:
     def implies_of(self, x: int, y: int) -> int:
         return self.implies[x][y]
 
-    def meet(self, x: int, y: int) -> int:
-        return x if x < y else y
-
-    def join(self, x: int, y: int) -> int:
-        return x if x > y else y
-
-    def neg(self, x: int) -> int:
-        return self.implies[x][0]
-
     def restrict(self, indices: Iterable[int]) -> "FiniteChain":
         """Subchain on the given element indices (must be operation-closed)."""
         idx = sorted(set(indices))
@@ -381,9 +372,6 @@ class AlgebraMap:
             if not 0 <= v < self.target.size:
                 raise FormatError(f"map[{i}] = {v} outside the target chain")
         object.__setattr__(self, "map", tuple(self.map))
-
-    def apply(self, x: int) -> int:
-        return self.map[x]
 
     @property
     def injective(self) -> bool:

@@ -395,16 +395,9 @@ def _suite_unions(args) -> dict:
 
 
 def _suite_cor1(args) -> dict:
-    chain = corpus.godel3()
-    rep = cor1_sweep(chain, Signature(predicates={"R": 2}), 2, 3)
-    return {
-        "claim": "diagram-embedding-equivalence",
-        "instances": rep.instances,
-        "agreements": rep.agreements,
-        "both_true": rep.both_true,
-        "both_false": rep.both_false,
-        "ok": rep.ok,
-    }
+    rep = cor1_sweep(corpus.godel3(), Signature(predicates={"R": 2}), 2, 3)
+    counts = ("instances", "agreements", "both_true", "both_false", "ok")
+    return {"claim": "diagram-embedding-equivalence", **{name: getattr(rep, name) for name in counts}}
 
 
 def _suite_roundtrip(args) -> dict:

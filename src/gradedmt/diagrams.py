@@ -9,10 +9,11 @@ to the existence of a strong embedding, and that equivalence is checked
 mechanically here.
 
 The two sides run on separate code.  The embedding side is the
-candidate loop of `search_structure_map`, in its candidate order.  The
-diagram side evaluates the recorded sentences themselves: one target at
-a time through `models_diagram` in `diagram_model_exists`, or every
-target of a structure-space block at once in `cor1_sweep`.
+candidate loop of `search_structure_map`, in its candidate order; in
+`cor1_sweep` it runs once per pair of relabelling classes.  The diagram
+side evaluates the recorded sentences themselves, on every pair: one
+target at a time through `models_diagram` in `diagram_model_exists`, or
+every target of a structure-space block at once in `cor1_sweep`.
 """
 
 from dataclasses import dataclass, field, replace
@@ -22,8 +23,8 @@ from typing import Mapping, Sequence
 from .algebra import identity_map
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, SignatureError
-from .generation import (StructureBlock, atoms_over, enumerate_structures, generate_sentences,
-                         ground_terms, qf_matrices, structure_space)
+from .generation import (StructureBlock, atoms_over, generate_sentences, ground_terms, qf_matrices,
+                         structure_space)
 from .morphisms import (
     StructureMap,
     _first_map,
@@ -250,44 +251,51 @@ class SweepReport:
         return not self.disagreements
 
 
-def cor1_sweep(
-    chain,
-    sig,
-    max_source_size: int,
-    max_target_size: int,
-    bounds: DiagramBounds = DiagramBounds(),
-    budget: int | None = None,
-) -> SweepReport:
+def cor1_sweep(chain, sig, max_source_size: int, max_target_size: int,
+               bounds: DiagramBounds = DiagramBounds(), budget: int | None = None) -> SweepReport:
     """Exhaustive check of the diagram characterization on small instances.
 
     Every source structure up to max_source_size is paired with every
     target up to max_target_size over the same chain and signature; the
     report counts agreements between the diagram and embedding sides.
-    The diagram side evaluates each source's diagram on the structure
-    planes of every target block at once, one interpretation of its
-    constants at a time; the embedding side is the candidate loop of
-    `search_structure_map` per pair.  The two sides share no code.
+    The diagram side runs on every pair: each source's diagram is evaluated
+    on the structure planes of every target block at once, one
+    interpretation of its constants at a time.  The embedding side is the
+    candidate loop of `search_structure_map`, run once per pair of
+    relabelling classes (`StructureBlock.orbit_map`) and read back to every
+    member pair as a bitset.  The two sides share no code.
     """
     report = SweepReport()
-    sources = list(enumerate_structures(sig, chain, max_source_size, budget=budget))
-    targets = list(enumerate_structures(sig, chain, max_target_size, label_prefix="t", budget=budget))
-    check_budget(len(sources) * len(targets), "diagram sweep", budget)
-    blocks = structure_space(sig, chain, max_target_size, "t", budget)
+    sources = structure_space(sig, chain, max_source_size, budget=budget)
+    targets = structure_space(sig, chain, max_target_size, "t", budget)
+    total = sum(b.count for b in targets)
+    check_budget(sum(b.count for b in sources) * total, "diagram sweep", budget)
+    classes = []  # (representative, bitset over the target stream) per class of targets
+    for block in targets:
+        members: dict = {}
+        for i, least in enumerate(block.orbit_map()):
+            members[least] = members.get(least, 0) | 1 << block.offset + i
+        classes += [(block.at(r), bits) for r, bits in members.items()]
     algebra = [identity_map(chain)]
-    for source in sources:
-        diagram = build_diagram(source, DIAG, bounds)
-        sides = "".join(format(_diagram_side(b, diagram), f"0{b.count}b")[::-1] for b in blocks)
-        entries = _transport_entries(source)
-        for target, side in zip(targets, sides):
-            diagram_side = side == "1"
-            embedding_side = _first_map(source, target, algebra, entries, True) is not None
-            report.instances += 1
-            if diagram_side == embedding_side:
-                report.agreements += 1
-                if diagram_side:
-                    report.both_true += 1
-                else:
-                    report.both_false += 1
-            else:
-                report.disagreements.append((source, target, diagram_side, embedding_side))
+    for block in sources:
+        embeds: dict = {}  # source representative -> the targets it embeds into, as a bitset
+        for i, least in enumerate(block.orbit_map()):
+            if least not in embeds:
+                rep = block.at(least)
+                entries = _transport_entries(rep)
+                embeds[least] = sum(bits for t, bits in classes
+                                    if _first_map(rep, t, algebra, entries, True) is not None)
+            source, e = block.at(i), embeds[least]
+            diagram = build_diagram(source, DIAG, bounds)
+            d = sum(_diagram_side(b, diagram) << b.offset for b in targets)
+            report.instances += total
+            report.both_true += (d & e).bit_count()
+            differ = d ^ e
+            while differ:
+                j = (differ & -differ).bit_length() - 1
+                differ ^= 1 << j
+                t = next(b for b in targets if j < b.offset + b.count)
+                report.disagreements.append((source, t.at(j - t.offset), bool(d >> j & 1), bool(e >> j & 1)))
+    report.agreements = report.instances - len(report.disagreements)
+    report.both_false = report.agreements - report.both_true
     return report

@@ -21,7 +21,7 @@ at once, a node on demand (`values`) or a whole family in one pass
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -556,12 +556,27 @@ class StructureBlock:
         return Structure(chain=self.chain, sig=self.sig, domain=self.domain,
                          predicates=predicates, functions=self.functions)
 
-    def structures(self) -> Iterator[Structure]:
-        return map(self.structure, product(range(self.chain.size), repeat=len(self.slots)))
-
     def at(self, index: int) -> Structure:
         k, n = self.chain.size, len(self.slots)
         return self.structure([index // k ** (n - 1 - s) % k for s in range(n)])
+
+    def orbit_map(self) -> list[int]:
+        """Entry i is the least index of a structure that a relabelling of the
+        domain fixing the constants makes of structure i: the canonical member
+        of its class (McKay 1998).  Images are built one slot digit at a time."""
+        k, n = self.chain.size, len(self.slots)
+        weight = {slot: k ** (n - 1 - s) for s, slot in enumerate(self.slots)}
+        fixed = [table[()] for table in self.functions.values()]
+        least = list(range(self.count))
+        for image in permutations(self.domain):
+            pi = dict(zip(self.domain, image))
+            if all(pi[c] == c for c in fixed):
+                index = [0]
+                for slot in self.slots:
+                    w = weight[_relabelled_slot(slot, pi)]
+                    index = [x + d * w for x in index for d in range(k)]
+                least = list(map(min, least, index))
+        return least
 
     def models(self, theory: Sequence[Formula]) -> int:
         """The block's models of the theory; a sentence is evaluated only
@@ -635,6 +650,11 @@ class StructureBlock:
         return hot
 
 
+def _relabelled_slot(slot, pi: dict):
+    """The slot (p, pi(args)) that the relabelling pi carries (p, args) to."""
+    return slot[0], tuple(pi[a] for a in slot[1])
+
+
 def structure_space(sig: Signature, chain, max_size: int, label_prefix: str = "d",
                     budget: int | None = None) -> list[StructureBlock]:
     """All structures with domains d0..d(m-1) for m = 1..max_size, as blocks
@@ -663,4 +683,4 @@ def enumerate_structures(sig: Signature, chain, max_size: int, label_prefix: str
                          budget: int | None = None) -> Iterator[Structure]:
     """The structures of `structure_space`, one at a time, in its order."""
     for block in structure_space(sig, chain, max_size, label_prefix, budget):
-        yield from block.structures()
+        yield from map(block.structure, product(range(chain.size), repeat=len(block.slots)))

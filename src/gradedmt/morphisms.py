@@ -9,6 +9,7 @@ Generated formulas travel along a map in one routine with two relations,
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import perm
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import AlgebraMap, FiniteChain, identity_map, is_algebra_homomorphism
@@ -446,12 +447,8 @@ def _domain_candidates(
 
 def _count_domain_candidates(source, target, injective, agreement) -> int:
     free = len([d for d in source.domain if d not in (agreement or {})])
-    n = len(target.domain) - len(set((agreement or {}).values())) if injective else len(target.domain)
     if injective:
-        count = 1
-        for i in range(free):
-            count *= max(n - i, 0)
-        return count
+        return perm(max(len(target.domain) - len(set((agreement or {}).values())), 0), free)
     return len(target.domain) ** free
 
 

@@ -110,12 +110,6 @@ class Structure:
     def size(self) -> int:
         return len(self.domain)
 
-    def predicate_value(self, name: str, args: tuple) -> int:
-        return self.predicates[name][args]
-
-    def constant_value(self, name: str) -> str:
-        return self.functions[name][()]
-
     def with_constant(self, name: str, value: str) -> "Structure":
         """Expansion by one fresh constant interpreted as `value`."""
         if value not in self.domain:
