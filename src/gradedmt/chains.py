@@ -12,8 +12,8 @@ from itertools import product
 from typing import Sequence
 
 from .errors import FormatError, GradedmtError, InternalError
-from .generation import AssignmentGrid, family_values, fragment
-from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure
+from .generation import AssignmentGrid, fragment, value_classes
+from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure, search_strong_embedding
 from .parser import render_formula
 from .semantics import Structure, eval_formula
 from .syntax import App
@@ -130,20 +130,21 @@ def check_tarski_vaught(
     first = chain.members[0]
     constant_terms = [App(c) for c in first.sig.constants()]
     family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms, budget)
-    # one row per matrix: every member's cells, in `product` order, then the union's
+    # one vector per value class: every member's cells, in `product` order, then the union's
     grids = [AssignmentGrid(s, variables) for s in (*chain.members, union)]
-    rows = family_values(family, grids)
+    cls, vecs = value_classes(family, grids)
     tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
     n = len(tuples)
     # read from the cell numbers themselves, `value_at` gives each tuple's union cell
     cells = [n + grids[-1].value_at(range(grids[-1].size), dict(zip(variables, tup))) for tup in tuples]
-    report.quantifier_free_checked = n * len(rows)
-    differing = [k for k, row in enumerate(rows) if [row[j] for j in cells] != row[:n]]
+    report.quantifier_free_checked = n * len(cls)
+    bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
+    differing = [k for k, c in enumerate(cls) if c in bad]
     end = 0
     for index, member in enumerate(chain.members):
         start, end = end, end + grids[index].size
         for k in differing:
-            phi, row = family.matrices[k], rows[k]
+            phi, row = family.matrices[k], vecs[cls[k]]
             for p in range(start, end):
                 a, b = row[p], row[cells[p]]
                 if a != b:
@@ -174,8 +175,6 @@ def check_tarski_vaught(
 def normalize_chain(members: Sequence[Structure], budget: int | None = None) -> list[Structure]:
     """Relabel domains so that consecutive embeddings become literal
     inclusions; fails when some consecutive pair has no strong embedding."""
-    from .morphisms import search_strong_embedding
-
     if not members:
         raise FormatError("a chain needs at least one structure")
     out = [members[0]]

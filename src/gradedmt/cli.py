@@ -38,6 +38,9 @@ from .files import (
 )
 from .morphisms import (
     enumerate_substructures,
+    induced_substructure,
+    is_elementary_up_to_depth,
+    is_embedding,
     is_substructure,
     search_strong_embedding,
     search_strong_homomorphism,
@@ -142,21 +145,13 @@ def cmd_enum_subs(args) -> int:
     return _emit(args, payload, True, lines)
 
 
-def cmd_find_hom(args) -> int:
-    return _find_map(args, injective=False)
-
-
-def cmd_find_embed(args) -> int:
-    return _find_map(args, injective=True)
-
-
-def _find_map(args, injective: bool) -> int:
+def cmd_find_map(args) -> int:
     source = load_structure(args.source)
     target = load_structure(args.target)
-    search = search_strong_embedding if injective else search_strong_homomorphism
+    search = search_strong_embedding if args.injective else search_strong_homomorphism
     found = search(source, target, fix_algebra_identity=not args.free_algebra_map)
     if found is None:
-        kind = "embedding" if injective else "homomorphism"
+        kind = "embedding" if args.injective else "homomorphism"
         return _emit(args, {"found": False}, False, [f"no strong {kind}"])
     payload = {
         "found": True,
@@ -444,8 +439,6 @@ def _suite_bounded_consequence(args) -> dict:
 
 
 def _suite_amalgamation(args) -> dict:
-    from .morphisms import induced_substructure
-
     p3 = corpus.path3()
     checks = {}
     trivial = AmalgamInstance(left=p3, right=p3, common=p3, generators=tuple(p3.domain))
@@ -482,8 +475,6 @@ def _suite_amalgamation(args) -> dict:
 
 
 def _certificates_ok(result, left, right) -> bool:
-    from .morphisms import is_embedding, is_elementary_up_to_depth, is_substructure
-
     left_ok = is_embedding(result.left_map, left, result.amalgam).ok
     sub_ok = is_substructure(right, result.amalgam).ok
     elem_ok = is_elementary_up_to_depth(
@@ -569,19 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_enum_subs)
 
-    p = sub.add_parser("find-hom", help="search a strong homomorphism")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--free-algebra-map", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_find_hom)
-
-    p = sub.add_parser("find-embed", help="search a strong embedding")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--free-algebra-map", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_find_embed)
+    for name, kind in (("find-hom", "homomorphism"), ("find-embed", "embedding")):
+        p = sub.add_parser(name, help=f"search a strong {kind}")
+        p.add_argument("--source", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--free-algebra-map", action="store_true")
+        _add_common(p)
+        p.set_defaults(handler=cmd_find_map, injective=kind == "embedding")
 
     for name in ("diagram", "check-diagram"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')}")
@@ -684,10 +669,7 @@ def main(argv=None) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except GradedmtError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except OSError as err:
+    except (GradedmtError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
 

@@ -14,8 +14,9 @@ Two generators drive every bounded check in the package:
 
 Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates formulas at every variable assignment
-at once, a node on demand (`values`) or a whole family in one pass
-(`family_values`), and folds each (value vector, prefix) pair once.
+at once, a node on demand (`values`), and folds each (value vector, prefix)
+pair once; `value_classes` runs a whole family over several grids in one
+pass and names each distinct value vector once, as a class id.
 """
 
 from collections import OrderedDict
@@ -265,11 +266,16 @@ class Fragment:
         self.free = tuple(sets.setdefault(fv, fv) for _, fv in entries)
 
     @cached_property
+    def positions(self) -> dict:
+        """Each matrix's family position, keyed by node identity."""
+        return {id(phi): i for i, phi in enumerate(self.matrices)}
+
+    @cached_property
     def program(self) -> tuple:
         """Per matrix, (connective, left, right): the family positions of its
         operands, which a built family lists before their uses; a negation
         names its body twice, and an atom is (None, 0, 0)."""
-        pos = {id(phi): i for i, phi in enumerate(self.matrices)}
+        pos = self.positions
         return tuple((Not, pos[id(phi.body)], pos[id(phi.body)]) if isinstance(phi, Not)
                      else (type(phi), pos[id(phi.left)], pos[id(phi.right)])
                      if isinstance(phi, _CONNECTIVES) else (None, 0, 0) for phi in self.matrices)
@@ -372,11 +378,12 @@ def prenex_candidates(
 
 
 def elementary_triples(sig, chain_labels, depth, total_vars, matrix_depth=1, extra_terms=(), budget=None):
-    """The (matrix, prefix, params) triples behind `elementary_family`."""
+    """The family behind `elementary_family` and its (matrix, prefix, params) triples."""
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
     steps = [(variables[n:], target) for n in range(total_vars + 1)
              for target in (PrenexClass(FORALL, depth), PrenexClass(EXISTS, depth))]
-    return fragment(sig, chain_labels, variables, matrix_depth, extra_terms, budget).stream(steps)
+    family = fragment(sig, chain_labels, variables, matrix_depth, extra_terms, budget)
+    return family, family.stream(steps)
 
 
 def elementary_family(
@@ -398,7 +405,7 @@ def elementary_family(
     if total_vars is None:
         total_vars = depth + 1
     for triple in elementary_triples(sig, chain_labels, depth, total_vars, matrix_depth,
-                                     extra_terms, budget):
+                                     extra_terms, budget)[1]:
         yield PrenexCandidate(*triple)
 
 
@@ -416,9 +423,10 @@ class AssignmentGrid:
     `_leaf` (atoms, identities, truth constants) and `_combine` (each
     connective as a chain table) serve both `values`, which recurses on
     demand and caches by node identity, each entry pinning its formula so
-    the id stays unique, and `family_values`, which runs a family's
-    `program` over several grids at once.  `fold_prefix` memoises on the
-    value vector and the prefix, so equal-valued matrices share one fold.
+    the id stays unique, and `value_classes`, which runs a family's
+    `program` over the value classes of several grids at once.
+    `fold_prefix` memoises on the value vector and the prefix, so
+    equal-valued matrices share one fold.
     The lists `values` and `fold_prefix` return are shared, never mutated.
     """
 
@@ -518,14 +526,42 @@ class AssignmentGrid:
         return values[idx]
 
 
-def family_values(family: Fragment, grids: Sequence[AssignmentGrid]) -> list[list[int]]:
-    """Whole-family driver: per matrix, its values at the cells of each grid
-    in turn (the grids share one chain), in one pass over `family.program`
-    that reads operands by position."""
-    combine, out = grids[0]._combine, []
+def value_classes(family: Fragment, grids: Sequence[AssignmentGrid]) -> tuple[list[int], list[list[int]]]:
+    """Whole-family driver over value classes: per matrix a class id, and per
+    class its values at the cells of each grid in turn.  Leaves and results
+    are interned by those values, and `family.program` runs over class ids,
+    so each connective meets each pair of operand classes once.  Each run of
+    grids that share a chain is combined with that chain's tables."""
+    runs, end = [], 0  # [grid, start, end] per run of grids that share tables
+    for g in grids:
+        if runs and runs[-1][0]._tables is g._tables:
+            runs[-1][2] += g.size
+        else:
+            runs.append([g, end, end + g.size])
+        end += g.size
+    ids: dict = {}  # values -> class id
+    memo: dict = {}  # (connective, left class, right class) -> class id
+    cls: list[int] = []
+    vecs: list[list[int]] = []
+
+    def intern(vals: list[int]) -> int:
+        c = ids.setdefault(tuple(vals), len(vecs))
+        if c == len(vecs):
+            vecs.append(vals)
+        return c
+
     for phi, (kind, i, j) in zip(family.matrices, family.program):
-        out.append(combine(kind, out[i], out[j]) if kind else [v for g in grids for v in g._leaf(phi)])
-    return out
+        if kind is None:
+            c = intern([v for g in grids for v in g._leaf(phi)])
+        else:
+            key = (kind, cls[i], cls[j])
+            c = memo.get(key)
+            if c is None:
+                a, b = vecs[key[1]], vecs[key[2]]
+                c = memo[key] = intern(runs[0][0]._combine(kind, a, b) if len(runs) == 1 else
+                                       [v for g, s, e in runs for v in g._combine(kind, a[s:e], b[s:e])])
+        cls.append(c)
+    return cls, vecs
 
 
 # --- structure spaces ---

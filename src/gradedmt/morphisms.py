@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 from .algebra import AlgebraMap, FiniteChain, identity_map, is_algebra_homomorphism
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
-from .generation import AssignmentGrid, elementary_triples, prenex_formula
+from .generation import AssignmentGrid, elementary_triples, prenex_formula, value_classes
 from .semantics import Structure, eval_formula
 from .syntax import App, Formula
 
@@ -31,9 +31,6 @@ class StructureMap:
 
     def __post_init__(self):
         object.__setattr__(self, "domain_map", dict(self.domain_map))
-
-    def g(self, d: str) -> str:
-        return self.domain_map[d]
 
 
 def identity_structure_map(s: Structure) -> StructureMap:
@@ -142,56 +139,62 @@ class ElementarityReport:
         return self.ok
 
 
-def first_transfer_failure(grid_s, grid_t, triples, f, g, tuples, meter=None):
+def first_transfer_failure(family, grid_s, grid_t, triples, f, g, tuples, meter=None):
     """First generated formula whose value at a source tuple does not
     transfer along (f, g) to the image tuple: f must carry the source value
     to the target value, or with f None a top source value must stay top.
-    `triples` yields (matrix, prefix, params), each ticked on `meter` if
-    given; `tuples(params)` lists the source tuples.  Returns (triples
-    checked, separator, source tuple) after replaying the separator through
-    `eval_formula`, or (checked, None, None)."""
+    `triples` yields (matrix, prefix, params) from `family`, each ticked on
+    `meter` if given; `tuples(params)` lists the source tuples.  Matrices
+    are read as `value_classes` over both grids, and a (class, prefix,
+    params) triple is decided once.  Returns (triples checked, separator,
+    source tuple) after replaying the separator through `eval_formula`, or
+    (checked, None, None)."""
+    _check_signatures_match(grid_s.structure, grid_t.structure)  # both grids evaluate the whole family
     top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
+    cls, vecs = value_classes(family, [grid_s, grid_t])
+    pos, n = family.positions, grid_s.size
     cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
-    passed: set = set()  # (source fold, target fold, params), folds shared by the memo
+    passed: set = set()  # (class, prefix, params)
     checked = 0
     for matrix, prefix, params in triples:
         if meter is not None:
             meter.tick()
         checked += 1
+        c = cls[pos[id(matrix)]]
+        if (c, prefix, params) in passed:
+            continue
         row = cells.get(params)
         if row is None:
             row = cells[params] = [
                 (tup, grid_s.value_at(range(grid_s.size), dict(zip(params, tup))),
                  grid_t.value_at(range(grid_t.size), {p: g[d] for p, d in zip(params, tup)}))
                 for tup in tuples(params)]
-        vs = grid_s.fold_prefix(grid_s.values(matrix), prefix)
+        vs = grid_s.fold_prefix(vecs[c][:n], prefix)
         vt = bad = None
         if f is None:  # the target is folded only under a top source cell
             for tup, i, j in row:
                 if vs[i] == top_s:
                     if vt is None:
-                        vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
+                        vt = grid_t.fold_prefix(vecs[c][n:], prefix)
                     if vt[j] != top_t:
                         bad = tup, i, j
                         break
         else:
-            vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
-            key = (id(vs), id(vt), params)
-            if key in passed:
-                continue
-            passed.add(key)
+            vt = grid_t.fold_prefix(vecs[c][n:], prefix)
             for tup, i, j in row:
                 if f[vs[i]] != vt[j]:
                     bad = tup, i, j
                     break
-        if bad is not None:
-            tup, i, j = bad
-            phi = prenex_formula(matrix, prefix)
-            asg = dict(zip(params, tup))
-            if (eval_formula(phi, grid_s.structure, asg) != vs[i]
-                    or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != vt[j]):
-                raise InternalError("grid and evaluator disagree")
-            return checked, phi, tup
+        if bad is None:
+            passed.add((c, prefix, params))
+            continue
+        tup, i, j = bad
+        phi = prenex_formula(matrix, prefix)
+        asg = dict(zip(params, tup))
+        if (eval_formula(phi, grid_s.structure, asg) != vs[i]
+                or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != vt[j]):
+            raise InternalError("grid and evaluator disagree")
+        return checked, phi, tup
     return checked, None, None
 
 
@@ -221,10 +224,10 @@ def is_elementary_up_to_depth(
     if total_vars is None:
         total_vars = depth + 1
     grid_vars = tuple(f"x{i}" for i in range(1, total_vars + 1))
-    triples = elementary_triples(source.sig, source.chain.elements, depth, total_vars, matrix_depth,
-                                 [App(c) for c in source.sig.constants()], budget)
+    family, triples = elementary_triples(source.sig, source.chain.elements, depth, total_vars,
+                                         matrix_depth, [App(c) for c in source.sig.constants()], budget)
     checked, separator, tup = first_transfer_failure(
-        AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars), triples,
+        family, AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars), triples,
         m.algebra_map.map, m.domain_map, lambda params: product(source.domain, repeat=len(params)))
     return ElementarityReport(separator is None, depth, separator, tup or (), checked)
 

@@ -10,7 +10,8 @@ with every report; running out of room is inconclusive, not a refutation.
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice, product
+from functools import lru_cache
+from itertools import count, islice, product
 from typing import Mapping, Sequence
 
 from .algebra import enumerate_mtl_chains
@@ -28,7 +29,7 @@ from .morphisms import (
     is_substructure,
     search_structure_map,
 )
-from .parser import render_formula
+from .parser import parse_formula, render_formula
 from .semantics import Structure, eval_formula, satisfies
 from .syntax import (
     EXISTS,
@@ -37,6 +38,7 @@ from .syntax import (
     Formula,
     PrenexClass,
     Signature,
+    expand_with_truth_constants,
     free_variables,
     is_sentence,
 )
@@ -101,7 +103,7 @@ def implies_exists_n(
     assignment = dict(zip(pvars, params))
     triples = islice(family.stream([(qvars, PrenexClass(EXISTS, n))]), bounds.max_candidates)
     checked, separator, tup = first_transfer_failure(
-        AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
+        family, AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
         triples, None, dict(zip(params, params)), lambda slots: [tuple(assignment[p] for p in slots)],
         BudgetMeter("existential transfer", bounds.budget))
     return ExistsFlowReport(separator is None, n, separator, tup or (), checked, bounds)
@@ -303,17 +305,9 @@ class AmalgamResult:
         return self.status == "found"
 
 
-def _fresh_labels(existing: Sequence[str], count: int) -> list[str]:
-    out = []
-    i = 0
-    taken = set(existing)
-    while len(out) < count:
-        label = f"w{i}"
-        if label not in taken:
-            out.append(label)
-            taken.add(label)
-        i += 1
-    return out
+def _fresh_labels(existing: Sequence[str], how_many: int) -> list[str]:
+    labels = (f"w{i}" for i in count())
+    return list(islice((label for label in labels if label not in existing), how_many))
 
 
 def _extensions_of(base: Structure, extra: int, budget_meter: BudgetMeter):
@@ -355,7 +349,7 @@ def universal_transport_ok(
     # Forall(1) admits no other lead, so skipping an empty prefix skips quantifier-free
     triples = (triple for triple in family.stream([(qvars, PrenexClass(FORALL, 1))]) if triple[1])
     _, separator, _ = first_transfer_failure(
-        AssignmentGrid(source, qvars + pvars), AssignmentGrid(target, qvars + pvars), triples, None,
+        family, AssignmentGrid(source, qvars + pvars), AssignmentGrid(target, qvars + pvars), triples, None,
         g, lambda params: product(source.domain, repeat=len(params)))
     return separator is None
 
@@ -481,8 +475,6 @@ def reproduce_counterexample(depth: int = 2) -> CounterexampleReport:
     """
     from .consequence import equiv_up_to_depth
     from .corpus import structure_m, structure_n
-    from .parser import parse_formula
-    from .syntax import expand_with_truth_constants
 
     m = structure_m()
     n = structure_n()
@@ -526,20 +518,12 @@ def reproduce_counterexample(depth: int = 2) -> CounterexampleReport:
 
 # --- randomized suites ---
 
-_CHAIN_POOL_CACHE: dict[int, list] = {}
+_mtl_chains = lru_cache(maxsize=None)(enumerate_mtl_chains)
+_SUITE_SIG = Signature(predicates={"P": 1, "R": 2})
 
 
 def _chain_pool(max_size: int) -> list:
-    chains = []
-    for k in range(2, max_size + 1):
-        if k not in _CHAIN_POOL_CACHE:
-            _CHAIN_POOL_CACHE[k] = enumerate_mtl_chains(k)
-        chains.extend(_CHAIN_POOL_CACHE[k])
-    return chains
-
-
-def _suite_signature() -> Signature:
-    return Signature(predicates={"P": 1, "R": 2})
+    return [chain for k in range(2, max_size + 1) for chain in _mtl_chains(k)]
 
 
 def _random_structure(rnd: random.Random, chain, sig: Signature, max_domain: int) -> Structure:
@@ -561,11 +545,7 @@ def _suite_sentences(chain, lead: str, blocks: int, bounds: FormulaBounds, licen
            bounds.max_candidates, licensed)
     if key in _SENTENCE_CACHE:
         return _SENTENCE_CACHE[key]
-    sig = _suite_signature()
-    if licensed:
-        from .syntax import expand_with_truth_constants
-
-        sig = expand_with_truth_constants(sig, chain)
+    sig = expand_with_truth_constants(_SUITE_SIG, chain) if licensed else _SUITE_SIG
     qvars, _, family = _family(sig, chain, 0, bounds)
     out = []
     for matrix, prefix, params in family.stream([(qvars, PrenexClass(lead, blocks))]):
@@ -596,7 +576,7 @@ def substructure_preservation_suite(
     """
     rnd = random.Random(seed)
     pool = _chain_pool(max_chain)
-    sig = _suite_signature()
+    sig = _SUITE_SIG
     report = PreservationReport(
         claim=claim or f"{lead.lower()}({blocks})-substructure-preservation",
         seed=seed,
@@ -637,7 +617,7 @@ def union_preservation_suite(
     """
     rnd = random.Random(seed)
     pool = _chain_pool(max_chain)
-    sig = _suite_signature()
+    sig = _SUITE_SIG
     report = PreservationReport(
         claim="forall(2)-union-preservation",
         seed=seed,

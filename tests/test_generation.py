@@ -310,10 +310,12 @@ def test_family_program_reads_only_earlier_positions():
 
 @settings(max_examples=30, deadline=None)
 @given(s=pr_structures(), t=pr_structures(), order=st.permutations(PAIR_VARS))
-def test_family_values_match_values_and_plain_evaluator(s, t, order):
+def test_value_classes_match_values_and_plain_evaluator(s, t, order):
     grid, other = AssignmentGrid(s, order), AssignmentGrid(t, order)
-    rows = generation.family_values(PAIR_FAMILY, [grid])
-    both = generation.family_values(PAIR_FAMILY, [grid, other])
+    cls, vecs = generation.value_classes(PAIR_FAMILY, [grid])
+    rows = [vecs[c] for c in cls]
+    cls, vecs = generation.value_classes(PAIR_FAMILY, [grid, other])
+    both = [vecs[c] for c in cls]
     for phi, row, joint in zip(PAIR_FAMILY.matrices, rows, both):
         assert row == grid.values(phi)
         assert joint == row + other.values(phi)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedmt import corpus, morphisms
 from gradedmt.chains import validate_chain_of_structures
-from gradedmt.errors import FormatError, InternalError, PreconditionError
+from gradedmt.errors import FormatError, InternalError, PreconditionError, SignatureError
 from gradedmt.generation import qf_matrices
 from gradedmt.morphisms import (
     induced_substructure,
@@ -281,6 +281,24 @@ def test_union_suite_fails_on_a_union_with_one_flipped_entry(monkeypatch, capsys
     assert "suite unions-chain-lemma: FAIL" in capsys.readouterr().out
 
 
+def test_amalgamation_suite_fails_when_no_transfer_check_separates(monkeypatch, capsys):
+    import json
+
+    from gradedmt import preservation
+    from gradedmt.cli import main
+
+    first_transfer_failure = morphisms.first_transfer_failure
+
+    def never_separates(*args, **kwargs):
+        return first_transfer_failure(*args, **kwargs)[0], None, None
+
+    for module in (morphisms, preservation):
+        monkeypatch.setattr(module, "first_transfer_failure", never_separates)
+    assert main(["verify", "--suite", "amalgamation", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["ok"] is False and report["checks"]["truth_constant_precondition_fails"] is False
+
+
 def test_suite_reports_serialize():
     import json
 
@@ -307,6 +325,23 @@ def test_exists_flow_replay_disagreement_raises(monkeypatch, g4, sig_p):
     monkeypatch.setattr(morphisms, "eval_formula", lambda *args: g4.top)
     with pytest.raises(InternalError):
         implies_exists_n(left, right, (), 1)
+
+
+def test_exists_flow_needs_the_right_side_to_interpret_the_left_signature(g4, capsys, tmp_path):
+    from gradedmt.cli import main
+    from gradedmt.files import save_structure
+
+    left = Structure(chain=g4, sig=Signature(predicates={"P": 1, "Q": 1}), domain=("a",),
+                     predicates={"P": {("a",): g4.top}, "Q": {("a",): 0}})
+    right = Structure(chain=g4, sig=Signature(predicates={"P": 1}), domain=("a",),
+                      predicates={"P": {("a",): 0}})
+    with pytest.raises(SignatureError):
+        implies_exists_n(left, right, (), 1)
+    save_structure(left, tmp_path / "left.json")
+    save_structure(right, tmp_path / "right.json")
+    assert main(["implies-exists", "--left", str(tmp_path / "left.json"),
+                 "--right", str(tmp_path / "right.json")]) == 2
+    assert "does not interpret predicate 'Q'" in capsys.readouterr().err
 
 
 def test_universal_transport_replay_disagreement_raises(monkeypatch, g4, sig_p):

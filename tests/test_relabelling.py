@@ -2,7 +2,8 @@
 permutation (`Structure.rename_domain`) changes no verdict, and changes a
 witness only by the permutation itself.  The orbit enumeration of
 `cor1_sweep` reads one verdict per relabelling class, so it is sound only
-if these hold."""
+if these hold.  For two structures that share labels, renaming the shared
+labels the same way on both sides changes no verdict either."""
 
 import random
 
@@ -13,6 +14,7 @@ from gradedmt.consequence import bounded_consequence
 from gradedmt.diagrams import DIAG, build_diagram, diagram_embedding_equivalence, diagram_model_exists
 from gradedmt.generation import enumerate_structures
 from gradedmt.morphisms import search_structure_map
+from gradedmt.preservation import implies_exists_n
 from gradedmt.semantics import Structure, eval_formula, is_model
 from gradedmt.syntax import Exists, Forall, Signature, free_variables
 
@@ -125,3 +127,29 @@ def test_bounded_consequence_survives_relabelling(seed, chain, sig):
         renamed = c.rename_domain(_relabelling(rnd, c))
         position = next(i for i, x in enumerate(stream) if _key(x) == _key(renamed))
         assert position >= result.structures_checked - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 2), sizes=st.tuples(st.integers(1, 2), st.integers(0, 1), st.integers(0, 1)),
+       **CASE)
+def test_existential_transfer_survives_relabelling(seed, chain, sig, n, sizes):
+    rnd, chain = random.Random(seed), CHAINS[chain]
+    shared, left_only, right_only = sizes
+    left = _structure(rnd, sig, chain, shared + left_only)
+    right = _structure(rnd, sig, chain, shared + right_only)
+    right = right.rename_domain({d: d if i < shared else f"r{i}" for i, d in enumerate(right.domain)})
+    if rnd.random() < 0.5:  # the right side extends the left one on the shared labels
+        predicates = {p: {args: left.predicates[p].get(args, v) for args, v in table.items()}
+                      for p, table in right.predicates.items()}
+        right = Structure(chain=chain, sig=sig, domain=right.domain, functions=right.functions,
+                          predicates=predicates)
+    params = tuple(rnd.choice(left.domain[:shared]) for _ in range(rnd.randint(0, 2)))
+    labels = sorted(set(left.domain) | set(right.domain))
+    pi = dict(zip(labels, rnd.sample(labels, len(labels))))
+    report = implies_exists_n(left, right, params, n)
+    moved = implies_exists_n(left.rename_domain({d: pi[d] for d in left.domain}),
+                             right.rename_domain({d: pi[d] for d in right.domain}),
+                             tuple(pi[d] for d in params), n)
+    assert (moved.ok, moved.candidates_checked, moved.separator) == (
+        report.ok, report.candidates_checked, report.separator)
+    assert moved.params == tuple(pi[d] for d in report.params)

@@ -1,0 +1,356 @@
+"""The transfer check over value classes.
+
+`morphisms.first_transfer_failure` decides each (value class, prefix,
+params) triple once.  These tests pin elementarity verdicts across two
+chains, compare the loop with a copy of the per-triple loop it replaced,
+and check `generation.value_classes` against the on-demand grid driver.
+To print the cross-chain pins again, run
+
+    PYTHONPATH=src python tests/test_transfer.py
+"""
+
+import random
+from itertools import islice, product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gradedmt import corpus
+from gradedmt.algebra import AlgebraMap
+from gradedmt.budget import BudgetMeter
+from gradedmt.errors import InternalError
+from gradedmt.generation import AssignmentGrid, elementary_triples, fragment, prenex_formula, value_classes
+from gradedmt.morphisms import StructureMap, first_transfer_failure, is_elementary_up_to_depth
+from gradedmt.parser import render_formula
+from gradedmt.semantics import Structure, eval_formula
+from gradedmt.syntax import EXISTS, FORALL, PrenexClass, Signature
+
+BOOL2 = corpus.bool2()
+TARGET_CHAINS = {name: getattr(corpus, name)() for name in ("godel3", "lukasiewicz3")}
+SIG_PR = Signature(predicates={"P": 1, "R": 2})
+
+
+def cross_chain_case(seed: int, chain: str, mode: str):
+    """A bool2 structure on {a, b}, a structure on {a, b, c} over `chain`, and
+    the inclusion with algebra map (0, top).  On {a, b} the target carries
+    the image of each source value; `twin` makes c a copy of a, `random`
+    draws c's entries, and `broken` also moves one source entry off its
+    image, so the map is not a strong homomorphism."""
+    rnd, target_chain = random.Random(seed), TARGET_CHAINS[chain]
+    f = (0, target_chain.top)
+    source_tables = {p: {args: rnd.randrange(2) for args in product("ab", repeat=a)}
+                     for p, a in sorted(SIG_PR.predicates.items())}
+    target_tables = {}
+    for p, a in sorted(SIG_PR.predicates.items()):
+        table = {}
+        for args in product("abc", repeat=a):
+            if mode == "twin":
+                table[args] = f[source_tables[p][tuple("a" if d == "c" else d for d in args)]]
+            elif "c" in args:
+                table[args] = rnd.randrange(target_chain.size)
+            else:
+                table[args] = f[source_tables[p][args]]
+        target_tables[p] = table
+    if mode == "broken":
+        p = rnd.choice(sorted(SIG_PR.predicates))
+        args = rnd.choice(sorted(source_tables[p]))
+        old = target_tables[p][args]
+        target_tables[p][args] = rnd.choice([v for v in range(target_chain.size) if v != old])
+    source = Structure(chain=BOOL2, sig=SIG_PR, domain=("a", "b"), predicates=source_tables)
+    target = Structure(chain=target_chain, sig=SIG_PR, domain=("a", "b", "c"), predicates=target_tables)
+    return StructureMap(AlgebraMap(BOOL2, target_chain, f), {"a": "a", "b": "b"}), source, target
+
+
+CROSS_CASES = [(seed, chain, mode) for chain in sorted(TARGET_CHAINS)
+               for mode, seeds in (("random", (0, 1, 2)), ("twin", (1, 3, 13)), ("broken", (0, 1)))
+               for seed in seeds]
+
+
+def cross_chain_verdict(seed, chain, mode):
+    rep = is_elementary_up_to_depth(*cross_chain_case(seed, chain, mode), 1)
+    separator = None if rep.separator is None else render_formula(rep.separator)
+    return rep.ok, rep.formulas_checked, separator, rep.params, rep.reason
+
+
+# captured before the transfer loop ran on value classes
+NOT_STRONG = "not a strong homomorphism: predicate value not transported"
+CROSS_PINS = {
+    (0, 'godel3', 'random'): (False, 1, 'forall x1 . P(x1)', (), ''),
+    (1, 'godel3', 'random'): (False, 3, 'forall x1 . R(x1, x1)', (), ''),
+    (2, 'godel3', 'random'): (False, 13, 'forall x1 . not P(x1)', (), ''),
+    (1, 'godel3', 'twin'): (False, 3337, 'forall x2 . R(x1, x2) -> x1 ~ x2', ('a',), ''),
+    (3, 'godel3', 'twin'): (False, 3431, 'forall x2 . R(x2, x1) -> x1 ~ x2', ('a',), ''),
+    (13, 'godel3', 'twin'): (True, 6726, None, (), ''),
+    (0, 'godel3', 'broken'): (False, 0, None, (), NOT_STRONG),
+    (1, 'godel3', 'broken'): (False, 0, None, (), NOT_STRONG),
+    (0, 'lukasiewicz3', 'random'): (False, 1, 'forall x1 . P(x1)', (), ''),
+    (1, 'lukasiewicz3', 'random'): (False, 3, 'forall x1 . R(x1, x1)', (), ''),
+    (2, 'lukasiewicz3', 'random'): (False, 13, 'forall x1 . not P(x1)', (), ''),
+    (1, 'lukasiewicz3', 'twin'): (False, 3337, 'forall x2 . R(x1, x2) -> x1 ~ x2', ('a',), ''),
+    (3, 'lukasiewicz3', 'twin'): (False, 3431, 'forall x2 . R(x2, x1) -> x1 ~ x2', ('a',), ''),
+    (13, 'lukasiewicz3', 'twin'): (True, 6726, None, (), ''),
+    (0, 'lukasiewicz3', 'broken'): (False, 0, None, (), NOT_STRONG),
+    (1, 'lukasiewicz3', 'broken'): (False, 0, None, (), NOT_STRONG),
+}
+
+
+@pytest.mark.parametrize("case", CROSS_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_cross_chain_elementarity_matches_pins(case):
+    assert cross_chain_verdict(*case) == CROSS_PINS[case]
+
+
+def reference_transfer_failure(grid_s, grid_t, triples, f, g, tuples, meter=None):
+    """The per-triple loop that `first_transfer_failure` replaced: each
+    matrix through `AssignmentGrid.values`, a triple skipped only when its
+    two folds and params already passed."""
+    top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
+    cells: dict = {}
+    passed: set = set()
+    checked = 0
+    for matrix, prefix, params in triples:
+        if meter is not None:
+            meter.tick()
+        checked += 1
+        row = cells.get(params)
+        if row is None:
+            row = cells[params] = [
+                (tup, grid_s.value_at(range(grid_s.size), dict(zip(params, tup))),
+                 grid_t.value_at(range(grid_t.size), {p: g[d] for p, d in zip(params, tup)}))
+                for tup in tuples(params)]
+        vs = grid_s.fold_prefix(grid_s.values(matrix), prefix)
+        vt = bad = None
+        if f is None:
+            for tup, i, j in row:
+                if vs[i] == top_s:
+                    if vt is None:
+                        vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
+                    if vt[j] != top_t:
+                        bad = tup, i, j
+                        break
+        else:
+            vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
+            key = (id(vs), id(vt), params)
+            if key in passed:
+                continue
+            passed.add(key)
+            for tup, i, j in row:
+                if f[vs[i]] != vt[j]:
+                    bad = tup, i, j
+                    break
+        if bad is not None:
+            tup, i, j = bad
+            phi = prenex_formula(matrix, prefix)
+            asg = dict(zip(params, tup))
+            if (eval_formula(phi, grid_s.structure, asg) != vs[i]
+                    or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != vt[j]):
+                raise InternalError("grid and evaluator disagree")
+            return checked, phi, tup
+    return checked, None, None
+
+
+CHAINS = {name: getattr(corpus, name)() for name in ("bool2", "godel3", "lukasiewicz3")}
+# (source chain, target chain, algebra map); the loop reads f only as a table
+CHAIN_PAIRS = (("godel3", "godel3", (0, 1, 2)), ("bool2", "godel3", (0, 2)),
+               ("bool2", "lukasiewicz3", (0, 2)), ("godel3", "bool2", (0, 0, 1)))
+
+
+def _structure(draw, chain, domain):
+    values = st.integers(0, chain.size - 1)
+    return Structure(chain=chain, sig=SIG_PR, domain=domain,
+                     predicates={p: {args: draw(values) for args in product(domain, repeat=a)}
+                                 for p, a in sorted(SIG_PR.predicates.items())})
+
+
+def _image(draw, source, chain, f, domain):
+    """A structure on `domain`, a superset of the source's domain, that
+    carries f of each source value.  New elements either copy the first
+    source element or get drawn values; then maybe one entry moves, so
+    that failures come late in the stream as well as early."""
+    twin, values = draw(st.booleans()), st.integers(0, chain.size - 1)
+
+    def value(p, args):
+        if twin:
+            args = tuple(d if d in source.domain else source.domain[0] for d in args)
+        elif not set(args) <= set(source.domain):
+            return draw(values)
+        return f[source.predicates[p][args]]
+
+    predicates = {p: {args: value(p, args) for args in product(domain, repeat=a)}
+                  for p, a in sorted(SIG_PR.predicates.items())}
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(sorted(predicates)))
+        predicates[p][draw(st.sampled_from(sorted(predicates[p])))] = draw(values)
+    return Structure(chain=chain, sig=SIG_PR, domain=domain, predicates=predicates)
+
+
+@st.composite
+def exists_pairs(draw):
+    """Two structures over one chain with shared labels, parameters fixed
+    among them, and a quantifier target: the relation of `implies_exists_n`."""
+    chain = CHAINS[draw(st.sampled_from(sorted(CHAINS)))]
+    left = _structure(draw, chain, tuple(f"d{i}" for i in range(draw(st.integers(1, 2)))))
+    domain = left.domain + tuple(f"e{i}" for i in range(draw(st.integers(0, 1))))
+    same = (0, 1, 2)[:chain.size]
+    if draw(st.booleans()):
+        right = _image(draw, left, chain, same, domain)
+    else:
+        right = _structure(draw, chain, domain)
+    params = tuple(draw(st.lists(st.sampled_from(left.domain), max_size=2)))
+    target = PrenexClass(draw(st.sampled_from((EXISTS, FORALL))), draw(st.integers(1, 2)))
+    return left, right, params, target, draw(st.integers(0, 1))
+
+
+@st.composite
+def elementary_pairs(draw):
+    """A source, a target over a possibly different chain, an algebra map
+    table f and a domain map g, with a drawn subset of source tuples per
+    parameter list, so that which tuples a triple reads depends on its
+    params."""
+    source_name, target_name, f = draw(st.sampled_from(CHAIN_PAIRS))
+    source = _structure(draw, CHAINS[source_name], tuple(f"d{i}" for i in range(draw(st.integers(1, 2)))))
+    domain = source.domain + tuple(f"e{i}" for i in range(draw(st.integers(0, 1))))
+    if draw(st.booleans()):
+        target = _image(draw, source, CHAINS[target_name], f, domain)
+        g = {d: d for d in source.domain}
+    else:
+        target = _structure(draw, CHAINS[target_name], domain)
+        g = {d: draw(st.sampled_from(domain)) for d in source.domain}
+    salt = draw(st.integers(0, 2**16))
+
+    def tuples(params):
+        return [t for t in product(source.domain, repeat=len(params))
+                if random.Random(f"{salt}{params}{t}").random() < 0.5]
+
+    return source, target, f, g, tuples, draw(st.integers(1, 2)), draw(st.integers(0, 1))
+
+
+def _both_loops(family, grid_s, grid_t, triples, f, g, tuples):
+    """The reference and the class loop on fresh grids, with their meters' ticks."""
+    out = []
+    for loop in ("reference", "classes"):
+        s, t = (AssignmentGrid(x.structure, x.variables, fixed=x.fixed) for x in (grid_s, grid_t))
+        meter = BudgetMeter("transfer", None)
+        if loop == "reference":
+            result = reference_transfer_failure(s, t, triples, f, g, tuples, meter)
+        else:
+            result = first_transfer_failure(family, s, t, triples, f, g, tuples, meter)
+        out.append((result, meter.used))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=exists_pairs())
+def test_top_transfer_with_fixed_parameters_matches_the_reference(case):
+    left, right, params, target, matrix_depth = case
+    qvars, pvars = ["x1", "x2"], [f"p{i}" for i in range(1, len(params) + 1)]
+    family = fragment(SIG_PR, left.chain.elements, qvars + pvars, matrix_depth)
+    assignment = dict(zip(pvars, params))
+    triples = list(family.stream([(qvars, target)]))
+    reference, classes = _both_loops(
+        family, AssignmentGrid(left, qvars, fixed=assignment),
+        AssignmentGrid(right, qvars, fixed=assignment), triples, None, dict(zip(params, params)),
+        lambda slots: [tuple(assignment[p] for p in slots)])
+    assert classes == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=elementary_pairs())
+def test_value_transfer_with_parameter_tuples_matches_the_reference(case):
+    source, target, f, g, tuples, total_vars, matrix_depth = case
+    family, triples = elementary_triples(SIG_PR, source.chain.elements, 1, total_vars, matrix_depth)
+    variables = [f"x{i}" for i in range(1, total_vars + 1)]
+    reference, classes = _both_loops(family, AssignmentGrid(source, variables),
+                                     AssignmentGrid(target, variables), list(triples), f, g, tuples)
+    assert classes == reference
+
+
+def test_a_class_that_passed_is_decided_again_under_new_params():
+    # on one element P(x1) and P(x2) share a class; sentences and params (x1,)
+    # read no tuple, so P(x1) passes unread, and P(x2) under params (x2,) fails
+    g3 = CHAINS["godel3"]
+
+    def point(p):
+        return Structure(chain=g3, sig=SIG_PR, domain=("d0",),
+                         predicates={"P": {("d0",): p}, "R": {("d0", "d0"): 0}})
+
+    family, triples = elementary_triples(SIG_PR, g3.elements, 1, 2, 0)
+    reference, classes = _both_loops(
+        family, AssignmentGrid(point(2), ("x1", "x2")), AssignmentGrid(point(1), ("x1", "x2")),
+        list(triples), (0, 1, 2), {"d0": "d0"},
+        lambda params: [] if params in ((), ("x1",)) else [("d0",) * len(params)])
+    assert classes == reference
+    (_, separator, tup), _ = classes
+    assert render_formula(separator) == "P(x2)" and tup == ("d0",)
+
+
+def test_a_prefix_of_the_stream_stops_where_the_reference_stops():
+    left = Structure(chain=CHAINS["godel3"], sig=SIG_PR, domain=("a",),
+                     predicates={"P": {("a",): 2}, "R": {("a", "a"): 1}})
+    right = Structure(chain=CHAINS["godel3"], sig=SIG_PR, domain=("a",),
+                      predicates={"P": {("a",): 2}, "R": {("a", "a"): 0}})
+    family = fragment(SIG_PR, left.chain.elements, ["x1", "x2"], 1)
+    stream = list(family.stream([(["x1", "x2"], PrenexClass(EXISTS, 1))]))
+    full = _both_loops(family, AssignmentGrid(left, ["x1", "x2"]), AssignmentGrid(right, ["x1", "x2"]),
+                       stream, None, {}, lambda slots: [()])
+    assert full[0] == full[1] and full[0][0][1] is not None
+    short = list(islice(stream, full[0][0][0] - 1))
+    cut = _both_loops(family, AssignmentGrid(left, ["x1", "x2"]), AssignmentGrid(right, ["x1", "x2"]),
+                      short, None, {}, lambda slots: [()])
+    assert cut[0] == cut[1] == ((len(short), None, None), len(short))
+
+
+VALUE_FAMILY = fragment(SIG_PR, CHAINS["godel3"].elements, ("x1", "x2"), 1)
+
+
+def _runs(grids) -> int:
+    return sum(k == 0 or grids[k]._tables is not grids[k - 1]._tables for k in range(len(grids)))
+
+
+def _check_value_classes(grids, monkeypatch):
+    combine, calls = AssignmentGrid._combine, []
+
+    def counted(self, kind, a, b=None):
+        calls.append(kind)
+        return combine(self, kind, a, b)
+
+    monkeypatch.setattr(AssignmentGrid, "_combine", counted)
+    cls, vecs = value_classes(VALUE_FAMILY, grids)
+    monkeypatch.undo()
+    assert len(cls) == len(VALUE_FAMILY.matrices)
+    # one class per distinct vector, and each matrix's class holds its vector
+    assert len({tuple(vec) for vec in vecs}) == len(vecs) == len(set(cls))
+    for phi, c in zip(VALUE_FAMILY.matrices, cls):
+        assert vecs[c] == [v for grid in grids for v in grid.values(phi)]
+    # each connective meets each pair of operand classes once per run of tables
+    triples = {(kind, cls[i], cls[j]) for kind, i, j in VALUE_FAMILY.program if kind}
+    assert len(calls) == len(triples) * _runs(grids)
+    return cls, vecs
+
+
+@st.composite
+def grid_lists(draw):
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        chain = CHAINS[draw(st.sampled_from(sorted(CHAINS)))]
+        s = _structure(draw, chain, tuple(f"d{i}" for i in range(draw(st.integers(1, 3)))))
+        grids.append(AssignmentGrid(s, draw(st.permutations(("x1", "x2")))))
+    return grids
+
+
+@settings(max_examples=30, deadline=None)
+@given(grids=grid_lists())
+def test_value_classes_intern_every_grid_and_combine_each_class_triple_once(grids):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_value_classes(grids, monkeypatch)
+
+
+def test_value_classes_combine_each_chain_with_its_own_tables(monkeypatch):
+    source, target = cross_chain_case(1, "godel3", "twin")[1:]
+    grids = [AssignmentGrid(source, ("x1", "x2")), AssignmentGrid(target, ("x1", "x2"))]
+    cls, vecs = _check_value_classes(grids, monkeypatch)
+    assert _runs(grids) == 2 and max(v for vec in vecs for v in vec) == CHAINS["godel3"].top
+
+
+if __name__ == "__main__":
+    for case in CROSS_CASES:
+        print(f"    {case}: {cross_chain_verdict(*case)!r},")
