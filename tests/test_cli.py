@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from gradedmt import algebra, parser, preservation
 from gradedmt.cli import main
 from gradedmt.corpus import data_dir
 
@@ -373,3 +375,40 @@ def test_check_chain_names_the_separator_of_a_non_elementary_inclusion(capsys, t
     err = capsys.readouterr().err
     assert code == 2
     assert "forall x1 x2 . exists x3 . x1 ~ x3 <-> x2 ~ x3 at parameters ()" in err
+
+
+def _lowered_substructures(original):
+    """Substructures with their first predicate entry dropped to the bottom."""
+    def enumerate_substructures(s, *args):
+        for small in original(s, *args):
+            name = min(small.predicates)
+            table = dict(small.predicates[name])
+            table[min(table)] = 0
+            yield replace(small, predicates={**small.predicates, name: table})
+    return enumerate_substructures
+
+
+def _unparenthesised(original):
+    return lambda text, prec, outer: text
+
+
+def _one_residuum_entry_off(original):
+    def derive_residuum(elements, star):
+        table = [list(row) for row in original(elements, star)]
+        table[-1][0] = (table[-1][0] + 1) % len(elements)
+        return table
+    return derive_residuum
+
+
+@pytest.mark.parametrize("suite, target, name, fault", [
+    ("los-tarski-lemma", preservation, "enumerate_substructures", _lowered_substructures),
+    ("counterexample", preservation, "enumerate_substructures", _lowered_substructures),
+    ("parser-roundtrip", parser, "_wrap", _unparenthesised),
+    ("algebra-soundness", algebra, "derive_residuum", _one_residuum_entry_off),
+])
+def test_suite_fails_on_a_seeded_fault(monkeypatch, capsys, suite, target, name, fault):
+    code, payload = run_json(capsys, "verify", "--suite", suite, "--instances", "20")
+    assert code == 0 and payload["report"]["ok"]
+    monkeypatch.setattr(target, name, fault(getattr(target, name)))
+    code, payload = run_json(capsys, "verify", "--suite", suite, "--instances", "20")
+    assert code == 1 and payload["report"]["ok"] is False

@@ -83,12 +83,42 @@ CASES = {
         "universal-consequences", "--theory", _data("weighted_graph.thy"),
         "--algebra", _data("godel3.json"), "--max-domain", "2",
     ],
+    "eval-sentence": ["eval", "--structure", _data("structure_m.json"), "--formula", "forall x . P(x)"],
+    "eval-bound": [
+        "eval", "--structure", _data("path3.json"), "--formula", "exists y . R(x, y)", "--bind", "x=n0",
+    ],
+    "classify-forall-exists": [
+        "classify", "--formula", "forall x . exists y . (R(x, y) -> val(1/2))", "--labels", "1/2",
+    ],
+    "check-sub-holds": ["check-sub", "--sub", _data("edgeless2.json"), "--super", _data("edgeless3.json")],
+    "check-sub-fails": ["check-sub", "--sub", _data("edgeless3.json"), "--super", _data("path3.json")],
+    "enum-subs-path3": ["enum-subs", "--structure", _data("path3.json")],
+    "find-hom-free-algebra-map": [
+        "find-hom", "--source", _data("path3.json"), "--target", _data("triangle.json"), "--free-algebra-map",
+    ],
+    "find-embed-found": ["find-embed", "--source", _data("edgeless2.json"), "--target", _data("edgeless3.json")],
+    "find-embed-none": ["find-embed", "--source", _data("path3.json"), "--target", _data("edgeless3.json")],
+    "diagram-diag-connectives": [
+        "diagram", "--structure", _data("edgeless2.json"), "--connective-depth", "1",
+    ],
+    "diagram-eldiag": ["diagram", "--kind", "eldiag", "--structure", _data("edgeless2.json")],
+    "equiv-base-language": [
+        "equiv", "--left", _data("structure_m.json"), "--right", _data("structure_n.json"),
+    ],
+    "equiv-truth-constants": [
+        "equiv", "--left", _data("structure_m.json"), "--right", _data("structure_n.json"),
+        "--truth-constants",
+    ],
+    "union-chain": ["union", "--chain", CHAIN],
+    "counterexample": ["counterexample"],
     # fixed suites: they ignore --seed and --instances
     "verify-bounded-consequence": ["verify", "--suite", "bounded-consequence"],
     "verify-cor1-equivalence": ["verify", "--suite", "cor1-equivalence"],
+    "verify-counterexample": ["verify", "--suite", "counterexample"],
+    "verify-algebra-soundness": ["verify", "--suite", "algebra-soundness"],
 }
 for _seed in range(3):
-    for _suite in ("amalgamation", "unions-chain-lemma", "los-tarski-lemma"):
+    for _suite in ("amalgamation", "unions-chain-lemma", "los-tarski-lemma", "parser-roundtrip"):
         CASES[f"verify-{_suite}-{_seed}"] = ["verify", "--suite", _suite, "--seed", str(_seed)]
     # the control's report lists every violation: 0.5 MB a seed at the default 50 instances
     CASES[f"verify-exists-negative-control-{_seed}"] = [
