@@ -135,8 +135,7 @@ def check_tarski_vaught(
     cls, vecs = value_classes(family, grids)
     tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
     n = len(tuples)
-    # read from the cell numbers themselves, `value_at` gives each tuple's union cell
-    cells = [n + grids[-1].value_at(range(grids[-1].size), dict(zip(variables, tup))) for tup in tuples]
+    cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]  # each tuple's union cell
     report.quantifier_free_checked = n * len(cls)
     bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
     differing = [k for k, c in enumerate(cls) if c in bad]

@@ -54,8 +54,8 @@ def bounded_consequence(
             s = block.at(index)
             if not is_model(theory, s).ok or eval_formula(phi, s) == chain.top:
                 raise InternalError("structure planes and evaluator disagree on a countermodel")
-            return ConsequenceResult(False, s, block.offset + index + 1, max_domain)
-    return ConsequenceResult(True, None, sum(block.count for block in blocks), max_domain)
+            return ConsequenceResult(False, s, block.position(index) + 1, max_domain)
+    return ConsequenceResult(True, None, blocks.size, max_domain)
 
 
 @dataclass(frozen=True)

@@ -268,13 +268,12 @@ def cor1_sweep(chain, sig, max_source_size: int, max_target_size: int,
     report = SweepReport()
     sources = structure_space(sig, chain, max_source_size, budget=budget)
     targets = structure_space(sig, chain, max_target_size, "t", budget)
-    total = sum(b.count for b in targets)
-    check_budget(sum(b.count for b in sources) * total, "diagram sweep", budget)
+    check_budget(sources.size * targets.size, "diagram sweep", budget)
     classes = []  # (representative, bitset over the target stream) per class of targets
     for block in targets:
         members: dict = {}
         for i, least in enumerate(block.orbit_map()):
-            members[least] = members.get(least, 0) | 1 << block.offset + i
+            members[least] = members.get(least, 0) | 1 << block.position(i)
         classes += [(block.at(r), bits) for r, bits in members.items()]
     algebra = [identity_map(chain)]
     for block in sources:
@@ -287,15 +286,14 @@ def cor1_sweep(chain, sig, max_source_size: int, max_target_size: int,
                                     if _first_map(rep, t, algebra, entries, True) is not None)
             source, e = block.at(i), embeds[least]
             diagram = build_diagram(source, DIAG, bounds)
-            d = sum(_diagram_side(b, diagram) << b.offset for b in targets)
-            report.instances += total
+            d = targets.bits(lambda b: _diagram_side(b, diagram))
+            report.instances += targets.size
             report.both_true += (d & e).bit_count()
             differ = d ^ e
             while differ:
                 j = (differ & -differ).bit_length() - 1
                 differ ^= 1 << j
-                t = next(b for b in targets if j < b.offset + b.count)
-                report.disagreements.append((source, t.at(j - t.offset), bool(d >> j & 1), bool(e >> j & 1)))
+                report.disagreements.append((source, targets.at(j), bool(d >> j & 1), bool(e >> j & 1)))
     report.agreements = report.instances - len(report.disagreements)
     report.both_false = report.agreements - report.both_true
     return report

@@ -22,7 +22,7 @@ pass and names each distinct value vector once, as a class id.
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, count, islice, permutations, product
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -280,6 +280,10 @@ class Fragment:
                      else (type(phi), pos[id(phi.left)], pos[id(phi.right)])
                      if isinstance(phi, _CONNECTIVES) else (None, 0, 0) for phi in self.matrices)
 
+    def prefix(self, n: int) -> "Fragment":
+        """The first n matrices, a family of their own: operands come first."""
+        return Fragment(list(zip(self.matrices[:n], self.free[:n])))
+
     def stream(self, steps) -> Iterator[tuple[Formula, tuple, tuple]]:
         """(matrix, prefix, params) for each (quantifiable, target) step in
         turn, as `prenex_candidates` wraps them; a (prefix, params) pair a
@@ -518,12 +522,12 @@ class AssignmentGrid:
             self._folds[key] = out
         return out
 
+    def cell(self, assignment) -> int:
+        """The cell of the assignment; a grid variable it leaves out reads as the first element."""
+        return sum(self._dom_pos[assignment[v]] * self.strides[v] for v in self.variables if v in assignment)
+
     def value_at(self, values: list[int], assignment) -> int:
-        idx = 0
-        for v in self.variables:
-            if v in assignment:
-                idx += self._dom_pos[assignment[v]] * self.strides[v]
-        return values[idx]
+        return values[self.cell(assignment)]
 
 
 def value_classes(family: Fragment, grids: Sequence[AssignmentGrid]) -> tuple[list[int], list[list[int]]]:
@@ -568,26 +572,38 @@ def value_classes(family: Fragment, grids: Sequence[AssignmentGrid]) -> tuple[li
 
 
 class StructureBlock:
-    """The structures of one domain size and constant assignment; structure
-    i has value (i // k**(n-1-s)) % k at slot s of n.  `planes` evaluates a
-    formula in all of them at once, as k Python ints whose bit i says "value
-    >= v in structure i" (plane 0 is every structure): a third driver of the
-    chain tables, where and/or and the quantifiers are AND and OR of planes
-    and the other connectives combine one-hot planes through the tables."""
+    """The structures over one domain with one constant assignment, the
+    entries of `base` (a structure on part of the domain) pinned.  The free
+    slots are the other predicate entries, in sorted-predicate, `product`
+    order, and structure i has value (i // k**(n-1-s)) % k at free slot s of
+    n.  `planes` evaluates a formula in all of them at once, as k Python ints
+    whose bit i says "value >= v in structure i" (plane 0 is every
+    structure): a third driver of the chain tables, where and/or and the
+    quantifiers are AND and OR of planes and the other connectives combine
+    one-hot planes through the tables.  A pinned slot has constant planes."""
 
-    def __init__(self, sig, chain, domain, slots, constants, offset, planes):
-        self.sig, self.chain, self.domain, self.slots, self.offset = sig, chain, domain, slots, offset
+    def __init__(self, sig, chain, domain, constants, planes, base: Structure | None = None):
+        self.sig, self.chain, self.domain = sig, chain, domain
+        self.pinned = {} if base is None else {(p, args): v for p, table in base.predicates.items()
+                                               for args, v in table.items()}
+        self.slots = [(p, args) for p in sorted(sig.predicates)
+                      for args in product(domain, repeat=sig.predicates[p]) if (p, args) not in self.pinned]
         self.functions = {c: {(): v} for c, v in constants}
         self.env = {App(c): v for c, v in constants}  # term -> element, for `planes`
-        self.count = chain.size ** len(slots)
-        self.all = (1 << self.count) - 1
+        self.fixed = {v for _, v in constants}.union(base.domain if base else ())  # kept by `orbit_map`
+        self.count = chain.size ** len(self.slots)
+        self.offset = 0  # set by the `StructureStream` that holds the block
         self._tables = _connective_tables(chain.star, chain.implies)
         self._slot_planes = planes  # shared by the blocks of one domain size
 
+    @cached_property
+    def all(self) -> int:
+        return (1 << self.count) - 1
+
     def structure(self, values) -> Structure:
-        """The structure with these slot values: the digits of its index."""
+        """The structure with these free-slot values: the digits of its index."""
         predicates: dict = {p: {} for p in sorted(self.sig.predicates)}
-        for (p, args), v in zip(self.slots, values):
+        for (p, args), v in [*self.pinned.items(), *zip(self.slots, values)]:
             predicates[p][args] = v
         return Structure(chain=self.chain, sig=self.sig, domain=self.domain,
                          predicates=predicates, functions=self.functions)
@@ -596,22 +612,29 @@ class StructureBlock:
         k, n = self.chain.size, len(self.slots)
         return self.structure([index // k ** (n - 1 - s) % k for s in range(n)])
 
+    def __iter__(self) -> Iterator[Structure]:
+        return map(self.structure, product(range(self.chain.size), repeat=len(self.slots)))
+
+    def position(self, index: int) -> int:
+        """Structure `index`'s position in the stream that holds the block."""
+        return self.offset + index
+
     def orbit_map(self) -> list[int]:
         """Entry i is the least index of a structure that a relabelling of the
-        domain fixing the constants makes of structure i: the canonical member
-        of its class (McKay 1998).  Images are built one slot digit at a time."""
+        domain fixing the constants and the pinned elements makes of structure
+        i: the canonical member of its class (McKay 1998).  Images are built
+        one slot digit at a time."""
         k, n = self.chain.size, len(self.slots)
         weight = {slot: k ** (n - 1 - s) for s, slot in enumerate(self.slots)}
-        fixed = [table[()] for table in self.functions.values()]
+        free = [d for d in self.domain if d not in self.fixed]
         least = list(range(self.count))
-        for image in permutations(self.domain):
-            pi = dict(zip(self.domain, image))
-            if all(pi[c] == c for c in fixed):
-                index = [0]
-                for slot in self.slots:
-                    w = weight[_relabelled_slot(slot, pi)]
-                    index = [x + d * w for x in index for d in range(k)]
-                least = list(map(min, least, index))
+        for image in permutations(free):
+            pi = {**{d: d for d in self.domain}, **dict(zip(free, image))}
+            index = [0]
+            for slot in self.slots:
+                w = weight[_relabelled_slot(slot, pi)]
+                index = [x + d * w for x in index for d in range(k)]
+            least = list(map(min, least, index))
         return least
 
     def models(self, theory: Sequence[Formula]) -> int:
@@ -637,25 +660,27 @@ class StructureBlock:
             return self._combine(Not, self.planes(phi.body, env))
         if isinstance(phi, _CONNECTIVES):
             return self._combine(type(phi), self.planes(phi.left, env), self.planes(phi.right, env))
-        k = self.chain.size
         try:
             if isinstance(phi, Atom):
                 if phi.name not in self.sig.predicates:
                     raise SignatureError(f"structure does not interpret predicate {phi.name!r}")
                 return self._slot((phi.name, tuple(env[t] for t in phi.args)))
             if isinstance(phi, Eq):
-                c = k - 1 if env[phi.left] == env[phi.right] else 0
-            elif isinstance(phi, Val):
-                c = _truth_constant_index(self.chain, phi.label)
-            else:
-                raise TypeError(f"not a formula: {phi!r}")
+                return self._constant(self.chain.size - 1 if env[phi.left] == env[phi.right] else 0)
+            if isinstance(phi, Val):
+                return self._constant(_truth_constant_index(self.chain, phi.label))
+            raise TypeError(f"not a formula: {phi!r}")
         except KeyError as err:
             raise SignatureError(f"structure does not interpret term {err}") from None
-        return [self.all] * (c + 1) + [0] * (k - 1 - c)
+
+    def _constant(self, c: int) -> list[int]:
+        return [self.all] * (c + 1) + [0] * (self.chain.size - 1 - c)
 
     def _slot(self, slot) -> list[int]:
         planes = self._slot_planes.get(slot)
-        if planes is None:
+        if planes is None and slot in self.pinned:
+            planes = self._slot_planes[slot] = self._constant(self.pinned[slot])
+        elif planes is None:
             k = self.chain.size
             stride = k ** (len(self.slots) - 1 - self.slots.index(slot))
             planes = [self.all]
@@ -691,32 +716,71 @@ def _relabelled_slot(slot, pi: dict):
     return slot[0], tuple(pi[a] for a in slot[1])
 
 
+class StructureStream(tuple):
+    """Blocks read in turn as one stream of `size` structures: a block's
+    structure i sits at stream position `block.position(i)`, and a bitset
+    over the stream holds each block's bits from the block's offset on."""
+
+    def __new__(cls, blocks: Iterable[StructureBlock]):
+        self = super().__new__(cls, blocks)
+        self.size = 0
+        for block in self:
+            block.offset, self.size = self.size, self.size + block.count
+        return self
+
+    def at(self, position: int) -> Structure:
+        """The structure at this stream position."""
+        block = next(b for b in self if position < b.offset + b.count)
+        return block.at(position - block.offset)
+
+    def bits(self, of_block) -> int:
+        """One bitset over the stream from `of_block(block)`, each block's own bitset."""
+        return sum(of_block(block) << block.offset for block in self)
+
+
+def _check_relational(sig: Signature) -> None:
+    if not sig.is_relational_with_constants():
+        raise SignatureError("structure enumeration needs a relational-plus-constants signature")
+
+
 def structure_space(sig: Signature, chain, max_size: int, label_prefix: str = "d",
-                    budget: int | None = None) -> list[StructureBlock]:
+                    budget: int | None = None) -> StructureStream:
     """All structures with domains d0..d(m-1) for m = 1..max_size, as blocks
     in canonical order (constants outer, predicate tables lexicographic
     inside), so countermodels are deterministic.  The signature must be
     relational plus constants."""
-    if not sig.is_relational_with_constants():
-        raise SignatureError("structure enumeration needs a relational-plus-constants signature")
+    _check_relational(sig)
     constants, k = sig.constants(), chain.size
     check_budget(sum(m ** len(constants) * k ** sum(m**a for a in sig.predicates.values())
                      for m in range(1, max_size + 1)), "structure enumeration", budget)
     blocks: list[StructureBlock] = []
     for m in range(1, max_size + 1):
         domain = tuple(f"{label_prefix}{i}" for i in range(m))
-        slots = [(p, args) for p in sorted(sig.predicates)
-                 for args in product(domain, repeat=sig.predicates[p])]
         planes: dict = {}
         for values in product(domain, repeat=len(constants)):
-            offset = blocks[-1].offset + blocks[-1].count if blocks else 0
-            blocks.append(StructureBlock(sig, chain, domain, slots, tuple(zip(constants, values)),
-                                         offset, planes))
-    return blocks
+            blocks.append(StructureBlock(sig, chain, domain, tuple(zip(constants, values)), planes))
+    return StructureStream(blocks)
+
+
+def _fresh_labels(existing: Sequence[str], how_many: int) -> list[str]:
+    labels = (f"w{i}" for i in count())
+    return list(islice((label for label in labels if label not in existing), how_many))
+
+
+def extension_space(base: Structure, max_size: int) -> StructureStream:
+    """The structures extending `base` by fresh elements w0, w1, ... up to
+    max_size elements, smallest first: one block per size, with the tables
+    of `base` pinned and the entries that touch a fresh element free."""
+    _check_relational(base.sig)
+    constants = tuple((c, base.functions[c][()]) for c in base.sig.constants())
+    return StructureStream(
+        StructureBlock(base.sig, base.chain, base.domain + tuple(_fresh_labels(base.domain, extra)),
+                       constants, {}, base)
+        for extra in range(max_size - base.size + 1))
 
 
 def enumerate_structures(sig: Signature, chain, max_size: int, label_prefix: str = "d",
                          budget: int | None = None) -> Iterator[Structure]:
     """The structures of `structure_space`, one at a time, in its order."""
     for block in structure_space(sig, chain, max_size, label_prefix, budget):
-        yield from map(block.structure, product(range(chain.size), repeat=len(block.slots)))
+        yield from block

@@ -149,7 +149,7 @@ def first_transfer_failure(family, grid_s, grid_t, triples, f, g, tuples, meter=
     params) triple is decided once.  Returns (triples checked, separator,
     source tuple) after replaying the separator through `eval_formula`, or
     (checked, None, None)."""
-    _check_signatures_match(grid_s.structure, grid_t.structure)  # both grids evaluate the whole family
+    _check_signatures_match(grid_s.structure, grid_t.structure)  # both grids evaluate the family
     top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
     cls, vecs = value_classes(family, [grid_s, grid_t])
     pos, n = family.positions, grid_s.size
@@ -165,10 +165,9 @@ def first_transfer_failure(family, grid_s, grid_t, triples, f, g, tuples, meter=
             continue
         row = cells.get(params)
         if row is None:
-            row = cells[params] = [
-                (tup, grid_s.value_at(range(grid_s.size), dict(zip(params, tup))),
-                 grid_t.value_at(range(grid_t.size), {p: g[d] for p, d in zip(params, tup)}))
-                for tup in tuples(params)]
+            row = cells[params] = [(tup, grid_s.cell(dict(zip(params, tup))),
+                                    grid_t.cell({p: g[d] for p, d in zip(params, tup)}))
+                                   for tup in tuples(params)]
         vs = grid_s.fold_prefix(vecs[c][:n], prefix)
         vt = bad = None
         if f is None:  # the target is folded only under a top source cell

@@ -11,14 +11,14 @@ with every report; running out of room is inconclusive, not a refutation.
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import count, islice, product
+from itertools import islice, product
 from typing import Mapping, Sequence
 
 from .algebra import enumerate_mtl_chains
 from .budget import BudgetMeter
 from .chains import StructureChain, check_tarski_vaught, union_of_chain, validate_chain_of_structures
 from .errors import FormatError, PreconditionError, SignatureError
-from .generation import AssignmentGrid, fragment, prenex_formula, structure_space
+from .generation import AssignmentGrid, extension_space, fragment, prenex_formula, structure_space
 from .morphisms import (
     StructureMap,
     enumerate_substructures,
@@ -102,6 +102,9 @@ def implies_exists_n(
     qvars, pvars, family = _family(left.sig, left.chain, len(params), bounds)
     assignment = dict(zip(pvars, params))
     triples = islice(family.stream([(qvars, PrenexClass(EXISTS, n))]), bounds.max_candidates)
+    if bounds.max_candidates is not None:  # a capped stream reaches only a prefix of the family
+        triples = list(triples)
+        family = family.prefix(1 + max((family.positions[id(m)] for m, _, _ in triples), default=-1))
     checked, separator, tup = first_transfer_failure(
         family, AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
         triples, None, dict(zip(params, params)), lambda slots: [tuple(assignment[p] for p in slots)],
@@ -217,18 +220,26 @@ def universal_consequences_bounded(
     sentence is evaluated on every such block at once."""
     models = [(block, block.models(theory))
               for block in structure_space(sig, chain, max_domain, budget=bounds.budget)]
-    qvars, _, family = _family(sig, chain, 0, bounds)
-    out = []
-    checked = 0
-    for matrix, prefix, _ in family.stream([(qvars, PrenexClass(FORALL, 1))]):
-        if not prefix:  # Forall(1) admits no other lead; skip quantifier-free
-            continue
-        if bounds.max_candidates is not None and checked >= bounds.max_candidates:
-            break
-        checked += 1
-        phi = prenex_formula(matrix, prefix)
-        if not any(bits & ~block.planes(phi)[-1] for block, bits in models if bits):
-            out.append(phi)
+    return [phi for phi in _sentences(sig, chain, FORALL, 1, bounds)
+            if not any(bits & ~block.planes(phi)[-1] for block, bits in models if bits)]
+
+
+_SENTENCE_CACHE: dict = {}
+
+
+def _sentences(sig: Signature, chain, lead: str, blocks: int, bounds: FormulaBounds) -> list[Formula]:
+    """The first `bounds.max_candidates` sentences of the family stream whose
+    prefix leads with `lead` within `blocks` blocks, built once per key and
+    shared by every caller, so never mutated."""
+    key = (tuple(sorted(sig.predicates.items())), tuple(sorted(sig.functions.items())),
+           sig.truth_constants, chain.elements, lead, blocks, bounds)
+    out = _SENTENCE_CACHE.get(key)
+    if out is None:
+        qvars, _, family = _family(sig, chain, 0, bounds)
+        stream = family.stream([(qvars, PrenexClass(lead, blocks))])
+        out = _SENTENCE_CACHE[key] = list(islice((
+            prenex_formula(matrix, prefix) for matrix, prefix, params in stream
+            if prefix and prefix[0][0] == lead and not params), bounds.max_candidates))
     return out
 
 
@@ -305,38 +316,6 @@ class AmalgamResult:
         return self.status == "found"
 
 
-def _fresh_labels(existing: Sequence[str], how_many: int) -> list[str]:
-    labels = (f"w{i}" for i in count())
-    return list(islice((label for label in labels if label not in existing), how_many))
-
-
-def _extensions_of(base: Structure, extra: int, budget_meter: BudgetMeter):
-    """All structures extending `base` by `extra` fresh elements, predicate
-    entries on new tuples enumerated lexicographically."""
-    fresh = _fresh_labels(base.domain, extra)
-    domain = tuple(base.domain) + tuple(fresh)
-    k = base.chain.size
-    slots = []
-    for name in sorted(base.sig.predicates):
-        arity = base.sig.predicates[name]
-        for args in product(domain, repeat=arity):
-            if any(a in fresh for a in args):
-                slots.append((name, args))
-    for values in product(range(k), repeat=len(slots)):
-        budget_meter.tick()
-        predicates = {name: dict(table) for name, table in base.predicates.items()}
-        for (name, args), v in zip(slots, values):
-            predicates[name][args] = v
-        yield Structure(
-            chain=base.chain,
-            sig=base.sig,
-            domain=domain,
-            predicates=predicates,
-            functions=base.functions,
-            name="amalgam-candidate",
-        )
-
-
 def universal_transport_ok(
     g: Mapping[str, str],
     source: Structure,
@@ -364,9 +343,10 @@ def search_amalgam(
     """Bounded certificate search for the amalgamation statements.
 
     Verifies the existential-transfer precondition first (a failure is a
-    precondition error carrying the separating sentence).  Candidates
-    extend the right structure by fresh elements, smallest first; the
-    left structure must embed strongly (for n = 2 additionally
+    precondition error carrying the separating sentence).  Candidates are
+    the extension blocks of the right structure (`extension_space`), read
+    in stream order: smallest first, tables on new tuples lexicographic.
+    The left structure must embed strongly (for n = 2 additionally
     preserving generated one-block universal formulas), agreeing with
     the identity on the common part, and the right inclusion must verify
     as elementary to `depth`.  Exhausting the size bound is reported as
@@ -379,52 +359,27 @@ def search_amalgam(
         raise SignatureError("amalgam search needs relational-plus-constants signatures")
     pre = implies_exists_n(left, right, instance.shared_labels, n, bounds)
     if not pre.ok:
-        raise PreconditionError(
-            "existential transfer fails: "
-            f"{render_formula(pre.separator)} holds on the left only",
-            witness=pre,
-        )
-    if max_size < right.size:
-        return AmalgamResult("none-within-bounds", n=n, precondition=pre)
+        raise PreconditionError(f"existential transfer fails: {render_formula(pre.separator)} "
+                                "holds on the left only", witness=pre)
     agreement = {d: d for d in instance.shared_labels}
     meter = BudgetMeter("amalgam candidates", bounds.budget)
     tried = 0
-    for extra in range(0, max_size - right.size + 1):
-        for candidate in _extensions_of(right, extra, meter):
+    for block in extension_space(right, max_size):
+        for candidate in block:
+            meter.tick()
             tried += 1
-            extra_filter = None
-            if n == 2:
-                extra_filter = lambda alg, g: universal_transport_ok(
-                    g, left, candidate, bounds
-                )
-            left_map = search_structure_map(
-                left,
-                candidate,
-                fix_algebra_identity=True,
-                injective=True,
-                agreement=agreement,
-                extra_filter=extra_filter,
-                budget=bounds.budget,
-            )
+            transport = None if n == 1 else lambda alg, g: universal_transport_ok(g, left, candidate, bounds)
+            left_map = search_structure_map(left, candidate, injective=True, agreement=agreement,
+                                            extra_filter=transport, budget=bounds.budget)
             if left_map is None:
                 continue
             right_incl = inclusion_map(right, candidate)
             sub = is_substructure(right, candidate)
-            elem = is_elementary_up_to_depth(
-                right_incl, right, candidate, depth, matrix_depth=bounds.matrix_depth,
-                budget=bounds.budget,
-            )
+            elem = is_elementary_up_to_depth(right_incl, right, candidate, depth,
+                                             matrix_depth=bounds.matrix_depth, budget=bounds.budget)
             if sub.ok and elem.ok:
-                return AmalgamResult(
-                    "found",
-                    amalgam=candidate,
-                    left_map=left_map,
-                    right_map=right_incl,
-                    candidates_tried=tried,
-                    elementary_depth=depth,
-                    n=n,
-                    precondition=pre,
-                )
+                return AmalgamResult("found", replace(candidate, name="amalgam-candidate"), left_map,
+                                     right_incl, tried, depth, n, pre)
     return AmalgamResult("none-within-bounds", candidates_tried=tried, n=n, precondition=pre)
 
 
@@ -537,25 +492,8 @@ def _random_structure(rnd: random.Random, chain, sig: Signature, max_domain: int
     return Structure(chain=chain, sig=sig, domain=domain, predicates=predicates)
 
 
-_SENTENCE_CACHE: dict = {}
-
-
-def _suite_sentences(chain, lead: str, blocks: int, bounds: FormulaBounds, licensed: bool = True):
-    key = (chain.elements, lead, blocks, bounds.matrix_depth, bounds.num_vars,
-           bounds.max_candidates, licensed)
-    if key in _SENTENCE_CACHE:
-        return _SENTENCE_CACHE[key]
-    sig = expand_with_truth_constants(_SUITE_SIG, chain) if licensed else _SUITE_SIG
-    qvars, _, family = _family(sig, chain, 0, bounds)
-    out = []
-    for matrix, prefix, params in family.stream([(qvars, PrenexClass(lead, blocks))]):
-        if not prefix or prefix[0][0] != lead or params:
-            continue
-        out.append(prenex_formula(matrix, prefix))
-        if bounds.max_candidates is not None and len(out) >= bounds.max_candidates:
-            break
-    _SENTENCE_CACHE[key] = out
-    return out
+def _suite_sentences(chain, lead: str, blocks: int, bounds: FormulaBounds) -> list[Formula]:
+    return _sentences(expand_with_truth_constants(_SUITE_SIG, chain), chain, lead, blocks, bounds)
 
 
 def substructure_preservation_suite(

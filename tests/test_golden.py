@@ -94,9 +94,12 @@ CASES = {
     "check-sub-fails": ["check-sub", "--sub", _data("edgeless3.json"), "--super", _data("path3.json")],
     "enum-subs-path3": ["enum-subs", "--structure", _data("path3.json")],
     "find-hom-free-algebra-map": [
-        "find-hom", "--source", _data("path3.json"), "--target", _data("triangle.json"), "--free-algebra-map",
+        "find-hom", "--source", _data("path3.json"), "--target", _data("triangle.json"),
+        "--free-algebra-map",
     ],
-    "find-embed-found": ["find-embed", "--source", _data("edgeless2.json"), "--target", _data("edgeless3.json")],
+    "find-embed-found": [
+        "find-embed", "--source", _data("edgeless2.json"), "--target", _data("edgeless3.json"),
+    ],
     "find-embed-none": ["find-embed", "--source", _data("path3.json"), "--target", _data("edgeless3.json")],
     "diagram-diag-connectives": [
         "diagram", "--structure", _data("edgeless2.json"), "--connective-depth", "1",

@@ -215,6 +215,24 @@ def test_amalgam_inconclusive_is_not_refutation(b2):
     assert result.amalgam is None
 
 
+def test_amalgam_right_side_with_a_proper_function_is_an_input_error(b2, tmp_path, capsys):
+    from gradedmt.cli import main
+    from gradedmt.errors import GradedmtError
+    from gradedmt.files import save_structure
+
+    left, edgeless = corpus.edgeless2(), corpus.edgeless3()
+    sig = Signature(predicates={"R": 2}, functions={"f": 1})
+    right = Structure(chain=b2, sig=sig, domain=edgeless.domain, predicates=edgeless.predicates,
+                      functions={"f": {(d,): d for d in edgeless.domain}})
+    with pytest.raises(GradedmtError):
+        search_amalgam(AmalgamInstance(left=left, right=right), 1, 4)
+    save_structure(right, tmp_path / "right.json")
+    argv = ["amalgamate", "--left", str(corpus.data_dir() / "edgeless2.json"),
+            "--right", str(tmp_path / "right.json"), "--n", "1", "--max-size", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_amalgam_instance_validation(b2):
     sig = Signature(predicates={"P": 1})
     left = Structure(chain=b2, sig=sig, domain=("m",), predicates={"P": {("m",): 1}})
@@ -316,6 +334,19 @@ def test_suite_sentences_classify_within_target():
     for lead, blocks in ((FORALL, 1), (FORALL, 2)):
         for phi in _suite_sentences(chain, lead, blocks, FormulaBounds(max_candidates=40)):
             assert classify_prenex(phi).within(PrenexClass(lead, blocks))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7])
+def test_fragment_suites_read_one_sentence_list(cap):
+    from gradedmt.preservation import _SUITE_SIG, _suite_sentences
+    from gradedmt.syntax import FORALL, Val
+
+    chain, bounds = corpus.godel3(), FormulaBounds(max_candidates=cap)
+    sentences = _suite_sentences(chain, FORALL, 1, bounds)
+    assert len(sentences) == cap
+    # a theory without models has every candidate sentence as a consequence
+    sig = expand_with_truth_constants(_SUITE_SIG, chain)
+    assert universal_consequences_bounded([Val("0")], sig, chain, 1, bounds) == sentences
 
 
 def test_exists_flow_replay_disagreement_raises(monkeypatch, g4, sig_p):

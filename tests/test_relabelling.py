@@ -3,7 +3,8 @@ permutation (`Structure.rename_domain`) changes no verdict, and changes a
 witness only by the permutation itself.  The orbit enumeration of
 `cor1_sweep` reads one verdict per relabelling class, so it is sound only
 if these hold.  For two structures that share labels, renaming the shared
-labels the same way on both sides changes no verdict either."""
+labels the same way on both sides changes no verdict either; an amalgam
+search then tries as many candidates and finds the renamed amalgam."""
 
 import random
 
@@ -14,7 +15,8 @@ from gradedmt.consequence import bounded_consequence
 from gradedmt.diagrams import DIAG, build_diagram, diagram_embedding_equivalence, diagram_model_exists
 from gradedmt.generation import enumerate_structures
 from gradedmt.morphisms import search_structure_map
-from gradedmt.preservation import implies_exists_n
+from gradedmt.errors import PreconditionError
+from gradedmt.preservation import AmalgamInstance, implies_exists_n, search_amalgam
 from gradedmt.semantics import Structure, eval_formula, is_model
 from gradedmt.syntax import Exists, Forall, Signature, free_variables
 
@@ -153,3 +155,38 @@ def test_existential_transfer_survives_relabelling(seed, chain, sig, n, sizes):
     assert (moved.ok, moved.candidates_checked, moved.separator) == (
         report.ok, report.candidates_checked, report.separator)
     assert moved.params == tuple(pi[d] for d in report.params)
+
+
+def _amalgam_search(instance, n, max_size):
+    try:
+        return search_amalgam(instance, n, max_size, depth=1)
+    except PreconditionError as err:
+        return err.witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2), sizes=st.tuples(st.integers(1, 2), st.integers(0, 1)), **CASE)
+def test_amalgam_search_survives_relabelling(seed, chain, sig, n, sizes):
+    rnd, chain = random.Random(seed), CHAINS[chain]
+    left = _structure(rnd, sig, chain, sizes[0])
+    right = _structure(rnd, sig, chain, sizes[0] + sizes[1])
+    if rnd.random() < 0.5:  # the right side extends the left one, so the transfer holds
+        predicates = {p: {args: left.predicates[p].get(args, v) for args, v in table.items()}
+                      for p, table in right.predicates.items()}
+        right = Structure(chain=chain, sig=sig, domain=right.domain, functions=left.functions,
+                          predicates=predicates)
+    pi = dict(zip(right.domain, rnd.sample(right.domain, right.size)))
+    moved = AmalgamInstance(left=left.rename_domain({d: pi[d] for d in left.domain}),
+                            right=right.rename_domain(pi))
+    result = _amalgam_search(AmalgamInstance(left=left, right=right), n, right.size + 1)
+    again = _amalgam_search(moved, n, right.size + 1)
+    if not hasattr(result, "status"):  # the precondition failed: a transfer report
+        assert (again.ok, again.candidates_checked, again.separator) == (
+            result.ok, result.candidates_checked, result.separator)
+        return
+    assert (again.status, again.candidates_tried) == (result.status, result.candidates_tried)
+    if result.found:
+        fresh = {d: d for d in result.amalgam.domain if d not in right.domain}
+        assert again.amalgam == result.amalgam.rename_domain({**pi, **fresh})
+        assert again.left_map.domain_map == {pi[a]: {**pi, **fresh}[b]
+                                             for a, b in result.left_map.domain_map.items()}

@@ -104,7 +104,8 @@ def _implies_swapped(original):
 
 
 def _levels_from_two(original):
-    return lambda *args, **kwargs: [b for b in original(*args, **kwargs) if len(b.domain) > 1]
+    return lambda *args, **kwargs: generation.StructureStream(
+        b for b in original(*args, **kwargs) if len(b.domain) > 1)
 
 
 @pytest.mark.parametrize("target, name, fault", [

@@ -354,3 +354,29 @@ def test_value_classes_combine_each_chain_with_its_own_tables(monkeypatch):
 if __name__ == "__main__":
     for case in CROSS_CASES:
         print(f"    {case}: {cross_chain_verdict(*case)!r},")
+
+
+def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch):
+    from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
+
+    chain, rnd = TARGET_CHAINS["godel3"], random.Random(3)
+    s = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "c"), predicates={
+        p: {args: rnd.randrange(chain.size) for args in product("abc", repeat=a)}
+        for p, a in SIG_PR.predicates.items()})
+    bounds = FormulaBounds(max_candidates=10)
+    qvars, _, family = _family(SIG_PR, chain, 2, bounds)
+    reached = max(family.positions[id(matrix)] for matrix, _, _ in
+                  islice(family.stream([(qvars, PrenexClass(EXISTS, 1))]), bounds.max_candidates))
+    prefix = family.program[:reached + 1]
+    assert reached + 1 < len(family.matrices)
+    calls = {"_leaf": 0, "_combine": 0}
+    for name in calls:
+        def counted(self, *args, original=getattr(AssignmentGrid, name), name=name):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(AssignmentGrid, name, counted)
+    report = implies_exists_n(s, s, ("a", "b"), 1, bounds)
+    assert report.ok and report.candidates_checked == bounds.max_candidates
+    # each leaf of the prefix once per grid, each connective of it at most once
+    assert calls["_leaf"] == 2 * sum(kind is None for kind, _, _ in prefix)
+    assert calls["_combine"] <= sum(kind is not None for kind, _, _ in prefix)
