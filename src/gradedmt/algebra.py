@@ -197,6 +197,8 @@ def chain_from_dict(data: Mapping) -> FiniteChain:
         star = data["star"]
     except KeyError as missing:
         raise FormatError(f"algebra data lacks required key {missing}")
+    if not isinstance(elements, (list, tuple)):
+        raise FormatError(f"algebra elements must be a list of labels, got {elements!r}")
     elements = tuple(str(e) for e in elements)
     implies = data.get("implies")
     if implies is None:

@@ -10,19 +10,22 @@ Two generators drive every bounded check in the package:
 * a prenex family used for fragment-bounded checks: quantifier-free
   matrices of bounded connective depth, built once per key by `fragment`
   and kept in a small LRU cache, wrapped in alternating quantifier-block
-  prefixes by `Fragment.stream` as (matrix, prefix, params) triples.
+  prefixes by a `StreamPlan` (`Fragment.plan`) as (matrix, prefix, params)
+  triples, each with a stream position computed rather than counted.
 
 Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates formulas at every variable assignment
-at once, a node on demand (`values`), and folds each (value vector, prefix)
-pair once; `value_classes` runs a whole family over several grids in one
-pass and names each distinct value vector once, as a class id.
+at once, a node on demand (`values`), and folds each named vector through
+each prefix suffix once; `value_classes` runs a whole family over several
+grids in one pass and names each distinct value vector once, as a class id.
 """
 
+from bisect import bisect_right
 from collections import OrderedDict
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, count, islice, permutations, product
+from itertools import accumulate, combinations, count, islice, permutations, product
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -123,11 +126,15 @@ class _LevelledPool:
         self.seen.add(phi)
         if len(self.seen) == size:
             return False
+        self.append(phi, level, fv)
+        return True
+
+    def append(self, phi: Formula, level: int, fv: frozenset | None = None) -> None:
+        """Add `phi` unchecked: for a formula new by construction."""
         self.meter.tick()
         while len(self.levels) <= level:
             self.levels.append([])
         self.levels[level].append((phi, frozenset(free_variables(phi)) if fv is None else fv))
-        return True
 
     def binary_combos(self, level: int, sink, closed_only: bool = False):
         """One connective over operands with level sum = level - 1.
@@ -258,53 +265,78 @@ class PrenexCandidate:
 
 class Fragment:
     """Quantifier-free matrices in generation order, each with its free
-    variables.  Shared between callers, so both tuples are read-only."""
+    variables.  Shared between callers, so both tuples are read-only; its
+    plans are kept with it, one per (steps, keep)."""
 
     def __init__(self, entries: Sequence[tuple[Formula, frozenset]]):
         self.matrices = tuple(phi for phi, _ in entries)
         sets: dict = {}  # one object per distinct set: a family has only a few
         self.free = tuple(sets.setdefault(fv, fv) for _, fv in entries)
-
-    @cached_property
-    def positions(self) -> dict:
-        """Each matrix's family position, keyed by node identity."""
-        return {id(phi): i for i, phi in enumerate(self.matrices)}
+        self._plans: dict = {}
 
     @cached_property
     def program(self) -> tuple:
         """Per matrix, (connective, left, right): the family positions of its
         operands, which a built family lists before their uses; a negation
         names its body twice, and an atom is (None, 0, 0)."""
-        pos = self.positions
+        pos = {id(phi): i for i, phi in enumerate(self.matrices)}
         return tuple((Not, pos[id(phi.body)], pos[id(phi.body)]) if isinstance(phi, Not)
                      else (type(phi), pos[id(phi.left)], pos[id(phi.right)])
                      if isinstance(phi, _CONNECTIVES) else (None, 0, 0) for phi in self.matrices)
 
-    def prefix(self, n: int) -> "Fragment":
-        """The first n matrices, a family of their own: operands come first."""
-        return Fragment(list(zip(self.matrices[:n], self.free[:n])))
+    def plan(self, steps, cap: int | None = None, keep=None) -> "StreamPlan":
+        """The (matrix, prefix, params) stream of these (quantifiable, target)
+        steps, cut after `cap` positions; `keep(prefix)`, if given, drops the
+        prefixes it rejects from every row."""
+        key = tuple((tuple(quantifiable), target) for quantifiable, target in steps), keep
+        plan = self._plans.get(key) or self._plans.setdefault(key, StreamPlan(self, *key))
+        if cap is not None and cap < plan.size:
+            plan = copy(plan)
+            plan.size = cap
+        return plan
 
-    def stream(self, steps) -> Iterator[tuple[Formula, tuple, tuple]]:
-        """(matrix, prefix, params) for each (quantifiable, target) step in
-        turn, as `prenex_candidates` wraps them; a (prefix, params) pair a
-        matrix had at an earlier step is skipped.  Which pairs are new
-        depends only on the matrix's free variables: worked out once per set.
-        """
-        rows: dict = {}
-        for fv in set(self.free):
-            seen: set = set()
-            rows[fv] = []
-            for quantifiable, target in steps:
+
+class StreamPlan:
+    """A family's candidate stream, by position.  Each step in turn, matrix
+    by matrix in family order, wraps the matrix in the prefixes new at that
+    step, as `prenex_candidates` does; a (prefix, params) pair the matrix
+    had at an earlier step is skipped.  Which pairs are new depends only on
+    the free variables, so `rows[i]` maps each free set to its (prefixes,
+    params) at step i, and candidate (step i, matrix k, prefix p) sits at
+    `position(i, k, p)`: the step's offset, plus `starts[i][k]`, the row
+    lengths of the matrices before k, plus p (ranking in a known enumeration
+    order; Kreher & Stinson 1999, ch. 2).  Iterating yields the first `size`
+    candidates."""
+
+    def __init__(self, family: Fragment, steps: tuple, keep=None):
+        self.family, self.rows, self.starts, self.offsets = family, [], [], [0]
+        seen: dict = {fv: set() for fv in set(family.free)}  # per free set, the (prefix, params) pairs so far
+        for quantifiable, target in steps:
+            rows = {}
+            for fv, pairs in seen.items():
                 to_bind = tuple(v for v in quantifiable if v in fv)
                 params = tuple(sorted(fv.difference(to_bind)))
-                new = [p for p in _prefixes(to_bind, target) if (p, params) not in seen]
-                seen.update((p, params) for p in new)
-                rows[fv].append((new, params))
-        for i in range(len(steps)):
-            for matrix, fv in zip(self.matrices, self.free):
-                new, params = rows[fv][i]
-                for prefix in new:
-                    yield matrix, prefix, params
+                new = [p for p in _prefixes(to_bind, target) if (p, params) not in pairs]
+                pairs.update((p, params) for p in new)
+                rows[fv] = tuple(p for p in new if keep is None or keep(p)), params
+            lengths = {fv: len(prefixes) for fv, (prefixes, _) in rows.items()}
+            self.rows.append(rows)
+            self.starts.append(list(accumulate(map(lengths.__getitem__, family.free), initial=0)))
+            self.offsets.append(self.offsets[-1] + self.starts[-1][-1])
+        self.size = self.offsets[-1]
+
+    def position(self, i: int, k: int, p: int = 0) -> int:
+        return self.offsets[i] + self.starts[i][k] + p
+
+    def reach(self, end: int) -> int:
+        """How many matrices, in family order, the first `end` positions reach."""
+        return max((bisect_right(self.starts[i], min(end, self.offsets[i + 1]) - 1 - offset)
+                    for i, offset in enumerate(self.offsets[:-1]) if offset < end), default=0)
+
+    def __iter__(self) -> Iterator[tuple[Formula, tuple, tuple]]:
+        return islice(((matrix, prefix, rows[fv][1]) for rows in self.rows
+                       for matrix, fv in zip(self.family.matrices, self.family.free)
+                       for prefix in rows[fv][0]), self.size)
 
 
 _FRAGMENT_CACHE_SIZE = 16
@@ -336,8 +368,8 @@ def _build_fragment(sig, labels, variables, depth, extra_terms, budget) -> Fragm
     pool = _LevelledPool("matrix generation", budget)
     for lit in literals_over(sig, terms, labels):
         pool.push(lit, 0)
-    for level in range(1, depth + 1):
-        pool.binary_combos(level, pool.push)
+    for level in range(1, depth + 1):  # one connective over distinct entries is a new formula
+        pool.binary_combos(level, pool.append)
     return Fragment([entry for bucket in pool.levels for entry in bucket])
 
 
@@ -377,17 +409,17 @@ def prenex_candidates(
     parameter matrices are emitted once, as quantifier-free candidates.
     """
     family = Fragment([(phi, frozenset(free_variables(phi))) for phi in matrices])
-    for triple in family.stream([(quantifiable, target)]):
+    for triple in family.plan([(quantifiable, target)]):
         yield PrenexCandidate(*triple)
 
 
-def elementary_triples(sig, chain_labels, depth, total_vars, matrix_depth=1, extra_terms=(), budget=None):
-    """The family behind `elementary_family` and its (matrix, prefix, params) triples."""
+def elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth=1, extra_terms=(), budget=None):
+    """The plan of `elementary_family`: every split of the pool into
+    parameters and quantified variables, each under both leads."""
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
     steps = [(variables[n:], target) for n in range(total_vars + 1)
              for target in (PrenexClass(FORALL, depth), PrenexClass(EXISTS, depth))]
-    family = fragment(sig, chain_labels, variables, matrix_depth, extra_terms, budget)
-    return family, family.stream(steps)
+    return fragment(sig, chain_labels, variables, matrix_depth, extra_terms, budget).plan(steps)
 
 
 def elementary_family(
@@ -408,8 +440,7 @@ def elementary_family(
     """
     if total_vars is None:
         total_vars = depth + 1
-    for triple in elementary_triples(sig, chain_labels, depth, total_vars, matrix_depth,
-                                     extra_terms, budget)[1]:
+    for triple in elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth, extra_terms, budget):
         yield PrenexCandidate(*triple)
 
 
@@ -429,8 +460,9 @@ class AssignmentGrid:
     demand and caches by node identity, each entry pinning its formula so
     the id stays unique, and `value_classes`, which runs a family's
     `program` over the value classes of several grids at once.
-    `fold_prefix` memoises on the value vector and the prefix, so
-    equal-valued matrices share one fold.
+    `fold_prefix` memoises each single fold on the vector's name (a class
+    id) and the folds before it, innermost first, so equal-valued matrices
+    share their folds, and prefixes that end alike their inner folds.
     The lists `values` and `fold_prefix` return are shared, never mutated.
     """
 
@@ -510,16 +542,19 @@ class AssignmentGrid:
             out += list(map(pick, zip(*columns))) * m
         return out
 
-    def fold_prefix(self, matrix_values: list[int], prefix) -> list[int]:
-        """Apply quantifier blocks, innermost first."""
-        key = (tuple(matrix_values), prefix)
-        out = self._folds.get(key)
-        if out is None:
-            out = matrix_values
-            for kind, part in reversed(prefix):
-                for var in part:
-                    out = self.fold(out, var, kind)
-            self._folds[key] = out
+    def fold_prefix(self, key, matrix_values: list[int], prefix) -> list[int]:
+        """Apply quantifier blocks, innermost first.  `key` names the vector
+        (equal keys, equal vectors), and each single fold is memoised under
+        the key and the folds before it, so prefixes that end alike share
+        their inner folds."""
+        out = matrix_values
+        for kind, part in reversed(prefix):
+            for var in reversed(part):  # a block's order is free, and last bound first shares the most
+                key = key, kind, var
+                hit = self._folds.get(key)
+                if hit is None:
+                    hit = self._folds[key] = self.fold(out, var, kind)
+                out = hit
         return out
 
     def cell(self, assignment) -> int:
@@ -530,12 +565,14 @@ class AssignmentGrid:
         return values[self.cell(assignment)]
 
 
-def value_classes(family: Fragment, grids: Sequence[AssignmentGrid]) -> tuple[list[int], list[list[int]]]:
+def value_classes(family: Fragment, grids: Sequence[AssignmentGrid],
+                  n: int | None = None) -> tuple[list[int], list[list[int]]]:
     """Whole-family driver over value classes: per matrix a class id, and per
     class its values at the cells of each grid in turn.  Leaves and results
     are interned by those values, and `family.program` runs over class ids,
     so each connective meets each pair of operand classes once.  Each run of
-    grids that share a chain is combined with that chain's tables."""
+    grids that share a chain is combined with that chain's tables.  With `n`,
+    only the first n matrices, whose operands all come before them."""
     runs, end = [], 0  # [grid, start, end] per run of grids that share tables
     for g in grids:
         if runs and runs[-1][0]._tables is g._tables:
@@ -554,7 +591,7 @@ def value_classes(family: Fragment, grids: Sequence[AssignmentGrid]) -> tuple[li
             vecs.append(vals)
         return c
 
-    for phi, (kind, i, j) in zip(family.matrices, family.program):
+    for phi, (kind, i, j) in islice(zip(family.matrices, family.program), n):
         if kind is None:
             c = intern([v for g in grids for v in g._leaf(phi)])
         else:

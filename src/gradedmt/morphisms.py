@@ -12,10 +12,10 @@ from itertools import combinations, permutations, product
 from math import perm
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import AlgebraMap, FiniteChain, identity_map, is_algebra_homomorphism
+from .algebra import AlgebraMap, FiniteChain, generated_subalgebra, identity_map, is_algebra_homomorphism
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
-from .generation import AssignmentGrid, elementary_triples, prenex_formula, value_classes
+from .generation import AssignmentGrid, elementary_plan, prenex_formula, value_classes
 from .semantics import Structure, eval_formula
 from .syntax import App, Formula
 
@@ -139,73 +139,78 @@ class ElementarityReport:
         return self.ok
 
 
-def first_transfer_failure(family, grid_s, grid_t, triples, f, g, tuples, meter=None):
-    """First generated formula whose value at a source tuple does not
-    transfer along (f, g) to the image tuple: f must carry the source value
-    to the target value, or with f None a top source value must stay top.
-    `triples` yields (matrix, prefix, params) from `family`, each ticked on
-    `meter` if given; `tuples(params)` lists the source tuples.  Matrices
-    are read as `value_classes` over both grids, and a (class, prefix,
-    params) triple is decided once.  Returns (triples checked, separator,
-    source tuple) after replaying the separator through `eval_formula`, or
-    (checked, None, None)."""
+def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
+    """First candidate of `plan` (a `StreamPlan`) whose value at a source
+    tuple does not transfer along (f, g) to the image tuple: f must carry
+    the source value to the target value, or with f None a top source value
+    must stay top.  `tuples(params)` lists the source tuples.  Matrices are
+    read as `value_classes` over both grids, up to the last one the plan
+    reaches, and folded by class.  A (class, prefix, params) triple fixes
+    the free set, so it is decided once, at the first matrix of its (class,
+    free set) group; groups in order of first matrix hold ascending,
+    disjoint runs of positions, so the first failing triple met is the first
+    failure, and no candidate is read one at a time.
+    `meter` is ticked in bulk with the positions read, at most its limit + 1
+    as single ticks would stop, before any replay through `eval_formula`.
+    Returns (positions checked, separator, source tuple), or (checked, None,
+    None)."""
     _check_signatures_match(grid_s.structure, grid_t.structure)  # both grids evaluate the family
     top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
-    cls, vecs = value_classes(family, [grid_s, grid_t])
-    pos, n = family.positions, grid_s.size
+    transfers = [[b == f[a] if f is not None else a != top_s or b == top_t  # [source value][target value]
+                  for b in range(top_t + 1)] for a in range(top_s + 1)]
+    end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
+    family = plan.family
+    cls, vecs = value_classes(family, [grid_s, grid_t], plan.reach(end))
+    n, m = grid_s.size, len(cls)
+    # each (class, free set) group's first matrix: a reversed dict keeps the least index
+    first = dict(zip(zip(reversed(cls), reversed(family.free[:m])), range(m - 1, -1, -1)))
+    groups = sorted((k, c, fv) for (c, fv), k in first.items())
     cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
-    passed: set = set()  # (class, prefix, params)
-    checked = 0
-    for matrix, prefix, params in triples:
-        if meter is not None:
-            meter.tick()
-        checked += 1
-        c = cls[pos[id(matrix)]]
-        if (c, prefix, params) in passed:
-            continue
+
+    def failure(c, prefix, params):
+        """(source tuple, source value, target value) of the triple's first failing tuple, or None."""
         row = cells.get(params)
         if row is None:
             row = cells[params] = [(tup, grid_s.cell(dict(zip(params, tup))),
                                     grid_t.cell({p: g[d] for p, d in zip(params, tup)}))
                                    for tup in tuples(params)]
-        vs = grid_s.fold_prefix(vecs[c][:n], prefix)
-        vt = bad = None
-        if f is None:  # the target is folded only under a top source cell
-            for tup, i, j in row:
-                if vs[i] == top_s:
-                    if vt is None:
-                        vt = grid_t.fold_prefix(vecs[c][n:], prefix)
-                    if vt[j] != top_t:
-                        bad = tup, i, j
-                        break
-        else:
-            vt = grid_t.fold_prefix(vecs[c][n:], prefix)
-            for tup, i, j in row:
-                if f[vs[i]] != vt[j]:
-                    bad = tup, i, j
-                    break
-        if bad is None:
-            passed.add((c, prefix, params))
-            continue
-        tup, i, j = bad
-        phi = prenex_formula(matrix, prefix)
-        asg = dict(zip(params, tup))
-        if (eval_formula(phi, grid_s.structure, asg) != vs[i]
-                or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != vt[j]):
-            raise InternalError("grid and evaluator disagree")
-        return checked, phi, tup
-    return checked, None, None
+        vs = grid_s.fold_prefix(c, vecs[c][:n], prefix)
+        if f is None and all(vs[i] != top_s for _, i, _ in row):
+            return None  # the target is folded only under a top source cell
+        vt = grid_t.fold_prefix(c, vecs[c][n:], prefix)
+        return next(((tup, vs[i], vt[j]) for tup, i, j in row if not transfers[vs[i]][vt[j]]), None)
+
+    def first_failure():
+        for step, rows in enumerate(plan.rows):
+            for k, c, fv in groups:
+                start = plan.position(step, k)
+                if start >= end:
+                    return None
+                prefixes, params = rows[fv]
+                for p, prefix in enumerate(prefixes[:end - start]):
+                    bad = failure(c, prefix, params)
+                    if bad is not None:
+                        return start + p, k, prefix, params, bad
+        return None
+
+    found = first_failure()
+    checked = end if found is None else found[0] + 1
+    if meter is not None:
+        meter.tick(checked)
+    if found is None:
+        return checked, None, None
+    _, k, prefix, params, (tup, a, b) = found
+    phi = prenex_formula(family.matrices[k], prefix)
+    asg = dict(zip(params, tup))
+    if (eval_formula(phi, grid_s.structure, asg) != a
+            or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != b):
+        raise InternalError("grid and evaluator disagree")
+    return checked, phi, tup
 
 
-def is_elementary_up_to_depth(
-    m: StructureMap,
-    source: Structure,
-    target: Structure,
-    depth: int,
-    matrix_depth: int = 1,
-    total_vars: int | None = None,
-    budget: int | None = None,
-) -> ElementarityReport:
+def is_elementary_up_to_depth(m: StructureMap, source: Structure, target: Structure, depth: int,
+                              matrix_depth: int = 1, total_vars: int | None = None,
+                              budget: int | None = None) -> ElementarityReport:
     """Check value transport for the canonical prenex family to `depth`.
 
     Every generated formula with up to `depth` quantifier blocks is
@@ -223,10 +228,10 @@ def is_elementary_up_to_depth(
     if total_vars is None:
         total_vars = depth + 1
     grid_vars = tuple(f"x{i}" for i in range(1, total_vars + 1))
-    family, triples = elementary_triples(source.sig, source.chain.elements, depth, total_vars,
-                                         matrix_depth, [App(c) for c in source.sig.constants()], budget)
+    plan = elementary_plan(source.sig, source.chain.elements, depth, total_vars, matrix_depth,
+                           [App(c) for c in source.sig.constants()], budget)
     checked, separator, tup = first_transfer_failure(
-        family, AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars), triples,
+        plan, AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars),
         m.algebra_map.map, m.domain_map, lambda params: product(source.domain, repeat=len(params)))
     return ElementarityReport(separator is None, depth, separator, tup or (), checked)
 
@@ -353,9 +358,7 @@ def _closed_subsets(s: Structure) -> Iterator[tuple[str, ...]]:
                 yield subset
 
 
-def enumerate_substructures(
-    s: Structure, include_subalgebra_reducts: bool = False
-) -> Iterator[Structure]:
+def enumerate_substructures(s: Structure, include_subalgebra_reducts: bool = False) -> Iterator[Structure]:
     """All substructures of a finite structure, smallest domains first.
 
     Domain subsets must contain every constant and be closed under the
@@ -374,8 +377,6 @@ def enumerate_substructures(
 
 
 def _proper_subalgebras(chain: FiniteChain) -> list[tuple[int, ...]]:
-    from .algebra import generated_subalgebra
-
     seen = set()
     out = []
     indices = range(chain.size)
@@ -411,9 +412,7 @@ def _reduct_to_subalgebra(s: Structure, indices: tuple[int, ...]) -> Structure |
 # --- searches ---
 
 
-def _algebra_map_candidates(
-    source: Structure, target: Structure, fix_algebra_identity: bool
-) -> list[AlgebraMap]:
+def _algebra_map_candidates(source: Structure, target: Structure, fix_algebra_identity: bool) -> list[AlgebraMap]:
     if fix_algebra_identity:
         if source.chain != target.chain:
             raise ChainMismatchError("identity algebra map needs equal chains")
@@ -427,12 +426,8 @@ def _algebra_map_candidates(
     return out
 
 
-def _domain_candidates(
-    source: Structure,
-    target: Structure,
-    injective: bool,
-    agreement: Mapping[str, str] | None,
-) -> Iterator[dict]:
+def _domain_candidates(source: Structure, target: Structure, injective: bool,
+                       agreement: Mapping[str, str] | None) -> Iterator[dict]:
     fixed = agreement or {}
     free = [d for d in source.domain if d not in fixed]
     if injective:
@@ -500,36 +495,20 @@ def search_structure_map(
 
 
 def search_strong_homomorphism(source, target, fix_algebra_identity=True, budget=None):
-    return search_structure_map(
-        source, target, fix_algebra_identity, injective=False, budget=budget
-    )
+    return search_structure_map(source, target, fix_algebra_identity, injective=False, budget=budget)
 
 
-def search_strong_embedding(
-    source,
-    target,
-    fix_algebra_identity: bool = True,
-    agreement: Mapping[str, str] | None = None,
-    budget: int | None = None,
-):
-    return search_structure_map(
-        source,
-        target,
-        fix_algebra_identity,
-        injective=True,
-        agreement=agreement,
-        budget=budget,
-    )
+def search_strong_embedding(source, target, fix_algebra_identity: bool = True,
+                            agreement: Mapping[str, str] | None = None, budget: int | None = None):
+    return search_structure_map(source, target, fix_algebra_identity, injective=True, agreement=agreement,
+                                budget=budget)
 
 
 def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:
     """The composite map, applying `first` and then `second`."""
     if first.algebra_map.target != second.algebra_map.source:
         raise ChainMismatchError("algebra maps do not compose")
-    algebra = AlgebraMap(
-        first.algebra_map.source,
-        second.algebra_map.target,
-        tuple(second.algebra_map.map[v] for v in first.algebra_map.map),
-    )
+    algebra = AlgebraMap(first.algebra_map.source, second.algebra_map.target,
+                         tuple(second.algebra_map.map[v] for v in first.algebra_map.map))
     domain = {d: second.domain_map[v] for d, v in first.domain_map.items()}
     return StructureMap(algebra, domain)

@@ -17,6 +17,8 @@ from typing import Mapping, Sequence
 from .algebra import enumerate_mtl_chains
 from .budget import BudgetMeter
 from .chains import StructureChain, check_tarski_vaught, union_of_chain, validate_chain_of_structures
+from .consequence import equiv_up_to_depth
+from .corpus import structure_m, structure_n
 from .errors import FormatError, PreconditionError, SignatureError
 from .generation import AssignmentGrid, extension_space, fragment, prenex_formula, structure_space
 from .morphisms import (
@@ -83,13 +85,8 @@ def _family(sig, chain, n_params: int, bounds: FormulaBounds):
                                   bounds.budget)
 
 
-def implies_exists_n(
-    left: Structure,
-    right: Structure,
-    params: Sequence[str],
-    n: int,
-    bounds: FormulaBounds = FormulaBounds(),
-) -> ExistsFlowReport:
+def implies_exists_n(left: Structure, right: Structure, params: Sequence[str], n: int,
+                     bounds: FormulaBounds = FormulaBounds()) -> ExistsFlowReport:
     """Every generated existential sentence of up to n blocks satisfied
     by the left structure at the parameters must be satisfied by the
     right structure at the same parameters; first violation returned.
@@ -101,13 +98,10 @@ def implies_exists_n(
             raise FormatError(f"parameter {d!r} must lie in both domains")
     qvars, pvars, family = _family(left.sig, left.chain, len(params), bounds)
     assignment = dict(zip(pvars, params))
-    triples = islice(family.stream([(qvars, PrenexClass(EXISTS, n))]), bounds.max_candidates)
-    if bounds.max_candidates is not None:  # a capped stream reaches only a prefix of the family
-        triples = list(triples)
-        family = family.prefix(1 + max((family.positions[id(m)] for m, _, _ in triples), default=-1))
     checked, separator, tup = first_transfer_failure(
-        family, AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
-        triples, None, dict(zip(params, params)), lambda slots: [tuple(assignment[p] for p in slots)],
+        family.plan([(qvars, PrenexClass(EXISTS, n))], bounds.max_candidates),
+        AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
+        None, dict(zip(params, params)), lambda slots: [tuple(assignment[p] for p in slots)],
         BudgetMeter("existential transfer", bounds.budget))
     return ExistsFlowReport(separator is None, n, separator, tup or (), checked, bounds)
 
@@ -156,11 +150,8 @@ class PreservationReport:
         }
 
 
-def check_preserved_under_substructures(
-    formulas: Sequence[Formula],
-    corpus: Sequence[Structure],
-    claim: str = "substructure-preservation",
-) -> PreservationReport:
+def check_preserved_under_substructures(formulas: Sequence[Formula], corpus: Sequence[Structure],
+                                        claim: str = "substructure-preservation") -> PreservationReport:
     """For each corpus structure, each substructure, each formula and
     each tuple from the substructure: satisfaction above must imply
     satisfaction below."""
@@ -174,22 +165,13 @@ def check_preserved_under_substructures(
                 for tup in product(small.domain, repeat=len(names)):
                     report.checks += 1
                     if satisfies(phi, big, tup) and not satisfies(phi, small, tup):
-                        report.violations.append(
-                            PreservationViolation(
-                                index,
-                                phi,
-                                f"substructure {small.domain} of {big.name or big.domain}",
-                                tup,
-                            )
-                        )
+                        report.violations.append(PreservationViolation(
+                            index, phi, f"substructure {small.domain} of {big.name or big.domain}", tup))
     return report
 
 
-def check_preserved_under_unions(
-    formulas: Sequence[Formula],
-    chains_corpus: Sequence[StructureChain],
-    claim: str = "union-preservation",
-) -> PreservationReport:
+def check_preserved_under_unions(formulas: Sequence[Formula], chains_corpus: Sequence[StructureChain],
+                                 claim: str = "union-preservation") -> PreservationReport:
     """When a sentence holds in every member of a chain it must hold in
     the union; chains with a non-satisfying member are skipped."""
     report = PreservationReport(claim=claim)
@@ -202,19 +184,12 @@ def check_preserved_under_unions(
             if all(satisfies(phi, member) for member in chain.members):
                 report.checks += 1
                 if not satisfies(phi, union):
-                    report.violations.append(
-                        PreservationViolation(index, phi, "union of chain", ())
-                    )
+                    report.violations.append(PreservationViolation(index, phi, "union of chain", ()))
     return report
 
 
-def universal_consequences_bounded(
-    theory: Sequence[Formula],
-    sig: Signature,
-    chain,
-    max_domain: int,
-    bounds: FormulaBounds = FormulaBounds(),
-) -> list[Formula]:
+def universal_consequences_bounded(theory: Sequence[Formula], sig: Signature, chain, max_domain: int,
+                                   bounds: FormulaBounds = FormulaBounds()) -> list[Formula]:
     """Generated universal sentences that hold in every bounded model of
     the theory.  Each block's models are found once, as a bitset, and each
     sentence is evaluated on every such block at once."""
@@ -236,7 +211,7 @@ def _sentences(sig: Signature, chain, lead: str, blocks: int, bounds: FormulaBou
     out = _SENTENCE_CACHE.get(key)
     if out is None:
         qvars, _, family = _family(sig, chain, 0, bounds)
-        stream = family.stream([(qvars, PrenexClass(lead, blocks))])
+        stream = family.plan([(qvars, PrenexClass(lead, blocks))])
         out = _SENTENCE_CACHE[key] = list(islice((
             prenex_formula(matrix, prefix) for matrix, prefix, params in stream
             if prefix and prefix[0][0] == lead and not params), bounds.max_candidates))
@@ -316,30 +291,21 @@ class AmalgamResult:
         return self.status == "found"
 
 
-def universal_transport_ok(
-    g: Mapping[str, str],
-    source: Structure,
-    target: Structure,
-    bounds: FormulaBounds,
-) -> bool:
+def universal_transport_ok(g: Mapping[str, str], source: Structure, target: Structure,
+                           bounds: FormulaBounds) -> bool:
     """Generated one-block universal formulas with value top at a source
     tuple keep value top at the mapped tuple."""
     qvars, pvars, family = _family(source.sig, source.chain, bounds.num_vars, bounds)
-    # Forall(1) admits no other lead, so skipping an empty prefix skips quantifier-free
-    triples = (triple for triple in family.stream([(qvars, PrenexClass(FORALL, 1))]) if triple[1])
+    # Forall(1) admits no other lead, so keeping non-empty prefixes drops quantifier-free ones
     _, separator, _ = first_transfer_failure(
-        family, AssignmentGrid(source, qvars + pvars), AssignmentGrid(target, qvars + pvars), triples, None,
+        family.plan([(qvars, PrenexClass(FORALL, 1))], keep=bool),
+        AssignmentGrid(source, qvars + pvars), AssignmentGrid(target, qvars + pvars), None,
         g, lambda params: product(source.domain, repeat=len(params)))
     return separator is None
 
 
-def search_amalgam(
-    instance: AmalgamInstance,
-    n: int,
-    max_size: int,
-    depth: int = 2,
-    bounds: FormulaBounds = FormulaBounds(),
-) -> AmalgamResult:
+def search_amalgam(instance: AmalgamInstance, n: int, max_size: int, depth: int = 2,
+                   bounds: FormulaBounds = FormulaBounds()) -> AmalgamResult:
     """Bounded certificate search for the amalgamation statements.
 
     Verifies the existential-transfer precondition first (a failure is a
@@ -428,9 +394,6 @@ def reproduce_counterexample(depth: int = 2) -> CounterexampleReport:
     1/2 in the other, and it is preserved under all substructures of the
     satisfying side.
     """
-    from .consequence import equiv_up_to_depth
-    from .corpus import structure_m, structure_n
-
     m = structure_m()
     n = structure_n()
     chain = m.chain
@@ -534,10 +497,7 @@ def substructure_preservation_suite(
                 report.checks += 1
                 if eval_formula(phi, small) != top:
                     report.violations.append(
-                        PreservationViolation(
-                            index, phi, f"substructure {small.domain} of random instance", ()
-                        )
-                    )
+                        PreservationViolation(index, phi, f"substructure {small.domain} of random instance", ()))
     return report
 
 
@@ -579,18 +539,11 @@ def union_preservation_suite(
             if all(eval_formula(phi, member) == top for member in structure_chain.members):
                 report.checks += 1
                 if eval_formula(phi, tv.union) != top:
-                    report.violations.append(
-                        PreservationViolation(index, phi, "union of random chain", ())
-                    )
+                    report.violations.append(PreservationViolation(index, phi, "union of random chain", ()))
         report.checks += tv.quantifier_free_checked
         if not tv.quantifier_free_ok:
             for member_index, phi, tup, a, b in tv.qf_violations:
-                report.violations.append(
-                    PreservationViolation(
-                        index,
-                        phi,
-                        f"quantifier-free union clause at member {member_index}",
-                        tup + (chain.label(a), chain.label(b)),
-                    )
-                )
+                report.violations.append(PreservationViolation(
+                    index, phi, f"quantifier-free union clause at member {member_index}",
+                    tup + (chain.label(a), chain.label(b))))
     return report

@@ -57,6 +57,12 @@ def test_malformed_tables_raise():
         validate_chain({"elements": ["0", "1"], "star": [[0, 0], [0, 5]]})
 
 
+@pytest.mark.parametrize("elements", [0, None, False, 3.5, "01"])
+def test_algebra_elements_that_are_not_a_list_are_a_format_error(elements):
+    with pytest.raises(FormatError, match="algebra elements must be a list"):
+        validate_chain({"elements": elements, "star": [[0, 0], [0, 1]]})
+
+
 def test_derive_residuum_matches_stored(g4, l3, b2):
     for chain in (g4, l3, b2):
         assert derive_residuum(chain.elements, chain.star) == chain.implies

@@ -362,6 +362,17 @@ def test_enum_subs_rejects_a_domain_that_is_not_a_list(capsys, tmp_path, domain)
     assert "domain must be a non-empty JSON list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("elements", [0, None, False, 3.5])  # each was a TypeError traceback
+def test_enum_subs_rejects_algebra_elements_that_are_not_a_list(capsys, tmp_path, elements):
+    bad = json.loads((DATA / "bool2.json").read_text())
+    bad["elements"] = elements
+    (tmp_path / "bad-algebra.json").write_text(json.dumps(bad))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": "bad-algebra.json", "domain": ["a"]}))
+    assert main(["enum-subs", "--structure", str(path)]) == 2
+    assert "algebra elements must be a list" in capsys.readouterr().err
+
+
 def test_deeply_nested_formula_is_a_parse_error(capsys):
     formula = "(" * 3000 + "P(x)" + ")" * 3000
     assert main(["classify", "--formula", formula]) == 2

@@ -77,6 +77,11 @@ def test_qf_matrices_are_quantifier_free(sig_r, g4):
     mats = qf_matrices(sig_r, g4.elements, ["x1", "x2"], 1)
     assert all(str(classify_prenex(m)) == "QuantifierFree" for m in mats)
     assert len(set(mats)) == len(mats)
+    for sig, extra in ORDER_SIGNATURES.values():
+        for total_vars, matrix_depth in ORDER_POOLS:
+            variables = [f"x{i}" for i in range(1, total_vars + 1)]
+            mats = qf_matrices(sig, G3.elements, variables, matrix_depth, extra)
+            assert len(set(mats)) == len(mats)
 
 
 def test_prenex_candidates_fit_target(sig_r, g4):
@@ -139,12 +144,20 @@ def _reference_elementary_family(matrices, variables, depth):
 
 
 def _rows(candidates):
-    return [(render_formula(c.formula), c.matrix, c.prefix, c.params, c.lead, c.blocks)
-            for c in candidates]
+    return [(c.formula, c.matrix, c.prefix, c.params, c.lead, c.blocks) for c in candidates]
 
 
 def _reference_rows(candidates):
-    return [(render_formula(phi), *rest) for phi, *rest in candidates]
+    return list(candidates)
+
+
+def _assert_same_rows(got, want):
+    """Rows compared as trees, which is stricter than equal renders; a
+    mismatch is rendered only to report it."""
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        if a != b:
+            pytest.fail(f"row {k}: {render_formula(a[0])} {a[2:]} != {render_formula(b[0])} {b[2:]}")
 
 
 ORDER_SIGNATURES = {
@@ -168,7 +181,7 @@ def test_prenex_candidates_match_reference_order(which, total_vars, matrix_depth
             for quantifiable in (variables, variables[1:]):
                 got = _rows(prenex_candidates(matrices, quantifiable, target))
                 want = _reference_rows(_reference_prenex_candidates(matrices, quantifiable, target))
-                assert got == want
+                _assert_same_rows(got, want)
 
 
 @pytest.mark.parametrize("which", sorted(ORDER_SIGNATURES))
@@ -181,8 +194,7 @@ def test_elementary_family_matches_reference_order(which, total_vars, matrix_dep
         got = _rows(elementary_family(sig, G3.elements, depth, total_vars=total_vars,
                                       matrix_depth=matrix_depth, extra_terms=extra))
         want = _reference_rows(_reference_elementary_family(matrices, variables, depth))
-        assert len(got) == len(want)
-        assert got == want
+        _assert_same_rows(got, want)
 
 
 def test_warm_fragment_fails_on_budget_like_a_fresh_build(monkeypatch, fresh_fragments, sig_r, g4):
@@ -288,12 +300,12 @@ def test_prefix_folds_match_plain_evaluator(s, matrices, order):
               for d in s.domain}
     for target in (PrenexClass(FORALL, 2), PrenexClass(EXISTS, 2)):
         for cand in prenex_candidates(matrices, ["x1", "x2"], target):
-            vals = grid.fold_prefix(grid.values(cand.matrix), cand.prefix)
-            assert grid.fold_prefix(grid.values(cand.matrix), cand.prefix) is vals
+            vals = grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix)
+            assert grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix) is vals
             for asg in all_assignments(GRID_VARS, s.domain):
                 assert grid.value_at(vals, asg) == eval_formula(cand.formula, s, asg)
             for d, part in sliced.items():
-                part_vals = part.fold_prefix(part.values(cand.matrix), cand.prefix)
+                part_vals = part.fold_prefix(cand.matrix, part.values(cand.matrix), cand.prefix)
                 for asg in all_assignments(part.variables, s.domain):
                     assert part.value_at(part_vals, asg) == grid.value_at(vals, {**asg, "x3": d})
 

@@ -129,7 +129,7 @@ def test_universal_consequences_match_the_per_structure_loop(sig_r, b2, g3):
                   if all(satisfies(phi, s) for phi in theory)]
         qvars, _, family = _family(sig_r, chain, 0, bounds)
         expected = [generation.prenex_formula(matrix, prefix)
-                    for matrix, prefix, _ in family.stream([(qvars, PrenexClass(FORALL, 1))]) if prefix]
+                    for matrix, prefix, _ in family.plan([(qvars, PrenexClass(FORALL, 1))]) if prefix]
         expected = [phi for phi in expected if all(satisfies(phi, s) for s in models)]
         assert universal_consequences_bounded(theory, sig_r, chain, 2, bounds) == expected
 

@@ -1,29 +1,34 @@
-"""The transfer check over value classes.
+"""The transfer check over value classes and stream positions.
 
 `morphisms.first_transfer_failure` decides each (value class, prefix,
-params) triple once.  These tests pin elementarity verdicts across two
-chains, compare the loop with a copy of the per-triple loop it replaced,
-and check `generation.value_classes` against the on-demand grid driver.
+params) triple once, at a stream position its `StreamPlan` computes.
+These tests pin elementarity verdicts across two chains, check the plan's
+positions against a copy of the stream read one candidate at a time,
+compare the check with a copy of the per-candidate loop it replaced (for
+the relations of all three callers, under caps and budget cuts), and check
+`generation.value_classes` against the on-demand grid driver.
 To print the cross-chain pins again, run
 
     PYTHONPATH=src python tests/test_transfer.py
 """
 
 import random
+import sys
 from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedmt import corpus
+from gradedmt import corpus, morphisms
 from gradedmt.algebra import AlgebraMap
 from gradedmt.budget import BudgetMeter
-from gradedmt.errors import InternalError
-from gradedmt.generation import AssignmentGrid, elementary_triples, fragment, prenex_formula, value_classes
+from gradedmt.errors import BudgetError, InternalError
+from gradedmt.generation import (AssignmentGrid, Fragment, _prefixes, elementary_plan, fragment, prenex_formula,
+                                 value_classes)
 from gradedmt.morphisms import StructureMap, first_transfer_failure, is_elementary_up_to_depth
 from gradedmt.parser import render_formula
 from gradedmt.semantics import Structure, eval_formula
-from gradedmt.syntax import EXISTS, FORALL, PrenexClass, Signature
+from gradedmt.syntax import EXISTS, FORALL, Atom, PrenexClass, Signature, Var, quantifier_free_class
 
 BOOL2 = corpus.bool2()
 TARGET_CHAINS = {name: getattr(corpus, name)() for name in ("godel3", "lukasiewicz3")}
@@ -99,10 +104,39 @@ def test_cross_chain_elementarity_matches_pins(case):
     assert cross_chain_verdict(*case) == CROSS_PINS[case]
 
 
+def reference_stream(family, steps):
+    """`Fragment.stream` as it was before plans: (step, matrix index, matrix,
+    prefix, params) read one at a time, a (prefix, params) pair a matrix had
+    at an earlier step skipped."""
+    rows: dict = {}
+    for fv in set(family.free):
+        seen: set = set()
+        rows[fv] = []
+        for quantifiable, target in steps:
+            to_bind = tuple(v for v in quantifiable if v in fv)
+            params = tuple(sorted(fv.difference(to_bind)))
+            new = [p for p in _prefixes(to_bind, target) if (p, params) not in seen]
+            seen.update((p, params) for p in new)
+            rows[fv].append((new, params))
+    for i in range(len(steps)):
+        for k, (matrix, fv) in enumerate(zip(family.matrices, family.free)):
+            new, params = rows[fv][i]
+            for prefix in new:
+                yield i, k, matrix, prefix, params
+
+
+def _reference_fold(grid, values, prefix):
+    for kind, part in reversed(prefix):
+        for var in part:
+            values = grid.fold(values, var, kind)
+    return values
+
+
 def reference_transfer_failure(grid_s, grid_t, triples, f, g, tuples, meter=None):
     """The per-triple loop that `first_transfer_failure` replaced: each
-    matrix through `AssignmentGrid.values`, a triple skipped only when its
-    two folds and params already passed."""
+    candidate ticked and read in turn, each matrix through
+    `AssignmentGrid.values`, a triple skipped only when its two folded
+    vectors and params already passed."""
     top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
     cells: dict = {}
     passed: set = set()
@@ -114,22 +148,21 @@ def reference_transfer_failure(grid_s, grid_t, triples, f, g, tuples, meter=None
         row = cells.get(params)
         if row is None:
             row = cells[params] = [
-                (tup, grid_s.value_at(range(grid_s.size), dict(zip(params, tup))),
-                 grid_t.value_at(range(grid_t.size), {p: g[d] for p, d in zip(params, tup)}))
+                (tup, grid_s.cell(dict(zip(params, tup))), grid_t.cell({p: g[d] for p, d in zip(params, tup)}))
                 for tup in tuples(params)]
-        vs = grid_s.fold_prefix(grid_s.values(matrix), prefix)
+        vs = _reference_fold(grid_s, grid_s.values(matrix), prefix)
         vt = bad = None
         if f is None:
             for tup, i, j in row:
                 if vs[i] == top_s:
                     if vt is None:
-                        vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
+                        vt = _reference_fold(grid_t, grid_t.values(matrix), prefix)
                     if vt[j] != top_t:
                         bad = tup, i, j
                         break
         else:
-            vt = grid_t.fold_prefix(grid_t.values(matrix), prefix)
-            key = (id(vs), id(vt), params)
+            vt = _reference_fold(grid_t, grid_t.values(matrix), prefix)
+            key = (tuple(vs), tuple(vt), params)
             if key in passed:
                 continue
             passed.add(key)
@@ -224,44 +257,83 @@ def elementary_pairs(draw):
     return source, target, f, g, tuples, draw(st.integers(1, 2)), draw(st.integers(0, 1))
 
 
-def _both_loops(family, grid_s, grid_t, triples, f, g, tuples):
-    """The reference and the class loop on fresh grids, with their meters' ticks."""
+def _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap=None, keep=None, budget=None):
+    """The reference on the stream read one candidate at a time, and the
+    plan loop, each on fresh grids with a fresh meter: per loop its result,
+    the budget error's message (which names the phase), `required` and
+    `budget`, or the replay error's message; then the meter's `used`."""
     out = []
-    for loop in ("reference", "classes"):
+    for loop in ("reference", "plan"):
         s, t = (AssignmentGrid(x.structure, x.variables, fixed=x.fixed) for x in (grid_s, grid_t))
-        meter = BudgetMeter("transfer", None)
-        if loop == "reference":
-            result = reference_transfer_failure(s, t, triples, f, g, tuples, meter)
-        else:
-            result = first_transfer_failure(family, s, t, triples, f, g, tuples, meter)
+        meter = BudgetMeter("transfer", budget)
+        try:
+            if loop == "reference":
+                triples = islice((triple[2:] for triple in reference_stream(family, steps)
+                                  if keep is None or keep(triple[3])), cap)
+                result = reference_transfer_failure(s, t, triples, f, g, tuples, meter)
+            else:
+                result = first_transfer_failure(family.plan(steps, cap, keep), s, t, f, g, tuples, meter)
+        except BudgetError as err:
+            result = str(err), err.required, err.budget
+        except InternalError as err:
+            result = str(err)
         out.append((result, meter.used))
     return out
 
 
+def _cut_at_every_position(family, steps, grid_s, grid_t, f, g, tuples, cap=None, keep=None):
+    """Both loops unbounded, then with every budget up to one past the positions read."""
+    (result, used), plan = _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap, keep)
+    assert plan == (result, used)
+    for budget in range(used + 2):
+        reference, plan = _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap, keep, budget)
+        assert plan == reference
+        assert reference[1] == min(used, budget + 1)
+    return result
+
+
+EXISTS_STEPS = (("x1", "x2"), PrenexClass(EXISTS, 1))
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=exists_pairs())
-def test_top_transfer_with_fixed_parameters_matches_the_reference(case):
+@given(case=exists_pairs(), cap=st.none() | st.integers(0, 60))
+def test_top_transfer_with_fixed_parameters_matches_the_reference(case, cap):
     left, right, params, target, matrix_depth = case
     qvars, pvars = ["x1", "x2"], [f"p{i}" for i in range(1, len(params) + 1)]
     family = fragment(SIG_PR, left.chain.elements, qvars + pvars, matrix_depth)
     assignment = dict(zip(pvars, params))
-    triples = list(family.stream([(qvars, target)]))
-    reference, classes = _both_loops(
-        family, AssignmentGrid(left, qvars, fixed=assignment),
-        AssignmentGrid(right, qvars, fixed=assignment), triples, None, dict(zip(params, params)),
-        lambda slots: [tuple(assignment[p] for p in slots)])
-    assert classes == reference
+    reference, plan = _both_loops(
+        family, [(qvars, target)], AssignmentGrid(left, qvars, fixed=assignment),
+        AssignmentGrid(right, qvars, fixed=assignment), None, dict(zip(params, params)),
+        lambda slots: [tuple(assignment[p] for p in slots)], cap)
+    assert plan == reference
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=elementary_pairs())
 def test_value_transfer_with_parameter_tuples_matches_the_reference(case):
     source, target, f, g, tuples, total_vars, matrix_depth = case
-    family, triples = elementary_triples(SIG_PR, source.chain.elements, 1, total_vars, matrix_depth)
+    plan = elementary_plan(SIG_PR, source.chain.elements, 1, total_vars, matrix_depth)
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
-    reference, classes = _both_loops(family, AssignmentGrid(source, variables),
-                                     AssignmentGrid(target, variables), list(triples), f, g, tuples)
+    steps = [(variables[n:], t) for n in range(total_vars + 1)
+             for t in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
+    reference, classes = _both_loops(plan.family, steps, AssignmentGrid(source, variables),
+                                     AssignmentGrid(target, variables), f, g, tuples)
     assert classes == reference
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=elementary_pairs())
+def test_universal_transport_on_non_empty_prefixes_matches_the_reference(case):
+    # the plan of `universal_transport_ok`: parameters as grid variables, every tuple read
+    source, target, _, g, _, _, _ = case
+    qvars, pvars = ["x1"], ["p1"]
+    family = fragment(SIG_PR, source.chain.elements, qvars + pvars, 0)
+    reference, plan = _both_loops(
+        family, [(qvars, PrenexClass(FORALL, 1))], AssignmentGrid(source, qvars + pvars),
+        AssignmentGrid(target, qvars + pvars), None, g,
+        lambda params: product(source.domain, repeat=len(params)), keep=bool)
+    assert plan == reference
 
 
 def test_a_class_that_passed_is_decided_again_under_new_params():
@@ -273,30 +345,102 @@ def test_a_class_that_passed_is_decided_again_under_new_params():
         return Structure(chain=g3, sig=SIG_PR, domain=("d0",),
                          predicates={"P": {("d0",): p}, "R": {("d0", "d0"): 0}})
 
-    family, triples = elementary_triples(SIG_PR, g3.elements, 1, 2, 0)
+    plan = elementary_plan(SIG_PR, g3.elements, 1, 2, 0)
+    steps = [(("x1", "x2")[n:], t) for n in range(3) for t in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
     reference, classes = _both_loops(
-        family, AssignmentGrid(point(2), ("x1", "x2")), AssignmentGrid(point(1), ("x1", "x2")),
-        list(triples), (0, 1, 2), {"d0": "d0"},
-        lambda params: [] if params in ((), ("x1",)) else [("d0",) * len(params)])
+        plan.family, steps, AssignmentGrid(point(2), ("x1", "x2")), AssignmentGrid(point(1), ("x1", "x2")),
+        (0, 1, 2), {"d0": "d0"}, lambda params: [] if params in ((), ("x1",)) else [("d0",) * len(params)])
     assert classes == reference
     (_, separator, tup), _ = classes
     assert render_formula(separator) == "P(x2)" and tup == ("d0",)
 
 
+def _one_point_pair(left=(2, 1), right=(2, 0)):
+    """Grids over one-element godel3 structures with these (P, R) values."""
+    return tuple(AssignmentGrid(Structure(chain=CHAINS["godel3"], sig=SIG_PR, domain=("a",),
+                                          predicates={"P": {("a",): p}, "R": {("a", "a"): r}}), ["x1", "x2"])
+                 for p, r in (left, right))
+
+
 def test_a_prefix_of_the_stream_stops_where_the_reference_stops():
-    left = Structure(chain=CHAINS["godel3"], sig=SIG_PR, domain=("a",),
-                     predicates={"P": {("a",): 2}, "R": {("a", "a"): 1}})
-    right = Structure(chain=CHAINS["godel3"], sig=SIG_PR, domain=("a",),
-                      predicates={"P": {("a",): 2}, "R": {("a", "a"): 0}})
-    family = fragment(SIG_PR, left.chain.elements, ["x1", "x2"], 1)
-    stream = list(family.stream([(["x1", "x2"], PrenexClass(EXISTS, 1))]))
-    full = _both_loops(family, AssignmentGrid(left, ["x1", "x2"]), AssignmentGrid(right, ["x1", "x2"]),
-                       stream, None, {}, lambda slots: [()])
+    family = fragment(SIG_PR, CHAINS["godel3"].elements, ["x1", "x2"], 1)
+    full = _both_loops(family, [EXISTS_STEPS], *_one_point_pair(), None, {}, lambda slots: [()])
     assert full[0] == full[1] and full[0][0][1] is not None
-    short = list(islice(stream, full[0][0][0] - 1))
-    cut = _both_loops(family, AssignmentGrid(left, ["x1", "x2"]), AssignmentGrid(right, ["x1", "x2"]),
-                      short, None, {}, lambda slots: [()])
-    assert cut[0] == cut[1] == ((len(short), None, None), len(short))
+    cap = full[0][0][0] - 1
+    cut = _both_loops(family, [EXISTS_STEPS], *_one_point_pair(), None, {}, lambda slots: [()], cap)
+    assert cut[0] == cut[1] == ((cap, None, None), cap)
+
+
+def test_a_budget_cut_at_every_position_matches_the_reference():
+    family = fragment(SIG_PR, CHAINS["godel3"].elements, ["x1", "x2"], 0)
+    grids = _one_point_pair((0, 0), (1, 0))  # not P(x1) is top on the left only: a late separator
+    checked, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {}, lambda slots: [()])
+    assert render_formula(separator) == "exists x1 . not P(x1)" and checked > 10
+    # the stream cut before its separator, and read to its end
+    checked, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {}, lambda slots: [()],
+                                                   cap=checked - 1)
+    assert separator is None
+    _, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], grids[0], grids[0], None, {},
+                                             lambda slots: [()])
+    assert separator is None
+
+
+def test_every_cap_and_budget_cut_matches_the_reference():
+    # on the left not P(x1) is top at a only, so its forall passes, and the
+    # separator is the second prefix of its group
+    family = fragment(SIG_PR, CHAINS["godel3"].elements, ["x1", "x2"], 0)
+    left, right = (AssignmentGrid(Structure(chain=CHAINS["godel3"], sig=SIG_PR, domain=("a", "b"), predicates={
+        "P": dict(zip([("a",), ("b",)], p)), "R": dict.fromkeys(product("ab", repeat=2), 0)}), ["x1", "x2"])
+        for p in ((0, 1), (1, 1)))
+    steps = [(("x1", "x2"), PrenexClass(EXISTS, 2))]
+    checked, separator, _ = _cut_at_every_position(family, steps, left, right, None, {}, lambda slots: [()])
+    assert render_formula(separator) == "exists x1 . not P(x1)"
+    for cap in range(checked + 2):
+        result = _cut_at_every_position(family, steps, left, right, None, {}, lambda slots: [()], cap)
+        assert (result[1] is None) == (cap < checked)
+
+
+def test_a_budget_cut_comes_before_a_replay_disagreement(monkeypatch):
+    for module in (morphisms, sys.modules[__name__]):
+        monkeypatch.setattr(module, "eval_formula", lambda phi, s, asg=None: -1)
+    family = fragment(SIG_PR, CHAINS["godel3"].elements, ["x1", "x2"], 0)
+    grids = _one_point_pair((0, 0), (1, 0))
+    result = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {}, lambda slots: [()])
+    assert result == "grid and evaluator disagree"
+
+
+@st.composite
+def stream_plans(draw):
+    """A family of placeholder matrices over a drawn mix of free sets, and
+    one to four (quantifiable, target) steps."""
+    variables = ("x1", "x2", "x3")
+    sets = [frozenset(v for v, bit in zip(variables, bits) if bit)
+            for bits in product((0, 1), repeat=len(variables))]
+    free = draw(st.lists(st.sampled_from(sets), max_size=12))
+    family = Fragment([(Atom("P", (Var(f"m{k}"),)), fv) for k, fv in enumerate(free)])
+    targets = st.sampled_from([quantifier_free_class()] + [PrenexClass(kind, blocks)
+                                                           for kind in (FORALL, EXISTS) for blocks in (1, 2, 3)])
+    steps = draw(st.lists(st.tuples(st.permutations(variables).flatmap(
+        lambda vs: st.integers(0, 3).map(lambda n: vs[:n])), targets), min_size=1, max_size=4))
+    return family, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stream_plans(), keep=st.sampled_from([None, bool]))
+def test_plan_positions_rank_the_stream(case, keep):
+    family, steps = case
+    want = [triple for triple in reference_stream(family, steps) if keep is None or keep(triple[3])]
+    plan = family.plan(steps, keep=keep)
+    assert plan.size == len(want)
+    assert list(plan) == [triple[2:] for triple in want]
+    for rank, (i, k, _, prefix, params) in enumerate(want):
+        prefixes, row_params = plan.rows[i][family.free[k]]
+        assert row_params == params
+        assert plan.position(i, k, prefixes.index(prefix)) == rank
+    for end in range(len(want) + 2):
+        assert plan.reach(end) == 1 + max((k for _, k, *_ in want[:end]), default=-1)
+        capped = family.plan(steps, end, keep)
+        assert capped.size == min(end, len(want)) and list(capped) == [triple[2:] for triple in want[:end]]
 
 
 VALUE_FAMILY = fragment(SIG_PR, CHAINS["godel3"].elements, ("x1", "x2"), 1)
@@ -365,10 +509,11 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
         for p, a in SIG_PR.predicates.items()})
     bounds = FormulaBounds(max_candidates=10)
     qvars, _, family = _family(SIG_PR, chain, 2, bounds)
-    reached = max(family.positions[id(matrix)] for matrix, _, _ in
-                  islice(family.stream([(qvars, PrenexClass(EXISTS, 1))]), bounds.max_candidates))
-    prefix = family.program[:reached + 1]
-    assert reached + 1 < len(family.matrices)
+    steps = [(qvars, PrenexClass(EXISTS, 1))]
+    reached = 1 + max(k for _, k, *_ in islice(reference_stream(family, steps), bounds.max_candidates))
+    assert family.plan(steps, bounds.max_candidates).reach(bounds.max_candidates) == reached
+    prefix = family.program[:reached]
+    assert reached < len(family.matrices)
     calls = {"_leaf": 0, "_combine": 0}
     for name in calls:
         def counted(self, *args, original=getattr(AssignmentGrid, name), name=name):
