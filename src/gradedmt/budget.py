@@ -2,8 +2,10 @@
 
 Every exhaustive search (structure enumeration, sentence generation,
 interpretation sweeps) counts candidates against a budget and raises
-BudgetError instead of running away.  The default can be overridden with
-the GRADEDMT_BUDGET environment variable.
+BudgetError, naming its phase, instead of running away.  The budget has
+one source: the GRADEDMT_BUDGET environment variable, or DEFAULT_BUDGET
+when it is unset.  No library function takes a limit of its own, so a
+search and every sub-search it starts share the same one.
 """
 
 import os
@@ -28,9 +30,9 @@ def search_budget() -> int:
     return value
 
 
-def check_budget(required: int, what: str, budget: int | None = None) -> None:
+def check_budget(required: int, what: str) -> None:
     """Raise BudgetError when `required` candidates exceed the budget."""
-    limit = search_budget() if budget is None else budget
+    limit = search_budget()
     if required > limit:
         raise BudgetError(
             f"{what} needs {required} candidates, budget is {limit}",
@@ -40,11 +42,16 @@ def check_budget(required: int, what: str, budget: int | None = None) -> None:
 
 
 class BudgetMeter:
-    """Incremental counter for searches whose size is not known up front."""
+    """Incremental counter for searches whose size is not known up front.
 
-    def __init__(self, what: str, budget: int | None = None):
+    `limit` defaults to `search_budget()`, and no library code passes one.
+    It exists for callers that hand a meter to `first_transfer_failure`
+    and need a limit the environment variable cannot express, such as 0.
+    """
+
+    def __init__(self, what: str, limit: int | None = None):
         self.what = what
-        self.limit = search_budget() if budget is None else budget
+        self.limit = search_budget() if limit is None else limit
         self.used = 0
 
     def tick(self, amount: int = 1) -> None:

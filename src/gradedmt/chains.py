@@ -114,7 +114,6 @@ def check_tarski_vaught(
     depth: int | None = None,
     matrix_depth: int = 1,
     num_vars: int = 2,
-    budget: int | None = None,
 ) -> TarskiVaughtReport:
     """Union-value preservation for chain members.
 
@@ -129,7 +128,7 @@ def check_tarski_vaught(
     report = TarskiVaughtReport(True, 0, elementary_requested=depth, union=union)
     first = chain.members[0]
     constant_terms = [App(c) for c in first.sig.constants()]
-    family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms, budget)
+    family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms)
     # one vector per value class: every member's cells, in `product` order, then the union's
     grids = [AssignmentGrid(s, variables) for s in (*chain.members, union)]
     cls, vecs = value_classes(family, grids)
@@ -157,7 +156,7 @@ def check_tarski_vaught(
 
     def elementary(small: Structure, big: Structure):
         return is_elementary_up_to_depth(inclusion_map(small, big), small, big, depth,
-                                         matrix_depth=matrix_depth, budget=budget)
+                                         matrix_depth=matrix_depth)
 
     members = chain.members
     report.elementary_precheck_ok = all(elementary(a, b).ok for a, b in zip(members, members[1:]))
@@ -171,7 +170,7 @@ def check_tarski_vaught(
     return report
 
 
-def normalize_chain(members: Sequence[Structure], budget: int | None = None) -> list[Structure]:
+def normalize_chain(members: Sequence[Structure]) -> list[Structure]:
     """Relabel domains so that consecutive embeddings become literal
     inclusions; fails when some consecutive pair has no strong embedding."""
     if not members:
@@ -180,7 +179,7 @@ def normalize_chain(members: Sequence[Structure], budget: int | None = None) -> 
     for i in range(1, len(members)):
         previous = out[-1]
         current = members[i]
-        found = search_strong_embedding(previous, current, budget=budget)
+        found = search_strong_embedding(previous, current)
         if found is None:
             raise ChainValidationError(
                 f"no strong embedding of member {i - 1} into member {i}"

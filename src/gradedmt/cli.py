@@ -5,7 +5,8 @@ report with a fixed envelope (see schemas/report.schema.json).  Exit
 codes: 0 clean, 1 when a violation, countermodel or failed check was
 found, 2 for usage errors.  Reports are deterministic: the same seed and
 inputs produce byte-identical output.  GRADEDMT_BUDGET overrides the
-default search budget.
+default search budget; it is the only source of the budget, for the CLI
+and the library alike.
 """
 
 import argparse

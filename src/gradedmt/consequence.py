@@ -10,6 +10,7 @@ from typing import Sequence
 
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
 from .generation import generate_sentences, structure_space
+from .morphisms import _check_interprets
 from .semantics import Structure, eval_formula, is_model
 from .syntax import Formula, Signature, is_sentence
 
@@ -31,7 +32,6 @@ def bounded_consequence(
     sig: Signature,
     chain,
     max_domain: int,
-    budget: int | None = None,
 ) -> ConsequenceResult:
     """Check that every model of the theory with domain size <= max_domain
     satisfies phi; return the first countermodel in canonical order otherwise.
@@ -45,7 +45,7 @@ def bounded_consequence(
     for sentence in list(theory) + [phi]:
         if not is_sentence(sentence):
             raise FormatError("bounded consequence needs sentences")
-    blocks = structure_space(sig, chain, max_domain, budget=budget)
+    blocks = structure_space(sig, chain, max_domain)
     for block in blocks:
         models = block.models(theory)
         refuted = models and models & ~block.planes(phi)[-1]
@@ -75,7 +75,6 @@ def equiv_up_to_depth(
     depth: int,
     sig: Signature | None = None,
     num_vars: int | None = None,
-    budget: int | None = None,
 ) -> EquivResult:
     """Compare which generated sentences of level <= depth the two
     structures satisfy (take the top value).
@@ -92,10 +91,10 @@ def equiv_up_to_depth(
         if s1.sig != s2.sig:
             raise SignatureError("structures disagree on the signature; pass one explicitly")
         sig = s1.sig
-    _require_subsignature(sig, s1.sig)
-    _require_subsignature(sig, s2.sig)
+    _check_interprets(sig, s1, "structure")
+    _check_interprets(sig, s2, "structure")
     sentences = generate_sentences(
-        sig, s1.chain.elements, depth, num_vars=num_vars, budget=budget
+        sig, s1.chain.elements, depth, num_vars=num_vars
     )
     top = s1.chain.top
     for sentence in sentences:
@@ -104,12 +103,3 @@ def equiv_up_to_depth(
         if sat1 != sat2:
             return EquivResult(False, sentence, len(sentences), depth)
     return EquivResult(True, None, len(sentences), depth)
-
-
-def _require_subsignature(small: Signature, big: Signature) -> None:
-    for name, arity in small.predicates.items():
-        if big.predicates.get(name) != arity:
-            raise SignatureError(f"predicate {name!r}/{arity} not interpreted")
-    for name, arity in small.functions.items():
-        if big.functions.get(name) != arity:
-            raise SignatureError(f"function {name!r}/{arity} not interpreted")

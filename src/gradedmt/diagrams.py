@@ -162,14 +162,14 @@ def render_diagram(diagram: Diagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def diagram_model_exists(target: Structure, diagram: Diagram, budget: int | None = None) -> tuple:
+def diagram_model_exists(target: Structure, diagram: Diagram) -> tuple:
     """Search all constant interpretations for one modelling the diagram.
 
     Returns (found, images): the first image tuple, in `product` order,
     whose expansion of the target passes `models_diagram`.
     """
     n = len(diagram.constants)
-    check_budget(len(target.domain) ** n, "diagram interpretation sweep", budget)
+    check_budget(len(target.domain) ** n, "diagram interpretation sweep")
     for images in product(target.domain, repeat=n):
         if models_diagram(interpret_constants(target, diagram, images), diagram).ok:
             return True, images
@@ -208,7 +208,6 @@ def diagram_embedding_equivalence(
     target: Structure,
     kind: str = DIAG,
     bounds: DiagramBounds = DiagramBounds(),
-    budget: int | None = None,
     diagram: Diagram | None = None,
 ) -> Cor1Report:
     """Compare the two routes of the diagram characterization.
@@ -222,7 +221,7 @@ def diagram_embedding_equivalence(
     if source.chain != target.chain:
         raise ChainMismatchError("both structures must share one chain")
     d = diagram if diagram is not None else build_diagram(source, kind, bounds)
-    found, images = diagram_model_exists(target, d, budget=budget)
+    found, images = diagram_model_exists(target, d)
     depth = extra_filter = None
     if kind != DIAG:
         depth = bounds.quantifier_depth
@@ -231,7 +230,7 @@ def diagram_embedding_equivalence(
             return is_elementary_up_to_depth(StructureMap(alg, g), source, target, depth).ok
 
     emb = search_structure_map(
-        source, target, injective=True, extra_filter=extra_filter, budget=budget
+        source, target, injective=True, extra_filter=extra_filter
     )
     emb_ok = emb is not None
     return Cor1Report(diagram_side=found, embedding_side=emb_ok, agree=found == emb_ok,
@@ -252,7 +251,7 @@ class SweepReport:
 
 
 def cor1_sweep(chain, sig, max_source_size: int, max_target_size: int,
-               bounds: DiagramBounds = DiagramBounds(), budget: int | None = None) -> SweepReport:
+               bounds: DiagramBounds = DiagramBounds()) -> SweepReport:
     """Exhaustive check of the diagram characterization on small instances.
 
     Every source structure up to max_source_size is paired with every
@@ -266,9 +265,9 @@ def cor1_sweep(chain, sig, max_source_size: int, max_target_size: int,
     member pair as a bitset.  The two sides share no code.
     """
     report = SweepReport()
-    sources = structure_space(sig, chain, max_source_size, budget=budget)
-    targets = structure_space(sig, chain, max_target_size, "t", budget)
-    check_budget(sources.size * targets.size, "diagram sweep", budget)
+    sources = structure_space(sig, chain, max_source_size)
+    targets = structure_space(sig, chain, max_target_size, "t")
+    check_budget(sources.size * targets.size, "diagram sweep")
     classes = []  # (representative, bitset over the target stream) per class of targets
     for block in targets:
         members: dict = {}

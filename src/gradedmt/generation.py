@@ -115,8 +115,8 @@ def _variable_subsets(names: Sequence[str]) -> Iterator[tuple[str, ...]]:
 class _LevelledPool:
     """Formulas bucketed by generation level, with structural dedup."""
 
-    def __init__(self, what: str, budget: int | None):
-        self.meter = BudgetMeter(what, budget)
+    def __init__(self, what: str):
+        self.meter = BudgetMeter(what)
         self.levels: list[list[tuple[Formula, frozenset]]] = []
         self.seen: set = set()
 
@@ -166,7 +166,7 @@ class _LevelledPool:
 
 
 def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
-                       extra_terms: Sequence = (), budget: int | None = None) -> list[Formula]:
+                       extra_terms: Sequence = ()) -> list[Formula]:
     """Closed formulas of generation level <= depth, in canonical order.
 
     Variables are x1..xd (d = num_vars, default depth).  At the final
@@ -178,7 +178,7 @@ def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, 
     variables = [f"x{i}" for i in range(1, num_vars + 1)]
     labels = truth_constant_labels(sig, chain_labels)
     terms = [Var(v) for v in variables] + list(extra_terms)
-    pool = _LevelledPool("sentence generation", budget)
+    pool = _LevelledPool("sentence generation")
     sentences: list[Formula] = []
 
     def push(phi: Formula, level: int, fv: frozenset | None = None):
@@ -344,7 +344,7 @@ _fragments: OrderedDict = OrderedDict()
 
 
 def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
-             extra_terms: Sequence = (), budget: int | None = None) -> Fragment:
+             extra_terms: Sequence = ()) -> Fragment:
     """The `qf_matrices` family, built once and then served from an LRU
     cache.  A hit charges the family's size to a fresh meter, so it fails
     on a short budget exactly as a fresh build would."""
@@ -353,19 +353,19 @@ def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[st
            labels, tuple(variables), depth, tuple(extra_terms))
     family = _fragments.get(key)
     if family is None:
-        family = _fragments[key] = _build_fragment(sig, labels, variables, depth, extra_terms, budget)
+        family = _fragments[key] = _build_fragment(sig, labels, variables, depth, extra_terms)
         if len(_fragments) > _FRAGMENT_CACHE_SIZE:
             _fragments.popitem(last=False)
     else:
         _fragments.move_to_end(key)
-        meter = BudgetMeter("matrix generation", budget)
+        meter = BudgetMeter("matrix generation")
         meter.tick(min(len(family.matrices), meter.limit + 1))
     return family
 
 
-def _build_fragment(sig, labels, variables, depth, extra_terms, budget) -> Fragment:
+def _build_fragment(sig, labels, variables, depth, extra_terms) -> Fragment:
     terms = [Var(v) for v in variables] + list(extra_terms)
-    pool = _LevelledPool("matrix generation", budget)
+    pool = _LevelledPool("matrix generation")
     for lit in literals_over(sig, terms, labels):
         pool.push(lit, 0)
     for level in range(1, depth + 1):  # one connective over distinct entries is a new formula
@@ -374,9 +374,9 @@ def _build_fragment(sig, labels, variables, depth, extra_terms, budget) -> Fragm
 
 
 def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
-                extra_terms: Sequence = (), budget: int | None = None) -> list[Formula]:
+                extra_terms: Sequence = ()) -> list[Formula]:
     """Quantifier-free formulas over the variable pool, ops-count levels."""
-    return list(fragment(sig, chain_labels, variables, depth, extra_terms, budget).matrices)
+    return list(fragment(sig, chain_labels, variables, depth, extra_terms).matrices)
 
 
 @lru_cache(maxsize=None)
@@ -413,13 +413,13 @@ def prenex_candidates(
         yield PrenexCandidate(*triple)
 
 
-def elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth=1, extra_terms=(), budget=None):
+def elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth=1, extra_terms=()):
     """The plan of `elementary_family`: every split of the pool into
     parameters and quantified variables, each under both leads."""
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
     steps = [(variables[n:], target) for n in range(total_vars + 1)
              for target in (PrenexClass(FORALL, depth), PrenexClass(EXISTS, depth))]
-    return fragment(sig, chain_labels, variables, matrix_depth, extra_terms, budget).plan(steps)
+    return fragment(sig, chain_labels, variables, matrix_depth, extra_terms).plan(steps)
 
 
 def elementary_family(
@@ -429,7 +429,6 @@ def elementary_family(
     total_vars: int | None = None,
     matrix_depth: int = 1,
     extra_terms: Sequence = (),
-    budget: int | None = None,
 ) -> Iterator[PrenexCandidate]:
     """Prenex formulas with every split of the pool into parameters and
     quantified variables, used for depth-bounded elementarity checks.
@@ -440,7 +439,7 @@ def elementary_family(
     """
     if total_vars is None:
         total_vars = depth + 1
-    for triple in elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth, extra_terms, budget):
+    for triple in elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth, extra_terms):
         yield PrenexCandidate(*triple)
 
 
@@ -560,9 +559,6 @@ class AssignmentGrid:
     def cell(self, assignment) -> int:
         """The cell of the assignment; a grid variable it leaves out reads as the first element."""
         return sum(self._dom_pos[assignment[v]] * self.strides[v] for v in self.variables if v in assignment)
-
-    def value_at(self, values: list[int], assignment) -> int:
-        return values[self.cell(assignment)]
 
 
 def value_classes(family: Fragment, grids: Sequence[AssignmentGrid],
@@ -780,8 +776,7 @@ def _check_relational(sig: Signature) -> None:
         raise SignatureError("structure enumeration needs a relational-plus-constants signature")
 
 
-def structure_space(sig: Signature, chain, max_size: int, label_prefix: str = "d",
-                    budget: int | None = None) -> StructureStream:
+def structure_space(sig: Signature, chain, max_size: int, label_prefix: str = "d") -> StructureStream:
     """All structures with domains d0..d(m-1) for m = 1..max_size, as blocks
     in canonical order (constants outer, predicate tables lexicographic
     inside), so countermodels are deterministic.  The signature must be
@@ -789,7 +784,7 @@ def structure_space(sig: Signature, chain, max_size: int, label_prefix: str = "d
     _check_relational(sig)
     constants, k = sig.constants(), chain.size
     check_budget(sum(m ** len(constants) * k ** sum(m**a for a in sig.predicates.values())
-                     for m in range(1, max_size + 1)), "structure enumeration", budget)
+                     for m in range(1, max_size + 1)), "structure enumeration")
     blocks: list[StructureBlock] = []
     for m in range(1, max_size + 1):
         domain = tuple(f"{label_prefix}{i}" for i in range(m))
@@ -816,8 +811,7 @@ def extension_space(base: Structure, max_size: int) -> StructureStream:
         for extra in range(max_size - base.size + 1))
 
 
-def enumerate_structures(sig: Signature, chain, max_size: int, label_prefix: str = "d",
-                         budget: int | None = None) -> Iterator[Structure]:
+def enumerate_structures(sig: Signature, chain, max_size: int, label_prefix: str = "d") -> Iterator[Structure]:
     """The structures of `structure_space`, one at a time, in its order."""
-    for block in structure_space(sig, chain, max_size, label_prefix, budget):
+    for block in structure_space(sig, chain, max_size, label_prefix):
         yield from block

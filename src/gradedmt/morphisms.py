@@ -17,7 +17,7 @@ from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
 from .generation import AssignmentGrid, elementary_plan, prenex_formula, value_classes
 from .semantics import Structure, eval_formula
-from .syntax import App, Formula
+from .syntax import App, Formula, Signature
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,13 @@ class MapReport:
         return self.ok
 
 
-def _check_signatures_match(source: Structure, target: Structure) -> None:
-    for name, arity in source.sig.predicates.items():
+def _check_interprets(sig: Signature, target: Structure, role: str = "target") -> None:
+    for name, arity in sig.predicates.items():
         if target.sig.predicates.get(name) != arity:
-            raise SignatureError(f"target does not interpret predicate {name!r}/{arity}")
-    for name, arity in source.sig.functions.items():
+            raise SignatureError(f"{role} does not interpret predicate {name!r}/{arity}")
+    for name, arity in sig.functions.items():
         if target.sig.functions.get(name) != arity:
-            raise SignatureError(f"target does not interpret function {name!r}/{arity}")
+            raise SignatureError(f"{role} does not interpret function {name!r}/{arity}")
 
 
 def _transport_entries(source: Structure) -> list:
@@ -94,7 +94,7 @@ def is_strong_homomorphism(m: StructureMap, source: Structure, target: Structure
     """
     if m.algebra_map.source != source.chain or m.algebra_map.target != target.chain:
         raise ChainMismatchError("algebra map does not connect the two chains")
-    _check_signatures_match(source, target)
+    _check_interprets(source.sig, target)
     alg = is_algebra_homomorphism(m.algebra_map)
     if not alg.ok:
         return MapReport(False, "algebra map is not a homomorphism", alg.counterexample)
@@ -154,7 +154,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     as single ticks would stop, before any replay through `eval_formula`.
     Returns (positions checked, separator, source tuple), or (checked, None,
     None)."""
-    _check_signatures_match(grid_s.structure, grid_t.structure)  # both grids evaluate the family
+    _check_interprets(grid_s.structure.sig, grid_t.structure)  # both grids evaluate the family
     top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
     transfers = [[b == f[a] if f is not None else a != top_s or b == top_t  # [source value][target value]
                   for b in range(top_t + 1)] for a in range(top_s + 1)]
@@ -209,8 +209,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
 
 
 def is_elementary_up_to_depth(m: StructureMap, source: Structure, target: Structure, depth: int,
-                              matrix_depth: int = 1, total_vars: int | None = None,
-                              budget: int | None = None) -> ElementarityReport:
+                              matrix_depth: int = 1, total_vars: int | None = None) -> ElementarityReport:
     """Check value transport for the canonical prenex family to `depth`.
 
     Every generated formula with up to `depth` quantifier blocks is
@@ -229,7 +228,7 @@ def is_elementary_up_to_depth(m: StructureMap, source: Structure, target: Struct
         total_vars = depth + 1
     grid_vars = tuple(f"x{i}" for i in range(1, total_vars + 1))
     plan = elementary_plan(source.sig, source.chain.elements, depth, total_vars, matrix_depth,
-                           [App(c) for c in source.sig.constants()], budget)
+                           [App(c) for c in source.sig.constants()])
     checked, separator, tup = first_transfer_failure(
         plan, AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars),
         m.algebra_map.map, m.domain_map, lambda params: product(source.domain, repeat=len(params)))
@@ -280,8 +279,8 @@ def is_substructure(sub: Structure, sup: Structure) -> SubstructureReport:
     if not chain_is_subalgebra(sub.chain, sup.chain):
         return SubstructureReport(False, 1, "chain is not a subalgebra")
     try:
-        _check_signatures_match(sub, sup)
-        _check_signatures_match(sup, sub)
+        _check_interprets(sub.sig, sup)
+        _check_interprets(sup.sig, sub)
     except SignatureError as err:
         return SubstructureReport(False, 0, str(err))
     missing = [d for d in sub.domain if d not in sup.domain]
@@ -337,24 +336,31 @@ def induced_substructure(s: Structure, subset: Sequence[str]) -> Structure:
     )
 
 
+def _generated_domain(s: Structure, seed: Sequence[str]) -> tuple:
+    """The least subset holding `seed` and the constants that is closed
+    under the functions, in domain order."""
+    current = set(seed)
+    for name in s.sig.constants():
+        current.add(s.functions[name][()])
+    if not current:
+        return ()
+    changed = True
+    while changed:
+        changed = False
+        for name in s.sig.proper_functions():
+            table = s.functions[name]
+            for args, value in table.items():
+                if all(a in current for a in args) and value not in current:
+                    current.add(value)
+                    changed = True
+    return tuple(d for d in s.domain if d in current)
+
+
 def _closed_subsets(s: Structure) -> Iterator[tuple[str, ...]]:
-    dom = s.domain
-    constants = {s.functions[c][()] for c in s.sig.constants()}
-    proper = [(name, s.functions[name]) for name in s.sig.proper_functions()]
-    for size in range(1, len(dom) + 1):
-        for subset in combinations(dom, size):
-            chosen = set(subset)
-            if not constants <= chosen:
-                continue
-            closed = True
-            for _, table in proper:
-                for args, value in table.items():
-                    if all(a in chosen for a in args) and value not in chosen:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
+    """The domains of the substructures: subsets equal to what they generate."""
+    for size in range(1, len(s.domain) + 1):
+        for subset in combinations(s.domain, size):
+            if _generated_domain(s, subset) == subset:
                 yield subset
 
 
@@ -475,7 +481,6 @@ def search_structure_map(
     injective: bool = False,
     agreement: Mapping[str, str] | None = None,
     extra_filter=None,
-    budget: int | None = None,
 ) -> StructureMap | None:
     """First strong homomorphism (or embedding) in canonical order.
 
@@ -483,10 +488,10 @@ def search_structure_map(
     domain list; an optional agreement pins part of the domain map.
     `extra_filter(alg, g) -> bool` can impose additional conditions.
     """
-    _check_signatures_match(source, target)
+    _check_interprets(source.sig, target)
     alg_candidates = _algebra_map_candidates(source, target, fix_algebra_identity)
     per_alg = _count_domain_candidates(source, target, injective, agreement)
-    check_budget(per_alg * len(alg_candidates), "structure map search", budget)
+    check_budget(per_alg * len(alg_candidates), "structure map search")
     if injective:
         alg_candidates = [alg for alg in alg_candidates if alg.injective]
     entries = _transport_entries(source)
@@ -494,14 +499,13 @@ def search_structure_map(
     return None if found is None else StructureMap(*found, kind="embedding" if injective else "strong")
 
 
-def search_strong_homomorphism(source, target, fix_algebra_identity=True, budget=None):
-    return search_structure_map(source, target, fix_algebra_identity, injective=False, budget=budget)
+def search_strong_homomorphism(source, target, fix_algebra_identity=True):
+    return search_structure_map(source, target, fix_algebra_identity, injective=False)
 
 
 def search_strong_embedding(source, target, fix_algebra_identity: bool = True,
-                            agreement: Mapping[str, str] | None = None, budget: int | None = None):
-    return search_structure_map(source, target, fix_algebra_identity, injective=True, agreement=agreement,
-                                budget=budget)
+                            agreement: Mapping[str, str] | None = None):
+    return search_structure_map(source, target, fix_algebra_identity, injective=True, agreement=agreement)
 
 
 def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:

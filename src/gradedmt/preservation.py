@@ -23,6 +23,7 @@ from .errors import FormatError, PreconditionError, SignatureError
 from .generation import AssignmentGrid, extension_space, fragment, prenex_formula, structure_space
 from .morphisms import (
     StructureMap,
+    _generated_domain,
     enumerate_substructures,
     first_transfer_failure,
     inclusion_map,
@@ -53,7 +54,6 @@ class FormulaBounds:
     matrix_depth: int = 1
     num_vars: int = 2
     max_candidates: int | None = None
-    budget: int | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -81,8 +81,7 @@ def _family(sig, chain, n_params: int, bounds: FormulaBounds):
     qvars = [f"x{i}" for i in range(1, bounds.num_vars + 1)]
     pvars = [f"p{i}" for i in range(1, n_params + 1)]
     terms = [App(c) for c in sig.constants()]
-    return qvars, pvars, fragment(sig, chain.elements, qvars + pvars, bounds.matrix_depth, terms,
-                                  bounds.budget)
+    return qvars, pvars, fragment(sig, chain.elements, qvars + pvars, bounds.matrix_depth, terms)
 
 
 def implies_exists_n(left: Structure, right: Structure, params: Sequence[str], n: int,
@@ -102,7 +101,7 @@ def implies_exists_n(left: Structure, right: Structure, params: Sequence[str], n
         family.plan([(qvars, PrenexClass(EXISTS, n))], bounds.max_candidates),
         AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
         None, dict(zip(params, params)), lambda slots: [tuple(assignment[p] for p in slots)],
-        BudgetMeter("existential transfer", bounds.budget))
+        BudgetMeter("existential transfer"))
     return ExistsFlowReport(separator is None, n, separator, tup or (), checked, bounds)
 
 
@@ -194,7 +193,7 @@ def universal_consequences_bounded(theory: Sequence[Formula], sig: Signature, ch
     the theory.  Each block's models are found once, as a bitset, and each
     sentence is evaluated on every such block at once."""
     models = [(block, block.models(theory))
-              for block in structure_space(sig, chain, max_domain, budget=bounds.budget)]
+              for block in structure_space(sig, chain, max_domain)]
     return [phi for phi in _sentences(sig, chain, FORALL, 1, bounds)
             if not any(bits & ~block.planes(phi)[-1] for block, bits in models if bits)]
 
@@ -257,24 +256,6 @@ class AmalgamInstance:
         return tuple(self.common.domain) if self.common is not None else ()
 
 
-def _generated_domain(s: Structure, seed: Sequence[str]) -> tuple:
-    current = set(seed)
-    for name in s.sig.constants():
-        current.add(s.functions[name][()])
-    if not current:
-        return ()
-    changed = True
-    while changed:
-        changed = False
-        for name in s.sig.proper_functions():
-            table = s.functions[name]
-            for args, value in table.items():
-                if all(a in current for a in args) and value not in current:
-                    current.add(value)
-                    changed = True
-    return tuple(d for d in s.domain if d in current)
-
-
 @dataclass
 class AmalgamResult:
     status: str  # "found" | "none-within-bounds"
@@ -328,7 +309,7 @@ def search_amalgam(instance: AmalgamInstance, n: int, max_size: int, depth: int 
         raise PreconditionError(f"existential transfer fails: {render_formula(pre.separator)} "
                                 "holds on the left only", witness=pre)
     agreement = {d: d for d in instance.shared_labels}
-    meter = BudgetMeter("amalgam candidates", bounds.budget)
+    meter = BudgetMeter("amalgam candidates")
     tried = 0
     for block in extension_space(right, max_size):
         for candidate in block:
@@ -336,13 +317,13 @@ def search_amalgam(instance: AmalgamInstance, n: int, max_size: int, depth: int 
             tried += 1
             transport = None if n == 1 else lambda alg, g: universal_transport_ok(g, left, candidate, bounds)
             left_map = search_structure_map(left, candidate, injective=True, agreement=agreement,
-                                            extra_filter=transport, budget=bounds.budget)
+                                            extra_filter=transport)
             if left_map is None:
                 continue
             right_incl = inclusion_map(right, candidate)
             sub = is_substructure(right, candidate)
             elem = is_elementary_up_to_depth(right_incl, right, candidate, depth,
-                                             matrix_depth=bounds.matrix_depth, budget=bounds.budget)
+                                             matrix_depth=bounds.matrix_depth)
             if sub.ok and elem.ok:
                 return AmalgamResult("found", replace(candidate, name="amalgam-candidate"), left_map,
                                      right_incl, tried, depth, n, pre)

@@ -70,9 +70,9 @@ def fresh_fragments(monkeypatch):
     built = []
     build = generation._build_fragment
 
-    def counting(sig, labels, variables, depth, extra_terms, budget):
+    def counting(sig, labels, variables, depth, extra_terms):
         built.append((tuple(labels), tuple(variables), depth))
-        return build(sig, labels, variables, depth, extra_terms, budget)
+        return build(sig, labels, variables, depth, extra_terms)
 
     monkeypatch.setattr(generation, "_build_fragment", counting)
     return built

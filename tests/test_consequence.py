@@ -100,6 +100,17 @@ def test_equiv_separates_different_sizes_at_depth_two(g4, sig_p):
     assert satisfies(res.separator, one) != satisfies(res.separator, two)
 
 
+def test_equiv_needs_every_predicate_of_the_signature(struct_m, g4):
+    from gradedmt.semantics import Structure
+
+    sig = Signature(predicates={"P": 1, "Q": 1})
+    with pytest.raises(SignatureError, match="structure does not interpret predicate 'Q'/1"):
+        equiv_up_to_depth(struct_m, struct_m, 1, sig=sig)
+    both = Structure(chain=g4, sig=sig, domain=("a",), predicates={"P": {("a",): 0}, "Q": {("a",): 0}})
+    with pytest.raises(SignatureError, match="structure does not interpret predicate 'Q'/1"):
+        equiv_up_to_depth(both, struct_m, 1, sig=sig)
+
+
 def test_equiv_chain_mismatch(struct_m, b2, sig_p):
     from gradedmt.semantics import Structure
 
@@ -138,9 +149,10 @@ def test_bounded_consequence_rejects_proper_functions(g3):
         bounded_consequence([], Val("1"), sig, g3, 1)
 
 
-def test_bounded_consequence_budget_names_its_phase(sig_r, g3):
+def test_bounded_consequence_budget_names_its_phase(monkeypatch, sig_r, g3):
+    monkeypatch.setenv("GRADEDMT_BUDGET", "50")
     with pytest.raises(BudgetError, match="structure enumeration") as err:
-        bounded_consequence([], Val("1"), sig_r, g3, 2, budget=50)
+        bounded_consequence([], Val("1"), sig_r, g3, 2)
     assert (err.value.required, err.value.budget) == (3 + 3**4, 50)
 
 
@@ -161,9 +173,10 @@ def test_universal_consequences_skip_unreached_sentences(sig_r, g3):
     assert len(out) == 5
 
 
-def test_universal_consequences_budget_names_its_phase(sig_r, g3):
+def test_universal_consequences_budget_names_its_phase(monkeypatch, sig_r, g3):
+    monkeypatch.setenv("GRADEDMT_BUDGET", "50")
     with pytest.raises(BudgetError, match="structure enumeration"):
-        universal_consequences_bounded([], sig_r, g3, 2, FormulaBounds(budget=50))
+        universal_consequences_bounded([], sig_r, g3, 2)
     sig = Signature(predicates={"R": 2}, functions={"f": 1})
     with pytest.raises(SignatureError):
         universal_consequences_bounded([], sig, g3, 1)

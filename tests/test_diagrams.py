@@ -222,9 +222,10 @@ def test_sweep_fault_disagreements_are_pinned(monkeypatch, b2, sig_r):
     ((2, 2), "diagram sweep", 324),
     ((1, 2), "structure enumeration", 18),
 ])
-def test_sweep_budget_names_its_phase(b2, sig_r, sizes, phase, required):
+def test_sweep_budget_names_its_phase(monkeypatch, b2, sig_r, sizes, phase, required):
     # 18 structures of R/2 over bool2 up to size 2: the pair count, then the targets, overrun
+    monkeypatch.setenv("GRADEDMT_BUDGET", str(required - 1))
     with pytest.raises(BudgetError) as err:
-        cor1_sweep(b2, sig_r, *sizes, budget=required - 1)
+        cor1_sweep(b2, sig_r, *sizes)
     assert str(err.value) == f"{phase} needs {required} candidates, budget is {required - 1}"
     assert (err.value.required, err.value.budget) == (required, required - 1)

@@ -68,9 +68,10 @@ def test_truth_constants_licensed_only(sig_p, g4):
     assert licensed in generate_sentences(expanded_sig, g4.elements, 1)
 
 
-def test_generation_budget(sig_r, g4):
+def test_generation_budget(monkeypatch, sig_r, g4):
+    monkeypatch.setenv("GRADEDMT_BUDGET", "500")
     with pytest.raises(BudgetError):
-        generate_sentences(sig_r, g4.elements, 3, budget=500)
+        generate_sentences(sig_r, g4.elements, 3)
 
 
 def test_qf_matrices_are_quantifier_free(sig_r, g4):
@@ -256,7 +257,7 @@ def test_grid_matches_plain_evaluator(g4, sig_r):
     for phi in qf_matrices(sig, g4.elements, ["x1", "x2"], 1)[:300]:
         vals = grid.values(phi)
         for asg in all_assignments(("x1", "x2"), s.domain):
-            assert grid.value_at(vals, asg) == eval_formula(phi, s, asg)
+            assert vals[grid.cell(asg)] == eval_formula(phi, s, asg)
 
 
 def test_grid_fold_matches_quantifier(g4, sig_r):
@@ -267,7 +268,7 @@ def test_grid_fold_matches_quantifier(g4, sig_r):
     folded = grid.fold(grid.values(matrix), "x2", FORALL)
     phi = parse_formula("forall x2. R(x1,x2)", sig_r)
     for d in s.domain:
-        assert grid.value_at(folded, {"x1": d}) == eval_formula(phi, s, {"x1": d})
+        assert folded[grid.cell({"x1": d})] == eval_formula(phi, s, {"x1": d})
 
 
 SIG_PR = Signature(predicates={"P": 1, "R": 2})
@@ -303,11 +304,11 @@ def test_prefix_folds_match_plain_evaluator(s, matrices, order):
             vals = grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix)
             assert grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix) is vals
             for asg in all_assignments(GRID_VARS, s.domain):
-                assert grid.value_at(vals, asg) == eval_formula(cand.formula, s, asg)
+                assert vals[grid.cell(asg)] == eval_formula(cand.formula, s, asg)
             for d, part in sliced.items():
                 part_vals = part.fold_prefix(cand.matrix, part.values(cand.matrix), cand.prefix)
                 for asg in all_assignments(part.variables, s.domain):
-                    assert part.value_at(part_vals, asg) == grid.value_at(vals, {**asg, "x3": d})
+                    assert part_vals[part.cell(asg)] == vals[grid.cell({**asg, "x3": d})]
 
 
 PAIR_VARS = ("x1", "x2")
@@ -332,7 +333,7 @@ def test_value_classes_match_values_and_plain_evaluator(s, t, order):
         assert row == grid.values(phi)
         assert joint == row + other.values(phi)
         for asg in all_assignments(order, s.domain):
-            assert grid.value_at(row, asg) == eval_formula(phi, s, asg)
+            assert row[grid.cell(asg)] == eval_formula(phi, s, asg)
 
 
 def test_swapped_fold_is_caught_by_the_evaluator_replays(monkeypatch):
@@ -389,6 +390,7 @@ def test_enumerate_structures_rejects_proper_functions(b2):
         list(enumerate_structures(sig, b2, 1))
 
 
-def test_enumerate_structures_budget(g4, sig_r):
+def test_enumerate_structures_budget(monkeypatch, g4, sig_r):
+    monkeypatch.setenv("GRADEDMT_BUDGET", "1000")
     with pytest.raises(BudgetError):
-        list(enumerate_structures(sig_r, g4, 3, budget=1000))
+        list(enumerate_structures(sig_r, g4, 3))
