@@ -29,33 +29,6 @@ def _as_table(rows, k: int, what: str) -> Table:
     return tuple(out)
 
 
-def _nested_op_table(table, arity: int, k: int, what: str):
-    """Validate an extra-operation table: nested lists, depth == arity."""
-    if arity == 0:
-        if not isinstance(table, int) or not 0 <= table < k:
-            raise FormatError(f"{what}: nullary table must be an index < {k}")
-        return table
-    if not isinstance(table, (list, tuple)) or len(table) != k:
-        raise FormatError(f"{what}: expected {k} entries at arity {arity}")
-    return tuple(_nested_op_table(sub, arity - 1, k, what) for sub in table)
-
-
-@dataclass(frozen=True)
-class Operation:
-    """An extra n-ary operation on a chain, given by a nested index table."""
-
-    arity: int
-    table: object
-
-    def apply(self, args: Sequence[int]) -> int:
-        if len(args) != self.arity:
-            raise FormatError(f"operation expects {self.arity} arguments")
-        node = self.table
-        for a in args:
-            node = node[a]
-        return node
-
-
 @dataclass(frozen=True)
 class FiniteChain:
     """A finite chain algebra over k >= 2 elements.
@@ -63,14 +36,15 @@ class FiniteChain:
     `elements` lists the element labels in strictly ascending chain order;
     index 0 is the bottom element and index k-1 the top.  `star` and
     `implies` are k-by-k tables of element indices.  Construction checks
-    shapes only; run validate_chain for the algebraic laws.
+    shapes only; run validate_chain for the algebraic laws.  Two chains
+    are equal when their labels and tables are: `name` is a label for
+    files and takes no part in equality or the hash.
     """
 
     elements: tuple[str, ...]
     star: Table
     implies: Table
-    extra_ops: Mapping[str, Operation] = field(default_factory=dict)
-    name: str = ""
+    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         if len(self.elements) < 2:
@@ -81,16 +55,6 @@ class FiniteChain:
         object.__setattr__(self, "elements", tuple(str(e) for e in self.elements))
         object.__setattr__(self, "star", _as_table(self.star, k, "star"))
         object.__setattr__(self, "implies", _as_table(self.implies, k, "implies"))
-        ops = {}
-        for op_name, op in dict(self.extra_ops).items():
-            if not isinstance(op, Operation):
-                raise FormatError(f"extra op {op_name!r} must be an Operation")
-            if op.arity < 0:
-                raise FormatError(f"extra op {op_name!r} has negative arity")
-            ops[op_name] = Operation(
-                op.arity, _nested_op_table(op.table, op.arity, k, f"extra op {op_name!r}")
-            )
-        object.__setattr__(self, "extra_ops", ops)
 
     @property
     def size(self) -> int:
@@ -148,21 +112,10 @@ class FiniteChain:
                 rows.append(tuple(row))
             return tuple(rows)
 
-        def shrink_op(op: Operation) -> Operation:
-            def walk(node, depth):
-                if depth == 0:
-                    if node not in pos:
-                        raise FormatError("subset not closed under an extra operation")
-                    return pos[node]
-                return tuple(walk(node[i], depth - 1) for i in idx)
-
-            return Operation(op.arity, walk(op.table, op.arity))
-
         return FiniteChain(
             elements=tuple(self.elements[i] for i in idx),
             star=shrink(self.star),
             implies=shrink(self.implies),
-            extra_ops={n: shrink_op(op) for n, op in self.extra_ops.items()},
             name=self.name,
         )
 
@@ -197,24 +150,16 @@ def chain_from_dict(data: Mapping) -> FiniteChain:
         star = data["star"]
     except KeyError as missing:
         raise FormatError(f"algebra data lacks required key {missing}")
+    if "extra_ops" in data:
+        # rejected, not ignored: ignoring it would silently change the subalgebras meant
+        raise FormatError("extra_ops is not supported: a chain has only star and implies")
     if not isinstance(elements, (list, tuple)):
         raise FormatError(f"algebra elements must be a list of labels, got {elements!r}")
     elements = tuple(str(e) for e in elements)
     implies = data.get("implies")
     if implies is None:
         implies = derive_residuum(elements, star)
-    extra = {}
-    for op_name, spec in dict(data.get("extra_ops", {})).items():
-        if "arity" not in spec or "table" not in spec:
-            raise FormatError(f"extra op {op_name!r} needs arity and table")
-        extra[op_name] = Operation(int(spec["arity"]), spec["table"])
-    return FiniteChain(
-        elements=elements,
-        star=star,
-        implies=implies,
-        extra_ops=extra,
-        name=str(data.get("name", "")),
-    )
+    return FiniteChain(elements, star, implies, name=str(data.get("name", "")))
 
 
 def validate_chain(candidate) -> ChainReport:
@@ -323,7 +268,7 @@ def derive_residuum(elements: Sequence[str], star) -> Table:
 
 
 def generated_subalgebra(chain: FiniteChain, seed: Iterable) -> tuple[int, ...]:
-    """Least subset containing seed, bottom and top, closed under all operations.
+    """Least subset containing seed, bottom and top, closed under star and implies.
 
     Seed entries may be element indices or labels.  Returns ascending indices.
     """
@@ -336,8 +281,6 @@ def generated_subalgebra(chain: FiniteChain, seed: Iterable) -> tuple[int, ...]:
     if not current:
         raise FormatError("seed must be nonempty")
 
-    from itertools import product
-
     changed = True
     while changed:
         changed = False
@@ -348,12 +291,6 @@ def generated_subalgebra(chain: FiniteChain, seed: Iterable) -> tuple[int, ...]:
                     if v not in current:
                         current.add(v)
                         changed = True
-        for op in chain.extra_ops.values():
-            for args in product(frozen, repeat=op.arity):
-                v = op.apply(args)
-                if v not in current:
-                    current.add(v)
-                    changed = True
     return tuple(sorted(current))
 
 

@@ -18,7 +18,7 @@ every target of a structure-space block at once in `cor1_sweep`.
 
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebra import identity_map
 from .budget import check_budget
@@ -67,14 +67,10 @@ class DiagramEntry:
 class Diagram:
     kind: str
     constants: tuple  # constant names, domain order
-    constant_elements: Mapping[str, str]
     entries: tuple
     bounds: DiagramBounds
     completeness: str
     chain_labels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "constant_elements", dict(self.constant_elements))
 
 
 def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = DiagramBounds()) -> Diagram:
@@ -113,10 +109,8 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
                                       num_vars=bounds.num_vars, extra_terms=terms):
             push(phi)
         completeness += f"; quantified to depth {bounds.quantifier_depth}"
-    return Diagram(kind=kind, constants=constants,
-                   constant_elements={constant_name_for(d): d for d in s.domain},
-                   entries=tuple(entries), bounds=bounds, completeness=completeness,
-                   chain_labels=s.chain.elements)
+    return Diagram(kind=kind, constants=constants, entries=tuple(entries), bounds=bounds,
+                   completeness=completeness, chain_labels=s.chain.elements)
 
 
 @dataclass(frozen=True)

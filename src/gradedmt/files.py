@@ -1,15 +1,17 @@
 """JSON and theory-file loaders and serializers.
 
-Algebra files: {"elements": [...], "star": [[...]], "implies": [[...]],
-"extra_ops": {...}} with 0-based indices into "elements"; "implies" may
-be omitted and is then derived.  Structure files reference their algebra
-by relative path or carry it inline; predicate and function tables are
-objects keyed by comma-joined argument labels (the empty string for
-arity 0).  Theory files are newline-separated formulas with `#`
-comments.  Chain files are JSON lists of structure paths.
+Algebra files: {"elements": [...], "star": [[...]], "implies": [[...]]}
+with 0-based indices into "elements"; "implies" may be omitted and is
+then derived; extra operations are rejected.  An unnamed chain is named
+after its file, but chains compare by their tables alone.  Structure files
+reference their algebra by relative path or carry it inline; predicate
+and function tables are objects keyed by comma-joined argument labels
+(the empty string for arity 0).  Theory files are newline-separated
+formulas with `#` comments.  Chain files are JSON lists of structure paths.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -44,11 +46,7 @@ def load_algebra(path) -> FiniteChain:
         raise FormatError(
             f"{path}: not a valid chain ({len(report.violations)} violations; first: {first})"
         )
-    if not chain.name:
-        chain = FiniteChain(
-            chain.elements, chain.star, chain.implies, chain.extra_ops, name=path.stem
-        )
-    return chain
+    return chain if chain.name else replace(chain, name=path.stem)
 
 
 def algebra_to_dict(chain: FiniteChain) -> dict:
@@ -59,14 +57,6 @@ def algebra_to_dict(chain: FiniteChain) -> dict:
     }
     if chain.name:
         out["name"] = chain.name
-    if chain.extra_ops:
-        def unfreeze(node):
-            return [unfreeze(x) for x in node] if isinstance(node, tuple) else node
-
-        out["extra_ops"] = {
-            name: {"arity": op.arity, "table": unfreeze(op.table)}
-            for name, op in chain.extra_ops.items()
-        }
     return out
 
 

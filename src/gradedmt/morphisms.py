@@ -27,7 +27,6 @@ class StructureMap:
     algebra_map: AlgebraMap
     domain_map: Mapping[str, str]
     kind: str = "strong"
-    depth: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "domain_map", dict(self.domain_map))

@@ -204,12 +204,13 @@ _SENTENCE_CACHE: dict = {}
 def _sentences(sig: Signature, chain, lead: str, blocks: int, bounds: FormulaBounds) -> list[Formula]:
     """The first `bounds.max_candidates` sentences of the family stream whose
     prefix leads with `lead` within `blocks` blocks, built once per key and
-    shared by every caller, so never mutated."""
+    shared by every caller, so never mutated.  The family is fetched even
+    on a hit, because fetching it charges its size to the budget."""
+    qvars, _, family = _family(sig, chain, 0, bounds)
     key = (tuple(sorted(sig.predicates.items())), tuple(sorted(sig.functions.items())),
            sig.truth_constants, chain.elements, lead, blocks, bounds)
     out = _SENTENCE_CACHE.get(key)
     if out is None:
-        qvars, _, family = _family(sig, chain, 0, bounds)
         stream = family.plan([(qvars, PrenexClass(lead, blocks))])
         out = _SENTENCE_CACHE[key] = list(islice((
             prenex_formula(matrix, prefix) for matrix, prefix, params in stream

@@ -116,11 +116,7 @@ class Structure:
             raise FormatError(f"{value!r} is not a domain element")
         if name in self.sig.functions or name in self.sig.predicates:
             raise SignatureError(f"symbol {name!r} already in use")
-        sig = replace(
-            self.sig,
-            functions={**self.sig.functions, name: 0},
-            domain_constants=frozenset(self.sig.domain_constants | {name}),
-        )
+        sig = replace(self.sig, functions={**self.sig.functions, name: 0})
         functions = dict(self.functions)
         functions[name] = {(): value}
         return replace(self, sig=sig, functions=functions)

@@ -24,16 +24,13 @@ class Signature:
     Arity-0 predicates denote structure-interpreted truth values;
     arity-0 functions are object constants.  `truth_constants` lists the
     element labels licensed for val(...) beyond the always-available
-    "0" and "1"; `domain_constants` flags constants generated from
-    domain elements; `chain_name` records which chain the licensed
-    truth constants came from.
+    "0" and "1".  Two signatures are equal when they declare the same
+    symbols: a constant added for a domain element is an ordinary one.
     """
 
     predicates: Mapping[str, int] = field(default_factory=dict)
     functions: Mapping[str, int] = field(default_factory=dict)
     truth_constants: frozenset = frozenset()
-    domain_constants: frozenset = frozenset()
-    chain_name: str | None = None
 
     def __post_init__(self):
         preds = dict(self.predicates)
@@ -47,7 +44,6 @@ class Signature:
         object.__setattr__(self, "predicates", preds)
         object.__setattr__(self, "functions", funcs)
         object.__setattr__(self, "truth_constants", frozenset(self.truth_constants))
-        object.__setattr__(self, "domain_constants", frozenset(self.domain_constants))
 
     def is_predicate(self, name: str) -> bool:
         return name in self.predicates
@@ -74,33 +70,25 @@ def expand_with_domain_constants(sig: Signature, domain_labels: Iterable[str]) -
     if not labels:
         raise SignatureError("cannot expand over an empty domain")
     funcs = dict(sig.functions)
-    flagged = set(sig.domain_constants)
     for label in labels:
         name = constant_name_for(label)
         if name in funcs or name in sig.predicates:
             raise SignatureError(f"constant name {name!r} already in use")
         funcs[name] = 0
-        flagged.add(name)
-    return replace(sig, functions=funcs, domain_constants=frozenset(flagged))
+    return replace(sig, functions=funcs)
 
 
 def constant_name_for(label: str) -> str:
     return f"c_{label}"
 
 
-def expand_with_truth_constants(
-    sig: Signature, chain: FiniteChain, chain_name: str | None = None
-) -> Signature:
+def expand_with_truth_constants(sig: Signature, chain: FiniteChain) -> Signature:
     """License one truth constant per chain element."""
     labels = set(chain.elements)
     clash = labels & sig.truth_constants
     if clash:
         raise SignatureError(f"truth constants already present: {sorted(clash)}")
-    return replace(
-        sig,
-        truth_constants=frozenset(sig.truth_constants | labels),
-        chain_name=chain_name if chain_name is not None else (chain.name or sig.chain_name),
-    )
+    return replace(sig, truth_constants=frozenset(sig.truth_constants | labels))
 
 
 # --- terms ---

@@ -174,28 +174,26 @@ def test_builders_are_valid():
     assert validate_chain(lukasiewicz_chain(["0", "1/4", "1/2", "3/4", "1"])).ok
 
 
-def test_extra_ops_shape_and_closure(g4):
-    from gradedmt.algebra import Operation
+def test_extra_ops_are_rejected(tmp_path, capsys, g4):
+    import json
 
-    delta = Operation(1, [0, 0, 0, 3])
-    chain = FiniteChain(g4.elements, g4.star, g4.implies, extra_ops={"delta": delta})
-    assert validate_chain(chain).ok
-    # closure iterates the extra operation as well
-    assert generated_subalgebra(chain, ["3/4"]) == (0, 2, 3)
-    with pytest.raises(FormatError):
-        FiniteChain(g4.elements, g4.star, g4.implies, extra_ops={"bad": Operation(1, [0, 0])})
-    with pytest.raises(FormatError):
-        FiniteChain(g4.elements, g4.star, g4.implies, extra_ops={"bad": Operation(1, [0, 0, 0, 9])})
-
-
-def test_extra_ops_file_roundtrip(tmp_path, g4):
-    import json as _json
-
-    from gradedmt.algebra import Operation, chain_from_dict
+    from gradedmt.algebra import chain_from_dict
+    from gradedmt.cli import main
     from gradedmt.files import algebra_to_dict
 
-    chain = FiniteChain(
-        g4.elements, g4.star, g4.implies, extra_ops={"delta": Operation(1, [0, 0, 0, 3])}
-    )
-    blob = _json.loads(_json.dumps(algebra_to_dict(chain)))
-    assert chain_from_dict(blob) == chain
+    data = {**algebra_to_dict(g4), "extra_ops": {"delta": {"arity": 1, "table": [0, 0, 0, 3]}}}
+    with pytest.raises(FormatError, match="extra_ops"):
+        chain_from_dict(data)
+    structure = {"algebra": data, "domain": ["a"], "predicates": {"P": {"arity": 1, "table": {"a": "1"}}}}
+    (tmp_path / "s.json").write_text(json.dumps(structure))
+    assert main(["enum-subs", "--structure", str(tmp_path / "s.json")]) == 2
+    assert "extra_ops" in capsys.readouterr().err
+
+
+def test_chain_name_takes_no_part_in_equality(b2, g4):
+    from dataclasses import replace
+
+    renamed = replace(b2, name="x")
+    assert renamed == b2 and hash(renamed) == hash(b2)
+    assert renamed.name == "x"
+    assert replace(g4, name="") == g4 != b2

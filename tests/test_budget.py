@@ -14,7 +14,7 @@ from gradedmt import corpus
 from gradedmt.diagrams import DiagramBounds, cor1_sweep, diagram_embedding_equivalence
 from gradedmt.errors import BudgetError
 from gradedmt.files import load_structure
-from gradedmt.preservation import FormulaBounds
+from gradedmt.preservation import FormulaBounds, substructure_preservation_suite
 from gradedmt.syntax import Signature
 
 DATA = corpus.data_dir()
@@ -52,3 +52,11 @@ def test_sweep_matrix_generation_counts_against_the_budget(monkeypatch):
     with pytest.raises(BudgetError, match="matrix generation") as err:
         cor1_sweep(corpus.bool2(), Signature(predicates={"R": 2}), 1, 1, DiagramBounds(connective_depth=1))
     assert (err.value.required, err.value.budget) == (101, 100)
+
+
+def test_a_warm_sentence_cache_still_counts_against_the_budget(monkeypatch):
+    substructure_preservation_suite(0, 3)  # warms the suite's sentence and family caches
+    monkeypatch.setenv("GRADEDMT_BUDGET", "50")
+    with pytest.raises(BudgetError, match="matrix generation") as err:
+        substructure_preservation_suite(0, 3)
+    assert (err.value.required, err.value.budget) == (51, 50)

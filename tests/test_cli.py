@@ -173,6 +173,21 @@ def test_implies_exists_subcommand(capsys):
     assert payload["report"]["separator"] == "exists x1 . P(x1) <-> val(3/4)"
 
 
+def test_a_renamed_copy_of_a_chain_is_the_same_chain(capsys, tmp_path):
+    tables = json.loads((DATA / "bool2.json").read_text())
+    del tables["name"]  # the copy is named after its file, "crisp"
+    (tmp_path / "crisp.json").write_text(json.dumps(tables))
+    source = json.loads((DATA / "edgeless2.json").read_text())
+    (tmp_path / "edgeless2.json").write_text(json.dumps({**source, "algebra": "crisp.json"}))
+    for command, first, second in (("implies-exists", "--left", "--right"),
+                                   ("find-embed", "--source", "--target"),
+                                   ("check-diagram", "--source", "--target")):
+        target = str(DATA / "path3.json")
+        shared = run_json(capsys, command, first, str(DATA / "edgeless2.json"), second, target)
+        renamed = run_json(capsys, command, first, str(tmp_path / "edgeless2.json"), second, target)
+        assert renamed == shared and shared[0] in (0, 1)
+
+
 def test_amalgamate_subcommand(capsys):
     code, payload = run_json(
         capsys,

@@ -22,7 +22,7 @@ from gradedmt.errors import BudgetError, SignatureError
 from gradedmt.morphisms import StructureMap, is_elementary_up_to_depth, is_embedding
 from gradedmt.parser import parse_formula, parse_theory
 from gradedmt.semantics import Structure, eval_formula
-from gradedmt.syntax import Eq
+from gradedmt.syntax import Eq, Signature
 
 
 @pytest.fixture()
@@ -39,6 +39,10 @@ def test_expansion_sharp(struct_m):
         assert sharp.functions[f"c_{d}"][()] == d
     with pytest.raises(SignatureError):
         expansion_sharp(sharp)
+    # the generated constants are ordinary ones: the signature equals one declaring them
+    declared = Signature(predicates=struct_m.sig.predicates,
+                         functions={**struct_m.sig.functions, "c_n0": 0, "c_n1": 0, "c_n2": 0})
+    assert sharp.sig == declared
 
 
 def test_diag_contains_atomic_entry(one_element, g4):

@@ -65,7 +65,7 @@ def test_val_chain_mismatch(b2, sig_p):
     from gradedmt.syntax import Val
 
     s = Structure(chain=b2, sig=sig_p, domain=("a",), predicates={"P": {("a",): 1}})
-    sig = expand_with_truth_constants(sig_p, b2, chain_name="bool2")
+    sig = expand_with_truth_constants(sig_p, b2)
     assert eval_formula(parse_formula("val(1)", sig), s) == b2.top
     with pytest.raises(ChainMismatchError):
         eval_formula(Val("3/4"), s)
