@@ -162,57 +162,45 @@ def chain_from_dict(data: Mapping) -> FiniteChain:
     return FiniteChain(elements, star, implies, name=str(data.get("name", "")))
 
 
+def _star_violations(star: Table):
+    """Identity, commutativity, associativity and monotonicity failures of
+    a star table, in that order, each law's witnesses ascending."""
+    k = len(star)
+    top = k - 1
+    for x in range(k):
+        if star[x][top] != x:
+            yield Violation("identity", (x,), f"star({x}, top) = {star[x][top]} != {x}")
+    for x in range(k):
+        for y in range(x + 1, k):
+            if star[x][y] != star[y][x]:
+                yield Violation("commutativity", (x, y),
+                                f"star({x},{y}) = {star[x][y]} != star({y},{x}) = {star[y][x]}")
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                left, right = star[star[x][y]][z], star[x][star[y][z]]
+                if left != right:
+                    yield Violation("associativity", (x, y, z),
+                                    f"star(star({x},{y}),{z}) = {left} != {right}")
+    for x in range(k - 1):
+        for z in range(k):
+            if star[x][z] > star[x + 1][z]:
+                yield Violation("monotonicity", (x, x + 1, z),
+                                f"star({x},{z}) = {star[x][z]} > star({x + 1},{z}) = {star[x + 1][z]}")
+
+
 def validate_chain(candidate) -> ChainReport:
     """Exhaustively check the chain axioms; report every violation.
 
     Accepts a FiniteChain or a mapping in the JSON algebra format.  Shape
     problems raise FormatError; algebraic failures are collected in the
-    report, each naming the axiom and a witness.
+    report, each naming the axiom and a witness, in the order identity,
+    commutativity, associativity, monotonicity, residuation.
     """
     chain = candidate if isinstance(candidate, FiniteChain) else chain_from_dict(candidate)
     k = chain.size
     star, implies = chain.star, chain.implies
-    top = chain.top
-    violations = []
-
-    for x in range(k):
-        if star[x][top] != x:
-            violations.append(
-                Violation("identity", (x,), f"star({x}, top) = {star[x][top]} != {x}")
-            )
-    for x in range(k):
-        for y in range(x + 1, k):
-            if star[x][y] != star[y][x]:
-                violations.append(
-                    Violation(
-                        "commutativity",
-                        (x, y),
-                        f"star({x},{y}) = {star[x][y]} != star({y},{x}) = {star[y][x]}",
-                    )
-                )
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                left = star[star[x][y]][z]
-                right = star[x][star[y][z]]
-                if left != right:
-                    violations.append(
-                        Violation(
-                            "associativity",
-                            (x, y, z),
-                            f"star(star({x},{y}),{z}) = {left} != {right}",
-                        )
-                    )
-    for x in range(k - 1):
-        for z in range(k):
-            if star[x][z] > star[x + 1][z]:
-                violations.append(
-                    Violation(
-                        "monotonicity",
-                        (x, x + 1, z),
-                        f"star({x},{z}) = {star[x][z]} > star({x + 1},{z}) = {star[x + 1][z]}",
-                    )
-                )
+    violations = list(_star_violations(star))
     for x in range(k):
         for y in range(k):
             for z in range(k):
@@ -233,38 +221,17 @@ def derive_residuum(elements: Sequence[str], star) -> Table:
 
     The star table must be commutative and monotone with the top element
     as identity; those preconditions guarantee the maximum exists for
-    every pair.  Violated preconditions raise PreconditionError with a
-    witness.
+    every pair.  The first violated one, in validate_chain's order, raises
+    PreconditionError with its Violation's witness; associativity is left
+    to validate_chain.
     """
     k = len(elements)
     table = _as_table(star, k, "star")
-    top = k - 1
-    for x in range(k):
-        if table[x][top] != x:
-            raise PreconditionError(
-                f"top is not an identity: star({x}, top) = {table[x][top]}",
-                witness=(x, top),
-            )
-    for x in range(k):
-        for y in range(x + 1, k):
-            if table[x][y] != table[y][x]:
-                raise PreconditionError(
-                    f"star not commutative at ({x},{y})", witness=(x, y)
-                )
-    for x in range(k - 1):
-        for z in range(k):
-            if table[x][z] > table[x + 1][z]:
-                raise PreconditionError(
-                    f"star not monotone at ({x},{x + 1},{z})", witness=(x, x + 1, z)
-                )
-    rows = []
-    for x in range(k):
-        row = []
-        for y in range(k):
-            best = max(z for z in range(k) if table[x][z] <= y)
-            row.append(best)
-        rows.append(tuple(row))
-    return tuple(rows)
+    broken = next((v for v in _star_violations(table) if v.axiom != "associativity"), None)
+    if broken is not None:
+        raise PreconditionError(f"star fails a precondition of the residuum: {broken}",
+                                witness=broken.witness)
+    return tuple(tuple(max(z for z in range(k) if table[x][z] <= y) for y in range(k)) for x in range(k))
 
 
 def generated_subalgebra(chain: FiniteChain, seed: Iterable) -> tuple[int, ...]:
@@ -365,6 +332,18 @@ def is_algebra_homomorphism(m: AlgebraMap) -> HomReport:
     return HomReport(True, None)
 
 
+def subalgebra_inclusion(sub: FiniteChain, sup: FiniteChain) -> AlgebraMap | None:
+    """The map sending each element of `sub` to the element of `sup` with
+    the same label, when it preserves the order and is a homomorphism, so
+    that `sub` is a subalgebra of `sup` up to labels; otherwise None."""
+    if not all(map(sup.has_label, sub.elements)):
+        return None
+    m = AlgebraMap(sub, sup, tuple(map(sup.elements.index, sub.elements)))
+    if list(m.map) != sorted(m.map) or not is_algebra_homomorphism(m).ok:
+        return None
+    return m
+
+
 def godel_chain(labels: Sequence[str], name: str = "") -> FiniteChain:
     """Chain with star = meet and the order-based residuum."""
     k = len(labels)
@@ -384,9 +363,9 @@ def lukasiewicz_chain(labels: Sequence[str], name: str = "") -> FiniteChain:
 def enumerate_mtl_chains(size: int) -> list[FiniteChain]:
     """All valid chains of the given size with labels e0..e(k-1), sorted.
 
-    Enumerates symmetric monotone star tables with the top as identity,
-    keeps those passing full validation, and pairs each with its derived
-    residuum.  Used by the randomized suites to draw genuine chains.
+    Enumerates symmetric star tables with the top as identity, keeps those
+    derive_residuum accepts (the monotone ones) and validate_chain passes,
+    each with its derived residuum.  Used by the randomized suites.
     """
     from itertools import product
 
@@ -395,25 +374,13 @@ def enumerate_mtl_chains(size: int) -> list[FiniteChain]:
     free = [(i, j) for i in range(1, k - 1) for j in range(i, k - 1)]
     found = []
     for values in product(range(k), repeat=len(free)):
-        star = [[0] * k for _ in range(k)]
+        star = [[0] * k for _ in range(k)]  # row and column 0 stay 0: the bottom absorbs
         for x in range(k):
             star[x][k - 1] = x
             star[k - 1][x] = x
-            star[x][0] = 0
-            star[0][x] = 0
-        ok = True
         for (i, j), v in zip(free, values):
             star[i][j] = v
             star[j][i] = v
-        for x in range(k):
-            for y in range(k - 1):
-                if star[x][y] > star[x][y + 1]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
         try:
             implies = derive_residuum(labels, star)
             chain = FiniteChain(labels, tuple(tuple(r) for r in star), implies)

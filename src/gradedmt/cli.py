@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import corpus
@@ -528,6 +529,7 @@ def _add_common(p, seed=False, bounds=False, out=True):
         p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None)
 
 
+@cache  # built once per process: argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedmt",

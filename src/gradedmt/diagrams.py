@@ -22,18 +22,19 @@ from typing import Sequence
 
 from .algebra import identity_map
 from .budget import check_budget
-from .errors import ChainMismatchError, FormatError, SignatureError
+from .errors import ChainMismatchError, FormatError
 from .generation import (StructureBlock, atoms_over, generate_sentences, ground_terms, qf_matrices,
                          structure_space)
 from .morphisms import (
     StructureMap,
+    _check_interprets,
     _first_map,
     _transport_entries,
     is_elementary_up_to_depth,
     search_structure_map,
 )
 from .semantics import Structure, eval_formula
-from .syntax import App, Formula, constant_name_for, expand_with_domain_constants
+from .syntax import App, Formula, Signature, constant_name_for, expand_with_domain_constants
 
 DIAG = "diag"
 ELDIAG = "eldiag"
@@ -124,10 +125,9 @@ class DiagramCheck:
 
 
 def models_diagram(t_expanded: Structure, diagram: Diagram) -> DiagramCheck:
-    """Check each recorded sentence value in an expansion of the target."""
-    for name in diagram.constants:
-        if t_expanded.sig.functions.get(name) != 0:
-            raise SignatureError(f"target does not interpret constant {name!r}")
+    """Check each recorded sentence value in an expansion of the target,
+    which must interpret every diagram constant (else SignatureError)."""
+    _check_interprets(Signature(functions=dict.fromkeys(diagram.constants, 0)), t_expanded)
     for entry in diagram.entries:
         actual = eval_formula(entry.sentence, t_expanded)
         if actual != entry.value:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .algebra import FiniteChain, chain_from_dict, validate_chain
-from .errors import FormatError
+from .errors import FormatError, PreconditionError
 from .parser import infer_signature, parse_theory
 from .semantics import Structure
 from .syntax import Formula, Signature
@@ -32,12 +32,11 @@ def _read_json(path: Path):
         raise FormatError(f"{path}: invalid JSON at line {err.lineno}: {err.msg}")
 
 
-def load_algebra(path) -> FiniteChain:
-    from .errors import PreconditionError
-
-    path = Path(path)
+def _checked_chain(data, path: Path) -> FiniteChain:
+    """The chain in algebra data read from `path`, with every law checked;
+    a failure is a FormatError that names the file."""
     try:
-        chain = chain_from_dict(_read_json(path))
+        chain = chain_from_dict(data)
     except PreconditionError as err:
         raise FormatError(f"{path}: cannot derive a residuum: {err}")
     report = validate_chain(chain)
@@ -46,6 +45,12 @@ def load_algebra(path) -> FiniteChain:
         raise FormatError(
             f"{path}: not a valid chain ({len(report.violations)} violations; first: {first})"
         )
+    return chain
+
+
+def load_algebra(path) -> FiniteChain:
+    path = Path(path)
+    chain = _checked_chain(_read_json(path), path)
     return chain if chain.name else replace(chain, name=path.stem)
 
 
@@ -109,6 +114,8 @@ def load_structure(path, algebra: FiniteChain | None = None) -> Structure:
 
     The algebra comes from the explicit argument, an inline object, or a
     path relative to the structure file, in that order of precedence.
+    An inline algebra is checked as an algebra file is, and an error in
+    it names the structure file.
     """
     path = Path(path)
     data = _read_json(path)
@@ -119,13 +126,7 @@ def load_structure(path, algebra: FiniteChain | None = None) -> Structure:
         ref = data.get("algebra")
         if ref is None:
             raise FormatError(f"{path}: missing algebra reference")
-        if isinstance(ref, str):
-            chain = load_algebra(path.parent / ref)
-        else:
-            chain = chain_from_dict(ref)
-            report = validate_chain(chain)
-            if not report.ok:
-                raise FormatError(f"{path}: inline algebra invalid: {report.violations[0]}")
+        chain = load_algebra(path.parent / ref) if isinstance(ref, str) else _checked_chain(ref, path)
     domain = data.get("domain", [])
     if not isinstance(domain, list) or not domain:
         raise FormatError(f"{path}: domain must be a non-empty JSON list, got {domain!r}")

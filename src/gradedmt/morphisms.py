@@ -12,7 +12,8 @@ from itertools import combinations, permutations, product
 from math import perm
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import AlgebraMap, FiniteChain, generated_subalgebra, identity_map, is_algebra_homomorphism
+from .algebra import (AlgebraMap, FiniteChain, generated_subalgebra, identity_map, is_algebra_homomorphism,
+                      subalgebra_inclusion)
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
 from .generation import AssignmentGrid, elementary_plan, prenex_formula, value_classes
@@ -247,35 +248,16 @@ class SubstructureReport:
         return self.ok
 
 
-def chain_is_subalgebra(sub: FiniteChain, sup: FiniteChain) -> bool:
-    """Label-based subalgebra test: same endpoints, operations agree."""
-    if sub == sup:
-        return True
-    try:
-        positions = [sup.index(label) for label in sub.elements]
-    except ChainMismatchError:
-        return False
-    if positions != sorted(positions):
-        return False
-    if positions[0] != sup.bottom or positions[-1] != sup.top:
-        return False
-    for i, pi in enumerate(positions):
-        for j, pj in enumerate(positions):
-            if sup.star[pi][pj] != positions[sub.star[i][j]]:
-                return False
-            if sup.implies[pi][pj] != positions[sub.implies[i][j]]:
-                return False
-    return True
-
-
 def is_substructure(sub: Structure, sup: Structure) -> SubstructureReport:
     """Literal substructure test, one clause at a time.
 
-    (1) the chain is a subalgebra, (2) the domain is included, (3)
-    function tables agree on the subdomain, (4) predicate tables agree
-    on the subdomain (compared through element labels).
+    (1) the chain is a subalgebra (`subalgebra_inclusion`), (2) the domain
+    is included, (3) function tables and (4) predicate tables agree on the
+    subdomain: the transport check of strong homomorphisms, for the label
+    map and the identity, reporting functions before predicates, sorted.
     """
-    if not chain_is_subalgebra(sub.chain, sup.chain):
+    inclusion = subalgebra_inclusion(sub.chain, sup.chain)
+    if inclusion is None:
         return SubstructureReport(False, 1, "chain is not a subalgebra")
     try:
         _check_interprets(sub.sig, sup)
@@ -285,24 +267,14 @@ def is_substructure(sub: Structure, sup: Structure) -> SubstructureReport:
     missing = [d for d in sub.domain if d not in sup.domain]
     if missing:
         return SubstructureReport(False, 2, f"domain element {missing[0]!r} not in the superstructure")
-    for name in sorted(sub.sig.functions):
-        sup_table = sup.functions[name]
-        for args, value in sorted(sub.functions[name].items()):
-            if sup_table[args] != value:
-                return SubstructureReport(
-                    False, 3, f"function {name}{args} is {value!r} below, {sup_table[args]!r} above"
-                )
-    for name in sorted(sub.sig.predicates):
-        sup_table = sup.predicates[name]
-        for args, value in sorted(sub.predicates[name].items()):
-            if sub.chain.label(value) != sup.chain.label(sup_table[args]):
-                return SubstructureReport(
-                    False,
-                    4,
-                    f"predicate {name}{args} is {sub.chain.label(value)!r} below, "
-                    f"{sup.chain.label(sup_table[args])!r} above",
-                )
-    return SubstructureReport(True)
+    miss = _first_untransported(inclusion.map, {d: d for d in sub.domain}, _transport_entries(sub), sup)
+    if miss is None:
+        return SubstructureReport(True)
+    is_function, name, args, got, want = miss
+    if is_function:
+        return SubstructureReport(False, 3, f"function {name}{args} is {got!r} below, {want!r} above")
+    below, above = sup.chain.label(got), sup.chain.label(want)
+    return SubstructureReport(False, 4, f"predicate {name}{args} is {below!r} below, {above!r} above")
 
 
 def induced_substructure(s: Structure, subset: Sequence[str]) -> Structure:

@@ -45,7 +45,8 @@ class Structure:
 
     Predicate tables map argument tuples (domain labels) to chain element
     indices; function tables map argument tuples to domain labels.
-    Tables must be total.
+    Tables must be total and in range, predicates checked first
+    (`_total_tables`); a failure raises FormatError.
     """
 
     chain: FiniteChain
@@ -62,47 +63,8 @@ class Structure:
         if len(set(dom)) != len(dom):
             raise FormatError("domain labels must be distinct")
         object.__setattr__(self, "domain", dom)
-        dom_set = set(dom)
-        preds = {}
-        for name, arity in self.sig.predicates.items():
-            table = self.predicates.get(name)
-            if table is None:
-                raise FormatError(f"missing table for predicate {name!r}")
-            fixed = {}
-            for args in product(dom, repeat=arity):
-                if args not in table:
-                    raise FormatError(f"predicate {name!r} table not total at {args}")
-                v = table[args]
-                if not isinstance(v, int) or not 0 <= v < self.chain.size:
-                    raise FormatError(f"predicate {name!r} value at {args} out of range")
-                fixed[args] = v
-            if len(table) != len(fixed):
-                extra = set(table) - set(fixed)
-                raise FormatError(f"predicate {name!r} has entries outside the domain: {extra}")
-            preds[name] = fixed
-        unknown = set(self.predicates) - set(self.sig.predicates)
-        if unknown:
-            raise FormatError(f"tables for undeclared predicates: {sorted(unknown)}")
-        funcs = {}
-        for name, arity in self.sig.functions.items():
-            table = self.functions.get(name)
-            if table is None:
-                raise FormatError(f"missing table for function {name!r}")
-            fixed = {}
-            for args in product(dom, repeat=arity):
-                if args not in table:
-                    raise FormatError(f"function {name!r} table not total at {args}")
-                v = str(table[args])
-                if v not in dom_set:
-                    raise FormatError(f"function {name!r} maps {args} outside the domain")
-                fixed[args] = v
-            if len(table) != len(fixed):
-                extra = set(table) - set(fixed)
-                raise FormatError(f"function {name!r} has entries outside the domain: {extra}")
-            funcs[name] = fixed
-        unknown = set(self.functions) - set(self.sig.functions)
-        if unknown:
-            raise FormatError(f"tables for undeclared functions: {sorted(unknown)}")
+        preds = _total_tables("predicate", self.sig.predicates, self.predicates, dom, range(self.chain.size))
+        funcs = _total_tables("function", self.sig.functions, self.functions, dom, set(dom))
         object.__setattr__(self, "predicates", preds)
         object.__setattr__(self, "functions", funcs)
 
@@ -140,6 +102,34 @@ class Structure:
             predicates=preds,
             functions=funcs,
         )
+
+
+def _total_tables(kind: str, arities: Mapping[str, int], tables: Mapping, dom: tuple, valid) -> dict:
+    """Each declared symbol's table, total on `dom` with values in `valid`
+    (function values read as labels, predicate values ints), and no other
+    table; the first failure in declaration and `product` order raises FormatError."""
+    functions = kind == "function"
+    out = {}
+    for name, arity in arities.items():
+        table = tables.get(name)
+        if table is None:
+            raise FormatError(f"missing table for {kind} {name!r}")
+        fixed = {}
+        for args in product(dom, repeat=arity):
+            if args not in table:
+                raise FormatError(f"{kind} {name!r} table not total at {args}")
+            v = str(table[args]) if functions else table[args]
+            if v not in valid or not (functions or isinstance(v, int)):
+                raise FormatError(f"function {name!r} maps {args} outside the domain" if functions
+                                  else f"predicate {name!r} value at {args} out of range")
+            fixed[args] = v
+        if len(table) != len(fixed):
+            raise FormatError(f"{kind} {name!r} has entries outside the domain: {set(table) - set(fixed)}")
+        out[name] = fixed
+    unknown = set(tables) - set(arities)
+    if unknown:
+        raise FormatError(f"tables for undeclared {kind}s: {sorted(unknown)}")
+    return out
 
 
 class UnassignedVariable(GradedmtError):

@@ -251,47 +251,6 @@ def elaborate(phi: Formula) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def check_formula(phi: Formula, sig: Signature) -> None:
-    """Raise SignatureError when a formula does not fit the signature."""
-
-    def check_term(t: Term):
-        if isinstance(t, Var):
-            return
-        if not sig.is_function(t.name):
-            raise SignatureError(f"unknown function symbol {t.name!r}")
-        if sig.functions[t.name] != len(t.args):
-            raise SignatureError(
-                f"{t.name!r} expects {sig.functions[t.name]} arguments, got {len(t.args)}"
-            )
-        for a in t.args:
-            check_term(a)
-
-    if isinstance(phi, Atom):
-        if not sig.is_predicate(phi.name):
-            raise SignatureError(f"unknown predicate symbol {phi.name!r}")
-        if sig.predicates[phi.name] != len(phi.args):
-            raise SignatureError(
-                f"{phi.name!r} expects {sig.predicates[phi.name]} arguments, got {len(phi.args)}"
-            )
-        for a in phi.args:
-            check_term(a)
-    elif isinstance(phi, Eq):
-        check_term(phi.left)
-        check_term(phi.right)
-    elif isinstance(phi, Val):
-        if not sig.allows_truth_constant(phi.label):
-            raise SignatureError(f"truth constant val({phi.label}) not in the signature")
-    elif isinstance(phi, _BINARY):
-        check_formula(phi.left, sig)
-        check_formula(phi.right, sig)
-    elif isinstance(phi, Not):
-        check_formula(phi.body, sig)
-    elif isinstance(phi, _QUANT):
-        check_formula(phi.body, sig)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-
-
 # --- prenex fragments ---
 
 QUANTIFIER_FREE = "QuantifierFree"

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from gradedmt.algebra import (
     AlgebraMap,
     FiniteChain,
+    Violation,
     derive_residuum,
     enumerate_mtl_chains,
     generated_subalgebra,
@@ -46,6 +49,28 @@ def test_join_star_three_chain_fails():
     axioms = {v.axiom for v in report.violations}
     assert "identity" in axioms
     assert any(v.axiom == "residuation" and v.witness == (0, 0, 1) for v in report.violations)
+
+
+def test_validate_chain_reports_every_violation_in_law_order(g3):
+    star = ((0, 0, 0), (1, 1, 2), (0, 1, 1))
+    report = validate_chain(FiniteChain(g3.elements, star, g3.implies))
+    assert not report.ok
+    assert report.violations == (
+        Violation("identity", (1,), "star(1, top) = 2 != 1"),
+        Violation("identity", (2,), "star(2, top) = 1 != 2"),
+        Violation("commutativity", (0, 1), "star(0,1) = 0 != star(1,0) = 1"),
+        Violation("commutativity", (1, 2), "star(1,2) = 2 != star(2,1) = 1"),
+        Violation("associativity", (1, 0, 2), "star(star(1,0),2) = 2 != 1"),
+        Violation("associativity", (1, 2, 0), "star(star(1,2),0) = 0 != 1"),
+        Violation("associativity", (2, 1, 2), "star(star(2,1),2) = 2 != 1"),
+        Violation("associativity", (2, 2, 0), "star(star(2,2),0) = 1 != 0"),
+        Violation("associativity", (2, 2, 2), "star(star(2,2),2) = 2 != 1"),
+        Violation("monotonicity", (1, 2, 0), "star(1,0) = 1 > star(2,0) = 0"),
+        Violation("monotonicity", (1, 2, 2), "star(1,2) = 2 > star(2,2) = 1"),
+        Violation("residuation", (1, 0, 0), "star(1,0) <= 0 is False but z <= implies(1,0) is True"),
+        Violation("residuation", (1, 1, 2), "star(1,2) <= 1 is False but z <= implies(1,1) is True"),
+        Violation("residuation", (2, 1, 2), "star(2,2) <= 1 is True but z <= implies(2,1) is False"),
+    )
 
 
 def test_malformed_tables_raise():
@@ -94,6 +119,41 @@ def test_derive_residuum_precondition_witness():
     with pytest.raises(PreconditionError) as err:
         derive_residuum(("0", "1/2", "1"), join)
     assert err.value.witness is not None
+
+
+def _reference_residuum(k, star):
+    """Reference copy of the former `derive_residuum`, preconditions written out:
+    ("ok", table) or (the broken law, its witness then)."""
+    top = k - 1
+    for x in range(k):
+        if star[x][top] != x:
+            return "identity", (x, top)
+    for x in range(k):
+        for y in range(x + 1, k):
+            if star[x][y] != star[y][x]:
+                return "commutativity", (x, y)
+    for x in range(k - 1):
+        for z in range(k):
+            if star[x][z] > star[x + 1][z]:
+                return "monotonicity", (x, x + 1, z)
+    return "ok", tuple(tuple(max(z for z in range(k) if star[x][z] <= y) for y in range(k)) for x in range(k))
+
+
+def test_derive_residuum_matches_the_reference_on_every_three_element_table():
+    labels = ("0", "1/2", "1")
+    accepted = 0
+    for values in itertools.product(range(3), repeat=9):
+        star = (values[:3], values[3:6], values[6:])
+        law, expected = _reference_residuum(3, star)
+        if law == "ok":
+            assert derive_residuum(labels, star) == expected
+            accepted += 1
+            continue
+        with pytest.raises(PreconditionError) as err:
+            derive_residuum(labels, star)
+        witness = expected[:1] if law == "identity" else expected
+        assert err.value.witness == witness and f"{law} at {witness}" in str(err.value)
+    assert accepted == 2  # star(0, 0) = star(0, 1) = 0, and star(1, 1) is 0 or 1
 
 
 def test_derived_residuum_revalidates():
@@ -167,6 +227,26 @@ def test_enumerate_mtl_chains_counts():
     for k in (2, 3, 4):
         for chain in enumerate_mtl_chains(k):
             assert validate_chain(chain).ok
+
+
+def _rows(table):
+    return " ".join("".join(map(str, row)) for row in table)
+
+
+def test_enumerate_mtl_chains_output():
+    got = {k: [(_rows(c.star), _rows(c.implies)) for c in enumerate_mtl_chains(k)] for k in (2, 3, 4)}
+    assert got == {
+        2: [("00 01", "11 01")],
+        3: [("000 001 012", "222 122 012"), ("000 011 012", "222 022 012")],
+        4: [("0000 0001 0002 0123", "3333 2333 2233 0123"),
+            ("0000 0001 0012 0123", "3333 2333 1233 0123"),
+            ("0000 0001 0022 0123", "3333 2333 1133 0123"),
+            ("0000 0011 0122 0123", "3333 1333 0133 0123"),
+            ("0000 0111 0112 0123", "3333 0333 0233 0123"),
+            ("0000 0111 0122 0123", "3333 0333 0133 0123")],
+    }
+    for k in (2, 3, 4):
+        assert all(c.elements == tuple(f"e{i}" for i in range(k)) and c.name == "" for c in enumerate_mtl_chains(k))
 
 
 def test_builders_are_valid():

@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -363,6 +364,29 @@ def test_enum_subs_rejects_malformed_predicate_spec(capsys, tmp_path, spec):
     }))
     assert main(["enum-subs", "--structure", str(path)]) == 2
     assert "predicate 'P': expected an integer arity and an object table" in capsys.readouterr().err
+
+
+def test_an_inline_algebra_is_loaded_like_an_algebra_file(capsys, tmp_path):
+    non_commutative = [[0, 1, 0], [0, 1, 1], [0, 1, 2]]  # top is an identity, star(0,1) != star(1,0)
+    path = tmp_path / "inline.json"
+    path.write_text(json.dumps({"algebra": {"elements": ["0", "1/2", "1"], "star": non_commutative},
+                                "domain": ["a"]}))
+    assert main(["enum-subs", "--structure", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: cannot derive a residuum" in err and "commutativity at (0, 1)" in err
+
+
+def test_two_cli_calls_build_one_parser(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert main(["classify", "--formula", "forall x. P(x)"]) == 0
+    assert built.count("gradedmt") <= 1
 
 
 @pytest.mark.parametrize("domain", [

@@ -99,6 +99,14 @@ def test_other_value_fails_diagram(struct_m, struct_n, g4):
     assert not found
 
 
+def test_a_target_must_interpret_every_diagram_constant(struct_m, struct_n):
+    diagram = build_diagram(struct_m, DIAG)
+    with pytest.raises(SignatureError, match=r"target does not interpret function 'c_n0'/0"):
+        models_diagram(struct_n, diagram)
+    with pytest.raises(SignatureError, match=r"target does not interpret function 'c_n2'/0"):
+        models_diagram(struct_n.with_constant("c_n0", "n0").with_constant("c_n1", "n0"), diagram)
+
+
 def test_supergraph_models_subgraph_diagram(complete_graphs):
     k2, k3 = complete_graphs[2], complete_graphs[3]
     diagram = build_diagram(k2, DIAG)

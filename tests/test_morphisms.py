@@ -1,10 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
-from gradedmt import morphisms
-from gradedmt.algebra import identity_map
+from gradedmt import corpus, morphisms
+from gradedmt.algebra import enumerate_mtl_chains, generated_subalgebra, identity_map, subalgebra_inclusion
 from gradedmt.errors import ChainMismatchError, InternalError
 from gradedmt.generation import qf_matrices
 from gradedmt.morphisms import (
@@ -135,6 +136,113 @@ def test_substructure_clauses(complete_graphs, g4, sig_r):
     assert not report.ok and report.clause == 4
     disjoint = crisp_complete(g4, ["z0", "z1"])
     assert is_substructure(disjoint, k3).clause == 2
+
+
+def _reference_chain_is_subalgebra(sub, sup):
+    """Reference copy of the former `morphisms.chain_is_subalgebra`: label positions, checked by hand."""
+    if sub == sup:
+        return True
+    if not all(sup.has_label(label) for label in sub.elements):
+        return False
+    positions = [sup.index(label) for label in sub.elements]
+    if positions != sorted(positions):
+        return False
+    if positions[0] != sup.bottom or positions[-1] != sup.top:
+        return False
+    for i, pi in enumerate(positions):
+        for j, pj in enumerate(positions):
+            if sup.star[pi][pj] != positions[sub.star[i][j]]:
+                return False
+            if sup.implies[pi][pj] != positions[sub.implies[i][j]]:
+                return False
+    return True
+
+
+def _reference_is_substructure(sub, sup):
+    """Reference copy of the former clauses 0-4 of `is_substructure`, table loops written out:
+    (ok, clause, detail)."""
+    if not _reference_chain_is_subalgebra(sub.chain, sup.chain):
+        return False, 1, "chain is not a subalgebra"
+    for a, b in ((sub, sup), (sup, sub)):
+        for kind, arities, other in (("predicate", a.sig.predicates, b.sig.predicates),
+                                     ("function", a.sig.functions, b.sig.functions)):
+            for name, arity in arities.items():
+                if other.get(name) != arity:
+                    return False, 0, f"target does not interpret {kind} {name!r}/{arity}"
+    missing = [d for d in sub.domain if d not in sup.domain]
+    if missing:
+        return False, 2, f"domain element {missing[0]!r} not in the superstructure"
+    for name in sorted(sub.sig.functions):
+        for args, value in sorted(sub.functions[name].items()):
+            if sup.functions[name][args] != value:
+                return False, 3, f"function {name}{args} is {value!r} below, {sup.functions[name][args]!r} above"
+    for name in sorted(sub.sig.predicates):
+        for args, value in sorted(sub.predicates[name].items()):
+            below, above = sub.chain.label(value), sup.chain.label(sup.predicates[name][args])
+            if below != above:
+                return False, 4, f"predicate {name}{args} is {below!r} below, {above!r} above"
+    return True, 0, ""
+
+
+def _cyclic_fuzzy_subgroup(chain):
+    """Z/3 in the fuzzy-subgroup signature, G graded: 1 at the identity, 1/2 elsewhere."""
+    _, sig = corpus.fuzzy_subgroup_theory()
+    dom = ("0", "1", "2")
+    return Structure(
+        chain=chain, sig=sig, domain=dom,
+        predicates={"G": {(d,): chain.top if d == "0" else chain.index("1/2") for d in dom}},
+        functions={"mul": {(a, b): str((int(a) + int(b)) % 3) for a in dom for b in dom},
+                   "inv": {(a,): str(-int(a) % 3) for a in dom}, "e": {(): "0"}},
+        name="Z3",
+    )
+
+
+def _one_entry_changed(s):
+    """One copy of `s` per table entry, with that entry moved to the next value."""
+    for kind in ("predicates", "functions"):
+        for name, table in sorted(getattr(s, kind).items()):
+            for args, value in sorted(table.items()):
+                if kind == "predicates":
+                    moved = (value + 1) % s.chain.size
+                else:
+                    moved = s.domain[(s.domain.index(value) + 1) % s.size]
+                yield replace(s, **{kind: {**getattr(s, kind), name: {**table, args: moved}}})
+
+
+def test_is_substructure_matches_the_reference_clauses(g3):
+    corpus_structures = [corpus.structure_m(), corpus.structure_n(), corpus.triangle(), corpus.path3(),
+                         corpus.edgeless2(), corpus.edgeless3(), _cyclic_fuzzy_subgroup(g3)]
+    cases = 0
+    for s in corpus_structures:
+        for sub in enumerate_substructures(s, include_subalgebra_reducts=True):
+            for below in [sub, *_one_entry_changed(sub)]:
+                for pair in ((below, s), (s, below)):
+                    got = is_substructure(*pair)
+                    assert (got.ok, got.clause, got.detail) == _reference_is_substructure(*pair)
+                    cases += 1
+    for pair in itertools.product(corpus_structures, repeat=2):  # signatures and chains differ here
+        got = is_substructure(*pair)
+        assert (got.ok, got.clause, got.detail) == _reference_is_substructure(*pair)
+    assert cases > 500
+
+
+def test_subalgebra_inclusion_matches_the_reference():
+    pool = []
+    for k in (2, 3, 4):
+        for chain in enumerate_mtl_chains(k):
+            pool.append(chain)
+            closed = {generated_subalgebra(chain, seed) for n in range(k) for seed in
+                      itertools.combinations(range(k), n)}
+            pool += [chain.restrict(indices) for indices in sorted(closed) if len(indices) < k]
+    pool += [corpus.godel4(), corpus.godel3(), corpus.lukasiewicz3(), corpus.bool2()]
+    hits = 0
+    for sub, sup in itertools.product(pool, repeat=2):
+        found = subalgebra_inclusion(sub, sup)
+        assert (found is not None) == _reference_chain_is_subalgebra(sub, sup)
+        if found is not None:
+            assert found.map == tuple(sup.index(label) for label in sub.elements)
+            hits += sub != sup
+    assert hits > 20
 
 
 def test_substructure_iff_quantifier_free_agreement(g4, sig_r):

@@ -208,6 +208,44 @@ def test_domain_permutation_invariance(g4, sig_r):
         assert eval_formula(phi, s) == eval_formula(phi, permuted)
 
 
+_P_OK = {("a",): 0, ("b",): 1}
+_F_OK = {("a",): "b", ("b",): "a"}
+
+
+@pytest.mark.parametrize("domain, predicates, functions, message", [
+    ((), {"P": _P_OK}, {"f": _F_OK}, "structure domain must be nonempty"),
+    (("a", "a"), {"P": _P_OK}, {"f": _F_OK}, "domain labels must be distinct"),
+    (("a", "b"), {}, {"f": _F_OK}, "missing table for predicate 'P'"),
+    (("a", "b"), {"P": {("a",): 0}}, {"f": _F_OK}, "predicate 'P' table not total at ('b',)"),
+    (("a", "b"), {"P": {("a",): 0, ("b",): 4}}, {"f": _F_OK}, "predicate 'P' value at ('b',) out of range"),
+    (("a", "b"), {"P": {("a",): 0, ("b",): 1.0}}, {"f": _F_OK}, "predicate 'P' value at ('b',) out of range"),
+    (("a", "b"), {"P": {("a",): 0, ("b",): "1"}}, {"f": _F_OK}, "predicate 'P' value at ('b',) out of range"),
+    (("a", "b"), {"P": {**_P_OK, ("c",): 0}}, {"f": _F_OK},
+     "predicate 'P' has entries outside the domain: {('c',)}"),
+    (("a", "b"), {"P": _P_OK, "Q": {}}, {"f": _F_OK}, "tables for undeclared predicates: ['Q']"),
+    (("a", "b"), {"P": _P_OK}, {}, "missing table for function 'f'"),
+    (("a", "b"), {"P": _P_OK}, {"f": {("a",): "b"}}, "function 'f' table not total at ('b',)"),
+    (("a", "b"), {"P": _P_OK}, {"f": {("a",): "b", ("b",): "c"}}, "function 'f' maps ('b',) outside the domain"),
+    (("a", "b"), {"P": _P_OK}, {"f": {**_F_OK, ("c",): "a"}},
+     "function 'f' has entries outside the domain: {('c',)}"),
+    (("a", "b"), {"P": _P_OK}, {"f": _F_OK, "g": {}}, "tables for undeclared functions: ['g']"),
+    (("a", "b"), {"Q": {}}, {}, "missing table for predicate 'P'"),  # predicates are checked first
+])
+def test_structure_construction_messages(g4, domain, predicates, functions, message):
+    sig = Signature(predicates={"P": 1}, functions={"f": 1})
+    with pytest.raises(FormatError) as err:
+        Structure(chain=g4, sig=sig, domain=domain, predicates=predicates, functions=functions)
+    assert str(err.value) == message
+
+
+def test_structure_tables_are_stored_normalised(g4):
+    sig = Signature(predicates={"P": 1}, functions={"f": 1})
+    s = Structure(chain=g4, sig=sig, domain=("1", "2"), predicates={"P": {("1",): 0, ("2",): 3}},
+                  functions={"f": {("1",): 2, ("2",): "1"}})
+    assert s.functions == {"f": {("1",): "2", ("2",): "1"}}
+    assert s.predicates == {"P": {("1",): 0, ("2",): 3}}
+
+
 def test_structure_table_validation(g4, sig_r):
     with pytest.raises(FormatError):
         Structure(chain=g4, sig=sig_r, domain=(), predicates={"R": {}})

@@ -10,15 +10,12 @@ from gradedmt.syntax import (
     QUANTIFIER_FREE,
     And,
     Atom,
-    Exists,
-    Forall,
     Iff,
     Not,
     PrenexClass,
     Signature,
     Val,
     Var,
-    check_formula,
     classify_prenex,
     elaborate,
     expand_with_domain_constants,
@@ -87,14 +84,3 @@ def test_elaborate_idempotent_and_value_preserving(sig_p, struct_m):
     assert isinstance(once, And)
     for d in struct_m.domain:
         assert eval_formula(phi, struct_m, {"x": d}) == eval_formula(once, struct_m, {"x": d})
-
-
-def test_check_formula_arity(sig_r):
-    with pytest.raises(SignatureError):
-        check_formula(Atom("R", (Var("x"),)), sig_r)
-    with pytest.raises(SignatureError):
-        check_formula(Atom("Q", ()), sig_r)
-    with pytest.raises(SignatureError):
-        check_formula(Val("7/8"), sig_r)
-    check_formula(Val("0"), sig_r)
-    check_formula(Forall("x", Exists("y", Atom("R", (Var("x"), Var("y"))))), sig_r)
