@@ -119,9 +119,11 @@ def check_tarski_vaught(
 
     Part (a), always checked and exact: every generated quantifier-free
     formula takes the same value at member tuples in the member and in
-    the union.  Part (b), only when the pairwise inclusions verify as
-    elementary to `depth`: the same transport for all generated formulas
-    of that depth.
+    the union.  Connectives act tuple by tuple, so only a differing leaf
+    (atom, identity, truth constant) can make a formula differ: the leaves
+    decide part (a), and the rest of the family only lists violations.  Part
+    (b), only when the pairwise inclusions verify as elementary to
+    `depth`: the same transport for all generated formulas of that depth.
     """
     union = union_of_chain(chain)
     variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
@@ -131,12 +133,16 @@ def check_tarski_vaught(
     family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms)
     # one vector per value class: every member's cells, in `product` order, then the union's
     grids = [AssignmentGrid(s, variables) for s in (*chain.members, union)]
-    cls, vecs = value_classes(family, grids)
     tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
     n = len(tuples)
     cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]  # each tuple's union cell
-    report.quantifier_free_checked = n * len(cls)
-    bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
+    report.quantifier_free_checked = n * len(family.matrices)
+    leaves = 1 + max(k for k, (kind, _, _) in enumerate(family.program) if kind is None)
+    for limit in (leaves, None):  # the whole family only when some leaf differs
+        cls, vecs = value_classes(family, grids, limit)
+        bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
+        if not bad:
+            break
     differing = [k for k, c in enumerate(cls) if c in bad]
     end = 0
     for index, member in enumerate(chain.members):

@@ -34,11 +34,13 @@ def _read_json(path: Path):
 
 def _checked_chain(data, path: Path) -> FiniteChain:
     """The chain in algebra data read from `path`, with every law checked;
-    a failure is a FormatError that names the file."""
+    a failure, shape errors included, is a FormatError that names the file."""
     try:
         chain = chain_from_dict(data)
     except PreconditionError as err:
         raise FormatError(f"{path}: cannot derive a residuum: {err}")
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}")
     report = validate_chain(chain)
     if not report.ok:
         first = report.violations[0]

@@ -163,68 +163,60 @@ def _truth_constant_index(chain: FiniteChain, label: str) -> int:
 
 
 def eval_formula(phi: Formula, structure: Structure, assignment: Assignment = None) -> int:
-    """Truth value of a formula: a chain element index."""
+    """Truth value of a formula: a chain element index.  A connective's value
+    depends only on its operands' values under the same assignment, so two
+    structures that agree there on a formula's leaves agree on the formula."""
     v = {} if assignment is None else dict(assignment)
     return _eval(phi, structure, v)
 
 
 def _eval(phi, s: Structure, v: dict) -> int:
-    chain = s.chain
-    if isinstance(phi, Atom):
-        table = s.predicates.get(phi.name)
-        if table is None:
-            raise SignatureError(f"structure does not interpret predicate {phi.name!r}")
-        args = tuple(eval_term(a, s, v) for a in phi.args)
-        return table[args]
-    if isinstance(phi, Eq):
-        return chain.top if eval_term(phi.left, s, v) == eval_term(phi.right, s, v) else chain.bottom
-    if isinstance(phi, Val):
-        return _truth_constant_index(chain, phi.label)
-    if isinstance(phi, And):
-        a = _eval(phi.left, s, v)
-        b = _eval(phi.right, s, v)
-        return a if a < b else b
-    if isinstance(phi, Or):
-        a = _eval(phi.left, s, v)
-        b = _eval(phi.right, s, v)
-        return a if a > b else b
-    if isinstance(phi, Strong):
-        return chain.star[_eval(phi.left, s, v)][_eval(phi.right, s, v)]
-    if isinstance(phi, Implies):
-        return chain.implies[_eval(phi.left, s, v)][_eval(phi.right, s, v)]
-    if isinstance(phi, Not):
-        return chain.implies[_eval(phi.body, s, v)][chain.bottom]
-    if isinstance(phi, Iff):
-        a = _eval(phi.left, s, v)
-        b = _eval(phi.right, s, v)
-        fwd = chain.implies[a][b]
-        bwd = chain.implies[b][a]
-        return fwd if fwd < bwd else bwd
-    if isinstance(phi, Forall):
-        saved = v.get(phi.var, _MISSING)
-        best = chain.top
-        for d in s.domain:
-            v[phi.var] = d
-            value = _eval(phi.body, s, v)
-            if value < best:
-                best = value
-                if best == chain.bottom:
-                    break
-        _restore(v, phi.var, saved)
-        return best
-    if isinstance(phi, Exists):
-        saved = v.get(phi.var, _MISSING)
-        best = chain.bottom
-        for d in s.domain:
-            v[phi.var] = d
-            value = _eval(phi.body, s, v)
-            if value > best:
-                best = value
-                if best == chain.top:
-                    break
-        _restore(v, phi.var, saved)
-        return best
-    raise TypeError(f"not a formula: {phi!r}")
+    try:
+        handler = _HANDLERS[type(phi)]
+    except KeyError:
+        raise TypeError(f"not a formula: {phi!r}") from None
+    return handler(phi, s, v)
+
+
+def _atom(phi: Atom, s: Structure, v: dict) -> int:
+    table = s.predicates.get(phi.name)
+    if table is None:
+        raise SignatureError(f"structure does not interpret predicate {phi.name!r}")
+    return table[tuple([eval_term(a, s, v) for a in phi.args])]
+
+
+def _iff(phi: Iff, s: Structure, v: dict) -> int:
+    a, b = _eval(phi.left, s, v), _eval(phi.right, s, v)
+    return min(s.chain.implies[a][b], s.chain.implies[b][a])
+
+
+def _quantifier(phi, s: Structure, v: dict) -> int:
+    forall = type(phi) is Forall
+    best, stop = (s.chain.top, s.chain.bottom) if forall else (s.chain.bottom, s.chain.top)
+    saved = v.get(phi.var, _MISSING)
+    for d in s.domain:
+        v[phi.var] = d
+        value = _eval(phi.body, s, v)
+        if (value < best) if forall else (value > best):
+            best = value
+            if best == stop:
+                break
+    _restore(v, phi.var, saved)
+    return best
+
+
+_HANDLERS = {  # node class -> handler; operands are evaluated left to right
+    Atom: _atom,
+    Eq: lambda phi, s, v: (s.chain.bottom, s.chain.top)[eval_term(phi.left, s, v) == eval_term(phi.right, s, v)],
+    Val: lambda phi, s, v: _truth_constant_index(s.chain, phi.label),
+    And: lambda phi, s, v: min(_eval(phi.left, s, v), _eval(phi.right, s, v)),
+    Or: lambda phi, s, v: max(_eval(phi.left, s, v), _eval(phi.right, s, v)),
+    Strong: lambda phi, s, v: s.chain.star[_eval(phi.left, s, v)][_eval(phi.right, s, v)],
+    Implies: lambda phi, s, v: s.chain.implies[_eval(phi.left, s, v)][_eval(phi.right, s, v)],
+    Not: lambda phi, s, v: s.chain.implies[_eval(phi.body, s, v)][s.chain.bottom],
+    Iff: _iff,
+    Forall: _quantifier, Exists: _quantifier,
+}
 
 
 _MISSING = object()

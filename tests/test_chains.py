@@ -1,8 +1,9 @@
+import random
 from itertools import product
 
 import pytest
 
-from gradedmt import chains
+from gradedmt import chains, corpus, preservation
 from gradedmt.chains import (
     ChainValidationError,
     check_tarski_vaught,
@@ -11,9 +12,10 @@ from gradedmt.chains import (
     validate_chain_of_structures,
 )
 from gradedmt.errors import InternalError
-from gradedmt.generation import qf_matrices
+from gradedmt.generation import AssignmentGrid, fragment, qf_matrices, value_classes
 from gradedmt.morphisms import induced_substructure, is_substructure
 from gradedmt.semantics import Structure, eval_formula
+from gradedmt.syntax import App, Signature
 from tests.conftest import crisp_complete
 
 
@@ -168,3 +170,118 @@ def test_tarski_vaught_violations_match_a_per_tuple_recount(monkeypatch, complet
     assert report.qf_violations == expected
     assert report.quantifier_free_checked == checked
     assert not report.quantifier_free_ok and not report.ok
+
+
+# --- part (a) against the whole-family check it replaced ---
+
+
+def _reference_part_a(chain, matrix_depth=1, num_vars=2):
+    """Part (a) run over the whole family: (violations, checked)."""
+    union = chains.union_of_chain(chain)
+    variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
+    first = chain.members[0]
+    family = fragment(first.sig, first.chain.elements, variables, matrix_depth,
+                      [App(c) for c in first.sig.constants()])
+    grids = [AssignmentGrid(s, variables) for s in (*chain.members, union)]
+    cls, vecs = value_classes(family, grids)
+    tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
+    n = len(tuples)
+    cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]
+    bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
+    violations, end = [], 0
+    for index in range(len(chain.members)):
+        start, end = end, end + grids[index].size
+        for k, c in enumerate(cls):
+            if c in bad:
+                row = vecs[c]
+                violations += [(index, family.matrices[k], tuples[p], row[p], row[cells[p]])
+                               for p in range(start, end) if row[p] != row[cells[p]]]
+    return violations, n * len(cls)
+
+
+def _assert_part_a_matches_the_whole_family(chain):
+    report = check_tarski_vaught(chain)
+    violations, checked = _reference_part_a(chain)
+    assert report.qf_violations == violations
+    assert report.quantifier_free_checked == checked
+    assert report.quantifier_free_ok == (not violations) == report.ok
+    return violations
+
+
+def _with_fault(monkeypatch, chain, name, args):
+    """Serve a union that is off the true one at one entry of one predicate."""
+    true = union_of_chain(chain)
+    table = dict(true.predicates[name])
+    table[args] = (table[args] + 1) % true.chain.size
+    union = Structure(chain=true.chain, sig=true.sig, domain=true.domain,
+                      predicates={**true.predicates, name: table}, functions=true.functions)
+    monkeypatch.setattr(chains, "union_of_chain", lambda c: union)
+
+
+@pytest.fixture(scope="module")
+def suite_chains():
+    """The first chain `union_preservation_suite` builds for each of seeds 0-9."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preservation, "_suite_sentences", lambda *args: [])
+        mp.setattr(preservation, "check_tarski_vaught",
+                   lambda chain, **kw: built.append(chain) or check_tarski_vaught(chain, **kw))
+        for seed in range(10):
+            preservation.union_preservation_suite(seed, 1)
+    return built
+
+
+def _constant_chain():
+    """P/1, R/2 and a constant c, over three nested domains that all hold c."""
+    g3 = corpus.godel3()
+    sig = Signature(predicates={"P": 1, "R": 2}, functions={"c": 0})
+    rnd, domain = random.Random(3), ("a", "b", "c")
+    big = Structure(chain=g3, sig=sig, domain=domain,
+                    predicates={"P": {(d,): rnd.randrange(3) for d in domain},
+                                "R": {args: rnd.randrange(3) for args in product(domain, repeat=2)}},
+                    functions={"c": {(): "b"}})
+    return validate_chain_of_structures([induced_substructure(big, ["b"]), induced_substructure(big, "ab"), big])
+
+
+@pytest.mark.parametrize("sizes", [(2, 3), (3, 4, 5), (2, 3, 4, 5)])
+def test_part_a_on_complete_graph_chains_matches_the_whole_family(complete_graphs, sizes):
+    chain = validate_chain_of_structures([complete_graphs[k] for k in sizes])
+    assert _assert_part_a_matches_the_whole_family(chain) == []
+
+
+def test_part_a_on_suite_chains_matches_the_whole_family(suite_chains):
+    assert len(suite_chains) == 10
+    for chain in suite_chains + [_constant_chain()]:
+        assert _assert_part_a_matches_the_whole_family(chain) == []
+
+
+@pytest.mark.parametrize("args", [("v0", "v0"), ("v0", "v1"), ("v2", "v1")])  # a loop, an edge in k2, one out
+def test_part_a_with_a_faulted_union_matches_the_whole_family(monkeypatch, complete_graphs, args):
+    chain = validate_chain_of_structures([complete_graphs[2], complete_graphs[3]])
+    _with_fault(monkeypatch, chain, "R", args)
+    assert _assert_part_a_matches_the_whole_family(chain)
+
+
+@pytest.mark.parametrize("name, place", [("R", "loop"), ("R", "edge"), ("P", "first")])
+def test_part_a_with_faulted_suite_and_constant_unions_matches_the_whole_family(monkeypatch, suite_chains,
+                                                                               name, place):
+    for chain in suite_chains[:3] + [_constant_chain()]:
+        first, last = chain.members[0].domain[0], chain.members[-1].domain[-1]
+        args = {"loop": (first, first), "edge": (last, first), "first": (first,)}[place]
+        _with_fault(monkeypatch, chain, name, args)
+        assert _assert_part_a_matches_the_whole_family(chain)
+
+
+def test_tarski_vaught_evaluates_only_the_leaves_of_a_valid_chain(monkeypatch, suite_chains):
+    asked = []
+
+    def recording(family, grids, n=None):
+        asked.append((len(family.matrices), n))
+        return value_classes(family, grids, n)
+
+    monkeypatch.setattr(chains, "value_classes", recording)
+    chain = suite_chains[0]
+    report = check_tarski_vaught(chain)
+    assert asked == [(1518, 12)]  # P/1, R/2, two variables, depth 1: the first 12 matrices are its leaves
+    assert report.quantifier_free_ok
+    assert report.quantifier_free_checked == 1518 * sum(m.size ** 2 for m in chain.members)

@@ -376,6 +376,17 @@ def test_an_inline_algebra_is_loaded_like_an_algebra_file(capsys, tmp_path):
     assert f"{path}: cannot derive a residuum" in err and "commutativity at (0, 1)" in err
 
 
+@pytest.mark.parametrize("inline", [False, True])
+def test_an_algebra_shape_error_names_its_file(capsys, tmp_path, inline):
+    algebra = {"elements": ["0", "1"], "star": [[0, 0]]}  # one star row over two elements
+    (tmp_path / "a.json").write_text(json.dumps(algebra))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"algebra": algebra if inline else "a.json", "domain": ["a"]}))
+    assert main(["enum-subs", "--structure", str(path)]) == 2
+    named = path if inline else tmp_path / "a.json"
+    assert f"error: {named}: star must have 2 rows" in capsys.readouterr().err
+
+
 def test_two_cli_calls_build_one_parser(capsys, monkeypatch):
     built, init = [], argparse.ArgumentParser.__init__
 

@@ -2,25 +2,36 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gradedmt import corpus
 from gradedmt.diagrams import expansion_sharp
-from gradedmt.errors import ChainMismatchError, FormatError
+from gradedmt.errors import ChainMismatchError, FormatError, SignatureError
 from gradedmt.parser import parse_formula, parse_theory
 from gradedmt.randomgen import random_formula
 from gradedmt.semantics import (
     Structure,
     UnassignedVariable,
+    _truth_constant_index,
     eval_formula,
     eval_term,
     is_model,
     satisfies,
 )
 from gradedmt.syntax import (
+    And,
     App,
+    Atom,
+    Eq,
     Exists,
     Forall,
     Iff,
+    Implies,
+    Not,
+    Or,
     Signature,
+    Strong,
+    Val,
     Var,
     expand_with_truth_constants,
     free_variables,
@@ -255,3 +266,150 @@ def test_structure_table_validation(g4, sig_r):
         Structure(
             chain=g4, sig=sig_r, domain=("a",), predicates={"R": {("a", "a"): 7}}
         )
+
+
+# --- the evaluator against an isinstance-chain reference ---
+
+_MISSING = object()
+
+
+def _reference_eval(phi, s: Structure, v: dict) -> int:
+    """The evaluator as one chain of isinstance tests, one loop per quantifier."""
+    chain = s.chain
+    if isinstance(phi, Atom):
+        table = s.predicates.get(phi.name)
+        if table is None:
+            raise SignatureError(f"structure does not interpret predicate {phi.name!r}")
+        args = tuple(eval_term(a, s, v) for a in phi.args)
+        return table[args]
+    if isinstance(phi, Eq):
+        return chain.top if eval_term(phi.left, s, v) == eval_term(phi.right, s, v) else chain.bottom
+    if isinstance(phi, Val):
+        return _truth_constant_index(chain, phi.label)
+    if isinstance(phi, And):
+        a = _reference_eval(phi.left, s, v)
+        b = _reference_eval(phi.right, s, v)
+        return a if a < b else b
+    if isinstance(phi, Or):
+        a = _reference_eval(phi.left, s, v)
+        b = _reference_eval(phi.right, s, v)
+        return a if a > b else b
+    if isinstance(phi, Strong):
+        return chain.star[_reference_eval(phi.left, s, v)][_reference_eval(phi.right, s, v)]
+    if isinstance(phi, Implies):
+        return chain.implies[_reference_eval(phi.left, s, v)][_reference_eval(phi.right, s, v)]
+    if isinstance(phi, Not):
+        return chain.implies[_reference_eval(phi.body, s, v)][chain.bottom]
+    if isinstance(phi, Iff):
+        a = _reference_eval(phi.left, s, v)
+        b = _reference_eval(phi.right, s, v)
+        fwd = chain.implies[a][b]
+        bwd = chain.implies[b][a]
+        return fwd if fwd < bwd else bwd
+    if isinstance(phi, Forall):
+        saved = v.get(phi.var, _MISSING)
+        best = chain.top
+        for d in s.domain:
+            v[phi.var] = d
+            value = _reference_eval(phi.body, s, v)
+            if value < best:
+                best = value
+                if best == chain.bottom:
+                    break
+        _restore(v, phi.var, saved)
+        return best
+    if isinstance(phi, Exists):
+        saved = v.get(phi.var, _MISSING)
+        best = chain.bottom
+        for d in s.domain:
+            v[phi.var] = d
+            value = _reference_eval(phi.body, s, v)
+            if value > best:
+                best = value
+                if best == chain.top:
+                    break
+        _restore(v, phi.var, saved)
+        return best
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def _restore(v: dict, name: str, saved):
+    if saved is _MISSING:
+        v.pop(name, None)
+    else:
+        v[name] = saved
+
+
+def _outcome(evaluate, phi, s, assignment):
+    """The value, or the exception's class and message."""
+    try:
+        return evaluate(phi, s, dict(assignment))
+    except Exception as err:  # any class, so that a KeyError for a TypeError shows too
+        return type(err), str(err)
+
+
+def _eval_structures():
+    sig = Signature(predicates={"P": 1, "R": 2}, functions={"c": 0, "f": 1})
+    rnd = random.Random(5)
+    out = []
+    for chain, domain in ((corpus.lukasiewicz3(), ("a", "b", "c")), (corpus.godel4(), ("a", "b")),
+                          (corpus.bool2(), ("a",))):
+        out.append(Structure(
+            chain=chain, sig=sig, domain=domain,
+            predicates={"P": {(d,): rnd.randrange(chain.size) for d in domain},
+                        "R": {args: rnd.randrange(chain.size) for args in itertools.product(domain, repeat=2)}},
+            functions={"c": {(): domain[-1]}, "f": {(d,): rnd.choice(domain) for d in domain}}))
+    return out
+
+
+_EVAL_STRUCTURES = _eval_structures()
+_terms = st.recursive(st.sampled_from([Var("x"), Var("y"), App("c")]),
+                      lambda t: t.map(lambda a: App("f", (a,))), max_leaves=3)
+_leaves = st.one_of(
+    st.builds(lambda a: Atom("P", (a,)), _terms),
+    st.builds(lambda a, b: Atom("R", (a, b)), _terms, _terms),
+    st.builds(Eq, _terms, _terms),
+    st.sampled_from([Val("0"), Val("1")]),
+)
+# an unassigned variable, an undeclared predicate and function, an unknown
+# truth constant (val(1/2) too, but on Lukasiewicz-3), a term for a formula
+_BAD_LEAVES = [Atom("P", (Var("z"),)), Atom("Q", (Var("x"),)), Atom("P", (App("g"),)), Val("7/8"), Val("1/2"),
+               Var("x")]
+
+
+def _formulas(leaves):
+    return st.recursive(leaves, lambda f: st.one_of(
+        st.builds(Not, f),
+        *(st.builds(kind, f, f) for kind in (And, Or, Strong, Implies, Iff)),
+        *(st.builds(kind, st.sampled_from(["x", "y"]), f) for kind in (Forall, Exists)),
+    ), max_leaves=8)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(phi=_formulas(_leaves), index=st.integers(0, len(_EVAL_STRUCTURES) - 1))
+def test_eval_formula_matches_the_isinstance_reference(phi, index):
+    s = _EVAL_STRUCTURES[index]
+    assignment = {"x": "a", "y": s.domain[-1]}
+    assert eval_formula(phi, s, assignment) == _reference_eval(phi, s, assignment)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(phi=_formulas(_leaves | st.sampled_from(_BAD_LEAVES)), index=st.integers(0, len(_EVAL_STRUCTURES) - 1))
+def test_eval_formula_fails_like_the_isinstance_reference(phi, index):
+    s = _EVAL_STRUCTURES[index]
+    assignment = {"x": "a", "y": s.domain[-1]}
+    assert _outcome(eval_formula, phi, s, assignment) == _outcome(_reference_eval, phi, s, assignment)
+
+
+@pytest.mark.parametrize("phi, error, message", [
+    (Exists("x", Atom("P", (Var("z"),))), UnassignedVariable, "variable 'z' has no value"),
+    (And(Atom("Q", (Var("x"),)), Val("7/8")), SignatureError, "structure does not interpret predicate 'Q'"),
+    (Forall("x", Atom("P", (App("g", (Var("x"),)),))), SignatureError,
+     "structure does not interpret function 'g'"),
+    (Iff(Val("1"), Val("7/8")), ChainMismatchError, "truth constant val(7/8) has no element in this chain"),
+    (Not(Var("x")), TypeError, "not a formula: Var(name='x')"),
+])
+def test_eval_formula_errors_match_the_reference(phi, error, message):
+    s, assignment = _EVAL_STRUCTURES[1], {"x": "a"}
+    assert _outcome(eval_formula, phi, s, assignment) == (error, message)
+    assert _outcome(_reference_eval, phi, s, assignment) == (error, message)
