@@ -37,14 +37,16 @@ class FiniteChain:
     index 0 is the bottom element and index k-1 the top.  `star` and
     `implies` are k-by-k tables of element indices.  Construction checks
     shapes only; run validate_chain for the algebraic laws.  Two chains
-    are equal when their labels and tables are: `name` is a label for
-    files and takes no part in equality or the hash.
+    are equal when their labels and tables are: `name` (a label for
+    files), `bottom` and `top` take no part in equality or the hash.
     """
 
     elements: tuple[str, ...]
     star: Table
     implies: Table
     name: str = field(default="", compare=False)
+    bottom: int = field(default=0, init=False, compare=False, repr=False)
+    top: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.elements) < 2:
@@ -55,18 +57,11 @@ class FiniteChain:
         object.__setattr__(self, "elements", tuple(str(e) for e in self.elements))
         object.__setattr__(self, "star", _as_table(self.star, k, "star"))
         object.__setattr__(self, "implies", _as_table(self.implies, k, "implies"))
+        object.__setattr__(self, "top", k - 1)
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    @property
-    def bottom(self) -> int:
-        return 0
-
-    @property
-    def top(self) -> int:
-        return len(self.elements) - 1
 
     @property
     def coatom(self) -> int:

@@ -136,9 +136,8 @@ def check_tarski_vaught(
     tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
     n = len(tuples)
     cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]  # each tuple's union cell
-    report.quantifier_free_checked = n * len(family.matrices)
-    leaves = 1 + max(k for k, (kind, _, _) in enumerate(family.program) if kind is None)
-    for limit in (leaves, None):  # the whole family only when some leaf differs
+    report.quantifier_free_checked = n * len(family.program)
+    for limit in (len(family.leaves), None):  # the whole family only when some leaf differs
         cls, vecs = value_classes(family, grids, limit)
         bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
         if not bad:
@@ -148,7 +147,7 @@ def check_tarski_vaught(
     for index, member in enumerate(chain.members):
         start, end = end, end + grids[index].size
         for k in differing:
-            phi, row = family.matrices[k], vecs[cls[k]]
+            phi, row = family.matrix(k), vecs[cls[k]]
             for p in range(start, end):
                 a, b = row[p], row[cells[p]]
                 if a != b:

@@ -9,9 +9,10 @@ Two generators drive every bounded check in the package:
 
 * a prenex family used for fragment-bounded checks: quantifier-free
   matrices of bounded connective depth, built once per key by `fragment`
-  and kept in a small LRU cache, wrapped in alternating quantifier-block
-  prefixes by a `StreamPlan` (`Fragment.plan`) as (matrix, prefix, params)
-  triples, each with a stream position computed rather than counted.
+  as an index program, where a formula is built only when read, and kept
+  in a small LRU cache, wrapped in alternating quantifier-block prefixes
+  by a `StreamPlan` (`Fragment.plan`) as (matrix, prefix, params) triples,
+  each with a stream position computed rather than counted.
 
 Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates formulas at every variable assignment
@@ -58,7 +59,6 @@ from .syntax import (
 )
 
 _CONNECTIVES = (And, Or, Strong, Implies, Iff)
-_COMMUTATIVE = (And, Or, Strong, Iff)
 
 
 @lru_cache(maxsize=64)
@@ -100,12 +100,6 @@ def atoms_over(sig: Signature, terms: Sequence, labels: Sequence[str]) -> list[F
     return out
 
 
-def literals_over(sig: Signature, terms: Sequence, labels: Sequence[str]) -> list[Formula]:
-    atoms = atoms_over(sig, terms, labels)
-    negated = [Not(a) for a in atoms if not isinstance(a, Val)]
-    return atoms + negated
-
-
 def _variable_subsets(names: Sequence[str]) -> Iterator[tuple[str, ...]]:
     ordered = list(names)
     for size in range(1, len(ordered) + 1):
@@ -126,15 +120,11 @@ class _LevelledPool:
         self.seen.add(phi)
         if len(self.seen) == size:
             return False
-        self.append(phi, level, fv)
-        return True
-
-    def append(self, phi: Formula, level: int, fv: frozenset | None = None) -> None:
-        """Add `phi` unchecked: for a formula new by construction."""
         self.meter.tick()
         while len(self.levels) <= level:
             self.levels.append([])
         self.levels[level].append((phi, frozenset(free_variables(phi)) if fv is None else fv))
+        return True
 
     def binary_combos(self, level: int, sink, closed_only: bool = False):
         """One connective over operands with level sum = level - 1.
@@ -145,23 +135,13 @@ class _LevelledPool:
         """
         for la in range(level):
             lb = level - 1 - la
-            if lb >= len(self.levels) or la >= len(self.levels):
-                continue
-            left_bucket = self.levels[la]
-            right_bucket = self.levels[lb]
-            for i, (phi, fv_i) in enumerate(left_bucket):
+            for i, (phi, fv_i) in enumerate(self.levels[la]):
                 if closed_only and fv_i:
                     continue
-                for j, (psi, fv_j) in enumerate(right_bucket):
+                for j, (psi, fv_j) in enumerate(self.levels[lb]):
                     if closed_only and fv_j:
                         continue
-                    same = la == lb
-                    for conn in _CONNECTIVES:
-                        if conn in _COMMUTATIVE:
-                            if la > lb:
-                                continue
-                            if same and j < i:
-                                continue
+                    for conn in _CONNECTIVES if la < lb or la == lb and i <= j else (Implies,):
                         sink(conn(phi, psi), level, fv_i | fv_j)
 
 
@@ -185,7 +165,8 @@ def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, 
         if pool.push(phi, level, fv) and not pool.levels[level][-1][1]:
             sentences.append(phi)
 
-    for lit in literals_over(sig, terms, labels):
+    atoms = atoms_over(sig, terms, labels)
+    for lit in atoms + [Not(a) for a in atoms if not isinstance(a, Val)]:  # truth constants are not negated
         push(lit, 0)
 
     for level in range(1, depth + 1):
@@ -264,25 +245,28 @@ class PrenexCandidate:
 
 
 class Fragment:
-    """Quantifier-free matrices in generation order, each with its free
-    variables.  Shared between callers, so both tuples are read-only; its
-    plans are kept with it, one per (steps, keep)."""
+    """Quantifier-free matrices in generation order, as an index program:
+    `program[k]` is (connective, left, right), the earlier positions of matrix
+    k's operands (a negation names its body twice), or (None, 0, 0) for a
+    leaf, the formula `leaves[k]`; leaves come first.  `free[k]` is matrix k's
+    free-variable set.  A formula is built only when read, one by `matrix(k)`
+    or all by `matrices`.  Shared, so read-only; one plan per (steps, keep)."""
 
-    def __init__(self, entries: Sequence[tuple[Formula, frozenset]]):
-        self.matrices = tuple(phi for phi, _ in entries)
-        sets: dict = {}  # one object per distinct set: a family has only a few
-        self.free = tuple(sets.setdefault(fv, fv) for _, fv in entries)
+    def __init__(self, leaves: Sequence[Formula], program: Sequence[tuple], free: Sequence[frozenset]):
+        self.leaves, self.program, self.free = tuple(leaves), tuple(program), tuple(free)
         self._plans: dict = {}
 
+    def matrix(self, k: int) -> Formula:
+        kind, i, j = self.program[k]
+        return (self.leaves[k] if kind is None else Not(self.matrix(i)) if kind is Not
+                else kind(self.matrix(i), self.matrix(j)))
+
     @cached_property
-    def program(self) -> tuple:
-        """Per matrix, (connective, left, right): the family positions of its
-        operands, which a built family lists before their uses; a negation
-        names its body twice, and an atom is (None, 0, 0)."""
-        pos = {id(phi): i for i, phi in enumerate(self.matrices)}
-        return tuple((Not, pos[id(phi.body)], pos[id(phi.body)]) if isinstance(phi, Not)
-                     else (type(phi), pos[id(phi.left)], pos[id(phi.right)])
-                     if isinstance(phi, _CONNECTIVES) else (None, 0, 0) for phi in self.matrices)
+    def matrices(self) -> tuple:
+        out = list(self.leaves)
+        for kind, i, j in self.program[len(out):]:
+            out.append(Not(out[i]) if kind is Not else kind(out[i], out[j]))
+        return tuple(out)
 
     def plan(self, steps, cap: int | None = None, keep=None) -> "StreamPlan":
         """The (matrix, prefix, params) stream of these (quantifiable, target)
@@ -359,18 +343,39 @@ def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[st
     else:
         _fragments.move_to_end(key)
         meter = BudgetMeter("matrix generation")
-        meter.tick(min(len(family.matrices), meter.limit + 1))
+        meter.tick(min(len(family.program), meter.limit + 1))
     return family
 
 
 def _build_fragment(sig, labels, variables, depth, extra_terms) -> Fragment:
-    terms = [Var(v) for v in variables] + list(extra_terms)
-    pool = _LevelledPool("matrix generation")
-    for lit in literals_over(sig, terms, labels):
-        pool.push(lit, 0)
-    for level in range(1, depth + 1):  # one connective over distinct entries is a new formula
-        pool.binary_combos(level, pool.append)
-    return Fragment([entry for bucket in pool.levels for entry in bucket])
+    """The family as a program over its distinct atoms: level 0 is the atoms
+    and their negations, each later level is in `_LevelledPool.binary_combos`
+    order, and a row's free set is the union of its operands'.  Each level
+    is charged to the meter in one tick before it is built, and fails where
+    a tick per matrix would."""
+    meter = BudgetMeter("matrix generation")
+    leaves = tuple(dict.fromkeys(atoms_over(sig, [Var(v) for v in variables] + list(extra_terms), labels)))
+    program = [(None, 0, 0)] * len(leaves) + [(Not, k, k) for k, a in enumerate(leaves) if not isinstance(a, Val)]
+    sets: dict = {}  # one object per distinct set: a family has only a few
+    join = lru_cache(maxsize=None)(lambda a, b: sets.setdefault(a | b, a | b))
+    free = [sets.setdefault(fv, fv) for fv in (frozenset(free_variables(a)) for a in leaves)]
+    free += [free[k] for _, k, _ in program[len(leaves):]]
+    starts = [0]  # level l is program[starts[l]:starts[l + 1]]
+    for level in range(depth + 1):  # level 0 is built: here it is only charged
+        splits = [(range(starts[la], starts[la + 1]), range(starts[lb], starts[lb + 1]), la - lb)
+                  for la, lb in zip(range(level), reversed(range(level)))]
+        # rows per split: five a pair when the left level is the lower, implication alone when it is
+        # the higher, and on one level of n entries n * n implications and 4 * n(n + 1) / 2 others
+        count = sum(len(a) * (5 * len(b) if d < 0 else len(b) if d else 3 * len(a) + 2) for a, b, d in splits)
+        meter.tick(min(count if level else len(program), meter.limit - meter.used + 1))
+        for left, right, d in splits:
+            for i in left:
+                for j in right:
+                    kinds = _CONNECTIVES if d < 0 or d == 0 and i <= j else (Implies,)
+                    program += [(kind, i, j) for kind in kinds]
+                    free += [join(free[i], free[j])] * len(kinds)
+        starts.append(len(program))
+    return Fragment(leaves, program, free)
 
 
 def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
@@ -408,7 +413,7 @@ def prenex_candidates(
     quantified; remaining free variables are parameter slots.  Pure
     parameter matrices are emitted once, as quantifier-free candidates.
     """
-    family = Fragment([(phi, frozenset(free_variables(phi))) for phi in matrices])
+    family = Fragment(matrices, [(None, 0, 0)] * len(matrices), [frozenset(free_variables(phi)) for phi in matrices])
     for triple in family.plan([(quantifiable, target)]):
         yield PrenexCandidate(*triple)
 
@@ -564,11 +569,11 @@ class AssignmentGrid:
 def value_classes(family: Fragment, grids: Sequence[AssignmentGrid],
                   n: int | None = None) -> tuple[list[int], list[list[int]]]:
     """Whole-family driver over value classes: per matrix a class id, and per
-    class its values at the cells of each grid in turn.  Leaves and results
-    are interned by those values, and `family.program` runs over class ids,
-    so each connective meets each pair of operand classes once.  Each run of
-    grids that share a chain is combined with that chain's tables.  With `n`,
-    only the first n matrices, whose operands all come before them."""
+    class its values at the cells of each grid in turn.  Leaves (`family.leaves`)
+    and results are interned by those values, and `family.program` runs over
+    class ids, so no matrix is built as a formula and each connective meets
+    each pair of operand classes once.  Each run of grids that share a chain is
+    combined with its tables.  With `n`, only the first n matrices."""
     runs, end = [], 0  # [grid, start, end] per run of grids that share tables
     for g in grids:
         if runs and runs[-1][0]._tables is g._tables:
@@ -587,9 +592,9 @@ def value_classes(family: Fragment, grids: Sequence[AssignmentGrid],
             vecs.append(vals)
         return c
 
-    for phi, (kind, i, j) in islice(zip(family.matrices, family.program), n):
+    for k, (kind, i, j) in enumerate(islice(family.program, n)):
         if kind is None:
-            c = intern([v for g in grids for v in g._leaf(phi)])
+            c = intern([v for g in grids for v in g._leaf(family.leaves[k])])
         else:
             key = (kind, cls[i], cls[j])
             c = memo.get(key)

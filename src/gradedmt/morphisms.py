@@ -38,7 +38,7 @@ def identity_structure_map(s: Structure) -> StructureMap:
 
 
 def inclusion_map(sub: Structure, sup: Structure) -> StructureMap:
-    return StructureMap(identity_map(sub.chain), {d: d for d in sub.domain})
+    return identity_structure_map(sub)
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     if found is None:
         return checked, None, None
     _, k, prefix, params, (tup, a, b) = found
-    phi = prenex_formula(family.matrices[k], prefix)
+    phi = prenex_formula(family.matrix(k), prefix)
     asg = dict(zip(params, tup))
     if (eval_formula(phi, grid_s.structure, asg) != a
             or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != b):

@@ -1,9 +1,12 @@
 import itertools
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedmt import corpus, generation
+from gradedmt.budget import BudgetMeter
+from gradedmt.chains import check_tarski_vaught, validate_chain_of_structures
 from gradedmt.errors import BudgetError, InternalError, SignatureError
 from gradedmt.generation import (
     AssignmentGrid,
@@ -16,7 +19,7 @@ from gradedmt.generation import (
 )
 from gradedmt.morphisms import inclusion_map, is_elementary_up_to_depth
 from gradedmt.parser import parse_formula, render_formula
-from gradedmt.preservation import implies_exists_n
+from gradedmt.preservation import FormulaBounds, implies_exists_n, universal_transport_ok
 from gradedmt.semantics import Structure, all_assignments, eval_formula
 from gradedmt.syntax import (
     EXISTS,
@@ -30,6 +33,8 @@ from gradedmt.syntax import (
     PrenexClass,
     Signature,
     Strong,
+    Val,
+    Var,
     classify_prenex,
     exists_block,
     expand_with_truth_constants,
@@ -359,6 +364,134 @@ def test_swapped_fold_is_caught_by_the_evaluator_replays(monkeypatch):
         implies_exists_n(point, pair, ("a",), 1)
     with pytest.raises(InternalError):
         is_elementary_up_to_depth(incl, point, pair, 1)
+
+
+
+# --- the index-program build against the levelled-pool build ---
+
+
+def _pool_build(sig, labels, variables, depth, extra_terms=()):
+    """The family as the levelled pool built it before families were index
+    programs, kept as an oracle: every matrix built as a formula, one meter
+    tick per matrix, and the program read off by node identity.  Returns
+    (matrices, free sets, program)."""
+    meter, levels, seen = BudgetMeter("matrix generation"), [], set()
+
+    def append(phi, level, fv=None):
+        meter.tick()
+        while len(levels) <= level:
+            levels.append([])
+        levels[level].append((phi, frozenset(free_variables(phi)) if fv is None else fv))
+
+    atoms = generation.atoms_over(sig, [Var(v) for v in variables] + list(extra_terms), labels)
+    for lit in atoms + [Not(a) for a in atoms if not isinstance(a, Val)]:
+        if lit not in seen:
+            seen.add(lit)
+            append(lit, 0)
+    for level in range(1, depth + 1):
+        for la in range(level):
+            lb = level - 1 - la
+            if lb >= len(levels) or la >= len(levels):
+                continue
+            for i, (phi, fv_i) in enumerate(levels[la]):
+                for j, (psi, fv_j) in enumerate(levels[lb]):
+                    for conn in (And, Or, Strong, Implies, Iff):
+                        if conn is not Implies and (la > lb or la == lb and j < i):
+                            continue
+                        append(conn(phi, psi), level, fv_i | fv_j)
+    entries = [entry for bucket in levels for entry in bucket]
+    matrices = tuple(phi for phi, _ in entries)
+    pos = {id(phi): i for i, phi in enumerate(matrices)}
+    program = tuple((Not, pos[id(phi.body)], pos[id(phi.body)]) if isinstance(phi, Not)
+                    else (type(phi), pos[id(phi.left)], pos[id(phi.right)])
+                    if isinstance(phi, (And, Or, Strong, Implies, Iff)) else (None, 0, 0) for phi in matrices)
+    return matrices, tuple(fv for _, fv in entries), program
+
+
+class _PoolFragment(generation.Fragment):
+    """A family that reads the pool build's own formulas."""
+
+    def __init__(self, matrices, free, program):
+        super().__init__([phi for phi, (kind, _, _) in zip(matrices, program) if kind is None], program, free)
+        self.matrices = matrices
+
+    def matrix(self, k):
+        return self.matrices[k]
+
+
+def _pool_fragment(sig, labels, variables, depth, extra_terms):
+    return _PoolFragment(*_pool_build(sig, labels, variables, depth, extra_terms))
+
+
+SIG_PC = Signature(predicates={"P": 1}, functions={"c": 0, "d": 0})
+BUILD_CASES = {  # signature, variables, extra terms
+    "P/1 R/2": (SIG_PR, ("x1", "x2"), ()),
+    "P/1 R/2 with truth constants": (expand_with_truth_constants(SIG_PR, G3), ("x1", "x2"), ()),
+    "a constant": (SIG_PC, ("x1",), (App("c"),)),
+    "no variables": (SIG_PC, (), (App("c"), App("d"))),  # as a diagram builds its family
+}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_index_program_build_matches_the_pool_build(case, depth):
+    sig, variables, extra = BUILD_CASES[case]
+    if depth == 2:  # over two variables a depth-2 family has 200k matrices: seconds of oracle
+        variables = variables[:1]
+    labels = generation.truth_constant_labels(sig, G3.elements)
+    family = generation._build_fragment(sig, labels, variables, depth, extra)
+    matrices, free, program = _pool_build(sig, labels, variables, depth, extra)
+    assert family.program == program
+    assert family.free == free
+    assert len({id(fv) for fv in family.free}) == len(set(free))  # one object per distinct set
+    assert family.leaves == matrices[:len(family.leaves)]
+    assert "matrices" not in family.__dict__
+    assert family.matrices == matrices
+    assert [family.matrix(k) for k in range(0, len(matrices), 97)] == list(matrices[::97])
+
+
+def test_a_budget_cut_in_any_level_fails_like_the_pool_build(monkeypatch):
+    sig, variables, extra = BUILD_CASES["a constant"]
+    labels = generation.truth_constant_labels(sig, G3.elements)
+    ends = [len(_pool_build(sig, labels, variables, depth, extra)[0]) for depth in (0, 1, 2)]
+    # inside level 0, at its end, inside level 1 (twice), at its end, inside level 2
+    for limit in (ends[0] - 3, ends[0], ends[0] + 1, (ends[0] + ends[1]) // 2, ends[1], ends[2] - 1):
+        monkeypatch.setenv("GRADEDMT_BUDGET", str(limit))
+        with pytest.raises(BudgetError) as got:
+            generation._build_fragment(sig, labels, variables, 2, extra)
+        with pytest.raises(BudgetError) as want:
+            _pool_build(sig, labels, variables, 2, extra)
+        assert str(got.value) == str(want.value) == f"matrix generation exceeded budget of {limit}"
+        assert (got.value.required, got.value.budget) == (want.value.required, want.value.budget)
+    monkeypatch.setenv("GRADEDMT_BUDGET", str(ends[2]))
+    assert len(generation._build_fragment(sig, labels, variables, 2, extra).program) == ends[2]
+
+
+SIG_P = Signature(predicates={"P": 1})
+POINT = Structure(chain=G3, sig=SIG_P, domain=("a",), predicates={"P": {("a",): G3.top}})
+PAIR = Structure(chain=G3, sig=SIG_P, domain=("a", "b"), predicates={"P": {("a",): G3.top, ("b",): 0}})
+HOT_CALLS = {  # name: (call, its verdict)
+    "existential transfer holds": (lambda: implies_exists_n(POINT, PAIR, (), 1), True),
+    "existential transfer fails": (lambda: implies_exists_n(PAIR, POINT, (), 1), False),
+    "elementarity": (lambda: is_elementary_up_to_depth(inclusion_map(POINT, PAIR), POINT, PAIR, 1), False),
+    "universal transport": (lambda: universal_transport_ok({"a": "a"}, POINT, PAIR, FormulaBounds()), False),
+    "tarski-vaught": (lambda: check_tarski_vaught(validate_chain_of_structures([POINT, PAIR])), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOT_CALLS))
+def test_hot_paths_build_no_whole_family(monkeypatch, name):
+    call, verdict = HOT_CALLS[name]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(generation, "_fragments", OrderedDict())
+        patch.setattr(generation, "_build_fragment", _pool_fragment)
+        want = call()
+    monkeypatch.setattr(generation, "_fragments", OrderedDict())
+    got = call()
+    families = list(generation._fragments.values())
+    assert families and not any("matrices" in family.__dict__ for family in families)
+    assert got == want and getattr(got, "ok", got) is verdict
+    assert getattr(got, "separator", None) == getattr(want, "separator", None)
 
 
 def test_ground_terms_nesting():

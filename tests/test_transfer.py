@@ -417,7 +417,7 @@ def stream_plans(draw):
     sets = [frozenset(v for v, bit in zip(variables, bits) if bit)
             for bits in product((0, 1), repeat=len(variables))]
     free = draw(st.lists(st.sampled_from(sets), max_size=12))
-    family = Fragment([(Atom("P", (Var(f"m{k}"),)), fv) for k, fv in enumerate(free)])
+    family = Fragment([Atom("P", (Var(f"m{k}"),)) for k in range(len(free))], [(None, 0, 0)] * len(free), free)
     targets = st.sampled_from([quantifier_free_class()] + [PrenexClass(kind, blocks)
                                                            for kind in (FORALL, EXISTS) for blocks in (1, 2, 3)])
     steps = draw(st.lists(st.tuples(st.permutations(variables).flatmap(
