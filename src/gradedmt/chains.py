@@ -109,31 +109,28 @@ class TarskiVaughtReport:
         return self.depth_ok is not False
 
 
-def check_tarski_vaught(
-    chain: StructureChain,
-    depth: int | None = None,
-    matrix_depth: int = 1,
-    num_vars: int = 2,
-) -> TarskiVaughtReport:
+def check_tarski_vaught(chain: StructureChain, depth: int | None = None,
+                        matrix_depth: int = 1) -> TarskiVaughtReport:
     """Union-value preservation for chain members.
 
     Part (a), always checked and exact: every generated quantifier-free
-    formula takes the same value at member tuples in the member and in
-    the union.  Connectives act tuple by tuple, so only a differing leaf
-    (atom, identity, truth constant) can make a formula differ: the leaves
-    decide part (a), and the rest of the family only lists violations.  Part
-    (b), only when the pairwise inclusions verify as elementary to
-    `depth`: the same transport for all generated formulas of that depth.
+    formula over x1, x2 takes the same value at member tuples in the
+    member and in the union.  Connectives act tuple by tuple, so only a
+    differing leaf (atom, identity, truth constant) can make a formula
+    differ: the leaves decide part (a), and the rest of the family only
+    lists violations.  Part (b), only when the pairwise inclusions verify
+    as elementary to `depth`: the same transport for all generated
+    formulas of that depth.
     """
     union = union_of_chain(chain)
-    variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
+    variables = ("x1", "x2")
     report = TarskiVaughtReport(True, 0, elementary_requested=depth, union=union)
     first = chain.members[0]
     constant_terms = [App(c) for c in first.sig.constants()]
     family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms)
     # one vector per value class: every member's cells, in `product` order, then the union's
     grids = [AssignmentGrid(s, variables) for s in (*chain.members, union)]
-    tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
+    tuples = [tup for member in chain.members for tup in product(member.domain, repeat=len(variables))]
     n = len(tuples)
     cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]  # each tuple's union cell
     report.quantifier_free_checked = n * len(family.program)

@@ -75,7 +75,7 @@ def _emit(args, payload: dict, ok: bool, text_lines) -> int:
         body = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(body, encoding="utf-8")
     else:
         sys.stdout.write(body)
@@ -84,7 +84,7 @@ def _emit(args, payload: dict, ok: bool, text_lines) -> int:
 
 def _structure_with_options(args, attr="structure"):
     s = load_structure(getattr(args, attr))
-    if getattr(args, "truth_constants", False):
+    if args.truth_constants:
         s = replace(s, sig=expand_with_truth_constants(s.sig, s.chain))
     return s
 
@@ -100,11 +100,7 @@ def _parse_binds(binds):
 
 
 def _bounds_from(args) -> FormulaBounds:
-    return FormulaBounds(
-        matrix_depth=getattr(args, "matrix_depth", 1),
-        num_vars=getattr(args, "num_vars", 2),
-        max_candidates=getattr(args, "max_candidates", None),
-    )
+    return FormulaBounds(args.matrix_depth, args.num_vars, args.max_candidates)
 
 
 # --- subcommand handlers ---
@@ -517,10 +513,15 @@ def cmd_verify(args) -> int:
 # --- argument parsing ---
 
 
-def _add_common(p, seed=False, bounds=False, out=True):
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _add_common(p, seed=False, bounds=False):
     p.add_argument("--format", choices=("json", "text"), default="text")
-    if out:
-        p.add_argument("--out", help="write the report to this path instead of stdout")
+    p.add_argument("--out", help="write the report to this path instead of stdout")
     if seed:
         p.add_argument("--seed", type=int, default=0)
     if bounds:
@@ -657,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--instances", type=int, default=50)
+    p.add_argument("--instances", type=_positive_int, default=50)
     _add_common(p, seed=True)
     p.set_defaults(handler=cmd_verify)
 

@@ -26,13 +26,8 @@ class ConsequenceResult:
         return self.holds
 
 
-def bounded_consequence(
-    theory: Sequence[Formula],
-    phi: Formula,
-    sig: Signature,
-    chain,
-    max_domain: int,
-) -> ConsequenceResult:
+def bounded_consequence(theory: Sequence[Formula], phi: Formula, sig: Signature, chain,
+                        max_domain: int) -> ConsequenceResult:
     """Check that every model of the theory with domain size <= max_domain
     satisfies phi; return the first countermodel in canonical order otherwise.
 
@@ -40,8 +35,6 @@ def bounded_consequence(
     the lowest bit of models & ~phi, and the one `Structure` built, for it,
     is replayed through `is_model` and `eval_formula`.
     """
-    if max_domain < 1:
-        raise FormatError("max_domain must be at least 1")
     for sentence in list(theory) + [phi]:
         if not is_sentence(sentence):
             raise FormatError("bounded consequence needs sentences")
@@ -69,15 +62,9 @@ class EquivResult:
         return self.equal
 
 
-def equiv_up_to_depth(
-    s1: Structure,
-    s2: Structure,
-    depth: int,
-    sig: Signature | None = None,
-    num_vars: int | None = None,
-) -> EquivResult:
+def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature | None = None) -> EquivResult:
     """Compare which generated sentences of level <= depth the two
-    structures satisfy (take the top value).
+    structures satisfy (take the top value), over the variables x1..x(depth).
 
     This approximates elementary equivalence: two structures are
     reported equal when no generated sentence separates them.  The
@@ -93,9 +80,7 @@ def equiv_up_to_depth(
         sig = s1.sig
     _check_interprets(sig, s1, "structure")
     _check_interprets(sig, s2, "structure")
-    sentences = generate_sentences(
-        sig, s1.chain.elements, depth, num_vars=num_vars
-    )
+    sentences = generate_sentences(sig, s1.chain.elements, depth)
     top = s1.chain.top
     for sentence in sentences:
         sat1 = eval_formula(sentence, s1) == top

@@ -82,13 +82,13 @@ def edgeless3():
     return load_structure(data_path("edgeless3.json"))
 
 
-def weighted_graph_theory(sig=None):
-    return load_theory(data_path("weighted_graph.thy"), sig=sig)
+def weighted_graph_theory():
+    return load_theory(data_path("weighted_graph.thy"))
 
 
-def degree_two_theory(sig=None):
-    return load_theory(data_path("degree_two.thy"), sig=sig)
+def degree_two_theory():
+    return load_theory(data_path("degree_two.thy"))
 
 
-def fuzzy_subgroup_theory(sig=None):
-    return load_theory(data_path("fuzzy_subgroup.thy"), sig=sig)
+def fuzzy_subgroup_theory():
+    return load_theory(data_path("fuzzy_subgroup.thy"))

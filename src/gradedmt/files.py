@@ -111,24 +111,22 @@ def _symbol_tables(specs, what: str, read_value) -> tuple[dict, dict]:
     return arities, tables
 
 
-def load_structure(path, algebra: FiniteChain | None = None) -> Structure:
+def load_structure(path) -> Structure:
     """Load and validate a structure file.
 
-    The algebra comes from the explicit argument, an inline object, or a
-    path relative to the structure file, in that order of precedence.
-    An inline algebra is checked as an algebra file is, and an error in
-    it names the structure file.
+    The algebra comes from the file's "algebra" entry: an inline object,
+    or a path relative to the structure file.  An inline algebra is
+    checked as an algebra file is, and an error in it names the
+    structure file.
     """
     path = Path(path)
     data = _read_json(path)
     if not isinstance(data, Mapping):
         raise FormatError(f"{path}: structure file must hold a JSON object")
-    chain = algebra
-    if chain is None:
-        ref = data.get("algebra")
-        if ref is None:
-            raise FormatError(f"{path}: missing algebra reference")
-        chain = load_algebra(path.parent / ref) if isinstance(ref, str) else _checked_chain(ref, path)
+    ref = data.get("algebra")
+    if ref is None:
+        raise FormatError(f"{path}: missing algebra reference")
+    chain = load_algebra(path.parent / ref) if isinstance(ref, str) else _checked_chain(ref, path)
     domain = data.get("domain", [])
     if not isinstance(domain, list) or not domain:
         raise FormatError(f"{path}: domain must be a non-empty JSON list, got {domain!r}")
@@ -159,13 +157,8 @@ def load_structure(path, algebra: FiniteChain | None = None) -> Structure:
         raise FormatError(f"{path}: {err}")
 
 
-def structure_to_dict(s: Structure, algebra_ref: str | None = None) -> dict:
-    out: dict = {}
-    if algebra_ref is not None:
-        out["algebra"] = algebra_ref
-    else:
-        out["algebra"] = algebra_to_dict(s.chain)
-    out["domain"] = list(s.domain)
+def structure_to_dict(s: Structure) -> dict:
+    out: dict = {"algebra": algebra_to_dict(s.chain), "domain": list(s.domain)}
     if s.name:
         out["name"] = s.name
     out["predicates"] = {
@@ -187,10 +180,8 @@ def structure_to_dict(s: Structure, algebra_ref: str | None = None) -> dict:
     return out
 
 
-def save_structure(s: Structure, path, algebra_ref: str | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(structure_to_dict(s, algebra_ref), indent=2) + "\n", encoding="utf-8"
-    )
+def save_structure(s: Structure, path) -> None:
+    Path(path).write_text(json.dumps(structure_to_dict(s), indent=2) + "\n", encoding="utf-8")
 
 
 def load_theory(
@@ -214,10 +205,10 @@ def save_theory(formulas: Sequence[Formula], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_chain_file(path, algebra: FiniteChain | None = None) -> list[Structure]:
+def load_chain_file(path) -> list[Structure]:
     """A chain file is a JSON list of structure paths, in order."""
     path = Path(path)
     entries = _read_json(path)
     if not isinstance(entries, list) or not all(isinstance(e, str) for e in entries):
         raise FormatError(f"{path}: chain file must be a JSON list of structure paths")
-    return [load_structure(path.parent / entry, algebra=algebra) for entry in entries]
+    return [load_structure(path.parent / entry) for entry in entries]

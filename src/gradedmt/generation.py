@@ -106,63 +106,37 @@ def _variable_subsets(names: Sequence[str]) -> Iterator[tuple[str, ...]]:
         yield from combinations(ordered, size)
 
 
-class _LevelledPool:
-    """Formulas bucketed by generation level, with structural dedup."""
-
-    def __init__(self, what: str):
-        self.meter = BudgetMeter(what)
-        self.levels: list[list[tuple[Formula, frozenset]]] = []
-        self.seen: set = set()
-
-    def push(self, phi: Formula, level: int, fv: frozenset | None = None) -> bool:
-        """Add `phi` unless seen, hashing it once; `fv` is its known free-variable set."""
-        size = len(self.seen)
-        self.seen.add(phi)
-        if len(self.seen) == size:
-            return False
-        self.meter.tick()
-        while len(self.levels) <= level:
-            self.levels.append([])
-        self.levels[level].append((phi, frozenset(free_variables(phi)) if fv is None else fv))
-        return True
-
-    def binary_combos(self, level: int, sink, closed_only: bool = False):
-        """One connective over operands with level sum = level - 1.
-
-        Commutative connectives are generated once per unordered pair.
-        Order: level split ascending, left index, right index, then the
-        connective order (and, or, strong, implies, iff).
-        """
-        for la in range(level):
-            lb = level - 1 - la
-            for i, (phi, fv_i) in enumerate(self.levels[la]):
-                if closed_only and fv_i:
-                    continue
-                for j, (psi, fv_j) in enumerate(self.levels[lb]):
-                    if closed_only and fv_j:
-                        continue
-                    for conn in _CONNECTIVES if la < lb or la == lb and i <= j else (Implies,):
-                        sink(conn(phi, psi), level, fv_i | fv_j)
-
-
 def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
                        extra_terms: Sequence = ()) -> list[Formula]:
     """Closed formulas of generation level <= depth, in canonical order.
 
-    Variables are x1..xd (d = num_vars, default depth).  At the final
-    level only combinations that come out closed are produced, which
-    keeps the sweep over sentences affordable.
+    Variables are x1..xd (d = num_vars, default depth).  Each level holds
+    quantifier blocks over the previous level, then connectives in the
+    order of `_build_fragment`.  At the final level only combinations that
+    come out closed are produced, which keeps the sweep over sentences
+    affordable.
     """
     if num_vars is None:
         num_vars = depth
     variables = [f"x{i}" for i in range(1, num_vars + 1)]
     labels = truth_constant_labels(sig, chain_labels)
     terms = [Var(v) for v in variables] + list(extra_terms)
-    pool = _LevelledPool("sentence generation")
+    meter = BudgetMeter("sentence generation")
+    levels: list[list[tuple[Formula, frozenset]]] = []
+    seen: set = set()
     sentences: list[Formula] = []
 
     def push(phi: Formula, level: int, fv: frozenset | None = None):
-        if pool.push(phi, level, fv) and not pool.levels[level][-1][1]:
+        size = len(seen)
+        seen.add(phi)
+        if len(seen) == size:
+            return
+        meter.tick()
+        while len(levels) <= level:
+            levels.append([])
+        fv = frozenset(free_variables(phi)) if fv is None else fv
+        levels[level].append((phi, fv))
+        if not fv:
             sentences.append(phi)
 
     atoms = atoms_over(sig, terms, labels)
@@ -171,9 +145,9 @@ def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, 
 
     for level in range(1, depth + 1):
         final = level == depth
-        if level - 1 >= len(pool.levels):
+        if level - 1 >= len(levels):
             break
-        for phi, fv in list(pool.levels[level - 1]):
+        for phi, fv in levels[level - 1]:
             if not fv:
                 continue
             ordered = [v for v in variables if v in fv]
@@ -182,7 +156,16 @@ def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, 
                     continue
                 push(forall_block(subset, phi), level, fv.difference(subset))
                 push(exists_block(subset, phi), level, fv.difference(subset))
-        pool.binary_combos(level, push, closed_only=final)
+        for la in range(level):
+            lb = level - 1 - la
+            for i, (phi, fv_i) in enumerate(levels[la]):
+                if final and fv_i:
+                    continue
+                for j, (psi, fv_j) in enumerate(levels[lb]):
+                    if final and fv_j:
+                        continue
+                    for conn in _CONNECTIVES if la < lb or la == lb and i <= j else (Implies,):
+                        push(conn(phi, psi), level, fv_i | fv_j)
     return sentences
 
 
@@ -349,8 +332,10 @@ def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[st
 
 def _build_fragment(sig, labels, variables, depth, extra_terms) -> Fragment:
     """The family as a program over its distinct atoms: level 0 is the atoms
-    and their negations, each later level is in `_LevelledPool.binary_combos`
-    order, and a row's free set is the union of its operands'.  Each level
+    and their negations, each later level is one connective over operands
+    whose levels sum to one less (by left level, left index, right index,
+    then and, or, strong, implies, iff; commutative ones once per unordered
+    pair), and a row's free set is the union of its operands'.  Each level
     is charged to the meter in one tick before it is built, and fails where
     a tick per matrix would."""
     meter = BudgetMeter("matrix generation")
@@ -785,7 +770,9 @@ def structure_space(sig: Signature, chain, max_size: int, label_prefix: str = "d
     """All structures with domains d0..d(m-1) for m = 1..max_size, as blocks
     in canonical order (constants outer, predicate tables lexicographic
     inside), so countermodels are deterministic.  The signature must be
-    relational plus constants."""
+    relational plus constants, and the space may not be empty."""
+    if max_size < 1:
+        raise FormatError("max_domain must be at least 1")
     _check_relational(sig)
     constants, k = sig.constants(), chain.size
     check_budget(sum(m ** len(constants) * k ** sum(m**a for a in sig.predicates.values())

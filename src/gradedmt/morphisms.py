@@ -209,14 +209,14 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
 
 
 def is_elementary_up_to_depth(m: StructureMap, source: Structure, target: Structure, depth: int,
-                              matrix_depth: int = 1, total_vars: int | None = None) -> ElementarityReport:
+                              matrix_depth: int = 1) -> ElementarityReport:
     """Check value transport for the canonical prenex family to `depth`.
 
-    Every generated formula with up to `depth` quantifier blocks is
-    evaluated at every source tuple; the algebra map applied to the
-    source value must give the target value at the mapped tuple.  A
-    connective applied on top of transported values transports again, so
-    prenex shapes exhaust the obstructions at this depth.  Relational
+    Every generated formula over x1..x(depth + 1) with up to `depth`
+    quantifier blocks is evaluated at every source tuple; the algebra map
+    applied to the source value must give the target value at the mapped
+    tuple.  A connective applied on top of transported values transports
+    again, so prenex shapes exhaust the obstructions at this depth.  Relational
     signatures with constants only.
     """
     strong = is_strong_homomorphism(m, source, target)
@@ -224,10 +224,8 @@ def is_elementary_up_to_depth(m: StructureMap, source: Structure, target: Struct
         return ElementarityReport(False, depth, reason=f"not a strong homomorphism: {strong.reason}")
     if not source.sig.is_relational_with_constants():
         raise SignatureError("elementarity checks need a relational-plus-constants signature")
-    if total_vars is None:
-        total_vars = depth + 1
-    grid_vars = tuple(f"x{i}" for i in range(1, total_vars + 1))
-    plan = elementary_plan(source.sig, source.chain.elements, depth, total_vars, matrix_depth,
+    grid_vars = tuple(f"x{i}" for i in range(1, depth + 2))
+    plan = elementary_plan(source.sig, source.chain.elements, depth, depth + 1, matrix_depth,
                            [App(c) for c in source.sig.constants()])
     checked, separator, tup = first_transfer_failure(
         plan, AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars),
@@ -474,9 +472,8 @@ def search_strong_homomorphism(source, target, fix_algebra_identity=True):
     return search_structure_map(source, target, fix_algebra_identity, injective=False)
 
 
-def search_strong_embedding(source, target, fix_algebra_identity: bool = True,
-                            agreement: Mapping[str, str] | None = None):
-    return search_structure_map(source, target, fix_algebra_identity, injective=True, agreement=agreement)
+def search_strong_embedding(source, target, fix_algebra_identity: bool = True):
+    return search_structure_map(source, target, fix_algebra_identity, injective=True)
 
 
 def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:

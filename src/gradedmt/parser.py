@@ -32,14 +32,8 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class SourceSpan:
-    begin: int
-    end: int
     line: int
     column: int
-
-    def __post_init__(self):
-        if self.begin > self.end:
-            raise ValueError("span begin after end")
 
     def __str__(self):
         return f"line {self.line}, column {self.column}"
@@ -60,10 +54,6 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i, line, col = 0, 1, 1
     n = len(text)
-
-    def span(start, end, sline, scol):
-        return SourceSpan(start, end, sline, scol)
-
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -85,7 +75,7 @@ def _tokenize(text: str) -> list[_Token]:
                 matched = sym
                 break
         if matched:
-            tokens.append(_Token("sym", matched, span(i, i + len(matched), line, col)))
+            tokens.append(_Token("sym", matched, SourceSpan(line, col)))
             i += len(matched)
             col += len(matched)
             continue
@@ -93,18 +83,17 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and (text[j].isalnum() or text[j] in "_'/"):
                 j += 1
-            tokens.append(_Token("name", text[i:j], span(i, j, line, col)))
+            tokens.append(_Token("name", text[i:j], SourceSpan(line, col)))
             col += j - i
             i = j
             continue
-        raise ParseError(f"unexpected character {ch!r} at {span(i, i + 1, line, col)}")
-    tokens.append(_Token("end", "", span(n, n, line, col)))
+        raise ParseError(f"unexpected character {ch!r} at {SourceSpan(line, col)}")
+    tokens.append(_Token("end", "", SourceSpan(line, col)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, sig: Signature):
-        self.text = text
         self.sig = sig
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -196,7 +185,7 @@ class _Parser:
             self.take()
             inner = self.formula()
             self.expect(")")
-            return self.maybe_identity_formula(inner, tok)
+            return self.maybe_identity_formula(inner)
         if tok.text == "val":
             self.take()
             self.expect("(")
@@ -221,7 +210,7 @@ class _Parser:
         right = self.term()
         return Eq(left, right)
 
-    def maybe_identity_formula(self, inner: Formula, open_tok: _Token) -> Formula:
+    def maybe_identity_formula(self, inner: Formula) -> Formula:
         if self.peek().text == "~":
             self.fail("parenthesized formulas cannot be identity operands", self.peek())
         return inner
@@ -375,7 +364,6 @@ def infer_signature(text: str, licensed_labels=()) -> Signature:
 
     applied: dict[str, int] = {}
     term_named: set[str] = set()
-    formula_named: set[str] = set()
     bare_in_term: set[str] = set()
     frames: list[tuple[str, str | None]] = []  # ("app", name) or ("group", None)
 
@@ -414,8 +402,6 @@ def infer_signature(text: str, licensed_labels=()) -> Signature:
                 applied[word] = count
                 if inside_app() or near_tilde:
                     term_named.add(word)
-                else:
-                    formula_named.add(word)
                 frames.append(("app", word))
                 i += 2  # skip the opening paren, frame already pushed
                 continue
@@ -425,7 +411,6 @@ def infer_signature(text: str, licensed_labels=()) -> Signature:
             if inside_app() or near_tilde:
                 bare_in_term.add(word)
             else:
-                formula_named.add(word)
                 applied.setdefault(word, 0)
             i += 1
             continue

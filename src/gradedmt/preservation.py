@@ -149,12 +149,12 @@ class PreservationReport:
         }
 
 
-def check_preserved_under_substructures(formulas: Sequence[Formula], corpus: Sequence[Structure],
-                                        claim: str = "substructure-preservation") -> PreservationReport:
+def check_preserved_under_substructures(formulas: Sequence[Formula],
+                                        corpus: Sequence[Structure]) -> PreservationReport:
     """For each corpus structure, each substructure, each formula and
     each tuple from the substructure: satisfaction above must imply
     satisfaction below."""
-    report = PreservationReport(claim=claim)
+    report = PreservationReport(claim="substructure-preservation")
     for index, big in enumerate(corpus):
         report.instances += 1
         subs = list(enumerate_substructures(big))
@@ -169,11 +169,11 @@ def check_preserved_under_substructures(formulas: Sequence[Formula], corpus: Seq
     return report
 
 
-def check_preserved_under_unions(formulas: Sequence[Formula], chains_corpus: Sequence[StructureChain],
-                                 claim: str = "union-preservation") -> PreservationReport:
+def check_preserved_under_unions(formulas: Sequence[Formula],
+                                 chains_corpus: Sequence[StructureChain]) -> PreservationReport:
     """When a sentence holds in every member of a chain it must hold in
     the union; chains with a non-satisfying member are skipped."""
-    report = PreservationReport(claim=claim)
+    report = PreservationReport(claim="union-preservation")
     for index, chain in enumerate(chains_corpus):
         report.instances += 1
         union = union_of_chain(chain)
@@ -418,57 +418,53 @@ def reproduce_counterexample(depth: int = 2) -> CounterexampleReport:
 
 # --- randomized suites ---
 
-_mtl_chains = lru_cache(maxsize=None)(enumerate_mtl_chains)
 _SUITE_SIG = Signature(predicates={"P": 1, "R": 2})
+_SUITE_BOUNDS = FormulaBounds(max_candidates=60)
+_SUITE_MAX_DOMAIN = 4  # random structures have 1..4 elements
+_SUITE_CHAIN = 4  # over every MTL chain of 2..4 elements
+_UNION_LENGTH = 3  # members of a random chain of structures
 
 
-def _chain_pool(max_size: int) -> list:
-    return [chain for k in range(2, max_size + 1) for chain in _mtl_chains(k)]
+@lru_cache(maxsize=None)
+def _chain_pool() -> list:
+    return [chain for k in range(2, _SUITE_CHAIN + 1) for chain in enumerate_mtl_chains(k)]
 
 
-def _random_structure(rnd: random.Random, chain, sig: Signature, max_domain: int) -> Structure:
-    size = rnd.randint(1, max_domain)
+def _random_structure(rnd: random.Random, chain) -> Structure:
+    size = rnd.randint(1, _SUITE_MAX_DOMAIN)
     domain = tuple(f"d{i}" for i in range(size))
     predicates = {}
-    for name, arity in sig.predicates.items():
+    for name, arity in _SUITE_SIG.predicates.items():
         predicates[name] = {
             args: rnd.randrange(chain.size) for args in product(domain, repeat=arity)
         }
-    return Structure(chain=chain, sig=sig, domain=domain, predicates=predicates)
+    return Structure(chain=chain, sig=_SUITE_SIG, domain=domain, predicates=predicates)
 
 
 def _suite_sentences(chain, lead: str, blocks: int, bounds: FormulaBounds) -> list[Formula]:
     return _sentences(expand_with_truth_constants(_SUITE_SIG, chain), chain, lead, blocks, bounds)
 
 
-def substructure_preservation_suite(
-    seed: int,
-    instances: int,
-    lead: str = FORALL,
-    blocks: int = 1,
-    bounds: FormulaBounds = FormulaBounds(max_candidates=60),
-    max_domain: int = 4,
-    max_chain: int = 4,
-    claim: str | None = None,
-) -> PreservationReport:
-    """Randomized check that generated one-block universal sentences are
-    never lost when passing to a substructure.
+def substructure_preservation_suite(seed: int, instances: int, lead: str = FORALL,
+                                    claim: str | None = None) -> PreservationReport:
+    """Randomized check that generated one-block sentences leading with
+    `lead` are never lost when passing to a substructure.  The bounds are
+    fixed, and the report records them: the first 60 sentences, and
+    structures of 1 to 4 elements over every MTL chain of 2 to 4 elements.
 
     With lead=EXISTS the same harness serves as the negative control:
     existential sentences are expected to produce violations.
     """
     rnd = random.Random(seed)
-    pool = _chain_pool(max_chain)
-    sig = _SUITE_SIG
     report = PreservationReport(
-        claim=claim or f"{lead.lower()}({blocks})-substructure-preservation",
+        claim=claim or f"{lead.lower()}(1)-substructure-preservation",
         seed=seed,
-        bounds={**bounds.as_dict(), "max_domain": max_domain, "max_chain": max_chain},
+        bounds={**_SUITE_BOUNDS.as_dict(), "max_domain": _SUITE_MAX_DOMAIN, "max_chain": _SUITE_CHAIN},
     )
     for index in range(instances):
-        chain = rnd.choice(pool)
-        big = _random_structure(rnd, chain, sig, max_domain)
-        sentences = _suite_sentences(chain, lead, blocks, bounds)
+        chain = rnd.choice(_chain_pool())
+        big = _random_structure(rnd, chain)
+        sentences = _suite_sentences(chain, lead, 1, _SUITE_BOUNDS)
         top = chain.top
         satisfied = [phi for phi in sentences if eval_formula(phi, big) == top]
         report.instances += 1
@@ -483,38 +479,28 @@ def substructure_preservation_suite(
     return report
 
 
-def union_preservation_suite(
-    seed: int,
-    instances: int,
-    length: int = 3,
-    bounds: FormulaBounds = FormulaBounds(max_candidates=60),
-    max_domain: int = 4,
-    max_chain: int = 4,
-    tv_matrix_depth: int = 1,
-) -> PreservationReport:
+def union_preservation_suite(seed: int, instances: int) -> PreservationReport:
     """Randomized check of two-block universal sentences along chains of
-    structures, plus the exact quantifier-free union clause.
+    structures, plus the exact quantifier-free union clause.  The bounds
+    are those of `substructure_preservation_suite`, with 3 members a chain.
     """
     rnd = random.Random(seed)
-    pool = _chain_pool(max_chain)
-    sig = _SUITE_SIG
     report = PreservationReport(
         claim="forall(2)-union-preservation",
         seed=seed,
-        bounds={**bounds.as_dict(), "length": length, "max_domain": max_domain},
+        bounds={**_SUITE_BOUNDS.as_dict(), "length": _UNION_LENGTH, "max_domain": _SUITE_MAX_DOMAIN},
     )
     for index in range(instances):
-        chain = rnd.choice(pool)
-        top_struct = _random_structure(rnd, chain, sig, max_domain)
-        members = [top_struct]
-        while len(members) < length:
+        chain = rnd.choice(_chain_pool())
+        members = [_random_structure(rnd, chain)]
+        while len(members) < _UNION_LENGTH:
             previous = members[0]
             size = rnd.randint(1, previous.size)
             subset = sorted(rnd.sample(range(previous.size), size))
             members.insert(0, induced_substructure(previous, [previous.domain[i] for i in subset]))
         structure_chain = validate_chain_of_structures(members)
-        tv = check_tarski_vaught(structure_chain, matrix_depth=tv_matrix_depth)
-        sentences = _suite_sentences(chain, FORALL, 2, bounds)
+        tv = check_tarski_vaught(structure_chain)
+        sentences = _suite_sentences(chain, FORALL, 2, _SUITE_BOUNDS)
         top = chain.top
         report.instances += 1
         for phi in sentences:

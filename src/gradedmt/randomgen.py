@@ -68,8 +68,8 @@ def random_formula(
     )
 
 
-def roundtrip_suite(seed: int, count: int, depth: int = 4) -> dict:
-    """Render and re-parse `count` random formulas; report mismatches."""
+def roundtrip_suite(seed: int, count: int) -> dict:
+    """Render and re-parse `count` random formulas of depth 4; report mismatches."""
     from .parser import parse_formula, render_formula
 
     sig = Signature(
@@ -80,7 +80,7 @@ def roundtrip_suite(seed: int, count: int, depth: int = 4) -> dict:
     rnd = random.Random(seed)
     mismatches = []
     for index in range(count):
-        phi = random_formula(rnd, sig, ("0", "1/2", "3/4", "1"), depth)
+        phi = random_formula(rnd, sig, ("0", "1/2", "3/4", "1"))
         text = render_formula(phi)
         back = parse_formula(text, sig)
         if back != phi:

@@ -80,7 +80,7 @@ def test_criterion_3_universal_preservation_suite():
 
 def test_criterion_4_union_preservation_suite():
     started = time.perf_counter()
-    report = union_preservation_suite(11, 100, length=3)
+    report = union_preservation_suite(11, 100)
     assert report.instances == 100
     assert report.ok, report.violations[:3]
     _report(4, "two-block universal union suite", started, 120.0)

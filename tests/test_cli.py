@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from gradedmt import algebra, parser, preservation
+from gradedmt import algebra, corpus, diagrams, parser, preservation
 from gradedmt.cli import main
 from gradedmt.corpus import data_dir
 
@@ -236,6 +236,19 @@ def test_universal_consequences_subcommand(capsys):
     assert "forall x1 x2 . R(x2, x1) -> R(x1, x2)" in payload["report"]["sentences"]
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("consequence", ["--formula", "forall x1 . R(x1, x1)"]),
+    ("universal-consequences", []),
+])
+def test_an_empty_domain_bound_is_a_usage_error(capsys, command, extra):
+    # no structure of size 0 exists, so every sentence would follow
+    code = main([command, "--theory", str(DATA / "weighted_graph.thy"), "--algebra", str(DATA / "bool2.json"),
+                 "--max-domain", "0", *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: max_domain must be at least 1\n"
+
+
 def test_counterexample_subcommand(capsys):
     code, payload = run_json(capsys, "counterexample")
     assert code == 0 and payload["report"]["ok"]
@@ -272,6 +285,14 @@ def test_usage_error_exit_code(capsys):
 
 def test_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "many"])
+def test_verify_needs_a_positive_instance_count(capsys, value):
+    assert main(["verify", "--suite", "los-tarski-lemma", "--instances", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --instances: must be a positive integer, got {value!r}" in captured.err
 
 
 def test_remaining_subcommands_emit_valid_envelopes(capsys):
@@ -449,6 +470,11 @@ def _lowered_substructures(original):
     return enumerate_substructures
 
 
+def _full_size_only(original):
+    """Only the substructures on the whole domain, which the suites skip."""
+    return lambda s, *args: (small for small in original(s, *args) if small.size == s.size)
+
+
 def _unparenthesised(original):
     return lambda text, prec, outer: text
 
@@ -463,6 +489,7 @@ def _one_residuum_entry_off(original):
 
 @pytest.mark.parametrize("suite, target, name, fault", [
     ("los-tarski-lemma", preservation, "enumerate_substructures", _lowered_substructures),
+    ("exists-negative-control", preservation, "enumerate_substructures", _full_size_only),
     ("counterexample", preservation, "enumerate_substructures", _lowered_substructures),
     ("parser-roundtrip", parser, "_wrap", _unparenthesised),
     ("algebra-soundness", algebra, "derive_residuum", _one_residuum_entry_off),
@@ -472,4 +499,15 @@ def test_suite_fails_on_a_seeded_fault(monkeypatch, capsys, suite, target, name,
     assert code == 0 and payload["report"]["ok"]
     monkeypatch.setattr(target, name, fault(getattr(target, name)))
     code, payload = run_json(capsys, "verify", "--suite", suite, "--instances", "20")
+    assert code == 1 and payload["report"]["ok"] is False
+
+
+def test_cor1_suite_fails_on_a_seeded_fault(monkeypatch, capsys):
+    # the Boolean chain in place of godel3 keeps the sweep at 9,540 pairs
+    monkeypatch.setattr(corpus, "godel3", corpus.bool2)
+    code, payload = run_json(capsys, "verify", "--suite", "cor1-equivalence")
+    assert code == 0 and payload["report"]["ok"] and payload["report"]["instances"] == 9540
+    side = diagrams._diagram_side
+    monkeypatch.setattr(diagrams, "_diagram_side", lambda block, diagram: side(block, diagram) ^ 1)
+    code, payload = run_json(capsys, "verify", "--suite", "cor1-equivalence")
     assert code == 1 and payload["report"]["ok"] is False

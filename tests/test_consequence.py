@@ -137,6 +137,16 @@ def test_bounded_consequence_error_pins(theory, phi, error, sig_r, g3):
         bounded_consequence(theory, phi, sig_r, g3, 2)
 
 
+@pytest.mark.parametrize("check", [
+    lambda sig, chain: bounded_consequence([], Forall("x", Atom("R", (_x, _x))), sig, chain, 0),
+    lambda sig, chain: universal_consequences_bounded([], sig, chain, 0),
+], ids=["consequence", "universal-consequences"])
+def test_an_empty_structure_space_is_a_format_error(check, sig_r, g3):
+    # no structure of size 0 exists, so no countermodel could refute anything
+    with pytest.raises(FormatError, match="^max_domain must be at least 1$"):
+        check(sig_r, g3)
+
+
 def test_bounded_consequence_skips_sentences_no_structure_reaches(sig_r, g3):
     # no structure models val(0), so neither the later axiom nor phi is evaluated
     res = bounded_consequence([Val("0"), _unknown], _foreign, sig_r, g3, 2)
