@@ -519,6 +519,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p, seed=False, bounds=False):
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
@@ -527,7 +533,7 @@ def _add_common(p, seed=False, bounds=False):
     if bounds:
         p.add_argument("--matrix-depth", dest="matrix_depth", type=int, default=1)
         p.add_argument("--num-vars", dest="num_vars", type=int, default=2)
-        p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None)
+        p.add_argument("--max-candidates", dest="max_candidates", type=_nonnegative_int, default=None)
 
 
 @cache  # built once per process: argparse keeps no state between parse_args calls
@@ -591,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="depth-bounded sentence equivalence")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_nonnegative_int, default=2)
     p.add_argument("--truth-constants", action="store_true")
     _add_common(p)
     p.set_defaults(handler=cmd_equiv)
@@ -615,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("implies-exists", help="bounded existential transfer")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_nonnegative_int, default=1)
     p.add_argument("--params", default="")
     p.add_argument("--truth-constants", action="store_true")
     _add_common(p, bounds=True)
@@ -626,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--common", default=None)
     p.add_argument("--params", default="")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_nonnegative_int, default=1)
     p.add_argument("--max-size", dest="max_size", type=int, required=True)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_nonnegative_int, default=2)
     p.add_argument("--truth-constants", action="store_true")
     p.add_argument("--save", help="write the amalgam structure to this path")
     _add_common(p, bounds=True)
@@ -652,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_universal_consequences)
 
     p = sub.add_parser("counterexample", help="reproduce the bundled separation example")
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_nonnegative_int, default=2)
     _add_common(p)
     p.set_defaults(handler=cmd_counterexample)
 

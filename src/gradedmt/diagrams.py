@@ -1,38 +1,31 @@
 """Named-constant expansions and diagrams of finite structures.
 
 The diagram of a structure records, for each generated sentence over
-fresh constants naming the domain, the exact value the sentence takes in
-the named expansion.  A target structure models the diagram when some
-interpretation of those constants reproduces every recorded value; for
-quantifier-free diagrams over relational signatures this is equivalent
-to the existence of a strong embedding, and that equivalence is checked
-mechanically here.
+fresh constants naming the domain and over the signature's constants,
+the exact value the sentence takes in the named expansion.  A target
+models the diagram when some interpretation of the fresh constants
+reproduces every recorded value; for quantifier-free diagrams over
+relational signatures with constants this is equivalent to the existence
+of a strong embedding, and that equivalence is checked mechanically here.
 
-The two sides run on separate code.  The embedding side is the
-candidate loop of `search_structure_map`, in its candidate order; in
-`cor1_sweep` it runs once per pair of relabelling classes.  The diagram
-side evaluates the recorded sentences themselves, on every pair: one
-target at a time through `models_diagram` in `diagram_model_exists`, or
-every target of a structure-space block at once in `cor1_sweep`.
+The two sides run on separate code.  The embedding side is the candidate
+loop of `search_structure_map` for one pair; `cor1_sweep` instead lists
+the induced substructures of every target once, as a subgraph census does
+(Milo et al., "Network motifs", Science 2002).  The diagram side
+evaluates the recorded sentences themselves, on every pair: one target
+at a time through `models_diagram` in `diagram_model_exists`, or every
+target of a structure-space block at once in `cor1_sweep`.
 """
 
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import permutations, product
 from typing import Sequence
 
-from .algebra import identity_map
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError
-from .generation import (StructureBlock, atoms_over, generate_sentences, ground_terms, qf_matrices,
-                         structure_space)
-from .morphisms import (
-    StructureMap,
-    _check_interprets,
-    _first_map,
-    _transport_entries,
-    is_elementary_up_to_depth,
-    search_structure_map,
-)
+from .generation import (StructureBlock, StructureStream, atoms_over, generate_sentences, ground_terms,
+                         qf_matrices, structure_space)
+from .morphisms import StructureMap, _check_interprets, is_elementary_up_to_depth, search_structure_map
 from .semantics import Structure, eval_formula
 from .syntax import App, Formula, Signature, constant_name_for, expand_with_domain_constants
 
@@ -78,8 +71,9 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
     """Record exact sentence values in the named expansion of `s`.
 
     The quantifier-free part covers every atomic sentence over the fresh
-    constants (ground terms up to bounds.term_depth when proper function
-    symbols are present), optionally closed under connectives.  The
+    constants and the signature's constants (ground terms up to
+    bounds.term_depth when proper function symbols are present),
+    optionally closed under connectives.  The
     elementary kind adds generated quantified sentences up to
     bounds.quantifier_depth.
     """
@@ -87,7 +81,7 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
         raise FormatError(f"unknown diagram kind {kind!r}")
     sharp = expansion_sharp(s)
     constants = tuple(constant_name_for(d) for d in s.domain)
-    terms = ground_terms(sharp.sig, constants, bounds.term_depth)
+    terms = ground_terms(sharp.sig, constants + tuple(s.sig.constants()), bounds.term_depth)
     atomic = atoms_over(s.sig, terms, labels=())
     entries: list[DiagramEntry] = []
     seen = set()
@@ -244,6 +238,44 @@ class SweepReport:
         return not self.disagreements
 
 
+def _slot_positions(block: StructureBlock, t: tuple, where: dict) -> list[int]:
+    """For each slot (p, args) of the source block, in order, the position
+    `where` gives the target slot (p, t[args])."""
+    g = dict(zip(block.domain, t))
+    return [where[p, tuple(g[a] for a in args)] for p, args in block.slots]
+
+
+def _embedding_side(sources: StructureStream, targets: StructureStream, max_source_size: int) -> list[int]:
+    """Entry j: the targets that source j embeds into strongly (identity
+    algebra map), as a bitset over the target stream.  Such a g exists exactly
+    when the tuple (g(d0), ..., g(d(m-1))) pulls the target's tables and
+    constants back to the source's.  So every target is read along each
+    injective tuple of its domain that holds every constant value: the
+    pulled-back constants name the source block, and the target's digits at
+    `_slot_positions` are the digits of the source's index."""
+    k = targets[0].chain.size
+    by_constants = {(len(b.domain), tuple(b.domain.index(f[()]) for f in b.functions.values())): b
+                    for b in sources}
+    found = [bytearray(targets.size // 8 + 1) for _ in range(sources.size)]
+    for target in targets:
+        where = {slot: s for s, slot in enumerate(target.slots)}
+        values = [f[()] for f in target.functions.values()]
+        for m in range(1, max_source_size + 1):
+            for t in permutations(target.domain, m):
+                if not all(v in t for v in values):
+                    continue
+                source = by_constants[m, tuple(t.index(v) for v in values)]
+                weight = [0] * len(target.slots)
+                for j, s in enumerate(_slot_positions(source, t, where)):
+                    weight[s] += k ** (len(source.slots) - 1 - j)
+                index = [source.offset]
+                for w in weight:
+                    index = [x + d * w for x in index for d in range(k)]
+                for i, x in enumerate(index, target.offset):
+                    found[x][i >> 3] |= 1 << (i & 7)
+    return [int.from_bytes(bits, "little") for bits in found]
+
+
 def cor1_sweep(chain, sig, max_source_size: int, max_target_size: int,
                bounds: DiagramBounds = DiagramBounds()) -> SweepReport:
     """Exhaustive check of the diagram characterization on small instances.
@@ -253,40 +285,26 @@ def cor1_sweep(chain, sig, max_source_size: int, max_target_size: int,
     report counts agreements between the diagram and embedding sides.
     The diagram side runs on every pair: each source's diagram is evaluated
     on the structure planes of every target block at once, one
-    interpretation of its constants at a time.  The embedding side is the
-    candidate loop of `search_structure_map`, run once per pair of
-    relabelling classes (`StructureBlock.orbit_map`) and read back to every
-    member pair as a bitset.  The two sides share no code.
+    interpretation of its constants at a time.  The embedding side reads
+    each target's tables pulled back along its injective tuples
+    (`_embedding_side`), with no map search and no target built.  The two
+    sides share no code.
     """
     report = SweepReport()
     sources = structure_space(sig, chain, max_source_size)
     targets = structure_space(sig, chain, max_target_size, "t")
     check_budget(sources.size * targets.size, "diagram sweep")
-    classes = []  # (representative, bitset over the target stream) per class of targets
-    for block in targets:
-        members: dict = {}
-        for i, least in enumerate(block.orbit_map()):
-            members[least] = members.get(least, 0) | 1 << block.position(i)
-        classes += [(block.at(r), bits) for r, bits in members.items()]
-    algebra = [identity_map(chain)]
-    for block in sources:
-        embeds: dict = {}  # source representative -> the targets it embeds into, as a bitset
-        for i, least in enumerate(block.orbit_map()):
-            if least not in embeds:
-                rep = block.at(least)
-                entries = _transport_entries(rep)
-                embeds[least] = sum(bits for t, bits in classes
-                                    if _first_map(rep, t, algebra, entries, True) is not None)
-            source, e = block.at(i), embeds[least]
-            diagram = build_diagram(source, DIAG, bounds)
-            d = targets.bits(lambda b: _diagram_side(b, diagram))
-            report.instances += targets.size
-            report.both_true += (d & e).bit_count()
-            differ = d ^ e
-            while differ:
-                j = (differ & -differ).bit_length() - 1
-                differ ^= 1 << j
-                report.disagreements.append((source, targets.at(j), bool(d >> j & 1), bool(e >> j & 1)))
+    embeds = _embedding_side(sources, targets, max_source_size)
+    for source, e in zip((s for block in sources for s in block), embeds):
+        diagram = build_diagram(source, DIAG, bounds)
+        d = targets.bits(lambda b: _diagram_side(b, diagram))
+        report.instances += targets.size
+        report.both_true += (d & e).bit_count()
+        differ = d ^ e
+        while differ:
+            j = (differ & -differ).bit_length() - 1
+            differ ^= 1 << j
+            report.disagreements.append((source, targets.at(j), bool(d >> j & 1), bool(e >> j & 1)))
     report.agreements = report.instances - len(report.disagreements)
     report.both_false = report.agreements - report.both_true
     return report

@@ -26,7 +26,7 @@ from collections import OrderedDict
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, count, islice, permutations, product
+from itertools import accumulate, combinations, count, islice, product
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -613,7 +613,6 @@ class StructureBlock:
                       for args in product(domain, repeat=sig.predicates[p]) if (p, args) not in self.pinned]
         self.functions = {c: {(): v} for c, v in constants}
         self.env = {App(c): v for c, v in constants}  # term -> element, for `planes`
-        self.fixed = {v for _, v in constants}.union(base.domain if base else ())  # kept by `orbit_map`
         self.count = chain.size ** len(self.slots)
         self.offset = 0  # set by the `StructureStream` that holds the block
         self._tables = _connective_tables(chain.star, chain.implies)
@@ -641,24 +640,6 @@ class StructureBlock:
     def position(self, index: int) -> int:
         """Structure `index`'s position in the stream that holds the block."""
         return self.offset + index
-
-    def orbit_map(self) -> list[int]:
-        """Entry i is the least index of a structure that a relabelling of the
-        domain fixing the constants and the pinned elements makes of structure
-        i: the canonical member of its class (McKay 1998).  Images are built
-        one slot digit at a time."""
-        k, n = self.chain.size, len(self.slots)
-        weight = {slot: k ** (n - 1 - s) for s, slot in enumerate(self.slots)}
-        free = [d for d in self.domain if d not in self.fixed]
-        least = list(range(self.count))
-        for image in permutations(free):
-            pi = {**{d: d for d in self.domain}, **dict(zip(free, image))}
-            index = [0]
-            for slot in self.slots:
-                w = weight[_relabelled_slot(slot, pi)]
-                index = [x + d * w for x in index for d in range(k)]
-            least = list(map(min, least, index))
-        return least
 
     def models(self, theory: Sequence[Formula]) -> int:
         """The block's models of the theory; a sentence is evaluated only
@@ -732,11 +713,6 @@ class StructureBlock:
         for v in range(k - 2, -1, -1):
             hot[v] |= hot[v + 1]
         return hot
-
-
-def _relabelled_slot(slot, pi: dict):
-    """The slot (p, pi(args)) that the relabelling pi carries (p, args) to."""
-    return slot[0], tuple(pi[a] for a in slot[1])
 
 
 class StructureStream(tuple):

@@ -425,13 +425,10 @@ def _count_domain_candidates(source, target, injective, agreement) -> int:
 
 
 def _first_map(source, target, alg_candidates, entries, injective, agreement=None, extra_filter=None):
-    """The candidate loop of `search_structure_map`.
-
-    Returns the first (alg, g) that passes the transport check and
-    `extra_filter`, or None.  The caller does the setup: it keeps only
-    injective algebra maps when `injective` and builds the source's
-    transport entries, so a sweep does both once per source.
-    """
+    """The candidate loop of `search_structure_map`: the first (alg, g) that
+    passes the transport check and `extra_filter`, or None.  The caller
+    keeps only injective algebra maps when `injective` and builds the
+    source's transport entries."""
     for alg in alg_candidates:
         f = alg.map
         for g in _domain_candidates(source, target, injective, agreement):

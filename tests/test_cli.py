@@ -295,6 +295,25 @@ def test_verify_needs_a_positive_instance_count(capsys, value):
     assert f"argument --instances: must be a positive integer, got {value!r}" in captured.err
 
 
+_M, _N = str(DATA / "structure_m.json"), str(DATA / "structure_n.json")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["equiv", "--left", _M, "--right", _N, "--depth", "-1"], "--depth"),
+    (["counterexample", "--depth", "-1"], "--depth"),
+    (["implies-exists", "--left", _M, "--right", _N, "--n", "-1"], "--n"),
+    (["amalgamate", "--left", _M, "--right", _N, "--max-size", "3", "--n", "-2"], "--n"),
+    (["amalgamate", "--left", _M, "--right", _N, "--max-size", "3", "--depth", "two"], "--depth"),
+    (["universal-consequences", "--theory", str(DATA / "weighted_graph.thy"), "--algebra",
+      str(DATA / "bool2.json"), "--max-domain", "2", "--max-candidates", "-1"], "--max-candidates"),
+])
+def test_a_negative_bound_is_a_usage_error(capsys, argv, option):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: must be a non-negative integer, got {argv[-1]!r}" in captured.err
+
+
 def test_remaining_subcommands_emit_valid_envelopes(capsys):
     code, payload = run_json(
         capsys, "eval", "--structure", str(DATA / "structure_m.json"),

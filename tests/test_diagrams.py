@@ -1,9 +1,9 @@
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from gradedmt import diagrams, morphisms
+from gradedmt import corpus, diagrams, morphisms
 from gradedmt.algebra import identity_map
 from gradedmt.diagrams import (
     DIAG,
@@ -19,6 +19,7 @@ from gradedmt.diagrams import (
     render_diagram,
 )
 from gradedmt.errors import BudgetError, SignatureError
+from gradedmt.generation import structure_space
 from gradedmt.morphisms import StructureMap, is_elementary_up_to_depth, is_embedding
 from gradedmt.parser import parse_formula, parse_theory
 from gradedmt.semantics import Structure, eval_formula
@@ -188,11 +189,13 @@ def test_eldiag_search_builds_its_family_once(fresh_fragments, b2, sig_r):
     assert len(fresh_fragments) == 1
 
 
+def _with_repeated_tuples(monkeypatch):
+    # the fault: the pull-back reads every tuple of the target's domain, repeats included
+    monkeypatch.setattr(diagrams, "permutations", lambda domain, m: product(domain, repeat=m))
+
+
 def test_sweep_fails_when_map_search_drops_injectivity(monkeypatch, b2, sig_r):
-    original = morphisms._domain_candidates
-    monkeypatch.setattr(
-        morphisms, "_domain_candidates", lambda s, t, injective, agreement: original(s, t, False, agreement)
-    )
+    _with_repeated_tuples(monkeypatch)
     report = cor1_sweep(b2, sig_r, 2, 2)
     assert not report.ok
     assert all(emb and not diag for _, _, diag, emb in report.disagreements)
@@ -217,10 +220,7 @@ def test_sweep_fault_disagreements_are_pinned(monkeypatch, b2, sig_r):
         pairs = [(x, y) for x in domain for y in domain]
         return Structure(chain=b2, sig=sig_r, domain=domain, predicates={"R": dict(zip(pairs, values))})
 
-    original = morphisms._domain_candidates
-    monkeypatch.setattr(
-        morphisms, "_domain_candidates", lambda s, t, injective, agreement: original(s, t, False, agreement)
-    )
+    _with_repeated_tuples(monkeypatch)
     report = cor1_sweep(b2, sig_r, 2, 2)
     assert len(report.disagreements) == 24
     assert (report.instances, report.both_true, report.both_false) == (324, 54, 246)
@@ -228,6 +228,89 @@ def test_sweep_fault_disagreements_are_pinned(monkeypatch, b2, sig_r):
     assert report.disagreements[-1] == (
         digraph(("d0", "d1"), (1, 1, 1, 1)), digraph(("t0", "t1"), (1, 1, 1, 0)), False, True
     )
+
+
+def test_sweep_fails_when_the_pull_back_reads_arguments_reversed(monkeypatch, b2, sig_r):
+    def reversed_arguments(block, t, where):
+        g = dict(zip(block.domain, t))
+        return [where[p, tuple(g[a] for a in reversed(args))] for p, args in block.slots]
+
+    monkeypatch.setattr(diagrams, "_slot_positions", reversed_arguments)
+    report = cor1_sweep(b2, sig_r, 2, 2)
+    assert not report.ok
+
+
+def _orbit_map(block):
+    """Entry i is the least index of a structure that a relabelling of the
+    domain fixing the constants makes of structure i."""
+    k, n = block.chain.size, len(block.slots)
+    weight = {slot: k ** (n - 1 - s) for s, slot in enumerate(block.slots)}
+    fixed = {table[()] for table in block.functions.values()}
+    free = [d for d in block.domain if d not in fixed]
+    least = list(range(block.count))
+    for image in permutations(free):
+        pi = {**{d: d for d in block.domain}, **dict(zip(free, image))}
+        index = [0]
+        for p, args in block.slots:
+            w = weight[p, tuple(pi[a] for a in args)]
+            index = [x + d * w for x in index for d in range(k)]
+        least = list(map(min, least, index))
+    return least
+
+
+def _class_pair_embedding_side(chain, sources, targets):
+    """The embedding side as the sweep decided it before: one map search per
+    pair of relabelling classes, read back to every member pair."""
+    classes = []
+    for block in targets:
+        members: dict = {}
+        for i, least in enumerate(_orbit_map(block)):
+            members[least] = members.get(least, 0) | 1 << block.position(i)
+        classes += [(block.at(r), bits) for r, bits in members.items()]
+    algebra, out = [identity_map(chain)], []
+    for block in sources:
+        embeds: dict = {}
+        for least in _orbit_map(block):
+            if least not in embeds:
+                rep = block.at(least)
+                entries = morphisms._transport_entries(rep)
+                embeds[least] = sum(bits for t, bits in classes
+                                    if morphisms._first_map(rep, t, algebra, entries, True) is not None)
+            out.append(embeds[least])
+    return out
+
+
+@pytest.mark.parametrize("chain, sig, sizes", [
+    pytest.param("godel3", {"R": 2}, (1, 3), id="criterion-5-godel3-R/2"),
+    pytest.param("bool2", {"R": 2}, (2, 2), id="bool2-R/2"),
+    pytest.param("bool2", {"P": 1, "R": 2}, (2, 2), id="bool2-P/1+R/2"),
+    pytest.param("godel3", {"P": 1, "R": 2}, (1, 2), id="godel3-P/1+R/2"),
+    pytest.param("bool2", {"R": 2, "c": 0}, (2, 2), id="bool2-R/2+c"),
+    pytest.param("godel3", {"P": 1, "c": 0, "e": 0}, (2, 3), id="godel3-P/1+c+e"),
+])
+def test_pull_back_pass_matches_the_class_pair_searches(chain, sig, sizes):
+    chain = getattr(corpus, chain)()
+    sig = Signature(predicates={p: a for p, a in sig.items() if a},
+                    functions={c: 0 for c, a in sig.items() if not a})
+    sources, targets = structure_space(sig, chain, sizes[0]), structure_space(sig, chain, sizes[1], "t")
+    found = diagrams._embedding_side(sources, targets, sizes[0])
+    assert found == _class_pair_embedding_side(chain, sources, targets)
+    assert 0 < sum(e.bit_count() for e in found) < len(found) * targets.size
+
+
+def test_diagrams_name_the_signature_constants(b2):
+    sig = Signature(predicates={"R": 2}, functions={"c": 0})
+    s = Structure(chain=b2, sig=sig, domain=("a", "b"), functions={"c": {(): "b"}},
+                  predicates={"R": {("a", "a"): 0, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 0}})
+    entries = {e.sentence: e.value for e in build_diagram(s, DIAG).entries}
+    sharp = expansion_sharp(s).sig
+    assert entries[parse_formula("c ~ c_b", sharp)] == b2.top
+    assert entries[parse_formula("c ~ c_a", sharp)] == b2.bottom
+    assert entries[parse_formula("R(c_a, c)", sharp)] == b2.top
+    # without the constant's entries the diagram side missed 64 embeddings here
+    report = cor1_sweep(b2, sig, 2, 2)
+    assert report.ok
+    assert (report.instances, report.both_true) == (1156, 98)
 
 
 @pytest.mark.parametrize("sizes, phase, required", [

@@ -1,10 +1,10 @@
 """Relabelling invariance: renaming the domain elements of a structure by a
 permutation (`Structure.rename_domain`) changes no verdict, and changes a
-witness only by the permutation itself.  The orbit enumeration of
-`cor1_sweep` reads one verdict per relabelling class, so it is sound only
-if these hold.  For two structures that share labels, renaming the shared
-labels the same way on both sides changes no verdict either; an amalgam
-search then tries as many candidates and finds the renamed amalgam."""
+witness only by the permutation itself: the labels of a structure carry
+no meaning of their own.  For two structures that share labels, renaming
+the shared labels the same way on both sides changes no verdict either;
+an amalgam search then tries as many candidates and finds the renamed
+amalgam."""
 
 import random
 

@@ -4,7 +4,7 @@ on the structures they decode to."""
 
 import os
 import random
-from itertools import permutations, product
+from itertools import product
 from unittest.mock import patch
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gradedmt import consequence, corpus, diagrams, generation, randomgen
 from gradedmt.cli import _suite_bounded_consequence, main
 from gradedmt.consequence import ConsequenceResult, bounded_consequence
-from gradedmt.diagrams import DIAG, build_diagram, cor1_sweep, diagram_model_exists
+from gradedmt.diagrams import DIAG, build_diagram, diagram_model_exists
 from gradedmt.errors import InternalError
 from gradedmt.generation import StructureBlock, enumerate_structures, structure_space
 from gradedmt.parser import parse_formula
@@ -162,58 +162,3 @@ def test_diagram_model_exists_returns_the_first_embedding_in_product_order(b2, s
             assert diagram_model_exists(target, diagram) == (expected is not None, expected)
             found.add(expected)
     assert len(found) > 3
-
-
-def _relabellings(block):
-    """The permutations of the block's domain that fix its constants."""
-    fixed = {table[()] for table in block.functions.values()}
-    for image in permutations(block.domain):
-        pi = dict(zip(block.domain, image))
-        if all(pi[c] == c for c in fixed):
-            yield pi
-
-
-def _table_key(s):
-    """A structure up to the order of its domain tuple."""
-    return frozenset((symbol, args, v) for tables in (s.predicates, s.functions)
-                     for symbol, table in tables.items() for args, v in table.items())
-
-
-@pytest.mark.parametrize("chain, sig, size", [
-    pytest.param("bool2", SIGNATURES[1], 3, id="R/2-bool2"),
-    pytest.param("godel3", SIGNATURES[1], 2, id="R/2-godel3"),
-    pytest.param("godel3", SIGNATURES[0], 3, id="P/1+c-godel3"),
-])
-def test_orbit_map_is_the_least_relabelled_stream_position(chain, sig, size):
-    for block in structure_space(sig, CHAINS[chain], size):
-        decoded = [block.at(i) for i in range(block.count)]
-        position = {_table_key(s): i for i, s in enumerate(decoded)}
-        expected = [min(position[_table_key(s.rename_domain(pi))] for pi in _relabellings(block))
-                    for s in decoded]
-        assert block.orbit_map() == expected
-
-
-def test_orbit_count_is_burnsides(g3):
-    # classes = the mean, over the relabellings, of k ** (cycles of the slot permutation)
-    classes = 0
-    for block in structure_space(SIGNATURES[1], g3, 2):
-        counts = []
-        for pi in _relabellings(block):
-            seen, cycles = set(), 0
-            for slot in block.slots:
-                cycles += slot not in seen
-                while slot not in seen:
-                    seen.add(slot)
-                    slot = (slot[0], tuple(pi[a] for a in slot[1]))
-            counts.append(g3.size ** cycles)
-        found = len(set(block.orbit_map()))
-        assert found * len(counts) == sum(counts)
-        classes += found
-    assert classes == 48
-
-
-def test_sweep_fails_when_relabelling_moves_only_the_first_argument(monkeypatch, b2):
-    first_only = lambda slot, pi: (slot[0], (pi[slot[1][0]],) + slot[1][1:])
-    monkeypatch.setattr(generation, "_relabelled_slot", first_only)
-    report = cor1_sweep(b2, SIGNATURES[1], 2, 2)
-    assert not report.ok
