@@ -78,8 +78,6 @@ from .parser import infer_signature, parse_formula, parse_theory, render_formula
 from .preservation import (
     AmalgamInstance,
     FormulaBounds,
-    check_preserved_under_substructures,
-    check_preserved_under_unions,
     implies_exists_n,
     reproduce_counterexample,
     search_amalgam,

@@ -12,7 +12,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import FormatError, GradedmtError, InternalError
-from .generation import AssignmentGrid, fragment, value_classes
+from .generation import AssignmentGrid, ValueClasses, fragment
 from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure, search_strong_embedding
 from .parser import render_formula
 from .semantics import Structure, eval_formula
@@ -134,11 +134,13 @@ def check_tarski_vaught(chain: StructureChain, depth: int | None = None,
     n = len(tuples)
     cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]  # each tuple's union cell
     report.quantifier_free_checked = n * len(family.program)
+    table = ValueClasses(family, grids)
     for limit in (len(family.leaves), None):  # the whole family only when some leaf differs
-        cls, vecs = value_classes(family, grids, limit)
-        bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
+        table.extend(limit)
+        bad = {c for c, vec in enumerate(table.vecs) if bytes([vec[j] for j in cells]) != vec[:n]}
         if not bad:
             break
+    cls, vecs = table.cls, table.vecs
     differing = [k for k, c in enumerate(cls) if c in bad]
     end = 0
     for index, member in enumerate(chain.members):

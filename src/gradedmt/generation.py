@@ -16,9 +16,10 @@ Two generators drive every bounded check in the package:
 
 Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates formulas at every variable assignment
-at once, a node on demand (`values`), and folds each named vector through
-each prefix suffix once; `value_classes` runs a whole family over several
-grids in one pass and names each distinct value vector once, as a class id.
+at once, one byte a cell, a node on demand (`values`), and folds each named
+vector through each prefix suffix once; a `ValueClasses` table runs a
+family over several grids, names each distinct value vector once, as a
+class id, and grows in family order only as far as its caller reads.
 """
 
 from bisect import bisect_right
@@ -26,8 +27,8 @@ from collections import OrderedDict
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, count, islice, product
-from operator import and_, or_
+from itertools import accumulate, combinations, count, groupby, islice, product
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetMeter, check_budget
@@ -68,6 +69,27 @@ def _connective_tables(star: tuple, implies: tuple) -> dict:
     return {Not: [implies[x][0] for x in r], Strong: star, Implies: implies,
             And: [[min(x, y) for y in r] for x in r], Or: [[max(x, y) for y in r] for x in r],
             Iff: [[min(implies[x][y], implies[y][x]) for y in r] for x in r]}
+
+
+@lru_cache(maxsize=64)
+def _byte_tables(star: tuple, implies: tuple) -> tuple:
+    """(scale, tables): each connective as a `bytes.translate` table over
+    vectors of one byte a cell, negation's by value, for k <= 16 a binary
+    one's by the pair code x * k + y that `_packed` forms at every cell at
+    once (SIMD within a register: Fisher & Dietz, LCPC 1998), k * k <= 256
+    keeping it in a byte.  For larger k, scale is None and binary tables are rows."""
+    k, rows = len(star), _connective_tables(star, implies)
+    if k * k > 256:
+        return None, {**rows, Not: bytes(rows[Not]).ljust(256, b"\0")}
+    return bytes(x * k for x in range(k)).ljust(256, b"\0"), {
+        kind: bytes(table if kind is Not else [v for row in table for v in row]).ljust(256, b"\0")
+        for kind, table in rows.items()}
+
+
+def _packed(a: bytes, b: bytes, scale: bytes, table: bytes) -> bytes:
+    """table[a[i] * k + b[i]] at every cell i: a's bytes scaled by k, plus b's, as one integer sum."""
+    total = int.from_bytes(a.translate(scale), "big") + int.from_bytes(b, "big")
+    return total.to_bytes(len(a), "big").translate(table)
 
 
 def truth_constant_labels(sig: Signature, chain_labels: Sequence[str]) -> list[str]:
@@ -439,23 +461,25 @@ def elementary_family(
 class AssignmentGrid:
     """Values of formulas at every assignment of a fixed variable tuple.
 
-    The grid for t variables over a domain of size m is a flat list of
-    m**t chain indices, first variable most significant.  Quantifying a
+    The grid for t variables over a domain of size m is one immutable
+    `bytes` of m**t chain indices, one byte a cell, first variable most
+    significant, so a chain may have at most 256 elements.  Quantifying a
     variable folds its axis and broadcasts the result so further
     combination stays aligned.  Variables in `fixed` are not axes: they
     take their given element in every cell.  One evaluator, two drivers:
     `_leaf` (atoms, identities, truth constants) and `_combine` (each
-    connective as a chain table) serve both `values`, which recurses on
-    demand and caches by node identity, each entry pinning its formula so
-    the id stays unique, and `value_classes`, which runs a family's
-    `program` over the value classes of several grids at once.
-    `fold_prefix` memoises each single fold on the vector's name (a class
-    id) and the folds before it, innermost first, so equal-valued matrices
-    share their folds, and prefixes that end alike their inner folds.
-    The lists `values` and `fold_prefix` return are shared, never mutated.
+    connective as a `bytes.translate` table, see `_byte_tables`) serve both
+    `values`, which recurses on demand and caches by node identity, each
+    entry pinning its formula so the id stays unique, and `ValueClasses`,
+    which runs a family's `program` over the value classes of several grids
+    at once.  `fold_prefix` memoises each single fold on the vector's name
+    (a class id) and the folds before it, innermost first, so equal-valued
+    matrices share their folds, and prefixes that end alike their inner folds.
     """
 
     def __init__(self, structure: Structure, variables: Sequence[str], *, fixed=None):
+        if structure.chain.size > 256:
+            raise FormatError(f"a grid holds a value in a byte: {structure.chain.size} chain elements are over 256")
         self.structure = structure
         self.variables = tuple(variables)
         self.fixed = dict(fixed or {})
@@ -464,10 +488,11 @@ class AssignmentGrid:
         self.size = self.m**t
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
         self._dom_pos = {d: i for i, d in enumerate(structure.domain)}
-        self._cache: dict[int, tuple[Formula, list[int]]] = {}
+        self._cache: dict[int, tuple[Formula, bytes]] = {}
         self._columns: dict = {}  # term -> its value at every cell
-        self._tables = _connective_tables(structure.chain.star, structure.chain.implies)
-        self._folds: dict[tuple, list[int]] = {}
+        self._tables = _byte_tables(structure.chain.star, structure.chain.implies)
+        self._axes: dict = {}  # var -> its m lanes, then the getter that broadcasts a folded lane
+        self._folds: dict[tuple, bytes] = {}
 
     def _term_column(self, term) -> list[str]:
         col = self._columns.get(term)
@@ -482,7 +507,7 @@ class AssignmentGrid:
             self._columns[term] = col
         return col
 
-    def values(self, phi: Formula) -> list[int]:
+    def values(self, phi: Formula) -> bytes:
         """On-demand driver: operands through the cache, then this node."""
         hit = self._cache.get(id(phi))
         if hit is None:
@@ -498,40 +523,56 @@ class AssignmentGrid:
             hit = self._cache[id(phi)] = (phi, vals)
         return hit[1]
 
-    def _leaf(self, phi: Formula) -> list[int]:
+    def _leaf(self, phi: Formula) -> bytes:
         """Atoms, identities and truth constants."""
         chain = self.structure.chain
         if isinstance(phi, Atom):
             table = self.structure.predicates[phi.name]
             cols = [self._term_column(t) for t in phi.args]
-            return [table[args] for args in zip(*cols)] if cols else [table[()]] * self.size
+            return bytes(map(table.__getitem__, zip(*cols))) if cols else bytes([table[()]]) * self.size
         if isinstance(phi, Eq):
             top, bot = chain.top, chain.bottom
-            return [top if x == y else bot
-                    for x, y in zip(self._term_column(phi.left), self._term_column(phi.right))]
+            return bytes([top if x == y else bot
+                          for x, y in zip(self._term_column(phi.left), self._term_column(phi.right))])
         if isinstance(phi, Val):
-            return [_truth_constant_index(chain, phi.label)] * self.size
+            return bytes([_truth_constant_index(chain, phi.label)]) * self.size
         raise TypeError(f"not a formula: {phi!r}")
 
-    def _combine(self, kind: type, a: list[int], b: list[int] | None = None) -> list[int]:
+    def _combine(self, kind: type, a: bytes, b: bytes | None = None) -> bytes:
         """One connective (its node class) over its operands' value vectors."""
-        table = self._tables[kind]
+        scale, tables = self._tables
         if kind is Not:
-            return [table[x] for x in a]
-        return [table[x][y] for x, y in zip(a, b)]
+            return a.translate(tables[Not])
+        if scale is None:  # over 16 elements a pair code overflows its byte
+            return bytes([tables[kind][x][y] for x, y in zip(a, b)])
+        return _packed(a, b, scale, tables[kind])
 
-    def fold(self, values: list[int], var: str, kind: str) -> list[int]:
-        stride = self.strides[var]
-        m = self.m
-        block = stride * m
-        pick = min if kind == FORALL else max
-        out: list[int] = []
-        for start in range(0, self.size, block):
-            columns = [values[i:i + stride] for i in range(start, start + block, stride)]
-            out += list(map(pick, zip(*columns))) * m
-        return out
+    def fold(self, values: bytes, var: str, kind: str) -> bytes:
+        """Quantify `var`: the min (forall) or max (exists) of the m lanes of
+        its axis, each the cells at one value of `var` (a slice when the axis
+        is the first or the last, else a getter), broadcast back to every
+        cell: cell i reads folded cell i // (stride * m) * stride + i % stride."""
+        if self.m == 1:  # one lane, and a getter of one index would return an int
+            return values
+        axis = self._axes.get(var)
+        if axis is None:
+            stride, m, size = self.strides[var], self.m, self.size
+            width = size // m
+            axis = self._axes[var] = [
+                slice(j, None, m) if stride == 1 else slice(j * width, (j + 1) * width) if stride == width
+                else itemgetter(*[i for i in range(size) if i // stride % m == j]) for j in range(m)
+            ] + [itemgetter(*[i // (stride * m) * stride + i % stride for i in range(size)])]
+        lanes = [values[part] if isinstance(part, slice) else bytes(part(values)) for part in axis[:-1]]
+        scale, tables = self._tables
+        if scale is None:
+            folded = bytes(map(min if kind == FORALL else max, *lanes))
+        else:
+            table, folded = tables[And if kind == FORALL else Or], lanes[0]
+            for lane in lanes[1:]:
+                folded = _packed(folded, lane, scale, table)
+        return bytes(axis[-1](folded))
 
-    def fold_prefix(self, key, matrix_values: list[int], prefix) -> list[int]:
+    def fold_prefix(self, key, matrix_values: bytes, prefix) -> bytes:
         """Apply quantifier blocks, innermost first.  `key` names the vector
         (equal keys, equal vectors), and each single fold is memoised under
         the key and the folds before it, so prefixes that end alike share
@@ -551,44 +592,45 @@ class AssignmentGrid:
         return sum(self._dom_pos[assignment[v]] * self.strides[v] for v in self.variables if v in assignment)
 
 
-def value_classes(family: Fragment, grids: Sequence[AssignmentGrid],
-                  n: int | None = None) -> tuple[list[int], list[list[int]]]:
-    """Whole-family driver over value classes: per matrix a class id, and per
-    class its values at the cells of each grid in turn.  Leaves (`family.leaves`)
-    and results are interned by those values, and `family.program` runs over
-    class ids, so no matrix is built as a formula and each connective meets
-    each pair of operand classes once.  Each run of grids that share a chain is
-    combined with its tables.  With `n`, only the first n matrices."""
-    runs, end = [], 0  # [grid, start, end] per run of grids that share tables
-    for g in grids:
-        if runs and runs[-1][0]._tables is g._tables:
-            runs[-1][2] += g.size
-        else:
-            runs.append([g, end, end + g.size])
-        end += g.size
-    ids: dict = {}  # values -> class id
-    memo: dict = {}  # (connective, left class, right class) -> class id
-    cls: list[int] = []
-    vecs: list[list[int]] = []
+class ValueClasses:
+    """A family's matrices by value class over several grids, grown in
+    family order: `cls[k]` is matrix k's class id, `vecs[c]` class c's
+    values at each grid's cells in turn.  `family.program` runs over class
+    ids, interned by their bytes, so no matrix is built as a formula and
+    each connective meets each pair of operand classes once, with the tables
+    of each run of grids that share a chain.  `extend(n)` resumes where the
+    table stopped, so a caller grows it only as far as it reads (bottom-up
+    enumeration checked as the bank grows: Udupa et al., TRANSIT, PLDI 2013)."""
 
-    def intern(vals: list[int]) -> int:
-        c = ids.setdefault(tuple(vals), len(vecs))
-        if c == len(vecs):
-            vecs.append(vals)
-        return c
+    def __init__(self, family: Fragment, grids: Sequence[AssignmentGrid]):
+        self.family, self.grids, self.cls, self.vecs = family, tuple(grids), [], []
+        bounds = list(accumulate((g.size for g in self.grids), initial=0))
+        runs = [list(run) for _, run in groupby(zip(self.grids, bounds, bounds[1:]), lambda r: id(r[0]._tables))]
+        self._runs = [(run[0][0], run[0][1], run[-1][2]) for run in runs]  # (grid, start, end) per run
+        self._ids: dict = {}  # values -> class id
+        self._memo: dict = {}  # (connective, left class, right class) -> class id
 
-    for k, (kind, i, j) in enumerate(islice(family.program, n)):
-        if kind is None:
-            c = intern([v for g in grids for v in g._leaf(family.leaves[k])])
-        else:
+    def extend(self, n: int | None = None) -> None:
+        """Name the first n matrices (every matrix with None), from where the table stopped."""
+        program, cls, vecs, runs, memo = self.family.program, self.cls, self.vecs, self._runs, self._memo
+        stop = len(program) if n is None else min(n, len(program))
+        for leaf in self.family.leaves[len(cls):stop]:  # the leaves come first
+            cls.append(self._intern(b"".join(g._leaf(leaf) for g in self.grids)))
+        for kind, i, j in program[len(cls):stop]:
             key = (kind, cls[i], cls[j])
             c = memo.get(key)
             if c is None:
                 a, b = vecs[key[1]], vecs[key[2]]
-                c = memo[key] = intern(runs[0][0]._combine(kind, a, b) if len(runs) == 1 else
-                                       [v for g, s, e in runs for v in g._combine(kind, a[s:e], b[s:e])])
-        cls.append(c)
-    return cls, vecs
+                c = memo[key] = self._intern(
+                    runs[0][0]._combine(kind, a, b) if len(runs) == 1 else
+                    b"".join(g._combine(kind, a[s:e], b[s:e]) for g, s, e in runs))
+            cls.append(c)
+
+    def _intern(self, vals: bytes) -> int:
+        c = self._ids.setdefault(vals, len(self.vecs))
+        if c == len(self.vecs):
+            self.vecs.append(vals)
+        return c
 
 
 # --- structure spaces ---

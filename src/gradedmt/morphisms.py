@@ -16,7 +16,7 @@ from .algebra import (AlgebraMap, FiniteChain, generated_subalgebra, identity_ma
                       subalgebra_inclusion)
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
-from .generation import AssignmentGrid, elementary_plan, prenex_formula, value_classes
+from .generation import AssignmentGrid, ValueClasses, elementary_plan, prenex_formula
 from .semantics import Structure, eval_formula
 from .syntax import App, Formula, Signature
 
@@ -33,12 +33,9 @@ class StructureMap:
         object.__setattr__(self, "domain_map", dict(self.domain_map))
 
 
-def identity_structure_map(s: Structure) -> StructureMap:
-    return StructureMap(identity_map(s.chain), {d: d for d in s.domain})
-
-
 def inclusion_map(sub: Structure, sup: Structure) -> StructureMap:
-    return identity_structure_map(sub)
+    """The identity on sub's chain and domain, as a map into sup (the identity map of sub when sup is sub)."""
+    return StructureMap(identity_map(sub.chain), {d: d for d in sub.domain})
 
 
 @dataclass(frozen=True)
@@ -144,12 +141,14 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     tuple does not transfer along (f, g) to the image tuple: f must carry
     the source value to the target value, or with f None a top source value
     must stay top.  `tuples(params)` lists the source tuples.  Matrices are
-    read as `value_classes` over both grids, up to the last one the plan
-    reaches, and folded by class.  A (class, prefix, params) triple fixes
-    the free set, so it is decided once, at the first matrix of its (class,
-    free set) group; groups in order of first matrix hold ascending,
-    disjoint runs of positions, so the first failing triple met is the first
-    failure, and no candidate is read one at a time.
+    read by class from a `ValueClasses` table over both grids, grown by
+    doubling from 256 matrices to at most the last one the plan reaches, and
+    folded by class.  A (class, prefix, params) triple fixes the free set, so
+    it is decided once, at the first matrix of its (class, free set) group;
+    groups in order of first matrix hold ascending, disjoint runs of
+    positions, and a step is covered in full, the table growing as its
+    groups run out, before the next, so the first failing triple met is the
+    first failure, and no candidate is read one at a time.
     `meter` is ticked in bulk with the positions read, at most its limit + 1
     as single ticks would stop, before any replay through `eval_formula`.
     Returns (positions checked, separator, source tuple), or (checked, None,
@@ -159,12 +158,10 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     transfers = [[b == f[a] if f is not None else a != top_s or b == top_t  # [source value][target value]
                   for b in range(top_t + 1)] for a in range(top_s + 1)]
     end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
-    family = plan.family
-    cls, vecs = value_classes(family, [grid_s, grid_t], plan.reach(end))
-    n, m = grid_s.size, len(cls)
-    # each (class, free set) group's first matrix: a reversed dict keeps the least index
-    first = dict(zip(zip(reversed(cls), reversed(family.free[:m])), range(m - 1, -1, -1)))
-    groups = sorted((k, c, fv) for (c, fv), k in first.items())
+    family, reach, n = plan.family, plan.reach(end), grid_s.size
+    table = ValueClasses(family, [grid_s, grid_t])
+    groups: list = []  # (first matrix, class, free set) of each (class, free set) group, by first matrix
+    firsts: dict = {}  # (class, free set) -> its first matrix
     cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
 
     def failure(c, prefix, params):
@@ -174,15 +171,26 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
             row = cells[params] = [(tup, grid_s.cell(dict(zip(params, tup))),
                                     grid_t.cell({p: g[d] for p, d in zip(params, tup)}))
                                    for tup in tuples(params)]
-        vs = grid_s.fold_prefix(c, vecs[c][:n], prefix)
+        vs = grid_s.fold_prefix(c, table.vecs[c][:n], prefix)
         if f is None and all(vs[i] != top_s for _, i, _ in row):
             return None  # the target is folded only under a top source cell
-        vt = grid_t.fold_prefix(c, vecs[c][n:], prefix)
+        vt = grid_t.fold_prefix(c, table.vecs[c][n:], prefix)
         return next(((tup, vs[i], vt[j]) for tup, i, j in row if not transfers[vs[i]][vt[j]]), None)
 
     def first_failure():
         for step, rows in enumerate(plan.rows):
-            for k, c, fv in groups:
+            index = 0
+            while index < len(groups) or len(table.cls) < reach:
+                if index == len(groups):  # double the table and list the groups it adds
+                    named = len(table.cls)
+                    table.extend(min(reach, max(256, 2 * named)))
+                    for k in range(named, len(table.cls)):
+                        key = table.cls[k], family.free[k]
+                        if firsts.setdefault(key, k) == k:
+                            groups.append((k, *key))
+                    continue
+                k, c, fv = groups[index]
+                index += 1
                 start = plan.position(step, k)
                 if start >= end:
                     return None
@@ -471,13 +479,3 @@ def search_strong_homomorphism(source, target, fix_algebra_identity=True):
 
 def search_strong_embedding(source, target, fix_algebra_identity: bool = True):
     return search_structure_map(source, target, fix_algebra_identity, injective=True)
-
-
-def compose_maps(first: StructureMap, second: StructureMap) -> StructureMap:
-    """The composite map, applying `first` and then `second`."""
-    if first.algebra_map.target != second.algebra_map.source:
-        raise ChainMismatchError("algebra maps do not compose")
-    algebra = AlgebraMap(first.algebra_map.source, second.algebra_map.target,
-                         tuple(second.algebra_map.map[v] for v in first.algebra_map.map))
-    domain = {d: second.domain_map[v] for d, v in first.domain_map.items()}
-    return StructureMap(algebra, domain)

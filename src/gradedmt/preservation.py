@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 from .algebra import enumerate_mtl_chains
 from .budget import BudgetMeter
-from .chains import StructureChain, check_tarski_vaught, union_of_chain, validate_chain_of_structures
+from .chains import check_tarski_vaught, validate_chain_of_structures
 from .consequence import equiv_up_to_depth
 from .corpus import structure_m, structure_n
 from .errors import FormatError, PreconditionError, SignatureError
@@ -42,8 +42,6 @@ from .syntax import (
     PrenexClass,
     Signature,
     expand_with_truth_constants,
-    free_variables,
-    is_sentence,
 )
 
 
@@ -147,44 +145,6 @@ class PreservationReport:
             "violations": [v.as_dict() for v in self.violations],
             "ok": self.ok,
         }
-
-
-def check_preserved_under_substructures(formulas: Sequence[Formula],
-                                        corpus: Sequence[Structure]) -> PreservationReport:
-    """For each corpus structure, each substructure, each formula and
-    each tuple from the substructure: satisfaction above must imply
-    satisfaction below."""
-    report = PreservationReport(claim="substructure-preservation")
-    for index, big in enumerate(corpus):
-        report.instances += 1
-        subs = list(enumerate_substructures(big))
-        for phi in formulas:
-            names = sorted(free_variables(phi))
-            for small in subs:
-                for tup in product(small.domain, repeat=len(names)):
-                    report.checks += 1
-                    if satisfies(phi, big, tup) and not satisfies(phi, small, tup):
-                        report.violations.append(PreservationViolation(
-                            index, phi, f"substructure {small.domain} of {big.name or big.domain}", tup))
-    return report
-
-
-def check_preserved_under_unions(formulas: Sequence[Formula],
-                                 chains_corpus: Sequence[StructureChain]) -> PreservationReport:
-    """When a sentence holds in every member of a chain it must hold in
-    the union; chains with a non-satisfying member are skipped."""
-    report = PreservationReport(claim="union-preservation")
-    for index, chain in enumerate(chains_corpus):
-        report.instances += 1
-        union = union_of_chain(chain)
-        for phi in formulas:
-            if not is_sentence(phi):
-                raise FormatError("union preservation checks sentences")
-            if all(satisfies(phi, member) for member in chain.members):
-                report.checks += 1
-                if not satisfies(phi, union):
-                    report.violations.append(PreservationViolation(index, phi, "union of chain", ()))
-    return report
 
 
 def universal_consequences_bounded(theory: Sequence[Formula], sig: Signature, chain, max_domain: int,

@@ -12,7 +12,7 @@ from gradedmt.chains import (
     validate_chain_of_structures,
 )
 from gradedmt.errors import InternalError
-from gradedmt.generation import AssignmentGrid, fragment, qf_matrices, value_classes
+from gradedmt.generation import AssignmentGrid, ValueClasses, fragment, qf_matrices
 from gradedmt.morphisms import induced_substructure, is_substructure
 from gradedmt.semantics import Structure, eval_formula
 from gradedmt.syntax import App, Signature
@@ -183,11 +183,13 @@ def _reference_part_a(chain, matrix_depth=1, num_vars=2):
     family = fragment(first.sig, first.chain.elements, variables, matrix_depth,
                       [App(c) for c in first.sig.constants()])
     grids = [AssignmentGrid(s, variables) for s in (*chain.members, union)]
-    cls, vecs = value_classes(family, grids)
+    table = ValueClasses(family, grids)
+    table.extend()
+    cls, vecs = table.cls, table.vecs
     tuples = [tup for member in chain.members for tup in product(member.domain, repeat=num_vars)]
     n = len(tuples)
     cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]
-    bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != vec[:n]}
+    bad = {c for c, vec in enumerate(vecs) if [vec[j] for j in cells] != list(vec[:n])}
     violations, end = [], 0
     for index in range(len(chain.members)):
         start, end = end, end + grids[index].size
@@ -273,13 +275,13 @@ def test_part_a_with_faulted_suite_and_constant_unions_matches_the_whole_family(
 
 
 def test_tarski_vaught_evaluates_only_the_leaves_of_a_valid_chain(monkeypatch, suite_chains):
-    asked = []
+    asked, extend = [], ValueClasses.extend
 
-    def recording(family, grids, n=None):
-        asked.append((len(family.matrices), n))
-        return value_classes(family, grids, n)
+    def recording(table, n=None):
+        asked.append((len(table.family.matrices), n))
+        return extend(table, n)
 
-    monkeypatch.setattr(chains, "value_classes", recording)
+    monkeypatch.setattr(ValueClasses, "extend", recording)
     chain = suite_chains[0]
     report = check_tarski_vaught(chain)
     assert asked == [(1518, 12)]  # P/1, R/2, two variables, depth 1: the first 12 matrices are its leaves

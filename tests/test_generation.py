@@ -330,10 +330,10 @@ def test_family_program_reads_only_earlier_positions():
 @given(s=pr_structures(), t=pr_structures(), order=st.permutations(PAIR_VARS))
 def test_value_classes_match_values_and_plain_evaluator(s, t, order):
     grid, other = AssignmentGrid(s, order), AssignmentGrid(t, order)
-    cls, vecs = generation.value_classes(PAIR_FAMILY, [grid])
-    rows = [vecs[c] for c in cls]
-    cls, vecs = generation.value_classes(PAIR_FAMILY, [grid, other])
-    both = [vecs[c] for c in cls]
+    alone, pair = generation.ValueClasses(PAIR_FAMILY, [grid]), generation.ValueClasses(PAIR_FAMILY, [grid, other])
+    alone.extend()
+    pair.extend()
+    rows, both = ([table.vecs[c] for c in table.cls] for table in (alone, pair))
     for phi, row, joint in zip(PAIR_FAMILY.matrices, rows, both):
         assert row == grid.values(phi)
         assert joint == row + other.values(phi)

@@ -11,6 +11,9 @@ To capture the files again after an intended report change, run
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +146,17 @@ def report(name: str, workdir: Path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     assert report(name, tmp_path) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_a_verify_report_does_not_depend_on_the_hash_seed():
+    # value classes are interned by their bytes, whose hashes change with PYTHONHASHSEED
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "gradedmt.cli", "verify", "--suite", "unions-chain-lemma", "--instances", "10",
+            "--seed", "1", "--format", "json"]
+    outs = [subprocess.run(argv, capture_output=True, check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "12345")]
+    assert json.loads(outs[0])["ok"] and outs[0] == outs[1]
 
 
 if __name__ == "__main__":

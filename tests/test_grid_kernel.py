@@ -1,0 +1,84 @@
+"""The byte kernel of `AssignmentGrid` against per-cell table lookups.
+
+A grid holds a value vector as `bytes`, one byte a cell.  `_combine` runs a
+connective as whole-vector operations on pair codes (`generation._packed`)
+and `fold` combines the lanes of an axis by the packed min or max; over 16
+elements both take a per-cell path, and over 256 a grid is refused.  These
+tests compare both with plain lookups in `_connective_tables`, on every
+chain of 2 to 5 elements and on a 17-element Goedel chain.
+"""
+
+import json
+import random
+
+import pytest
+
+from gradedmt import cli, files
+from gradedmt.algebra import ChainReport, enumerate_mtl_chains, godel_chain
+from gradedmt.errors import FormatError
+from gradedmt.files import save_algebra
+from gradedmt.generation import AssignmentGrid, _connective_tables
+from gradedmt.semantics import Structure
+from gradedmt.syntax import EXISTS, FORALL, And, Iff, Implies, Not, Or, Signature, Strong
+
+CHAINS = [chain for k in range(2, 6) for chain in enumerate_mtl_chains(k)] + [
+    godel_chain([f"g{i}" for i in range(17)])]
+SIG = Signature(predicates={"P": 1})
+VARIABLES = ("x1", "x2", "x3")
+
+
+def _grid(chain, m: int, variables=VARIABLES) -> AssignmentGrid:
+    domain = tuple(f"d{i}" for i in range(m))
+    return AssignmentGrid(Structure(chain=chain, sig=SIG, domain=domain,
+                                    predicates={"P": {(d,): 0 for d in domain}}), variables)
+
+
+def test_the_chains_take_both_paths():
+    assert len(CHAINS) == 32
+    assert [_grid(chain, 1)._tables[0] is None for chain in CHAINS] == [False] * 31 + [True]
+
+
+@pytest.mark.parametrize("index", range(len(CHAINS)))
+def test_combine_matches_the_per_cell_tables(index):
+    chain, rnd = CHAINS[index], random.Random(index)
+    k, grid, tables = chain.size, _grid(chain, 3), _connective_tables(chain.star, chain.implies)
+    every_pair = bytes(x for x in range(k) for _ in range(k)), bytes(y for _ in range(k) for y in range(k))
+    drawn = [tuple(bytes(rnd.randrange(k) for _ in range(grid.size)) for _ in range(2)) for _ in range(3)]
+    for a, b in [every_pair, *drawn]:
+        assert list(grid._combine(Not, a)) == [tables[Not][x] for x in a]
+        for kind in (And, Or, Strong, Implies, Iff):
+            assert list(grid._combine(kind, a, b)) == [tables[kind][x][y] for x, y in zip(a, b)], kind.__name__
+
+
+@pytest.mark.parametrize("index", range(len(CHAINS)))
+def test_fold_matches_a_per_cell_min_and_max_on_every_axis(index):
+    chain, rnd = CHAINS[index], random.Random(index)
+    for m in (1, 2, 3):  # on three variables the first axis reads slices, the middle getters, the last steps
+        grid = _grid(chain, m)
+        values = bytes(rnd.randrange(chain.size) for _ in range(grid.size))
+        for var in VARIABLES:
+            stride = grid.strides[var]
+            for kind, pick in ((FORALL, min), (EXISTS, max)):
+                want = [pick(values[i + (d - i // stride % m) * stride] for d in range(m)) for i in range(grid.size)]
+                assert list(grid.fold(values, var, kind)) == want, (m, var, kind)
+
+
+def test_a_chain_over_256_elements_is_refused():
+    assert _grid(godel_chain([f"g{i}" for i in range(256)]), 2).size == 8
+    with pytest.raises(FormatError, match="over 256"):
+        _grid(godel_chain([f"g{i}" for i in range(257)]), 2)
+
+
+def test_a_chain_over_256_elements_exits_2_from_the_cli(tmp_path, monkeypatch, capsys):
+    # a Goedel chain satisfies the laws by construction; checking them takes 257**3 steps
+    monkeypatch.setattr(files, "validate_chain", lambda chain: ChainReport(ok=True, violations=()))
+    chain = godel_chain([f"g{i}" for i in range(257)])
+    save_algebra(chain, tmp_path / "big.json")
+    structure = {"algebra": "big.json", "domain": ["a", "b"],
+                 "predicates": {"P": {"arity": 1, "table": {"a": "g0", "b": "g256"}}}}
+    (tmp_path / "s.json").write_text(json.dumps(structure))
+    path = str(tmp_path / "s.json")
+    code = cli.main(["implies-exists", "--left", path, "--right", path, "--n", "1"])
+    assert code == 2
+    assert "over 256" in capsys.readouterr().err
+

@@ -10,9 +10,7 @@ from gradedmt.errors import ChainMismatchError, InternalError
 from gradedmt.generation import qf_matrices
 from gradedmt.morphisms import (
     StructureMap,
-    compose_maps,
     enumerate_substructures,
-    identity_structure_map,
     inclusion_map,
     induced_substructure,
     is_elementary_up_to_depth,
@@ -28,7 +26,7 @@ from tests.conftest import crisp_complete
 
 
 def test_identity_is_strong_homomorphism(struct_m):
-    m = identity_structure_map(struct_m)
+    m = inclusion_map(struct_m, struct_m)
     assert is_strong_homomorphism(m, struct_m, struct_m).ok
     assert is_embedding(m, struct_m, struct_m).ok
 
@@ -70,7 +68,7 @@ def test_function_commutation_checked(b2):
         predicates={"P": {("a",): 1, ("b",): 1}},
         functions={"f": {("a",): "a", ("b",): "b"}},
     )
-    m = identity_structure_map(s)
+    m = inclusion_map(s, s)
     report = is_strong_homomorphism(m, s, t)
     assert not report.ok and report.reason == "function commutation fails"
 
@@ -84,13 +82,13 @@ def test_inclusion_of_induced_substructure_is_embedding(complete_graphs):
 def test_chain_mismatch_raises(struct_m, b2, sig_p):
     other = Structure(chain=b2, sig=sig_p, domain=("a",), predicates={"P": {("a",): 1}})
     with pytest.raises(ChainMismatchError):
-        is_strong_homomorphism(identity_structure_map(struct_m), struct_m, other)
+        is_strong_homomorphism(inclusion_map(struct_m, struct_m), struct_m, other)
 
 
 def test_elementarity_identity(complete_graphs):
     k3 = complete_graphs[3]
     for depth in (1, 2):
-        assert is_elementary_up_to_depth(identity_structure_map(k3), k3, k3, depth).ok
+        assert is_elementary_up_to_depth(inclusion_map(k3, k3), k3, k3, depth).ok
 
 
 def test_k2_into_k3_not_elementary_at_depth_two(complete_graphs):
@@ -384,7 +382,8 @@ def test_composition_of_strong_homomorphisms(complete_graphs):
     k2, k3, k4 = complete_graphs[2], complete_graphs[3], complete_graphs[4]
     first = inclusion_map(k2, k3)
     second = inclusion_map(k3, k4)
-    composite = compose_maps(first, second)
+    assert is_strong_homomorphism(first, k2, k3).ok and is_strong_homomorphism(second, k3, k4).ok
+    composite = StructureMap(identity_map(k2.chain), {d: second.domain_map[v] for d, v in first.domain_map.items()})
     assert is_strong_homomorphism(composite, k2, k4).ok
 
 

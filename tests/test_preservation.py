@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedmt import corpus, morphisms
-from gradedmt.chains import validate_chain_of_structures
+from gradedmt.chains import union_of_chain, validate_chain_of_structures
 from gradedmt.errors import FormatError, InternalError, PreconditionError, SignatureError
 from gradedmt.generation import qf_matrices
 from gradedmt.morphisms import (
+    enumerate_substructures,
     induced_substructure,
     is_elementary_up_to_depth,
     is_embedding,
@@ -19,8 +20,6 @@ from gradedmt.parser import parse_formula, render_formula
 from gradedmt.preservation import (
     AmalgamInstance,
     FormulaBounds,
-    check_preserved_under_substructures,
-    check_preserved_under_unions,
     implies_exists_n,
     reproduce_counterexample,
     search_amalgam,
@@ -90,6 +89,8 @@ def test_exists_flow_forces_quantifier_free_agreement(g4, sig_p):
 
 
 def test_preserved_under_substructures_checker(g4, sig_p, complete_graphs):
+    # satisfaction above must carry to every substructure at its own tuples:
+    # it fails for an existential sentence, holds for a universal one and an open one
     exists_p = parse_formula("exists x. P(x)", sig_p)
     witness_structure = Structure(
         chain=g4,
@@ -97,15 +98,14 @@ def test_preserved_under_substructures_checker(g4, sig_p, complete_graphs):
         domain=("a", "b"),
         predicates={"P": {("a",): g4.top, ("b",): 0}},
     )
-    report = check_preserved_under_substructures([exists_p], [witness_structure])
-    assert not report.ok
-    assert any(v.context.startswith("substructure ('b',)") for v in report.violations)
+    assert satisfies(exists_p, witness_structure)
+    assert not satisfies(exists_p, induced_substructure(witness_structure, ["b"]))
     universal = parse_formula("forall x y. (R(x,y) -> R(y,x))", Signature(predicates={"R": 2}))
-    report2 = check_preserved_under_substructures([universal], [complete_graphs[4]])
-    assert report2.ok
+    assert satisfies(universal, complete_graphs[4])
+    assert all(satisfies(universal, small) for small in enumerate_substructures(complete_graphs[4]))
     open_qf = parse_formula("P(x) -> P(x)", sig_p)
-    report3 = check_preserved_under_substructures([open_qf], [witness_structure])
-    assert report3.ok
+    assert all(satisfies(open_qf, small, (d,)) for small in enumerate_substructures(witness_structure)
+               for d in small.domain)
 
 
 def test_preserved_under_unions_checker(complete_graphs, sig_r):
@@ -115,12 +115,12 @@ def test_preserved_under_unions_checker(complete_graphs, sig_r):
     chain = validate_chain_of_structures(
         [complete_graphs[3], complete_graphs[4], complete_graphs[5]]
     )
-    report = check_preserved_under_unions([degree_two], [chain])
-    assert report.ok and report.checks == 1
-    # members not all satisfying: vacuously skipped
+    union = union_of_chain(chain)
+    assert all(satisfies(degree_two, member) for member in chain.members)
+    assert satisfies(degree_two, union)
+    # members not all satisfying: the hypothesis of union preservation fails
     all_edges = parse_formula("forall x y. R(x,y)", sig_r)
-    report2 = check_preserved_under_unions([all_edges], [chain])
-    assert report2.ok and report2.checks == 0
+    assert not all(satisfies(all_edges, member) for member in chain.members)
 
 
 def test_universal_consequences(g4, b2, sig_r):
@@ -273,8 +273,8 @@ def test_union_suite_builds_each_union_once(monkeypatch):
         built.append(chain)
         return union_of_chain(chain)
 
-    for module in (chains, preservation):
-        monkeypatch.setattr(module, "union_of_chain", counted)
+    monkeypatch.setattr(chains, "union_of_chain", counted)  # the one module that builds unions
+    assert "union_of_chain" not in vars(preservation)
     assert union_preservation_suite(3, 4).instances == len(built) == 4
 
 

@@ -6,7 +6,7 @@ These tests pin elementarity verdicts across two chains, check the plan's
 positions against a copy of the stream read one candidate at a time,
 compare the check with a copy of the per-candidate loop it replaced (for
 the relations of all three callers, under caps and budget cuts), and check
-`generation.value_classes` against the on-demand grid driver.
+`generation.ValueClasses` against the on-demand grid driver.
 To print the cross-chain pins again, run
 
     PYTHONPATH=src python tests/test_transfer.py
@@ -23,8 +23,8 @@ from gradedmt import corpus, morphisms
 from gradedmt.algebra import AlgebraMap
 from gradedmt.budget import BudgetMeter
 from gradedmt.errors import BudgetError, InternalError
-from gradedmt.generation import (AssignmentGrid, Fragment, _prefixes, elementary_plan, fragment, prenex_formula,
-                                 value_classes)
+from gradedmt.generation import (AssignmentGrid, Fragment, ValueClasses, _prefixes, elementary_plan, fragment,
+                                 prenex_formula)
 from gradedmt.morphisms import StructureMap, first_transfer_failure, is_elementary_up_to_depth
 from gradedmt.parser import render_formula
 from gradedmt.semantics import Structure, eval_formula
@@ -458,13 +458,15 @@ def _check_value_classes(grids, monkeypatch):
         return combine(self, kind, a, b)
 
     monkeypatch.setattr(AssignmentGrid, "_combine", counted)
-    cls, vecs = value_classes(VALUE_FAMILY, grids)
+    table = ValueClasses(VALUE_FAMILY, grids)
+    table.extend()
+    cls, vecs = table.cls, table.vecs
     monkeypatch.undo()
     assert len(cls) == len(VALUE_FAMILY.matrices)
     # one class per distinct vector, and each matrix's class holds its vector
     assert len({tuple(vec) for vec in vecs}) == len(vecs) == len(set(cls))
     for phi, c in zip(VALUE_FAMILY.matrices, cls):
-        assert vecs[c] == [v for grid in grids for v in grid.values(phi)]
+        assert list(vecs[c]) == [v for grid in grids for v in grid.values(phi)]
     # each connective meets each pair of operand classes once per run of tables
     triples = {(kind, cls[i], cls[j]) for kind, i, j in VALUE_FAMILY.program if kind}
     assert len(calls) == len(triples) * _runs(grids)
@@ -500,6 +502,23 @@ if __name__ == "__main__":
         print(f"    {case}: {cross_chain_verdict(*case)!r},")
 
 
+def _count_work(monkeypatch):
+    """Count `_leaf` and `_combine` calls, and list the table's length after each `extend`."""
+    calls, lengths, extend = {"_leaf": 0, "_combine": 0}, [], ValueClasses.extend
+    for name in calls:
+        def counted(self, *args, original=getattr(AssignmentGrid, name), name=name):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(AssignmentGrid, name, counted)
+
+    def recorded(table, n=None):
+        extend(table, n)
+        lengths.append(len(table.cls))
+
+    monkeypatch.setattr(ValueClasses, "extend", recorded)
+    return calls, lengths
+
+
 def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch):
     from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
 
@@ -514,14 +533,57 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     assert family.plan(steps, bounds.max_candidates).reach(bounds.max_candidates) == reached
     prefix = family.program[:reached]
     assert reached < len(family.matrices)
-    calls = {"_leaf": 0, "_combine": 0}
-    for name in calls:
-        def counted(self, *args, original=getattr(AssignmentGrid, name), name=name):
-            calls[name] += 1
-            return original(self, *args)
-        monkeypatch.setattr(AssignmentGrid, name, counted)
+    calls, lengths = _count_work(monkeypatch)
     report = implies_exists_n(s, s, ("a", "b"), 1, bounds)
     assert report.ok and report.candidates_checked == bounds.max_candidates
     # each leaf of the prefix once per grid, each connective of it at most once
+    assert lengths == [reached]
     assert calls["_leaf"] == 2 * sum(kind is None for kind, _, _ in prefix)
     assert calls["_combine"] <= sum(kind is not None for kind, _, _ in prefix)
+
+
+def _pr_pair(seed: int):
+    """Two structures over godel3 on {a, b} with seeded P and R tables."""
+    chain, rnd = TARGET_CHAINS["godel3"], random.Random(seed)
+    return tuple(Structure(chain=chain, sig=SIG_PR, domain=("a", "b"), predicates={
+        p: {args: rnd.randrange(chain.size) for args in product("ab", repeat=a)}
+        for p, a in SIG_PR.predicates.items()}) for _ in range(2))
+
+
+def test_a_failing_call_evaluates_only_the_first_256_matrices(monkeypatch):
+    from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
+
+    left, right = _pr_pair(0)
+    calls, lengths = _count_work(monkeypatch)
+    report = implies_exists_n(left, right, ("a",), 2)
+    assert render_formula(report.separator) == "exists x1 . not R(x1, p1)" and report.candidates_checked == 57
+    _, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
+    assert lengths == [256] and len(family.program) == 5940 and len(family.leaves) == 23
+    assert calls == {"_leaf": 2 * 23, "_combine": 134}
+
+
+def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch):
+    from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
+
+    left, _ = _pr_pair(0)
+    calls, lengths = _count_work(monkeypatch)
+    report = implies_exists_n(left, left, ("a",), 2)
+    qvars, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
+    plan = family.plan([(qvars, PrenexClass(EXISTS, 2))])
+    assert report.ok and report.candidates_checked == plan.size
+    assert lengths == [256, 512, 1024, 2048, 4096, plan.reach(plan.size)] and lengths[-1] == len(family.program)
+    assert calls["_leaf"] == 2 * len(family.leaves)
+
+
+def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_grows(monkeypatch):
+    # the separator sits at position 1,100 of a single step, so the table doubles three times within the step
+    chain, rnd = TARGET_CHAINS["godel3"], random.Random(6)
+    left, right = (Structure(chain=chain, sig=SIG_PR, domain=domain, predicates={
+        p: {args: rnd.randrange(chain.size) for args in product(domain, repeat=a)}
+        for p, a in SIG_PR.predicates.items()}) for domain in (("a", "b"), ("a", "b", "c")))
+    family = fragment(SIG_PR, chain.elements, ["x1", "x2"], 1)
+    _, lengths = _count_work(monkeypatch)
+    reference, plan = _both_loops(family, [EXISTS_STEPS], AssignmentGrid(left, ["x1", "x2"]),
+                                  AssignmentGrid(right, ["x1", "x2"]), None, {}, lambda slots: [()])
+    assert plan == reference and plan[0][0] == 1101
+    assert lengths == [256, 512, 1024, len(family.program)] == [256, 512, 1024, 1518]
