@@ -22,8 +22,8 @@ from gradedmt import (
 g4 = godel_chain(["0", "1/2", "3/4", "1"], name="godel4")
 print("four-element chain:", g4.elements)
 print("valid:", validate_chain(g4).ok)
-print("star(3/4, 1/2) =", g4.label(g4.star_of(g4.index("3/4"), g4.index("1/2"))))
-print("implies(3/4, 1/2) =", g4.label(g4.implies_of(g4.index("3/4"), g4.index("1/2"))))
+print("star(3/4, 1/2) =", g4.label(g4.star[g4.index("3/4")][g4.index("1/2")]))
+print("implies(3/4, 1/2) =", g4.label(g4.implies[g4.index("3/4")][g4.index("1/2")]))
 
 # The residuum is determined by the star table: the largest z with
 # star(x, z) <= y.  Deriving it reproduces the stored table bit-exactly.
@@ -32,7 +32,7 @@ print("derived residuum matches:", derive_residuum(g4.elements, g4.star) == g4.i
 # The three-element chain with truncated addition behaves differently:
 # 1/2 & 1/2 collapses to 0.
 l3 = lukasiewicz_chain(["0", "1/2", "1"], name="lukasiewicz3")
-print("\ntruncated-addition chain: star(1/2, 1/2) =", l3.label(l3.star_of(1, 1)))
+print("\ntruncated-addition chain: star(1/2, 1/2) =", l3.label(l3.star[1][1]))
 
 # A candidate that is NOT a chain: using join as the conjunction breaks
 # both the identity law and residuation, and the report says where.

@@ -19,7 +19,7 @@ from gradedmt import (
     is_embedding,
     is_substructure,
     render_diagram,
-    search_strong_embedding,
+    search_structure_map,
 )
 
 pair, path = corpus.edgeless2(), corpus.path3()
@@ -32,7 +32,7 @@ print("inclusion is an embedding:", is_embedding(inclusion_map(sub, path), sub, 
 
 # The edgeless pair embeds into the path: its two vertices go to the
 # non-adjacent endpoints.
-found = search_strong_embedding(pair, path)
+found = search_structure_map(pair, path, injective=True)
 print("\nembedding of the edgeless pair into the path:", found.domain_map)
 
 # Its diagram records edge values 0 between the named constants, plus the

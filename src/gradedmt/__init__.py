@@ -71,8 +71,7 @@ from .morphisms import (
     is_embedding,
     is_strong_homomorphism,
     is_substructure,
-    search_strong_embedding,
-    search_strong_homomorphism,
+    search_structure_map,
 )
 from .parser import infer_signature, parse_formula, parse_theory, render_formula
 from .preservation import (

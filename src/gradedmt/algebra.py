@@ -63,11 +63,6 @@ class FiniteChain:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
-    def coatom(self) -> int:
-        """Index of the immediate predecessor of the top element."""
-        return len(self.elements) - 2
-
     def index(self, label: str) -> int:
         try:
             return self.elements.index(label)
@@ -79,12 +74,6 @@ class FiniteChain:
 
     def label(self, index: int) -> str:
         return self.elements[index]
-
-    def star_of(self, x: int, y: int) -> int:
-        return self.star[x][y]
-
-    def implies_of(self, x: int, y: int) -> int:
-        return self.implies[x][y]
 
     def restrict(self, indices: Iterable[int]) -> "FiniteChain":
         """Subchain on the given element indices (must be operation-closed)."""

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .errors import FormatError, GradedmtError, InternalError
 from .generation import AssignmentGrid, ValueClasses, fragment
-from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure, search_strong_embedding
+from .morphisms import inclusion_map, is_elementary_up_to_depth, is_substructure, search_structure_map
 from .parser import render_formula
 from .semantics import Structure, eval_formula
 from .syntax import App
@@ -26,7 +26,6 @@ class ChainValidationError(GradedmtError):
 @dataclass(frozen=True)
 class StructureChain:
     members: tuple
-    elementary_to_depth: int | None = None
 
     def __len__(self):
         return len(self.members)
@@ -46,7 +45,6 @@ def validate_chain_of_structures(
                 f"member {i} is not a substructure of member {i + 1}: "
                 f"clause {rep.clause}, {rep.detail}"
             )
-    verified_depth = None
     if elementary_depth is not None:
         for i, (small, big) in enumerate(zip(members, members[1:])):
             rep = is_elementary_up_to_depth(inclusion_map(small, big), small, big, elementary_depth)
@@ -55,8 +53,7 @@ def validate_chain_of_structures(
                     f"inclusion of member {i} is not elementary to depth {elementary_depth}; "
                     f"separated by {render_formula(rep.separator)} at parameters {rep.params}"
                 )
-        verified_depth = elementary_depth
-    return StructureChain(tuple(members), verified_depth)
+    return StructureChain(tuple(members))
 
 
 def union_of_chain(chain: StructureChain) -> Structure:
@@ -96,7 +93,6 @@ class TarskiVaughtReport:
     quantifier_free_ok: bool
     quantifier_free_checked: int
     qf_violations: list = field(default_factory=list)
-    elementary_requested: int | None = None
     elementary_precheck_ok: bool | None = None
     depth_ok: bool | None = None
     depth_violations: list = field(default_factory=list)
@@ -124,7 +120,7 @@ def check_tarski_vaught(chain: StructureChain, depth: int | None = None,
     """
     union = union_of_chain(chain)
     variables = ("x1", "x2")
-    report = TarskiVaughtReport(True, 0, elementary_requested=depth, union=union)
+    report = TarskiVaughtReport(True, 0, union=union)
     first = chain.members[0]
     constant_terms = [App(c) for c in first.sig.constants()]
     family = fragment(first.sig, first.chain.elements, variables, matrix_depth, constant_terms)
@@ -183,7 +179,7 @@ def normalize_chain(members: Sequence[Structure]) -> list[Structure]:
     for i in range(1, len(members)):
         previous = out[-1]
         current = members[i]
-        found = search_strong_embedding(previous, current)
+        found = search_structure_map(previous, current, injective=True)
         if found is None:
             raise ChainValidationError(
                 f"no strong embedding of member {i - 1} into member {i}"

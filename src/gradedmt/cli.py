@@ -44,8 +44,7 @@ from .morphisms import (
     is_elementary_up_to_depth,
     is_embedding,
     is_substructure,
-    search_strong_embedding,
-    search_strong_homomorphism,
+    search_structure_map,
 )
 from .parser import infer_signature, parse_formula, render_formula
 from .preservation import (
@@ -103,6 +102,10 @@ def _bounds_from(args) -> FormulaBounds:
     return FormulaBounds(args.matrix_depth, args.num_vars, args.max_candidates)
 
 
+def _diagram_bounds_from(args) -> DiagramBounds:
+    return DiagramBounds(args.term_depth, args.connective_depth, args.quantifier_depth, args.num_vars)
+
+
 # --- subcommand handlers ---
 
 
@@ -146,8 +149,7 @@ def cmd_enum_subs(args) -> int:
 def cmd_find_map(args) -> int:
     source = load_structure(args.source)
     target = load_structure(args.target)
-    search = search_strong_embedding if args.injective else search_strong_homomorphism
-    found = search(source, target, fix_algebra_identity=not args.free_algebra_map)
+    found = search_structure_map(source, target, not args.free_algebra_map, args.injective)
     if found is None:
         kind = "embedding" if args.injective else "homomorphism"
         return _emit(args, {"found": False}, False, [f"no strong {kind}"])
@@ -162,13 +164,7 @@ def cmd_find_map(args) -> int:
 
 def cmd_diagram(args) -> int:
     s = load_structure(args.structure)
-    bounds = DiagramBounds(
-        term_depth=args.term_depth,
-        connective_depth=args.connective_depth,
-        quantifier_depth=args.quantifier_depth,
-        num_vars=args.num_vars,
-    )
-    d = build_diagram(s, args.kind, bounds)
+    d = build_diagram(s, args.kind, _diagram_bounds_from(args))
     text = render_diagram(d)
     payload = {
         "kind": d.kind,
@@ -182,12 +178,7 @@ def cmd_diagram(args) -> int:
 def cmd_check_diagram(args) -> int:
     source = load_structure(args.source)
     target = load_structure(args.target)
-    bounds = DiagramBounds(
-        term_depth=args.term_depth,
-        connective_depth=args.connective_depth,
-        quantifier_depth=args.quantifier_depth,
-        num_vars=args.num_vars,
-    )
+    bounds = _diagram_bounds_from(args)
     diagram = build_diagram(source, args.kind, bounds)
     if args.map:
         images = []
@@ -531,8 +522,8 @@ def _add_common(p, seed=False, bounds=False):
     if seed:
         p.add_argument("--seed", type=int, default=0)
     if bounds:
-        p.add_argument("--matrix-depth", dest="matrix_depth", type=int, default=1)
-        p.add_argument("--num-vars", dest="num_vars", type=int, default=2)
+        p.add_argument("--matrix-depth", dest="matrix_depth", type=_nonnegative_int, default=1)
+        p.add_argument("--num-vars", dest="num_vars", type=_nonnegative_int, default=2)
         p.add_argument("--max-candidates", dest="max_candidates", type=_nonnegative_int, default=None)
 
 
@@ -587,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--target", required=True)
             p.add_argument("--map", help="comma-separated a=x interpretation of source elements")
         p.add_argument("--kind", choices=("diag", "eldiag"), default="diag")
-        p.add_argument("--term-depth", dest="term_depth", type=int, default=0)
-        p.add_argument("--connective-depth", dest="connective_depth", type=int, default=0)
-        p.add_argument("--quantifier-depth", dest="quantifier_depth", type=int, default=1)
-        p.add_argument("--num-vars", dest="num_vars", type=int, default=2)
+        p.add_argument("--term-depth", dest="term_depth", type=_nonnegative_int, default=0)
+        p.add_argument("--connective-depth", dest="connective_depth", type=_nonnegative_int, default=0)
+        p.add_argument("--quantifier-depth", dest="quantifier_depth", type=_nonnegative_int, default=1)
+        p.add_argument("--num-vars", dest="num_vars", type=_nonnegative_int, default=2)
         _add_common(p)
         p.set_defaults(handler=cmd_diagram if name == "diagram" else cmd_check_diagram)
 
@@ -612,9 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-chain", help="validate a chain and its union clauses")
     p.add_argument("--chain", required=True)
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--elementary-depth", dest="elementary_depth", type=int, default=None)
-    p.add_argument("--tv-depth", dest="tv_depth", type=int, default=None)
-    p.add_argument("--matrix-depth", dest="matrix_depth", type=int, default=1)
+    p.add_argument("--elementary-depth", dest="elementary_depth", type=_nonnegative_int, default=None)
+    p.add_argument("--tv-depth", dest="tv_depth", type=_nonnegative_int, default=None)
+    p.add_argument("--matrix-depth", dest="matrix_depth", type=_nonnegative_int, default=1)
     _add_common(p)
     p.set_defaults(handler=cmd_check_chain)
 
@@ -633,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--common", default=None)
     p.add_argument("--params", default="")
     p.add_argument("--n", type=_nonnegative_int, default=1)
-    p.add_argument("--max-size", dest="max_size", type=int, required=True)
+    p.add_argument("--max-size", dest="max_size", type=_positive_int, required=True)
     p.add_argument("--depth", type=_nonnegative_int, default=2)
     p.add_argument("--truth-constants", action="store_true")
     p.add_argument("--save", help="write the amalgam structure to this path")

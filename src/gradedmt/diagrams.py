@@ -62,7 +62,6 @@ class Diagram:
     kind: str
     constants: tuple  # constant names, domain order
     entries: tuple
-    bounds: DiagramBounds
     completeness: str
     chain_labels: tuple
 
@@ -104,8 +103,8 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
                                       num_vars=bounds.num_vars, extra_terms=terms):
             push(phi)
         completeness += f"; quantified to depth {bounds.quantifier_depth}"
-    return Diagram(kind=kind, constants=constants, entries=tuple(entries), bounds=bounds,
-                   completeness=completeness, chain_labels=s.chain.elements)
+    return Diagram(kind=kind, constants=constants, entries=tuple(entries), completeness=completeness,
+                   chain_labels=s.chain.elements)
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,6 @@ class Cor1Report:
     agree: bool
     images: tuple | None = None
     embedding: object = None
-    kind: str = DIAG
-    depth: int | None = None
 
 
 def diagram_embedding_equivalence(
@@ -210,19 +207,17 @@ def diagram_embedding_equivalence(
         raise ChainMismatchError("both structures must share one chain")
     d = diagram if diagram is not None else build_diagram(source, kind, bounds)
     found, images = diagram_model_exists(target, d)
-    depth = extra_filter = None
+    extra_filter = None
     if kind != DIAG:
         depth = bounds.quantifier_depth
 
         def extra_filter(alg, g):
             return is_elementary_up_to_depth(StructureMap(alg, g), source, target, depth).ok
 
-    emb = search_structure_map(
-        source, target, injective=True, extra_filter=extra_filter
-    )
+    emb = search_structure_map(source, target, injective=True, extra_filter=extra_filter)
     emb_ok = emb is not None
     return Cor1Report(diagram_side=found, embedding_side=emb_ok, agree=found == emb_ok,
-                      images=images, embedding=emb, kind=kind, depth=depth)
+                      images=images, embedding=emb)
 
 
 @dataclass

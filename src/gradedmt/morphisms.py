@@ -471,11 +471,3 @@ def search_structure_map(
     entries = _transport_entries(source)
     found = _first_map(source, target, alg_candidates, entries, injective, agreement, extra_filter)
     return None if found is None else StructureMap(*found, kind="embedding" if injective else "strong")
-
-
-def search_strong_homomorphism(source, target, fix_algebra_identity=True):
-    return search_structure_map(source, target, fix_algebra_identity, injective=False)
-
-
-def search_strong_embedding(source, target, fix_algebra_identity: bool = True):
-    return search_structure_map(source, target, fix_algebra_identity, injective=True)

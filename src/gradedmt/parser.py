@@ -27,6 +27,8 @@ from .syntax import (
     Strong,
     Val,
     Var,
+    exists_block,
+    forall_block,
 )
 
 
@@ -173,11 +175,7 @@ class _Parser:
             self.fail("quantifier needs at least one variable", self.peek())
         self.expect(".")
         body = self.formula()
-        ctor = Forall if tok.text == "forall" else Exists
-        out = body
-        for v in reversed(variables):
-            out = ctor(v, out)
-        return out
+        return (forall_block if tok.text == "forall" else exists_block)(variables, body)
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -199,7 +197,7 @@ class _Parser:
         if tok.kind != "name":
             self.fail(f"expected a formula, found {tok.text!r}", tok)
         # predicate application, or a term followed by ~
-        if self.sig.is_predicate(tok.text):
+        if tok.text in self.sig.predicates:
             name_tok = self.take()
             args = self.argument_list(self.sig.predicates[name_tok.text], name_tok)
             if self.peek().text == "~":
@@ -235,10 +233,10 @@ class _Parser:
         tok = self.take()
         if tok.kind != "name" or tok.text in _KEYWORDS:
             self.fail(f"expected a term, found {tok.text!r}", tok)
-        if self.sig.is_function(tok.text):
+        if tok.text in self.sig.functions:
             args = self.argument_list(self.sig.functions[tok.text], tok)
             return App(tok.text, tuple(args))
-        if self.sig.is_predicate(tok.text):
+        if tok.text in self.sig.predicates:
             self.fail(f"{tok.text!r} is a predicate, not a term", tok)
         if self.peek().text == "(":
             self.fail(f"unknown function symbol {tok.text!r}", tok)

@@ -9,7 +9,7 @@ with every report; running out of room is inconclusive, not a refutation.
 """
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from itertools import islice, product
 from typing import Mapping, Sequence
@@ -54,11 +54,7 @@ class FormulaBounds:
     max_candidates: int | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "matrix_depth": self.matrix_depth,
-            "num_vars": self.num_vars,
-            "max_candidates": self.max_candidates,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -260,9 +260,3 @@ def is_model(theory: Sequence[Formula], structure: Structure) -> ModelReport:
         if value != structure.chain.top:
             return ModelReport(False, phi, value)
     return ModelReport(True)
-
-
-def all_assignments(variables: Sequence[str], domain: Sequence[str]):
-    """All assignments of domain elements to the given variables."""
-    for combo in product(domain, repeat=len(variables)):
-        yield dict(zip(variables, combo))

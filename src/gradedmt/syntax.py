@@ -45,12 +45,6 @@ class Signature:
         object.__setattr__(self, "functions", funcs)
         object.__setattr__(self, "truth_constants", frozenset(self.truth_constants))
 
-    def is_predicate(self, name: str) -> bool:
-        return name in self.predicates
-
-    def is_function(self, name: str) -> bool:
-        return name in self.functions
-
     def constants(self) -> list[str]:
         return sorted(n for n, a in self.functions.items() if a == 0)
 

@@ -196,9 +196,9 @@ def test_subalgebra_restriction_revalidates(g4):
 
 
 def test_coatom(g4, l3, b2):
-    assert g4.label(g4.coatom) == "3/4"
-    assert l3.label(l3.coatom) == "1/2"
-    assert b2.label(b2.coatom) == "0"
+    assert g4.label(g4.top - 1) == "3/4"
+    assert l3.label(l3.top - 1) == "1/2"
+    assert b2.label(b2.top - 1) == "0"
 
 
 def test_algebra_homomorphisms(g4, l3, b2):

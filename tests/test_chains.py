@@ -93,7 +93,6 @@ def test_tarski_vaught_depth_clause_on_constant_chain(g4, sig_p):
     )
     mid = induced_substructure(big, ["a", "b", "c"])
     chain = validate_chain_of_structures([mid, big], elementary_depth=2)
-    assert chain.elementary_to_depth == 2
     report = check_tarski_vaught(chain, depth=2)
     assert report.elementary_precheck_ok and report.depth_ok and report.ok
 

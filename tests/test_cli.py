@@ -296,6 +296,7 @@ def test_verify_needs_a_positive_instance_count(capsys, value):
 
 
 _M, _N = str(DATA / "structure_m.json"), str(DATA / "structure_n.json")
+_CHAIN = "edgeless-chain.json"  # written into tmp_path by the test: the bundled corpus has no chain file
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -306,12 +307,25 @@ _M, _N = str(DATA / "structure_m.json"), str(DATA / "structure_n.json")
     (["amalgamate", "--left", _M, "--right", _N, "--max-size", "3", "--depth", "two"], "--depth"),
     (["universal-consequences", "--theory", str(DATA / "weighted_graph.thy"), "--algebra",
       str(DATA / "bool2.json"), "--max-domain", "2", "--max-candidates", "-1"], "--max-candidates"),
+    (["check-chain", "--chain", _CHAIN, "--tv-depth", "-1"], "--tv-depth"),
+    (["check-chain", "--chain", _CHAIN, "--elementary-depth", "-1"], "--elementary-depth"),
+    (["check-chain", "--chain", _CHAIN, "--matrix-depth", "-1"], "--matrix-depth"),
+    (["implies-exists", "--left", _M, "--right", _N, "--matrix-depth", "-1"], "--matrix-depth"),
+    (["implies-exists", "--left", _M, "--right", _N, "--num-vars", "-1"], "--num-vars"),
+    (["diagram", "--structure", _M, "--num-vars", "-1"], "--num-vars"),
+    (["diagram", "--structure", _M, "--term-depth", "-1"], "--term-depth"),
+    (["diagram", "--structure", _M, "--connective-depth", "-1"], "--connective-depth"),
+    (["diagram", "--structure", _M, "--kind", "eldiag", "--quantifier-depth", "-1"], "--quantifier-depth"),
+    (["amalgamate", "--left", _M, "--right", _N, "--max-size", "-1"], "--max-size"),
 ])
-def test_a_negative_bound_is_a_usage_error(capsys, argv, option):
-    assert main(argv) == 2
+def test_a_negative_bound_is_a_usage_error(capsys, tmp_path, argv, option):
+    chain = tmp_path / _CHAIN
+    chain.write_text(json.dumps([str(DATA / "edgeless2.json"), str(DATA / "edgeless3.json")]))
+    assert main([str(chain) if arg == _CHAIN else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {option}: must be a non-negative integer, got {argv[-1]!r}" in captured.err
+    kind = "positive" if option == "--max-size" else "non-negative"
+    assert f"argument {option}: must be a {kind} integer, got {argv[-1]!r}" in captured.err
 
 
 def test_remaining_subcommands_emit_valid_envelopes(capsys):

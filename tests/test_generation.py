@@ -20,7 +20,7 @@ from gradedmt.generation import (
 from gradedmt.morphisms import inclusion_map, is_elementary_up_to_depth
 from gradedmt.parser import parse_formula, render_formula
 from gradedmt.preservation import FormulaBounds, implies_exists_n, universal_transport_ok
-from gradedmt.semantics import Structure, all_assignments, eval_formula
+from gradedmt.semantics import Structure, eval_formula
 from gradedmt.syntax import (
     EXISTS,
     FORALL,
@@ -45,6 +45,11 @@ from gradedmt.syntax import (
 )
 
 G3 = corpus.godel3()
+
+
+def assignments(variables, domain):
+    """Every assignment of domain elements to the variables, in `product` order."""
+    return [dict(zip(variables, combo)) for combo in itertools.product(domain, repeat=len(variables))]
 
 
 def test_sentences_are_closed_and_deterministic(sig_p, g4):
@@ -261,7 +266,7 @@ def test_grid_matches_plain_evaluator(g4, sig_r):
     sig = expand_with_truth_constants(sig_r, g4)
     for phi in qf_matrices(sig, g4.elements, ["x1", "x2"], 1)[:300]:
         vals = grid.values(phi)
-        for asg in all_assignments(("x1", "x2"), s.domain):
+        for asg in assignments(("x1", "x2"), s.domain):
             assert vals[grid.cell(asg)] == eval_formula(phi, s, asg)
 
 
@@ -308,11 +313,11 @@ def test_prefix_folds_match_plain_evaluator(s, matrices, order):
         for cand in prenex_candidates(matrices, ["x1", "x2"], target):
             vals = grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix)
             assert grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix) is vals
-            for asg in all_assignments(GRID_VARS, s.domain):
+            for asg in assignments(GRID_VARS, s.domain):
                 assert vals[grid.cell(asg)] == eval_formula(cand.formula, s, asg)
             for d, part in sliced.items():
                 part_vals = part.fold_prefix(cand.matrix, part.values(cand.matrix), cand.prefix)
-                for asg in all_assignments(part.variables, s.domain):
+                for asg in assignments(part.variables, s.domain):
                     assert part_vals[part.cell(asg)] == vals[grid.cell({**asg, "x3": d})]
 
 
@@ -337,7 +342,7 @@ def test_value_classes_match_values_and_plain_evaluator(s, t, order):
     for phi, row, joint in zip(PAIR_FAMILY.matrices, rows, both):
         assert row == grid.values(phi)
         assert joint == row + other.values(phi)
-        for asg in all_assignments(order, s.domain):
+        for asg in assignments(order, s.domain):
             assert row[grid.cell(asg)] == eval_formula(phi, s, asg)
 
 

@@ -17,10 +17,9 @@ from gradedmt.morphisms import (
     is_embedding,
     is_strong_homomorphism,
     is_substructure,
-    search_strong_embedding,
-    search_strong_homomorphism,
+    search_structure_map,
 )
-from gradedmt.semantics import Structure, all_assignments, eval_formula
+from gradedmt.semantics import Structure, eval_formula
 from gradedmt.syntax import Signature
 from tests.conftest import crisp_complete
 
@@ -260,7 +259,7 @@ def test_substructure_iff_quantifier_free_agreement(g4, sig_r):
         agrees = all(
             eval_formula(phi, small, asg) == eval_formula(phi, big, asg)
             for phi in matrices
-            for asg in all_assignments(("x1", "x2"), small.domain)
+            for asg in (dict(zip(("x1", "x2"), pair)) for pair in itertools.product(small.domain, repeat=2))
         )
         assert agrees == is_substructure(small, big).ok
 
@@ -318,12 +317,12 @@ def test_subalgebra_reducts_flag(g4, sig_p):
 
 def test_search_embedding_examples(complete_graphs, struct_m, struct_n, g4, sig_p):
     k2, k3 = complete_graphs[2], complete_graphs[3]
-    found = search_strong_embedding(k2, k3)
+    found = search_structure_map(k2, k3, injective=True)
     assert found is not None
     assert is_embedding(found, k2, k3).ok
     one_m = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): 2}})
     one_n = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): 1}})
-    assert search_strong_embedding(one_m, one_n) is None
+    assert search_structure_map(one_m, one_n, injective=True) is None
 
 
 def test_search_agrees_with_brute_force(g4, sig_r):
@@ -353,7 +352,7 @@ def test_search_agrees_with_brute_force(g4, sig_r):
             ):
                 brute = g
                 break
-        found = search_strong_embedding(s, t)
+        found = search_structure_map(s, t, injective=True)
         if brute is None:
             assert found is None
         else:
@@ -365,15 +364,15 @@ def test_search_homomorphism_allows_collapse(g4, sig_p):
         chain=g4, sig=sig_p, domain=("a", "b"), predicates={"P": {("a",): 2, ("b",): 2}}
     )
     t = Structure(chain=g4, sig=sig_p, domain=("c",), predicates={"P": {("c",): 2}})
-    assert search_strong_embedding(s, t) is None
-    hom = search_strong_homomorphism(s, t)
+    assert search_structure_map(s, t, injective=True) is None
+    hom = search_structure_map(s, t)
     assert hom is not None and hom.domain_map == {"a": "c", "b": "c"}
 
 
 def test_search_with_free_algebra_map(g4, b2, sig_p):
     s = Structure(chain=g4, sig=sig_p, domain=("a",), predicates={"P": {("a",): 2}})
     t = Structure(chain=b2, sig=sig_p, domain=("u",), predicates={"P": {("u",): 1}})
-    found = search_strong_homomorphism(s, t, fix_algebra_identity=False)
+    found = search_structure_map(s, t, fix_algebra_identity=False)
     assert found is not None
     assert found.algebra_map.map == (0, 1, 1, 1)
 

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 # lines in src/gradedmt/*.py, lowered to the count of the last change that shrank it
-BASELINE_LINES = 5145
+BASELINE_LINES = 5089
 
 
 def test_source_size_within_baseline():
