@@ -11,7 +11,7 @@ with every report; running out of room is inconclusive, not a refutation.
 import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import Mapping, Sequence
 
 from .algebra import enumerate_mtl_chains
@@ -20,7 +20,7 @@ from .chains import check_tarski_vaught, validate_chain_of_structures
 from .consequence import equiv_up_to_depth
 from .corpus import structure_m, structure_n
 from .errors import FormatError, PreconditionError, SignatureError
-from .generation import AssignmentGrid, extension_space, fragment, prenex_formula, structure_space
+from .generation import AssignmentGrid, ValueClasses, extension_space, fragment, prenex_formula, structure_space
 from .morphisms import (
     StructureMap,
     _generated_domain,
@@ -150,28 +150,28 @@ def universal_consequences_bounded(theory: Sequence[Formula], sig: Signature, ch
     sentence is evaluated on every such block at once."""
     models = [(block, block.models(theory))
               for block in structure_space(sig, chain, max_domain)]
-    return [phi for phi in _sentences(sig, chain, FORALL, 1, bounds)
+    return [phi for _, _, phi in _sentences(sig, chain, FORALL, 1, bounds)[2]
             if not any(bits & ~block.planes(phi)[-1] for block, bits in models if bits)]
 
 
 _SENTENCE_CACHE: dict = {}
 
 
-def _sentences(sig: Signature, chain, lead: str, blocks: int, bounds: FormulaBounds) -> list[Formula]:
-    """The first `bounds.max_candidates` sentences of the family stream whose
-    prefix leads with `lead` within `blocks` blocks, built once per key and
-    shared by every caller, so never mutated.  The family is fetched even
-    on a hit, because fetching it charges its size to the budget."""
+def _sentences(sig: Signature, chain, lead: str, blocks: int, bounds: FormulaBounds) -> tuple:
+    """The quantified variables, the family and, built once per key and shared
+    by every caller, so never mutated, the (matrix index, prefix, sentence) rows
+    of its first `bounds.max_candidates` sentences leading with `lead` within
+    `blocks` blocks.  A hit still fetches the family, which charges the budget."""
     qvars, _, family = _family(sig, chain, 0, bounds)
     key = (tuple(sorted(sig.predicates.items())), tuple(sorted(sig.functions.items())),
            sig.truth_constants, chain.elements, lead, blocks, bounds)
     out = _SENTENCE_CACHE.get(key)
     if out is None:
-        stream = family.plan([(qvars, PrenexClass(lead, blocks))])
+        (rows,) = family.plan([(qvars, PrenexClass(lead, blocks))]).rows
         out = _SENTENCE_CACHE[key] = list(islice((
-            prenex_formula(matrix, prefix) for matrix, prefix, params in stream
-            if prefix and prefix[0][0] == lead and not params), bounds.max_candidates))
-    return out
+            (k, prefix, prenex_formula(family.matrix(k), prefix)) for k, fv in enumerate(family.free)
+            if not rows[fv][1] for prefix in rows[fv][0] if prefix and prefix[0][0] == lead), bounds.max_candidates))
+    return qvars, family, out
 
 
 # --- amalgamation ---
@@ -397,49 +397,58 @@ def _random_structure(rnd: random.Random, chain) -> Structure:
     return Structure(chain=chain, sig=_SUITE_SIG, domain=domain, predicates=predicates)
 
 
-def _suite_sentences(chain, lead: str, blocks: int, bounds: FormulaBounds) -> list[Formula]:
-    return _sentences(expand_with_truth_constants(_SUITE_SIG, chain), chain, lead, blocks, bounds)
+def _check_instance(report, chain, lead: str, blocks: int, sources, targets) -> None:
+    """Count one instance: each suite sentence top on every source must stay
+    top on each (structure, context) target, read only if so.  One value-class
+    table spans all their (x1, x2) grids; a structure reads its own slice, the
+    inner blocks folded and the outer one as the cells' min (forall) or max
+    (exists): exact, as every axis left is bound by it or not free."""
+    sig = expand_with_truth_constants(_SUITE_SIG, chain)
+    qvars, family, rows = _sentences(sig, chain, lead, blocks, _SUITE_BOUNDS)
+    grids = [AssignmentGrid(s, qvars) for s in [*sources, *(t for t, _ in targets)]]
+    table, cuts = ValueClasses(family, grids), list(accumulate((g.size for g in grids), initial=0))
+    table.extend(max((k for k, _, _ in rows), default=-1) + 1)
+
+    def top(i, k, prefix):
+        c = table.cls[k]
+        cells = grids[i].fold_prefix(c, table.vecs[c][cuts[i]:cuts[i + 1]], prefix[1:])
+        return (min if prefix[0][0] == FORALL else max)(cells) == chain.top
+    satisfied = [(k, prefix, phi) for k, prefix, phi in rows if all(top(i, k, prefix) for i in range(len(sources)))]
+    report.checks += len(satisfied) * len(targets)
+    report.violations += [PreservationViolation(report.instances, phi, context, ())
+                          for i, (_, context) in enumerate(targets, len(sources))
+                          for k, prefix, phi in satisfied if not top(i, k, prefix)]
+    report.instances += 1
 
 
 def substructure_preservation_suite(seed: int, instances: int, lead: str = FORALL,
                                     claim: str | None = None) -> PreservationReport:
     """Randomized check that generated one-block sentences leading with
-    `lead` are never lost when passing to a substructure.  The bounds are
-    fixed, and the report records them: the first 60 sentences, and
-    structures of 1 to 4 elements over every MTL chain of 2 to 4 elements.
-
-    With lead=EXISTS the same harness serves as the negative control:
-    existential sentences are expected to produce violations.
-    """
+    `lead` are never lost when passing to a proper substructure, read by
+    value class (`_check_instance`).  The report records the fixed bounds:
+    the first 60 sentences, and structures of 1 to 4 elements over every
+    MTL chain of 2 to 4 elements.  With lead=EXISTS the same harness is the
+    negative control: existential sentences are expected to be lost."""
     rnd = random.Random(seed)
     report = PreservationReport(
         claim=claim or f"{lead.lower()}(1)-substructure-preservation",
         seed=seed,
         bounds={**_SUITE_BOUNDS.as_dict(), "max_domain": _SUITE_MAX_DOMAIN, "max_chain": _SUITE_CHAIN},
     )
-    for index in range(instances):
+    for _ in range(instances):
         chain = rnd.choice(_chain_pool())
         big = _random_structure(rnd, chain)
-        sentences = _suite_sentences(chain, lead, 1, _SUITE_BOUNDS)
-        top = chain.top
-        satisfied = [phi for phi in sentences if eval_formula(phi, big) == top]
-        report.instances += 1
-        for small in enumerate_substructures(big):
-            if small.size == big.size:
-                continue
-            for phi in satisfied:
-                report.checks += 1
-                if eval_formula(phi, small) != top:
-                    report.violations.append(
-                        PreservationViolation(index, phi, f"substructure {small.domain} of random instance", ()))
+        _check_instance(report, chain, lead, 1, [big], [
+            (small, f"substructure {small.domain} of random instance")
+            for small in enumerate_substructures(big) if small.size < big.size])
     return report
 
 
 def union_preservation_suite(seed: int, instances: int) -> PreservationReport:
-    """Randomized check of two-block universal sentences along chains of
-    structures, plus the exact quantifier-free union clause.  The bounds
-    are those of `substructure_preservation_suite`, with 3 members a chain.
-    """
+    """Randomized check of two-block universal sentences along chains of 3
+    structures, read by value class on the members and the union
+    (`_check_instance`), plus the exact quantifier-free union clause; the
+    other bounds are those of `substructure_preservation_suite`."""
     rnd = random.Random(seed)
     report = PreservationReport(
         claim="forall(2)-union-preservation",
@@ -454,20 +463,11 @@ def union_preservation_suite(seed: int, instances: int) -> PreservationReport:
             size = rnd.randint(1, previous.size)
             subset = sorted(rnd.sample(range(previous.size), size))
             members.insert(0, induced_substructure(previous, [previous.domain[i] for i in subset]))
-        structure_chain = validate_chain_of_structures(members)
-        tv = check_tarski_vaught(structure_chain)
-        sentences = _suite_sentences(chain, FORALL, 2, _SUITE_BOUNDS)
-        top = chain.top
-        report.instances += 1
-        for phi in sentences:
-            if all(eval_formula(phi, member) == top for member in structure_chain.members):
-                report.checks += 1
-                if eval_formula(phi, tv.union) != top:
-                    report.violations.append(PreservationViolation(index, phi, "union of random chain", ()))
+        tv = check_tarski_vaught(validate_chain_of_structures(members))
+        _check_instance(report, chain, FORALL, 2, members, [(tv.union, "union of random chain")])
         report.checks += tv.quantifier_free_checked
-        if not tv.quantifier_free_ok:
-            for member_index, phi, tup, a, b in tv.qf_violations:
-                report.violations.append(PreservationViolation(
-                    index, phi, f"quantifier-free union clause at member {member_index}",
-                    tup + (chain.label(a), chain.label(b))))
+        for member_index, phi, tup, a, b in tv.qf_violations:
+            report.violations.append(PreservationViolation(
+                index, phi, f"quantifier-free union clause at member {member_index}",
+                tup + (chain.label(a), chain.label(b))))
     return report

@@ -224,7 +224,7 @@ def suite_chains():
     """The first chain `union_preservation_suite` builds for each of seeds 0-9."""
     built = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(preservation, "_suite_sentences", lambda *args: [])
+        mp.setattr(preservation, "_check_instance", lambda *args: None)
         mp.setattr(preservation, "check_tarski_vaught",
                    lambda chain, **kw: built.append(chain) or check_tarski_vaught(chain, **kw))
         for seed in range(10):

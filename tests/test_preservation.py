@@ -29,7 +29,7 @@ from gradedmt.preservation import (
     universal_transport_ok,
 )
 from gradedmt.semantics import Structure, eval_formula, satisfies
-from gradedmt.syntax import EXISTS, Forall, Signature, expand_with_truth_constants, free_variables
+from gradedmt.syntax import EXISTS, FORALL, Forall, Signature, expand_with_truth_constants, free_variables
 
 
 def expanded_pair():
@@ -327,26 +327,64 @@ def test_suite_reports_serialize():
 
 
 def test_suite_sentences_classify_within_target():
-    from gradedmt.preservation import _suite_sentences
+    from gradedmt.preservation import _SUITE_SIG, _sentences
     from gradedmt.syntax import FORALL, PrenexClass, classify_prenex
 
     chain = corpus.godel4()
+    sig = expand_with_truth_constants(_SUITE_SIG, chain)
     for lead, blocks in ((FORALL, 1), (FORALL, 2)):
-        for phi in _suite_sentences(chain, lead, blocks, FormulaBounds(max_candidates=40)):
+        for _, _, phi in _sentences(sig, chain, lead, blocks, FormulaBounds(max_candidates=40))[2]:
             assert classify_prenex(phi).within(PrenexClass(lead, blocks))
 
 
 @pytest.mark.parametrize("cap", [0, 1, 7])
 def test_fragment_suites_read_one_sentence_list(cap):
-    from gradedmt.preservation import _SUITE_SIG, _suite_sentences
+    from gradedmt.preservation import _SUITE_SIG, _sentences
     from gradedmt.syntax import FORALL, Val
 
     chain, bounds = corpus.godel3(), FormulaBounds(max_candidates=cap)
-    sentences = _suite_sentences(chain, FORALL, 1, bounds)
+    sig = expand_with_truth_constants(_SUITE_SIG, chain)
+    sentences = [phi for _, _, phi in _sentences(sig, chain, FORALL, 1, bounds)[2]]
     assert len(sentences) == cap
     # a theory without models has every candidate sentence as a consequence
-    sig = expand_with_truth_constants(_SUITE_SIG, chain)
     assert universal_consequences_bounded([Val("0")], sig, chain, 1, bounds) == sentences
+
+
+@pytest.mark.parametrize("lead, blocks", [(FORALL, 1), (EXISTS, 1), (FORALL, 2)])
+def test_suite_value_class_reads_match_plain_evaluator(lead, blocks):
+    """Each (sentence, structure) pair the suites read by value class is top
+    exactly when `eval_formula` says so: seeded structures of 1-4 elements
+    over all 9 suite chains, and on one chain its members and their union."""
+    from gradedmt.preservation import (
+        PreservationReport, _SUITE_BOUNDS, _SUITE_SIG, _chain_pool, _check_instance, _sentences,
+    )
+
+    rnd = random.Random(23)
+    for n, chain in enumerate(_chain_pool()):
+        structures = []
+        for size in (4, 3, 2, 1):
+            domain = tuple(f"d{i}" for i in range(size))
+            structures.append(Structure(chain=chain, sig=_SUITE_SIG, domain=domain, predicates={
+                name: {args: rnd.randrange(chain.size) for args in itertools.product(domain, repeat=arity)}
+                for name, arity in _SUITE_SIG.predicates.items()}))
+        if n == 4:
+            members = [induced_substructure(structures[0], ("d0", "d1")[:j]) for j in (1, 2)] + structures[:1]
+            structures += [*members, union_of_chain(validate_chain_of_structures(members))]
+        rows = _sentences(expand_with_truth_constants(_SUITE_SIG, chain), chain, lead, blocks, _SUITE_BOUNDS)[2]
+        # with no source every row is read on every target, and each one not top is a violation
+        report = PreservationReport("differential")
+        _check_instance(report, chain, lead, blocks, [], [(s, str(i)) for i, s in enumerate(structures)])
+        assert report.checks == len(rows) * len(structures)
+        assert [(v.context, v.formula) for v in report.violations] == [
+            (str(i), phi) for i, s in enumerate(structures) for _, _, phi in rows if eval_formula(phi, s) != chain.top]
+        # with a source, a target is read only for the rows top on the source
+        big, rest = structures[0], structures[1:]
+        report = PreservationReport("differential")
+        _check_instance(report, chain, lead, blocks, [big], [(s, str(i)) for i, s in enumerate(rest)])
+        kept = [phi for _, _, phi in rows if eval_formula(phi, big) == chain.top]
+        assert report.checks == len(kept) * len(rest)
+        assert [(v.context, v.formula) for v in report.violations] == [
+            (str(i), phi) for i, s in enumerate(rest) for phi in kept if eval_formula(phi, s) != chain.top]
 
 
 def test_exists_flow_replay_disagreement_raises(monkeypatch, g4, sig_p):
