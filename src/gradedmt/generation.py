@@ -12,20 +12,21 @@ Two generators drive every bounded check in the package:
   as an index program, where a formula is built only when read, and kept
   in a small LRU cache, wrapped in alternating quantifier-block prefixes
   by a `StreamPlan` (`Fragment.plan`) as (matrix, prefix, params) triples,
-  each with a stream position computed rather than counted.
+  each with a stream position computed rather than counted.  Every reader
+  of a family takes its candidates from a plan and its formulas from
+  `Fragment.matrix`, the one formula builder.
 
 Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates formulas at every variable assignment
-at once, one byte a cell, a node on demand (`values`), and folds each named
-vector through each prefix suffix once; a `ValueClasses` table runs a
-family over several grids, names each distinct value vector once, as a
-class id, and grows in family order only as far as its caller reads.
+at once, one byte a cell; a `ValueClasses` table runs a family over
+several grids, names each distinct value vector once, as a class id,
+grows in family order only as far as its caller reads, and folds each
+class through each prefix suffix once (`read`).
 """
 
 from bisect import bisect_right
 from collections import OrderedDict
 from copy import copy
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, combinations, count, groupby, islice, product
 from operator import and_, itemgetter, or_
@@ -224,38 +225,13 @@ def prenex_formula(matrix: Formula, prefix) -> Formula:
     return matrix
 
 
-@dataclass(frozen=True)
-class PrenexCandidate:
-    """A matrix with a quantifier-block prefix and free parameter slots."""
-
-    matrix: Formula
-    prefix: tuple  # ((kind, vars), ...) outermost first
-    params: tuple  # free variable names, sorted
-
-    @cached_property
-    def formula(self) -> Formula:
-        return prenex_formula(self.matrix, self.prefix)
-
-    @property
-    def lead(self) -> str | None:
-        return self.prefix[0][0] if self.prefix else None
-
-    @property
-    def blocks(self) -> int:
-        return len(self.prefix)
-
-    @property
-    def prenex_class(self) -> PrenexClass:
-        return PrenexClass(self.lead, self.blocks) if self.prefix else quantifier_free_class()
-
-
 class Fragment:
     """Quantifier-free matrices in generation order, as an index program:
     `program[k]` is (connective, left, right), the earlier positions of matrix
     k's operands (a negation names its body twice), or (None, 0, 0) for a
     leaf, the formula `leaves[k]`; leaves come first.  `free[k]` is matrix k's
-    free-variable set.  A formula is built only when read, one by `matrix(k)`
-    or all by `matrices`.  Shared, so read-only; one plan per (steps, keep)."""
+    free-variable set.  A formula is built only when read, by `matrix(k)`,
+    the one formula builder.  Shared, so read-only; one plan per (steps, keep)."""
 
     def __init__(self, leaves: Sequence[Formula], program: Sequence[tuple], free: Sequence[frozenset]):
         self.leaves, self.program, self.free = tuple(leaves), tuple(program), tuple(free)
@@ -265,13 +241,6 @@ class Fragment:
         kind, i, j = self.program[k]
         return (self.leaves[k] if kind is None else Not(self.matrix(i)) if kind is Not
                 else kind(self.matrix(i), self.matrix(j)))
-
-    @cached_property
-    def matrices(self) -> tuple:
-        out = list(self.leaves)
-        for kind, i, j in self.program[len(out):]:
-            out.append(Not(out[i]) if kind is Not else kind(out[i], out[j]))
-        return tuple(out)
 
     def plan(self, steps, cap: int | None = None, keep=None) -> "StreamPlan":
         """The (matrix, prefix, params) stream of these (quantifiable, target)
@@ -288,14 +257,14 @@ class Fragment:
 class StreamPlan:
     """A family's candidate stream, by position.  Each step in turn, matrix
     by matrix in family order, wraps the matrix in the prefixes new at that
-    step, as `prenex_candidates` does; a (prefix, params) pair the matrix
-    had at an earlier step is skipped.  Which pairs are new depends only on
-    the free variables, so `rows[i]` maps each free set to its (prefixes,
-    params) at step i, and candidate (step i, matrix k, prefix p) sits at
-    `position(i, k, p)`: the step's offset, plus `starts[i][k]`, the row
-    lengths of the matrices before k, plus p (ranking in a known enumeration
-    order; Kreher & Stinson 1999, ch. 2).  Iterating yields the first `size`
-    candidates."""
+    step; a (prefix, params) pair the matrix had at an earlier step is
+    skipped.  Which pairs are new depends only on the free variables, so
+    `rows[i]` maps each free set to its (prefixes, params) at step i, and
+    candidate (step i, matrix k, prefix p) sits at `position(i, k, p)`: the
+    step's offset, plus `starts[i][k]`, the row lengths of the matrices
+    before k, plus p (ranking in a known enumeration order; Kreher & Stinson
+    1999, ch. 2).  Iterating yields the first `size` candidates, each
+    matrix built by `Fragment.matrix`."""
 
     def __init__(self, family: Fragment, steps: tuple, keep=None):
         self.family, self.rows, self.starts, self.offsets = family, [], [], [0]
@@ -323,9 +292,10 @@ class StreamPlan:
                     for i, offset in enumerate(self.offsets[:-1]) if offset < end), default=0)
 
     def __iter__(self) -> Iterator[tuple[Formula, tuple, tuple]]:
-        return islice(((matrix, prefix, rows[fv][1]) for rows in self.rows
-                       for matrix, fv in zip(self.family.matrices, self.family.free)
-                       for prefix in rows[fv][0]), self.size)
+        family = self.family
+        return islice(((matrix, prefix, params) for rows in self.rows
+                       for k, (prefixes, params) in enumerate(map(rows.__getitem__, family.free)) if prefixes
+                       for matrix in (family.matrix(k),) for prefix in prefixes), self.size)
 
 
 _FRAGMENT_CACHE_SIZE = 16
@@ -388,7 +358,8 @@ def _build_fragment(sig, labels, variables, depth, extra_terms) -> Fragment:
 def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
                 extra_terms: Sequence = ()) -> list[Formula]:
     """Quantifier-free formulas over the variable pool, ops-count levels."""
-    return list(fragment(sig, chain_labels, variables, depth, extra_terms).matrices)
+    family = fragment(sig, chain_labels, variables, depth, extra_terms)
+    return [family.matrix(k) for k in range(len(family.program))]
 
 
 @lru_cache(maxsize=None)
@@ -413,16 +384,15 @@ def prenex_candidates(
     matrices: Sequence[Formula],
     quantifiable: Sequence[str],
     target: PrenexClass,
-) -> Iterator[PrenexCandidate]:
-    """Wrap matrices in quantifier prefixes whose class fits within `target`.
+) -> Iterator[tuple[Formula, tuple, tuple]]:
+    """Their plan's (matrix, prefix, params) triples: matrices in prefixes whose class fits within `target`.
 
     Every variable of `quantifiable` that occurs free in a matrix gets
     quantified; remaining free variables are parameter slots.  Pure
     parameter matrices are emitted once, as quantifier-free candidates.
     """
     family = Fragment(matrices, [(None, 0, 0)] * len(matrices), [frozenset(free_variables(phi)) for phi in matrices])
-    for triple in family.plan([(quantifiable, target)]):
-        yield PrenexCandidate(*triple)
+    yield from family.plan([(quantifiable, target)])
 
 
 def elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth=1, extra_terms=()):
@@ -441,9 +411,9 @@ def elementary_family(
     total_vars: int | None = None,
     matrix_depth: int = 1,
     extra_terms: Sequence = (),
-) -> Iterator[PrenexCandidate]:
-    """Prenex formulas with every split of the pool into parameters and
-    quantified variables, used for depth-bounded elementarity checks.
+) -> Iterator[tuple[Formula, tuple, tuple]]:
+    """`elementary_plan`'s triples: prenex formulas with every split of the
+    pool into parameters and quantified variables, for elementarity checks.
 
     Connective moves above a quantifier cannot break value transport
     along an algebra-map pair, so checking prenex shapes exhausts the
@@ -451,8 +421,7 @@ def elementary_family(
     """
     if total_vars is None:
         total_vars = depth + 1
-    for triple in elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth, extra_terms):
-        yield PrenexCandidate(*triple)
+    yield from elementary_plan(sig, chain_labels, depth, total_vars, matrix_depth, extra_terms)
 
 
 # --- grid evaluation ---
@@ -469,12 +438,10 @@ class AssignmentGrid:
     take their given element in every cell.  One evaluator, two drivers:
     `_leaf` (atoms, identities, truth constants) and `_combine` (each
     connective as a `bytes.translate` table, see `_byte_tables`) serve both
-    `values`, which recurses on demand and caches by node identity, each
-    entry pinning its formula so the id stays unique, and `ValueClasses`,
+    `values`, a plain recursion kept as a reference, and `ValueClasses`,
     which runs a family's `program` over the value classes of several grids
-    at once.  `fold_prefix` memoises each single fold on the vector's name
-    (a class id) and the folds before it, innermost first, so equal-valued
-    matrices share their folds, and prefixes that end alike their inner folds.
+    at once and memoises their folds.  A grid keeps no per-formula state, so
+    tables may share it.
     """
 
     def __init__(self, structure: Structure, variables: Sequence[str], *, fixed=None):
@@ -488,11 +455,9 @@ class AssignmentGrid:
         self.size = self.m**t
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
         self._dom_pos = {d: i for i, d in enumerate(structure.domain)}
-        self._cache: dict[int, tuple[Formula, bytes]] = {}
         self._columns: dict = {}  # term -> its value at every cell
         self._tables = _byte_tables(structure.chain.star, structure.chain.implies)
         self._axes: dict = {}  # var -> its m lanes, then the getter that broadcasts a folded lane
-        self._folds: dict[tuple, bytes] = {}
 
     def _term_column(self, term) -> list[str]:
         col = self._columns.get(term)
@@ -508,20 +473,14 @@ class AssignmentGrid:
         return col
 
     def values(self, phi: Formula) -> bytes:
-        """On-demand driver: operands through the cache, then this node."""
-        hit = self._cache.get(id(phi))
-        if hit is None:
-            if isinstance(phi, Not):
-                vals = self._combine(Not, self.values(phi.body))
-            elif isinstance(phi, _CONNECTIVES):
-                vals = self._combine(type(phi), self.values(phi.left), self.values(phi.right))
-            elif isinstance(phi, (Forall, Exists)):
-                kind = FORALL if isinstance(phi, Forall) else EXISTS
-                vals = self.fold(self.values(phi.body), phi.var, kind)
-            else:
-                vals = self._leaf(phi)
-            hit = self._cache[id(phi)] = (phi, vals)
-        return hit[1]
+        """On-demand driver: the operands, then this node."""
+        if isinstance(phi, Not):
+            return self._combine(Not, self.values(phi.body))
+        if isinstance(phi, _CONNECTIVES):
+            return self._combine(type(phi), self.values(phi.left), self.values(phi.right))
+        if isinstance(phi, (Forall, Exists)):
+            return self.fold(self.values(phi.body), phi.var, FORALL if isinstance(phi, Forall) else EXISTS)
+        return self._leaf(phi)
 
     def _leaf(self, phi: Formula) -> bytes:
         """Atoms, identities and truth constants."""
@@ -572,21 +531,6 @@ class AssignmentGrid:
                 folded = _packed(folded, lane, scale, table)
         return bytes(axis[-1](folded))
 
-    def fold_prefix(self, key, matrix_values: bytes, prefix) -> bytes:
-        """Apply quantifier blocks, innermost first.  `key` names the vector
-        (equal keys, equal vectors), and each single fold is memoised under
-        the key and the folds before it, so prefixes that end alike share
-        their inner folds."""
-        out = matrix_values
-        for kind, part in reversed(prefix):
-            for var in reversed(part):  # a block's order is free, and last bound first shares the most
-                key = key, kind, var
-                hit = self._folds.get(key)
-                if hit is None:
-                    hit = self._folds[key] = self.fold(out, var, kind)
-                out = hit
-        return out
-
     def cell(self, assignment) -> int:
         """The cell of the assignment; a grid variable it leaves out reads as the first element."""
         return sum(self._dom_pos[assignment[v]] * self.strides[v] for v in self.variables if v in assignment)
@@ -600,15 +544,19 @@ class ValueClasses:
     each connective meets each pair of operand classes once, with the tables
     of each run of grids that share a chain.  `extend(n)` resumes where the
     table stopped, so a caller grows it only as far as it reads (bottom-up
-    enumeration checked as the bank grows: Udupa et al., TRANSIT, PLDI 2013)."""
+    enumeration checked as the bank grows: Udupa et al., TRANSIT, PLDI 2013).
+    The table names the folds too: `read` memoises them under its own class
+    ids, so equal-valued matrices share their folds."""
 
     def __init__(self, family: Fragment, grids: Sequence[AssignmentGrid]):
         self.family, self.grids, self.cls, self.vecs = family, tuple(grids), [], []
         bounds = list(accumulate((g.size for g in self.grids), initial=0))
         runs = [list(run) for _, run in groupby(zip(self.grids, bounds, bounds[1:]), lambda r: id(r[0]._tables))]
         self._runs = [(run[0][0], run[0][1], run[-1][2]) for run in runs]  # (grid, start, end) per run
+        self._bounds = bounds  # grid i's cells are vecs[c][bounds[i]:bounds[i + 1]]
         self._ids: dict = {}  # values -> class id
         self._memo: dict = {}  # (connective, left class, right class) -> class id
+        self._folds: dict = {}  # ((grid, class), kind, var), then further folds -> values
 
     def extend(self, n: int | None = None) -> None:
         """Name the first n matrices (every matrix with None), from where the table stopped."""
@@ -625,6 +573,20 @@ class ValueClasses:
                     runs[0][0]._combine(kind, a, b) if len(runs) == 1 else
                     b"".join(g._combine(kind, a[s:e], b[s:e]) for g, s, e in runs))
             cls.append(c)
+
+    def read(self, c: int, i: int, prefix=()) -> bytes:
+        """Class c's values on grid i, folded through `prefix`'s blocks
+        innermost first.  Each single fold is memoised under (i, c) and the
+        folds before it, so prefixes that end alike share their inner folds."""
+        grid, key, out = self.grids[i], (i, c), self.vecs[c][self._bounds[i]:self._bounds[i + 1]]
+        for kind, part in reversed(prefix):
+            for var in reversed(part):  # a block's order is free, and last bound first shares the most
+                key = key, kind, var
+                hit = self._folds.get(key)
+                if hit is None:
+                    hit = self._folds[key] = grid.fold(out, var, kind)
+                out = hit
+        return out
 
     def _intern(self, vals: bytes) -> int:
         c = self._ids.setdefault(vals, len(self.vecs))

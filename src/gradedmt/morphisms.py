@@ -158,7 +158,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     transfers = [[b == f[a] if f is not None else a != top_s or b == top_t  # [source value][target value]
                   for b in range(top_t + 1)] for a in range(top_s + 1)]
     end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
-    family, reach, n = plan.family, plan.reach(end), grid_s.size
+    family, reach = plan.family, plan.reach(end)
     table = ValueClasses(family, [grid_s, grid_t])
     groups: list = []  # (first matrix, class, free set) of each (class, free set) group, by first matrix
     firsts: dict = {}  # (class, free set) -> its first matrix
@@ -171,10 +171,10 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
             row = cells[params] = [(tup, grid_s.cell(dict(zip(params, tup))),
                                     grid_t.cell({p: g[d] for p, d in zip(params, tup)}))
                                    for tup in tuples(params)]
-        vs = grid_s.fold_prefix(c, table.vecs[c][:n], prefix)
+        vs = table.read(c, 0, prefix)
         if f is None and all(vs[i] != top_s for _, i, _ in row):
             return None  # the target is folded only under a top source cell
-        vt = grid_t.fold_prefix(c, table.vecs[c][n:], prefix)
+        vt = table.read(c, 1, prefix)
         return next(((tup, vs[i], vt[j]) for tup, i, j in row if not transfers[vs[i]][vt[j]]), None)
 
     def first_failure():

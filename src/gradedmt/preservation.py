@@ -11,7 +11,7 @@ with every report; running out of room is inconclusive, not a refutation.
 import random
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
-from itertools import accumulate, islice, product
+from itertools import islice, product
 from typing import Mapping, Sequence
 
 from .algebra import enumerate_mtl_chains
@@ -406,12 +406,11 @@ def _check_instance(report, chain, lead: str, blocks: int, sources, targets) -> 
     sig = expand_with_truth_constants(_SUITE_SIG, chain)
     qvars, family, rows = _sentences(sig, chain, lead, blocks, _SUITE_BOUNDS)
     grids = [AssignmentGrid(s, qvars) for s in [*sources, *(t for t, _ in targets)]]
-    table, cuts = ValueClasses(family, grids), list(accumulate((g.size for g in grids), initial=0))
+    table = ValueClasses(family, grids)
     table.extend(max((k for k, _, _ in rows), default=-1) + 1)
 
     def top(i, k, prefix):
-        c = table.cls[k]
-        cells = grids[i].fold_prefix(c, table.vecs[c][cuts[i]:cuts[i + 1]], prefix[1:])
+        cells = table.read(table.cls[k], i, prefix[1:])
         return (min if prefix[0][0] == FORALL else max)(cells) == chain.top
     satisfied = [(k, prefix, phi) for k, prefix, phi in rows if all(top(i, k, prefix) for i in range(len(sources)))]
     report.checks += len(satisfied) * len(targets)

@@ -195,7 +195,7 @@ def _reference_part_a(chain, matrix_depth=1, num_vars=2):
         for k, c in enumerate(cls):
             if c in bad:
                 row = vecs[c]
-                violations += [(index, family.matrices[k], tuples[p], row[p], row[cells[p]])
+                violations += [(index, family.matrix(k), tuples[p], row[p], row[cells[p]])
                                for p in range(start, end) if row[p] != row[cells[p]]]
     return violations, n * len(cls)
 
@@ -277,7 +277,7 @@ def test_tarski_vaught_evaluates_only_the_leaves_of_a_valid_chain(monkeypatch, s
     asked, extend = [], ValueClasses.extend
 
     def recording(table, n=None):
-        asked.append((len(table.family.matrices), n))
+        asked.append((len(table.family.program), n))
         return extend(table, n)
 
     monkeypatch.setattr(ValueClasses, "extend", recording)

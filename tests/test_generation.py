@@ -1,4 +1,5 @@
 import itertools
+import sys
 from collections import OrderedDict
 
 import pytest
@@ -12,9 +13,11 @@ from gradedmt.generation import (
     AssignmentGrid,
     elementary_family,
     enumerate_structures,
+    elementary_plan,
     generate_sentences,
     ground_terms,
     prenex_candidates,
+    prenex_formula,
     qf_matrices,
 )
 from gradedmt.morphisms import inclusion_map, is_elementary_up_to_depth
@@ -96,24 +99,25 @@ def test_qf_matrices_are_quantifier_free(sig_r, g4):
 
 
 def test_prenex_candidates_fit_target(sig_r, g4):
-    mats = qf_matrices(sig_r, g4.elements, ["x1", "x2"], 1)
     target = PrenexClass(EXISTS, 2)
-    for cand in prenex_candidates(mats, ["x1", "x2"], target):
-        assert cand.prenex_class.within(target)
-        got = classify_prenex(cand.formula)
-        if cand.blocks > 0:
-            assert got.kind == cand.lead and got.blocks == cand.blocks
-        assert set(cand.params) == free_variables(cand.formula)
+    plan = generation.fragment(sig_r, g4.elements, ["x1", "x2"], 1).plan([(["x1", "x2"], target)])
+    for matrix, prefix, params in plan:
+        formula = prenex_formula(matrix, prefix)
+        got = classify_prenex(formula)
+        assert got.within(target)
+        if prefix:
+            assert got.kind == prefix[0][0] and got.blocks == len(prefix)
+        assert set(params) == free_variables(formula)
 
 
 def test_prenex_candidates_include_degenerate_lead(sig_r, g4):
-    mats = qf_matrices(sig_r, g4.elements, ["x1", "x2"], 0)
-    leads = {(c.lead, c.blocks) for c in prenex_candidates(mats, ["x1", "x2"], PrenexClass(EXISTS, 2))}
+    plan = generation.fragment(sig_r, g4.elements, ["x1", "x2"], 0).plan([(["x1", "x2"], PrenexClass(EXISTS, 2))])
+    leads = {(prefix[0][0], len(prefix)) for _, prefix, _ in plan if prefix}
     assert (EXISTS, 1) in leads and (EXISTS, 2) in leads and (FORALL, 1) in leads
     assert (FORALL, 2) not in leads
 
 
-# --- the cached family against the earlier per-call builders ---
+# --- the plans against the earlier per-call builders ---
 
 
 def _reference_prenex_candidates(matrices, quantifiable, target):
@@ -154,8 +158,10 @@ def _reference_elementary_family(matrices, variables, depth):
                     yield cand
 
 
-def _rows(candidates):
-    return [(c.formula, c.matrix, c.prefix, c.params, c.lead, c.blocks) for c in candidates]
+def _rows(triples):
+    """A plan's (matrix, prefix, params) triples as the reference's rows."""
+    return [(prenex_formula(matrix, prefix), matrix, prefix, params, prefix[0][0] if prefix else None, len(prefix))
+            for matrix, prefix, params in triples]
 
 
 def _reference_rows(candidates):
@@ -183,14 +189,16 @@ ORDER_POOLS = [(1, 1), (2, 1), (3, 0)]
 @pytest.mark.parametrize("which", sorted(ORDER_SIGNATURES))
 @pytest.mark.parametrize("total_vars, matrix_depth", ORDER_POOLS)
 def test_prenex_candidates_match_reference_order(which, total_vars, matrix_depth):
+    # `Fragment.plan` in one step is the stream `prenex_candidates` yields
     sig, extra = ORDER_SIGNATURES[which]
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
+    family = generation.fragment(sig, G3.elements, variables, matrix_depth, extra)
     matrices = qf_matrices(sig, G3.elements, variables, matrix_depth, extra)
     for blocks in (1, 2, 3):
         for kind in (FORALL, EXISTS):
             target = PrenexClass(kind, blocks)
             for quantifiable in (variables, variables[1:]):
-                got = _rows(prenex_candidates(matrices, quantifiable, target))
+                got = _rows(family.plan([(quantifiable, target)]))
                 want = _reference_rows(_reference_prenex_candidates(matrices, quantifiable, target))
                 _assert_same_rows(got, want)
 
@@ -202,10 +210,24 @@ def test_elementary_family_matches_reference_order(which, total_vars, matrix_dep
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
     matrices = qf_matrices(sig, G3.elements, variables, matrix_depth, extra)
     for depth in (1, 2, 3):
-        got = _rows(elementary_family(sig, G3.elements, depth, total_vars=total_vars,
-                                      matrix_depth=matrix_depth, extra_terms=extra))
+        got = _rows(elementary_plan(sig, G3.elements, depth, total_vars, matrix_depth, extra))
         want = _reference_rows(_reference_elementary_family(matrices, variables, depth))
         _assert_same_rows(got, want)
+
+
+def test_prenex_candidates_yield_their_plan():
+    sig, extra = ORDER_SIGNATURES["constant"]
+    matrices = qf_matrices(sig, G3.elements, ["x1", "x2"], 0, extra)
+    family = generation.Fragment(matrices, [(None, 0, 0)] * len(matrices),
+                                 [frozenset(free_variables(phi)) for phi in matrices])
+    target = PrenexClass(EXISTS, 2)
+    assert list(prenex_candidates(matrices, ["x1", "x2"], target)) == list(family.plan([(["x1", "x2"], target)]))
+
+
+def test_elementary_family_yields_its_plan():
+    sig, extra = ORDER_SIGNATURES["constant"]
+    got = elementary_family(sig, G3.elements, 1, matrix_depth=0, extra_terms=extra)
+    assert list(got) == list(elementary_plan(sig, G3.elements, 1, 2, 0, extra))
 
 
 def test_warm_fragment_fails_on_budget_like_a_fresh_build(monkeypatch, fresh_fragments, sig_r, g4):
@@ -283,7 +305,7 @@ def test_grid_fold_matches_quantifier(g4, sig_r):
 
 SIG_PR = Signature(predicates={"P": 1, "R": 2})
 GRID_VARS = ("x1", "x2", "x3")
-PR_MATRICES = qf_matrices(SIG_PR, G3.elements, GRID_VARS, 1)
+PR_FAMILY = generation.fragment(SIG_PR, G3.elements, GRID_VARS, 1)
 
 
 @st.composite
@@ -300,33 +322,41 @@ def pr_structures(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     s=pr_structures(),
-    matrices=st.lists(st.sampled_from(PR_MATRICES), min_size=1, max_size=4),
+    positions=st.lists(st.integers(0, len(PR_FAMILY.program) - 1), min_size=1, max_size=4),
     order=st.permutations(GRID_VARS),
 )
-def test_prefix_folds_match_plain_evaluator(s, matrices, order):
+def test_prefix_folds_match_plain_evaluator(s, positions, order):
     # x1 and x2 are quantified, x3 stays a parameter; the drawn axis order
-    # puts every stride under a fold
-    grid = AssignmentGrid(s, order)
-    sliced = {d: AssignmentGrid(s, [v for v in order if v != "x3"], fixed={"x3": d})
-              for d in s.domain}
+    # puts every stride under a fold.  One table spans the grid and its
+    # slices at each value of x3, and each grid reads its own slice.
+    sliced = [AssignmentGrid(s, [v for v in order if v != "x3"], fixed={"x3": d}) for d in s.domain]
+    table = generation.ValueClasses(PR_FAMILY, [AssignmentGrid(s, order), *sliced])
+    table.extend(max(positions) + 1)
+    grid = table.grids[0]
     for target in (PrenexClass(FORALL, 2), PrenexClass(EXISTS, 2)):
-        for cand in prenex_candidates(matrices, ["x1", "x2"], target):
-            vals = grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix)
-            assert grid.fold_prefix(cand.matrix, grid.values(cand.matrix), cand.prefix) is vals
-            for asg in assignments(GRID_VARS, s.domain):
-                assert vals[grid.cell(asg)] == eval_formula(cand.formula, s, asg)
-            for d, part in sliced.items():
-                part_vals = part.fold_prefix(cand.matrix, part.values(cand.matrix), cand.prefix)
-                for asg in assignments(part.variables, s.domain):
-                    assert part_vals[part.cell(asg)] == vals[grid.cell({**asg, "x3": d})]
+        (rows,) = PR_FAMILY.plan([(["x1", "x2"], target)]).rows
+        for k in positions:
+            c, formula = table.cls[k], PR_FAMILY.matrix(k)
+            for prefix in rows[PR_FAMILY.free[k]][0]:
+                vals = table.read(c, 0, prefix)
+                assert not prefix or table.read(c, 0, prefix) is vals  # each fold memoised
+                for asg in assignments(GRID_VARS, s.domain):
+                    assert vals[grid.cell(asg)] == eval_formula(prenex_formula(formula, prefix), s, asg)
+                for i, part in enumerate(sliced, 1):
+                    part_vals = table.read(c, i, prefix)
+                    for asg in assignments(part.variables, s.domain):
+                        assert part_vals[part.cell(asg)] == vals[grid.cell({**asg, **part.fixed})]
 
 
 PAIR_VARS = ("x1", "x2")
 PAIR_FAMILY = generation.fragment(expand_with_truth_constants(SIG_PR, G3), G3.elements, PAIR_VARS, 1)
 
 
+PAIR_MATRICES = [PAIR_FAMILY.matrix(k) for k in range(len(PAIR_FAMILY.program))]
+
+
 def test_family_program_reads_only_earlier_positions():
-    for k, (phi, (kind, i, j)) in enumerate(zip(PAIR_FAMILY.matrices, PAIR_FAMILY.program)):
+    for k, (phi, (kind, i, j)) in enumerate(zip(PAIR_MATRICES, PAIR_FAMILY.program)):
         assert kind is (type(phi) if isinstance(phi, (Not, And, Or, Strong, Implies, Iff)) else None)
         assert kind is None or (i < k and j < k)
 
@@ -339,7 +369,7 @@ def test_value_classes_match_values_and_plain_evaluator(s, t, order):
     alone.extend()
     pair.extend()
     rows, both = ([table.vecs[c] for c in table.cls] for table in (alone, pair))
-    for phi, row, joint in zip(PAIR_FAMILY.matrices, rows, both):
+    for phi, row, joint in zip(PAIR_MATRICES, rows, both):
         assert row == grid.values(phi)
         assert joint == row + other.values(phi)
         for asg in assignments(order, s.domain):
@@ -450,9 +480,7 @@ def test_index_program_build_matches_the_pool_build(case, depth):
     assert family.free == free
     assert len({id(fv) for fv in family.free}) == len(set(free))  # one object per distinct set
     assert family.leaves == matrices[:len(family.leaves)]
-    assert "matrices" not in family.__dict__
-    assert family.matrices == matrices
-    assert [family.matrix(k) for k in range(0, len(matrices), 97)] == list(matrices[::97])
+    assert [family.matrix(k) for k in range(len(matrices))] == list(matrices)
 
 
 def test_a_budget_cut_in_any_level_fails_like_the_pool_build(monkeypatch):
@@ -492,9 +520,17 @@ def test_hot_paths_build_no_whole_family(monkeypatch, name):
         patch.setattr(generation, "_build_fragment", _pool_fragment)
         want = call()
     monkeypatch.setattr(generation, "_fragments", OrderedDict())
+    ran = []
+
+    def recorded(original):
+        return lambda *args, **kwargs: ran.append(original.__name__) or original(*args, **kwargs)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("gradedmt")]:
+        if getattr(module, "qf_matrices", None) is qf_matrices:
+            monkeypatch.setattr(module, "qf_matrices", recorded(qf_matrices))
+    monkeypatch.setattr(generation.StreamPlan, "__iter__", recorded(generation.StreamPlan.__iter__))
     got = call()
-    families = list(generation._fragments.values())
-    assert families and not any("matrices" in family.__dict__ for family in families)
+    assert generation._fragments and ran == []
     assert got == want and getattr(got, "ok", got) is verdict
     assert getattr(got, "separator", None) == getattr(want, "separator", None)
 

@@ -28,7 +28,8 @@ from gradedmt.generation import (AssignmentGrid, Fragment, ValueClasses, _prefix
 from gradedmt.morphisms import StructureMap, first_transfer_failure, is_elementary_up_to_depth
 from gradedmt.parser import render_formula
 from gradedmt.semantics import Structure, eval_formula
-from gradedmt.syntax import EXISTS, FORALL, Atom, PrenexClass, Signature, Var, quantifier_free_class
+from gradedmt.syntax import (EXISTS, FORALL, Atom, PrenexClass, Signature, Var, expand_with_truth_constants,
+                             quantifier_free_class)
 
 BOOL2 = corpus.bool2()
 TARGET_CHAINS = {name: getattr(corpus, name)() for name in ("godel3", "lukasiewicz3")}
@@ -118,8 +119,9 @@ def reference_stream(family, steps):
             new = [p for p in _prefixes(to_bind, target) if (p, params) not in seen]
             seen.update((p, params) for p in new)
             rows[fv].append((new, params))
+    matrices = [family.matrix(k) for k in range(len(family.program))]
     for i in range(len(steps)):
-        for k, (matrix, fv) in enumerate(zip(family.matrices, family.free)):
+        for k, (matrix, fv) in enumerate(zip(matrices, family.free)):
             new, params = rows[fv][i]
             for prefix in new:
                 yield i, k, matrix, prefix, params
@@ -462,11 +464,11 @@ def _check_value_classes(grids, monkeypatch):
     table.extend()
     cls, vecs = table.cls, table.vecs
     monkeypatch.undo()
-    assert len(cls) == len(VALUE_FAMILY.matrices)
+    assert len(cls) == len(VALUE_FAMILY.program)
     # one class per distinct vector, and each matrix's class holds its vector
     assert len({tuple(vec) for vec in vecs}) == len(vecs) == len(set(cls))
-    for phi, c in zip(VALUE_FAMILY.matrices, cls):
-        assert list(vecs[c]) == [v for grid in grids for v in grid.values(phi)]
+    for k, c in enumerate(cls):
+        assert list(vecs[c]) == [v for grid in grids for v in grid.values(VALUE_FAMILY.matrix(k))]
     # each connective meets each pair of operand classes once per run of tables
     triples = {(kind, cls[i], cls[j]) for kind, i, j in VALUE_FAMILY.program if kind}
     assert len(calls) == len(triples) * _runs(grids)
@@ -532,7 +534,7 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     reached = 1 + max(k for _, k, *_ in islice(reference_stream(family, steps), bounds.max_candidates))
     assert family.plan(steps, bounds.max_candidates).reach(bounds.max_candidates) == reached
     prefix = family.program[:reached]
-    assert reached < len(family.matrices)
+    assert reached < len(family.program)
     calls, lengths = _count_work(monkeypatch)
     report = implies_exists_n(s, s, ("a", "b"), 1, bounds)
     assert report.ok and report.candidates_checked == bounds.max_candidates
@@ -587,3 +589,29 @@ def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_gr
                                   AssignmentGrid(right, ["x1", "x2"]), None, {}, lambda slots: [()])
     assert plan == reference and plan[0][0] == 1101
     assert lengths == [256, 512, 1024, len(family.program)] == [256, 512, 1024, 1518]
+
+
+def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
+    # folds are memoised under the class ids of the table that named them, so
+    # a second family's classes must not read the first family's folds
+    chain, domain = CHAINS["godel3"], ("d0", "d1", "d2")
+    source = Structure(chain=chain, sig=SIG_PR, domain=domain[:2], predicates={
+        "P": {("d0",): 0, ("d1",): 2}, "R": dict(zip(product(domain[:2], repeat=2), (2, 0, 1, 1)))})
+    target = Structure(chain=chain, sig=SIG_PR, domain=domain, predicates={
+        "P": {("d0",): 1, ("d1",): 0, ("d2",): 2},
+        "R": dict(zip(product(domain, repeat=2), (1, 1, 2, 1, 2, 0, 1, 0, 1)))})
+    variables, f, g = ("x1", "x2"), (0, 1, 2), {"d0": "d0", "d1": "d1"}
+
+    def tuples(params):
+        return product(source.domain, repeat=len(params))
+
+    first = fragment(SIG_PR, chain.elements, variables, 1).plan([(variables, PrenexClass(FORALL, 2))])
+    second = fragment(expand_with_truth_constants(SIG_PR, chain), chain.elements, variables, 1).plan(
+        [(variables, PrenexClass(EXISTS, 2))])
+    grids = AssignmentGrid(source, variables), AssignmentGrid(target, variables)
+    first_transfer_failure(first, *grids, f, g, tuples)
+    reused = first_transfer_failure(second, *grids, f, g, tuples)
+    fresh = first_transfer_failure(second, AssignmentGrid(source, variables), AssignmentGrid(target, variables),
+                                   f, g, tuples)
+    assert reused == fresh
+    assert fresh[0] == 79 and render_formula(fresh[1]) == "forall x1 . P(x1) \\/ R(x1, x1)"
