@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
-from .generation import generate_sentences, structure_space
+from .generation import AssignmentGrid, ValueClasses, sentence_family, structure_space
 from .morphisms import _check_interprets
 from .semantics import Structure, eval_formula, is_model
 from .syntax import Formula, Signature, is_sentence
@@ -70,7 +70,10 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
     reported equal when no generated sentence separates them.  The
     signature argument selects the sentence language, so the same pair
     can be compared over a base language and over an expansion with
-    truth constants.
+    truth constants.  The sentences are the closed positions of
+    `sentence_family`, read by one value-class table over both structures'
+    grids; the separator, the first that takes top on one side only, is
+    replayed through `eval_formula`.
     """
     if s1.chain != s2.chain:
         raise ChainMismatchError("equivalence needs structures over one chain")
@@ -80,11 +83,17 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
         sig = s1.sig
     _check_interprets(sig, s1, "structure")
     _check_interprets(sig, s2, "structure")
-    sentences = generate_sentences(sig, s1.chain.elements, depth)
+    family = sentence_family(sig, s1.chain.elements, depth)
+    xs = [f"x{i}" for i in range(1, depth + 1)]
+    table = ValueClasses(family, [AssignmentGrid(s1, xs), AssignmentGrid(s2, xs)])
+    table.extend()
     top = s1.chain.top
-    for sentence in sentences:
-        sat1 = eval_formula(sentence, s1) == top
-        sat2 = eval_formula(sentence, s2) == top
-        if sat1 != sat2:
-            return EquivResult(False, sentence, len(sentences), depth)
-    return EquivResult(True, None, len(sentences), depth)
+    sat = [(table.read(c, 0)[0] == top, table.read(c, 1)[0] == top) for c in range(len(table.vecs))]
+    closed = [k for k, fv in enumerate(family.free) if not fv]
+    k = next((k for k in closed if sat[table.cls[k]][0] != sat[table.cls[k]][1]), None)
+    if k is None:
+        return EquivResult(True, None, len(closed), depth)
+    separator = family.matrix(k)
+    if (eval_formula(separator, s1) == top, eval_formula(separator, s2) == top) != sat[table.cls[k]]:
+        raise InternalError("value classes and evaluator disagree on a separator")
+    return EquivResult(False, separator, len(closed), depth)

@@ -23,8 +23,8 @@ from typing import Sequence
 
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError
-from .generation import (StructureBlock, StructureStream, atoms_over, generate_sentences, ground_terms,
-                         qf_matrices, structure_space)
+from .generation import (AssignmentGrid, StructureBlock, StructureStream, ValueClasses, atoms_over, ground_terms,
+                         qf_matrices, sentence_family, structure_space)
 from .morphisms import StructureMap, _check_interprets, is_elementary_up_to_depth, search_structure_map
 from .semantics import Structure, eval_formula
 from .syntax import App, Formula, Signature, constant_name_for, expand_with_domain_constants
@@ -72,9 +72,9 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
     The quantifier-free part covers every atomic sentence over the fresh
     constants and the signature's constants (ground terms up to
     bounds.term_depth when proper function symbols are present),
-    optionally closed under connectives.  The
-    elementary kind adds generated quantified sentences up to
-    bounds.quantifier_depth.
+    optionally closed under connectives.  The elementary kind adds the
+    closed positions of `sentence_family` up to bounds.quantifier_depth,
+    valued by one value-class table over a grid of `sharp`, not by `push`.
     """
     if kind not in (DIAG, ELDIAG):
         raise FormatError(f"unknown diagram kind {kind!r}")
@@ -99,9 +99,16 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
             push(phi)
         completeness = f"quantifier-free to depth {bounds.connective_depth}"
     if kind == ELDIAG:
-        for phi in generate_sentences(sharp.sig, s.chain.elements, bounds.quantifier_depth,
-                                      num_vars=bounds.num_vars, extra_terms=terms):
-            push(phi)
+        family = sentence_family(sharp.sig, s.chain.elements, bounds.quantifier_depth, bounds.num_vars, terms)
+        table = ValueClasses(family, [AssignmentGrid(sharp, [f"x{i}" for i in range(1, bounds.num_vars + 1)])])
+        table.extend()
+        quantified = []  # per row: whether it holds a block, so that no quantifier-free entry can equal it
+        for k, (op, i, j) in enumerate(family.program):
+            quantified.append(type(op) is tuple or op is not None and (quantified[i] or quantified[j]))
+            if not family.free[k]:
+                phi = family.matrix(k)
+                if quantified[k] or phi not in seen:  # the family's own rows never repeat
+                    entries.append(DiagramEntry(phi, table.read(table.cls[k], 0)[0]))
         completeness += f"; quantified to depth {bounds.quantifier_depth}"
     return Diagram(kind=kind, constants=constants, entries=tuple(entries), completeness=completeness,
                    chain_labels=s.chain.elements)

@@ -1,20 +1,20 @@
 """Canonical formula families and bulk evaluation over assignment grids.
 
-Two generators drive every bounded check in the package:
+One builder, `_build_fragment`, makes every formula family of the package
+as an index program, where a formula is built only when read, by
+`Fragment.matrix`, the one formula builder:
 
-* an operation-count closure (`generate_sentences`) used for bounded
-  sentence sets: level 0 holds literals, and a formula sits at level k
-  when it is built by one connective from formulas whose levels sum to
-  k - 1, or by one quantifier block over a level k - 1 formula;
+* fragment-bounded checks read quantifier-free matrices of bounded
+  connective depth, built once per key by `fragment` and kept in a small
+  LRU cache, wrapped in alternating quantifier-block prefixes by a
+  `StreamPlan` (`Fragment.plan`) as (matrix, prefix, params) triples, each
+  with a stream position computed rather than counted;
 
-* a prenex family used for fragment-bounded checks: quantifier-free
-  matrices of bounded connective depth, built once per key by `fragment`
-  as an index program, where a formula is built only when read, and kept
-  in a small LRU cache, wrapped in alternating quantifier-block prefixes
-  by a `StreamPlan` (`Fragment.plan`) as (matrix, prefix, params) triples,
-  each with a stream position computed rather than counted.  Every reader
-  of a family takes its candidates from a plan and its formulas from
-  `Fragment.matrix`, the one formula builder.
+* bounded sentence sets (`sentence_family`) are the closed positions of a
+  quantified family, an operation-count closure: level 0 holds literals,
+  and a formula sits at level k when it is built by one connective from
+  formulas whose levels sum to k - 1, or by one quantifier block over a
+  level k - 1 formula.
 
 Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates formulas at every variable assignment
@@ -123,73 +123,10 @@ def atoms_over(sig: Signature, terms: Sequence, labels: Sequence[str]) -> list[F
     return out
 
 
-def _variable_subsets(names: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    ordered = list(names)
-    for size in range(1, len(ordered) + 1):
-        yield from combinations(ordered, size)
-
-
-def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
-                       extra_terms: Sequence = ()) -> list[Formula]:
-    """Closed formulas of generation level <= depth, in canonical order.
-
-    Variables are x1..xd (d = num_vars, default depth).  Each level holds
-    quantifier blocks over the previous level, then connectives in the
-    order of `_build_fragment`.  At the final level only combinations that
-    come out closed are produced, which keeps the sweep over sentences
-    affordable.
-    """
-    if num_vars is None:
-        num_vars = depth
-    variables = [f"x{i}" for i in range(1, num_vars + 1)]
-    labels = truth_constant_labels(sig, chain_labels)
-    terms = [Var(v) for v in variables] + list(extra_terms)
-    meter = BudgetMeter("sentence generation")
-    levels: list[list[tuple[Formula, frozenset]]] = []
-    seen: set = set()
-    sentences: list[Formula] = []
-
-    def push(phi: Formula, level: int, fv: frozenset | None = None):
-        size = len(seen)
-        seen.add(phi)
-        if len(seen) == size:
-            return
-        meter.tick()
-        while len(levels) <= level:
-            levels.append([])
-        fv = frozenset(free_variables(phi)) if fv is None else fv
-        levels[level].append((phi, fv))
-        if not fv:
-            sentences.append(phi)
-
-    atoms = atoms_over(sig, terms, labels)
-    for lit in atoms + [Not(a) for a in atoms if not isinstance(a, Val)]:  # truth constants are not negated
-        push(lit, 0)
-
-    for level in range(1, depth + 1):
-        final = level == depth
-        if level - 1 >= len(levels):
-            break
-        for phi, fv in levels[level - 1]:
-            if not fv:
-                continue
-            ordered = [v for v in variables if v in fv]
-            for subset in _variable_subsets(ordered):
-                if final and set(subset) != fv:
-                    continue
-                push(forall_block(subset, phi), level, fv.difference(subset))
-                push(exists_block(subset, phi), level, fv.difference(subset))
-        for la in range(level):
-            lb = level - 1 - la
-            for i, (phi, fv_i) in enumerate(levels[la]):
-                if final and fv_i:
-                    continue
-                for j, (psi, fv_j) in enumerate(levels[lb]):
-                    if final and fv_j:
-                        continue
-                    for conn in _CONNECTIVES if la < lb or la == lb and i <= j else (Implies,):
-                        push(conn(phi, psi), level, fv_i | fv_j)
-    return sentences
+@lru_cache(maxsize=None)
+def _variable_subsets(names: tuple) -> tuple:
+    """The nonempty subsets of `names`, by size, then in `combinations` order."""
+    return tuple(part for size in range(1, len(names) + 1) for part in combinations(names, size))
 
 
 # --- ground terms for diagram generation ---
@@ -226,10 +163,11 @@ def prenex_formula(matrix: Formula, prefix) -> Formula:
 
 
 class Fragment:
-    """Quantifier-free matrices in generation order, as an index program:
-    `program[k]` is (connective, left, right), the earlier positions of matrix
-    k's operands (a negation names its body twice), or (None, 0, 0) for a
-    leaf, the formula `leaves[k]`; leaves come first.  `free[k]` is matrix k's
+    """Formulas in generation order, as an index program: `program[k]` is
+    (connective, left, right), the earlier positions of matrix k's operands
+    (a negation names its body twice), ((kind, block), body, body) for a
+    quantifier block in a quantified family, or (None, 0, 0) for a leaf, the
+    formula `leaves[k]`; leaves come first.  `free[k]` is matrix k's
     free-variable set.  A formula is built only when read, by `matrix(k)`,
     the one formula builder.  Shared, so read-only; one plan per (steps, keep)."""
 
@@ -240,6 +178,7 @@ class Fragment:
     def matrix(self, k: int) -> Formula:
         kind, i, j = self.program[k]
         return (self.leaves[k] if kind is None else Not(self.matrix(i)) if kind is Not
+                else prenex_formula(self.matrix(i), (kind,)) if type(kind) is tuple
                 else kind(self.matrix(i), self.matrix(j)))
 
     def plan(self, steps, cap: int | None = None, keep=None) -> "StreamPlan":
@@ -322,29 +261,48 @@ def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[st
     return family
 
 
-def _build_fragment(sig, labels, variables, depth, extra_terms) -> Fragment:
+def _build_fragment(sig, labels, variables, depth, extra_terms, quantified=False) -> Fragment:
     """The family as a program over its distinct atoms: level 0 is the atoms
     and their negations, each later level is one connective over operands
     whose levels sum to one less (by left level, left index, right index,
     then and, or, strong, implies, iff; commutative ones once per unordered
-    pair), and a row's free set is the union of its operands'.  Each level
-    is charged to the meter in one tick before it is built, and fails where
-    a tick per matrix would."""
-    meter = BudgetMeter("matrix generation")
+    pair), and a row's free set is the union of its operands'.  A
+    `quantified` family opens each level with block rows over the previous
+    level's open rows (by variable order, subsets by size, forall first); a
+    block over a block of its kind is one merged row, and a row already built
+    is skipped, so rows are equal exactly when their formulas are.  Its final
+    level keeps only closed operands and blocks binding every free variable.
+    Each level is charged to the meter in one tick before its connectives
+    are built, and fails where a tick per row would."""
+    meter = BudgetMeter("sentence generation" if quantified else "matrix generation")
     leaves = tuple(dict.fromkeys(atoms_over(sig, [Var(v) for v in variables] + list(extra_terms), labels)))
     program = [(None, 0, 0)] * len(leaves) + [(Not, k, k) for k, a in enumerate(leaves) if not isinstance(a, Val)]
     sets: dict = {}  # one object per distinct set: a family has only a few
     join = lru_cache(maxsize=None)(lambda a, b: sets.setdefault(a | b, a | b))
     free = [sets.setdefault(fv, fv) for fv in (frozenset(free_variables(a)) for a in leaves)]
     free += [free[k] for _, k, _ in program[len(leaves):]]
-    starts = [0]  # level l is program[starts[l]:starts[l + 1]]
+    starts, blocks = [0], set()  # level l is program[starts[l]:starts[l + 1]]
     for level in range(depth + 1):  # level 0 is built: here it is only charged
-        splits = [(range(starts[la], starts[la + 1]), range(starts[lb], starts[lb + 1]), la - lb)
-                  for la, lb in zip(range(level), reversed(range(level)))]
+        final, built = quantified and level == depth, len(program)
+        for k in range(starts[level - 1], starts[level]) if quantified and level else ():
+            kind, body, _ = program[k]
+            parts = _variable_subsets(tuple(v for v in variables if v in free[k]))
+            for part in parts[-1:] if final else parts:  # the last subset is the whole set
+                for q in (FORALL, EXISTS):
+                    merged = type(kind) is tuple and kind[0] == q  # a block over a block of its kind
+                    row = ((q, part + kind[1]), body, body) if merged else ((q, part), k, k)
+                    if row not in blocks:
+                        blocks.add(row)
+                        program.append(row)
+                        free.append(sets.setdefault(rest := free[k].difference(part), rest))
+        rows = [range(starts[l], starts[l + 1]) for l in range(level)]
+        if final:
+            rows = [[k for k in r if not free[k]] for r in rows]
+        splits = [(rows[la], rows[lb], la - lb) for la, lb in zip(range(level), reversed(range(level)))]
         # rows per split: five a pair when the left level is the lower, implication alone when it is
         # the higher, and on one level of n entries n * n implications and 4 * n(n + 1) / 2 others
         count = sum(len(a) * (5 * len(b) if d < 0 else len(b) if d else 3 * len(a) + 2) for a, b, d in splits)
-        meter.tick(min(count if level else len(program), meter.limit - meter.used + 1))
+        meter.tick(min(len(program) - built + count if level else len(program), meter.limit - meter.used + 1))
         for left, right, d in splits:
             for i in left:
                 for j in right:
@@ -353,6 +311,24 @@ def _build_fragment(sig, labels, variables, depth, extra_terms) -> Fragment:
                     free += [join(free[i], free[j])] * len(kinds)
         starts.append(len(program))
     return Fragment(leaves, program, free)
+
+
+def sentence_family(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
+                    extra_terms: Sequence = ()) -> Fragment:
+    """Formulas of generation level <= depth over x1..xd (d = num_vars,
+    default depth), as a quantified `_build_fragment` program: its closed
+    positions are the bounded sentence set.  Kept out of the `fragment`
+    cache, as a depth-3 family has millions of rows."""
+    variables = [f"x{i}" for i in range(1, (depth if num_vars is None else num_vars) + 1)]
+    labels = tuple(truth_constant_labels(sig, chain_labels))
+    return _build_fragment(sig, labels, variables, depth, tuple(extra_terms), quantified=True)
+
+
+def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
+                       extra_terms: Sequence = ()) -> list[Formula]:
+    """The closed positions of `sentence_family`, as formulas, in family order."""
+    family = sentence_family(sig, chain_labels, depth, num_vars, extra_terms)
+    return [family.matrix(k) for k, fv in enumerate(family.free) if not fv]
 
 
 def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
@@ -546,7 +522,8 @@ class ValueClasses:
     table stopped, so a caller grows it only as far as it reads (bottom-up
     enumeration checked as the bank grows: Udupa et al., TRANSIT, PLDI 2013).
     The table names the folds too: `read` memoises them under its own class
-    ids, so equal-valued matrices share their folds."""
+    ids, so equal-valued matrices share their folds, and a block row's class
+    is its body's class read through the block on each grid."""
 
     def __init__(self, family: Fragment, grids: Sequence[AssignmentGrid]):
         self.family, self.grids, self.cls, self.vecs = family, tuple(grids), [], []
@@ -570,7 +547,8 @@ class ValueClasses:
             if c is None:
                 a, b = vecs[key[1]], vecs[key[2]]
                 c = memo[key] = self._intern(
-                    runs[0][0]._combine(kind, a, b) if len(runs) == 1 else
+                    b"".join(self.read(key[1], g, (kind,)) for g in range(len(self.grids))) if type(kind) is tuple
+                    else runs[0][0]._combine(kind, a, b) if len(runs) == 1 else
                     b"".join(g._combine(kind, a[s:e], b[s:e]) for g, s, e in runs))
             cls.append(c)
 

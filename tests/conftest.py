@@ -65,14 +65,16 @@ def complete_graphs(g4):
 
 @pytest.fixture
 def fresh_fragments(monkeypatch):
-    """An empty fragment cache, and the keys of every family built into it."""
+    """An empty fragment cache, and the keys of every family built into it;
+    a quantified family (`sentence_family`, never cached) is recorded with
+    a trailing "quantified"."""
     monkeypatch.setattr(generation, "_fragments", OrderedDict())
     built = []
     build = generation._build_fragment
 
-    def counting(sig, labels, variables, depth, extra_terms):
-        built.append((tuple(labels), tuple(variables), depth))
-        return build(sig, labels, variables, depth, extra_terms)
+    def counting(sig, labels, variables, depth, extra_terms, quantified=False):
+        built.append((tuple(labels), tuple(variables), depth) + (("quantified",) if quantified else ()))
+        return build(sig, labels, variables, depth, extra_terms, quantified)
 
     monkeypatch.setattr(generation, "_build_fragment", counting)
     return built

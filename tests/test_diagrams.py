@@ -182,11 +182,12 @@ def test_eldiag_search_builds_its_family_once(fresh_fragments, b2, sig_r):
     t = digraph(("t0", "t1", "t2"), {("t0", "t1"), ("t1", "t2"), ("t0", "t2")})
     report = diagram_embedding_equivalence(s, t, kind=ELDIAG, bounds=DiagramBounds(quantifier_depth=1))
     assert report.embedding.domain_map == {"a": "t0", "b": "t2"}
-    assert fresh_fragments == [(("0", "1"), ("x1", "x2"), 1)]
+    # the diagram's sentence family, then the one unquantified family every candidate reads
+    assert fresh_fragments == [(("0", "1"), ("x1", "x2"), 1, "quantified"), (("0", "1"), ("x1", "x2"), 1)]
     incl = StructureMap(identity_map(b2), {"a": "t0", "b": "t2"})
     first = is_elementary_up_to_depth(incl, s, t, 1)
     assert is_elementary_up_to_depth(incl, s, t, 1) == first
-    assert len(fresh_fragments) == 1
+    assert len(fresh_fragments) == 2
 
 
 def _with_repeated_tuples(monkeypatch):

@@ -78,7 +78,9 @@ def test_a_chain_over_256_elements_exits_2_from_the_cli(tmp_path, monkeypatch, c
                  "predicates": {"P": {"arity": 1, "table": {"a": "g0", "b": "g256"}}}}
     (tmp_path / "s.json").write_text(json.dumps(structure))
     path = str(tmp_path / "s.json")
-    code = cli.main(["implies-exists", "--left", path, "--right", path, "--n", "1"])
-    assert code == 2
-    assert "over 256" in capsys.readouterr().err
+    for argv in (["implies-exists", "--left", path, "--right", path, "--n", "1"],
+                 ["equiv", "--left", path, "--right", path, "--depth", "1"],
+                 ["diagram", "--kind", "eldiag", "--structure", path]):
+        assert cli.main(argv) == 2, argv
+        assert "over 256" in capsys.readouterr().err, argv
 
