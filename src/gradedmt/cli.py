@@ -168,7 +168,7 @@ def cmd_diagram(args) -> int:
     text = render_diagram(d)
     payload = {
         "kind": d.kind,
-        "entries": len(d.entries),
+        "entries": len(d.values),
         "completeness": d.completeness,
         "theory": text,
     }

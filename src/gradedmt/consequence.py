@@ -6,6 +6,7 @@ say so in their results.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
@@ -72,8 +73,8 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
     can be compared over a base language and over an expansion with
     truth constants.  The sentences are the closed positions of
     `sentence_family`, read by one value-class table over both structures'
-    grids; the separator, the first that takes top on one side only, is
-    replayed through `eval_formula`.
+    grids, grown only up to the separator: the first that takes top on one
+    side only, replayed through `eval_formula`.
     """
     if s1.chain != s2.chain:
         raise ChainMismatchError("equivalence needs structures over one chain")
@@ -86,14 +87,12 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
     family = sentence_family(sig, s1.chain.elements, depth)
     xs = [f"x{i}" for i in range(1, depth + 1)]
     table = ValueClasses(family, [AssignmentGrid(s1, xs), AssignmentGrid(s2, xs)])
-    table.extend()
-    top = s1.chain.top
-    sat = [(table.read(c, 0)[0] == top, table.read(c, 1)[0] == top) for c in range(len(table.vecs))]
-    closed = [k for k, fv in enumerate(family.free) if not fv]
-    k = next((k for k in closed if sat[table.cls[k]][0] != sat[table.cls[k]][1]), None)
+    top, closed = s1.chain.top, [k for k, fv in enumerate(family.free) if not fv]
+    sat = lru_cache(maxsize=None)(lambda c: (table.read(c, 0)[0] == top, table.read(c, 1)[0] == top))
+    k = next((k for k, c in zip(closed, table.classes(closed)) if sat(c)[0] != sat(c)[1]), None)
     if k is None:
         return EquivResult(True, None, len(closed), depth)
     separator = family.matrix(k)
-    if (eval_formula(separator, s1) == top, eval_formula(separator, s2) == top) != sat[table.cls[k]]:
+    if (eval_formula(separator, s1) == top, eval_formula(separator, s2) == top) != sat(table.cls[k]):
         raise InternalError("value classes and evaluator disagree on a separator")
     return EquivResult(False, separator, len(closed), depth)

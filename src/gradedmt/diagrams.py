@@ -12,22 +12,22 @@ The two sides run on separate code.  The embedding side is the candidate
 loop of `search_structure_map` for one pair; `cor1_sweep` instead lists
 the induced substructures of every target once, as a subgraph census does
 (Milo et al., "Network motifs", Science 2002).  The diagram side
-evaluates the recorded sentences themselves, on every pair: one target
-at a time through `models_diagram` in `diagram_model_exists`, or every
-target of a structure-space block at once in `cor1_sweep`.
+reads the recorded sentences on every pair: by value-class tables, one
+target at a time through `models_diagram` in `diagram_model_exists`, or on
+the planes of every target of a structure-space block at once in `cor1_sweep`.
 """
 
 from dataclasses import dataclass, field, replace
 from itertools import permutations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError
-from .generation import (AssignmentGrid, StructureBlock, StructureStream, ValueClasses, atoms_over, ground_terms,
-                         qf_matrices, sentence_family, structure_space)
+from .generation import (AssignmentGrid, StructureBlock, StructureStream, ValueClasses, fragment, ground_terms,
+                         sentence_family, structure_space, truth_constant_labels)
 from .morphisms import StructureMap, _check_interprets, is_elementary_up_to_depth, search_structure_map
-from .semantics import Structure, eval_formula
-from .syntax import App, Formula, Signature, constant_name_for, expand_with_domain_constants
+from .semantics import Structure
+from .syntax import App, Formula, Not, Signature, constant_name_for, expand_with_domain_constants
 
 DIAG = "diag"
 ELDIAG = "eldiag"
@@ -36,11 +36,8 @@ ELDIAG = "eldiag"
 def expansion_sharp(s: Structure) -> Structure:
     """Expand a structure with one constant per domain element, each
     naming itself."""
-    sig = expand_with_domain_constants(s.sig, s.domain)
-    functions = dict(s.functions)
-    for label in s.domain:
-        functions[constant_name_for(label)] = {(): label}
-    return replace(s, sig=sig, functions=functions)
+    functions = {**s.functions, **{constant_name_for(label): {(): label} for label in s.domain}}
+    return replace(s, sig=expand_with_domain_constants(s.sig, s.domain), functions=functions)
 
 
 @dataclass(frozen=True)
@@ -57,61 +54,55 @@ class DiagramEntry:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a part holds its family by identity: compare `values` or `entries`
 class Diagram:
     kind: str
     constants: tuple  # constant names, domain order
-    entries: tuple
+    parts: tuple  # (family, grid variables, closed positions): the quantifier-free part, then any quantified one
+    values: bytes  # the recorded value of each part's positions in turn
     completeness: str
     chain_labels: tuple
 
+    @property
+    def entries(self) -> tuple:
+        """(sentence, value) per position; the formulas of a part share their operands."""
+        values = iter(self.values)
+        return tuple(DiagramEntry(family.matrix(k, memo), v)
+                     for family, _, positions in self.parts for memo in [{}] for k, v in zip(positions, values))
+
+
+def _read(structure: Structure, parts) -> Iterator[tuple]:
+    """(family, position, value in `structure`) per closed position, each part read by one value-class table."""
+    for family, variables, positions in parts:
+        table = ValueClasses(family, [AssignmentGrid(structure, variables)])
+        yield from ((family, k, table.vecs[c][0]) for k, c in zip(positions, table.classes(positions)))
+
 
 def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = DiagramBounds()) -> Diagram:
-    """Record exact sentence values in the named expansion of `s`.
-
-    The quantifier-free part covers every atomic sentence over the fresh
-    constants and the signature's constants (ground terms up to
-    bounds.term_depth when proper function symbols are present),
-    optionally closed under connectives.  The elementary kind adds the
-    closed positions of `sentence_family` up to bounds.quantifier_depth,
-    valued by one value-class table over a grid of `sharp`, not by `push`.
-    """
+    """Record by `_read` the values in `sharp` of the `fragment` family to the
+    connective depth (at 0, its atoms) over the fresh and the signature's
+    constants, function symbols nested to the term depth.  ELDIAG adds the
+    closed rows of `sentence_family` to the quantifier depth but those the
+    first part holds: no block, and a level of at most the connective depth."""
     if kind not in (DIAG, ELDIAG):
         raise FormatError(f"unknown diagram kind {kind!r}")
     sharp = expansion_sharp(s)
     constants = tuple(constant_name_for(d) for d in s.domain)
     terms = ground_terms(sharp.sig, constants + tuple(s.sig.constants()), bounds.term_depth)
-    atomic = atoms_over(s.sig, terms, labels=())
-    entries: list[DiagramEntry] = []
-    seen = set()
-
-    def push(sentence: Formula):
-        if sentence in seen:
-            return
-        seen.add(sentence)
-        entries.append(DiagramEntry(sentence, eval_formula(sentence, sharp)))
-
-    for atom in atomic:
-        push(atom)
-    completeness = "atomic"
-    if bounds.connective_depth > 0:
-        for phi in qf_matrices(s.sig, s.chain.elements, [], bounds.connective_depth, extra_terms=terms):
-            push(phi)
-        completeness = f"quantifier-free to depth {bounds.connective_depth}"
+    depth, vals = bounds.connective_depth, len(truth_constant_labels(s.sig, s.chain.elements))
+    family = fragment(s.sig, s.chain.elements, [], depth, terms)  # at depth 0, its leaves before the truth constants
+    parts = [(family, (), range(len(family.program) if depth else len(family.leaves) - vals))]
+    completeness = f"quantifier-free to depth {depth}" if depth else "atomic"
     if kind == ELDIAG:
         family = sentence_family(sharp.sig, s.chain.elements, bounds.quantifier_depth, bounds.num_vars, terms)
-        table = ValueClasses(family, [AssignmentGrid(sharp, [f"x{i}" for i in range(1, bounds.num_vars + 1)])])
-        table.extend()
-        quantified = []  # per row: whether it holds a block, so that no quantifier-free entry can equal it
-        for k, (op, i, j) in enumerate(family.program):
-            quantified.append(type(op) is tuple or op is not None and (quantified[i] or quantified[j]))
-            if not family.free[k]:
-                phi = family.matrix(k)
-                if quantified[k] or phi not in seen:  # the family's own rows never repeat
-                    entries.append(DiagramEntry(phi, table.read(table.cls[k], 0)[0]))
+        first, level = len(family.program) if depth else len(family.leaves) - vals, []
+        for op, i, j in family.program:  # a block row counts as over the connective depth
+            level.append(0 if op is None or op is Not else depth + 1 if type(op) is tuple else level[i] + level[j] + 1)
+        parts.append((family, tuple(f"x{i}" for i in range(1, bounds.num_vars + 1)),
+                      [k for k, fv in enumerate(family.free) if not fv and not (k < first and level[k] <= depth)]))
         completeness += f"; quantified to depth {bounds.quantifier_depth}"
-    return Diagram(kind=kind, constants=constants, entries=tuple(entries), completeness=completeness,
-                   chain_labels=s.chain.elements)
+    values = bytes(v for _, _, v in _read(sharp, parts))
+    return Diagram(kind, constants, tuple(parts), values, completeness, s.chain.elements)
 
 
 @dataclass(frozen=True)
@@ -125,13 +116,13 @@ class DiagramCheck:
 
 
 def models_diagram(t_expanded: Structure, diagram: Diagram) -> DiagramCheck:
-    """Check each recorded sentence value in an expansion of the target,
-    which must interpret every diagram constant (else SignatureError)."""
+    """Read the recorded positions in an expansion of the target, which must
+    interpret every diagram constant (else SignatureError); the first value
+    that differs makes the failing entry, the one formula built."""
     _check_interprets(Signature(functions=dict.fromkeys(diagram.constants, 0)), t_expanded)
-    for entry in diagram.entries:
-        actual = eval_formula(entry.sentence, t_expanded)
-        if actual != entry.value:
-            return DiagramCheck(False, entry, actual)
+    for (family, k, got), want in zip(_read(t_expanded, diagram.parts), diagram.values):
+        if got != want:
+            return DiagramCheck(False, DiagramEntry(family.matrix(k), want), got)
     return DiagramCheck(True)
 
 
@@ -149,11 +140,8 @@ def render_diagram(diagram: Diagram) -> str:
     """Theory-file form: one `sentence <-> val(label)` line per entry."""
     from .parser import render_formula
 
-    lines = [f"# {diagram.kind} diagram, {diagram.completeness}"]
-    for entry in diagram.entries:
-        label = diagram.chain_labels[entry.value]
-        lines.append(f"({render_formula(entry.sentence)}) <-> val({label})")
-    return "\n".join(lines) + "\n"
+    lines = [f"({render_formula(e.sentence)}) <-> val({diagram.chain_labels[e.value]})" for e in diagram.entries]
+    return "\n".join([f"# {diagram.kind} diagram, {diagram.completeness}", *lines]) + "\n"
 
 
 def diagram_model_exists(target: Structure, diagram: Diagram) -> tuple:
@@ -173,11 +161,11 @@ def diagram_model_exists(target: Structure, diagram: Diagram) -> tuple:
 def _diagram_side(block: StructureBlock, diagram: Diagram) -> int:
     """The structures of the block that some interpretation of the diagram's
     constants makes reproduce every recorded value, as a bitset."""
-    found = 0
+    found, entries = 0, diagram.entries
     for images in product(block.domain, repeat=len(diagram.constants)):
         env = {**block.env, **{App(c): d for c, d in zip(diagram.constants, images)}}
         ok = block.all
-        for entry in diagram.entries:
+        for entry in entries:
             planes = block.planes(entry.sentence, env) + [0]
             ok &= planes[entry.value] & ~planes[entry.value + 1]
             if not ok:

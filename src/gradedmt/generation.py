@@ -175,11 +175,15 @@ class Fragment:
         self.leaves, self.program, self.free = tuple(leaves), tuple(program), tuple(free)
         self._plans: dict = {}
 
-    def matrix(self, k: int) -> Formula:
-        kind, i, j = self.program[k]
-        return (self.leaves[k] if kind is None else Not(self.matrix(i)) if kind is Not
-                else prenex_formula(self.matrix(i), (kind,)) if type(kind) is tuple
-                else kind(self.matrix(i), self.matrix(j)))
+    def matrix(self, k: int, memo: dict | None = None) -> Formula:
+        """Matrix k; the formulas read with one `memo` share their operands."""
+        memo = {} if memo is None else memo
+        if k not in memo:
+            kind, i, j = self.program[k]
+            memo[k] = (self.leaves[k] if kind is None else Not(self.matrix(i, memo)) if kind is Not
+                       else prenex_formula(self.matrix(i, memo), (kind,)) if type(kind) is tuple
+                       else kind(self.matrix(i, memo), self.matrix(j, memo)))
+        return memo[k]
 
     def plan(self, steps, cap: int | None = None, keep=None) -> "StreamPlan":
         """The (matrix, prefix, params) stream of these (quantifiable, target)
@@ -328,14 +332,14 @@ def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, 
                        extra_terms: Sequence = ()) -> list[Formula]:
     """The closed positions of `sentence_family`, as formulas, in family order."""
     family = sentence_family(sig, chain_labels, depth, num_vars, extra_terms)
-    return [family.matrix(k) for k, fv in enumerate(family.free) if not fv]
+    return [family.matrix(k, memo) for memo in [{}] for k, fv in enumerate(family.free) if not fv]
 
 
 def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,
                 extra_terms: Sequence = ()) -> list[Formula]:
-    """Quantifier-free formulas over the variable pool, ops-count levels."""
+    """Quantifier-free formulas over the variable pool, ops-count levels, sharing their operands."""
     family = fragment(sig, chain_labels, variables, depth, extra_terms)
-    return [family.matrix(k) for k in range(len(family.program))]
+    return [family.matrix(k, memo) for memo in [{}] for k in range(len(family.program))]
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +466,9 @@ class AssignmentGrid:
         """Atoms, identities and truth constants."""
         chain = self.structure.chain
         if isinstance(phi, Atom):
-            table = self.structure.predicates[phi.name]
+            table = self.structure.predicates.get(phi.name)
+            if table is None:
+                raise SignatureError(f"structure does not interpret predicate {phi.name!r}")
             cols = [self._term_column(t) for t in phi.args]
             return bytes(map(table.__getitem__, zip(*cols))) if cols else bytes([table[()]]) * self.size
         if isinstance(phi, Eq):
@@ -551,6 +557,13 @@ class ValueClasses:
                     else runs[0][0]._combine(kind, a, b) if len(runs) == 1 else
                     b"".join(g._combine(kind, a[s:e], b[s:e]) for g, s, e in runs))
             cls.append(c)
+
+    def classes(self, positions: Sequence[int]) -> Iterator[int]:
+        """These ascending positions' class ids in turn, the table doubled from 256 matrices as read."""
+        for k in positions:
+            if k >= len(self.cls):
+                self.extend(min(max(k + 1, 2 * len(self.cls), 256), positions[-1] + 1))
+            yield self.cls[k]
 
     def read(self, c: int, i: int, prefix=()) -> bytes:
         """Class c's values on grid i, folded through `prefix`'s blocks

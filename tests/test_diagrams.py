@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import permutations, product
 
 import pytest
@@ -182,12 +181,13 @@ def test_eldiag_search_builds_its_family_once(fresh_fragments, b2, sig_r):
     t = digraph(("t0", "t1", "t2"), {("t0", "t1"), ("t1", "t2"), ("t0", "t2")})
     report = diagram_embedding_equivalence(s, t, kind=ELDIAG, bounds=DiagramBounds(quantifier_depth=1))
     assert report.embedding.domain_map == {"a": "t0", "b": "t2"}
-    # the diagram's sentence family, then the one unquantified family every candidate reads
-    assert fresh_fragments == [(("0", "1"), ("x1", "x2"), 1, "quantified"), (("0", "1"), ("x1", "x2"), 1)]
+    # the diagram's atoms and sentence family, then the one unquantified family every candidate reads
+    assert fresh_fragments == [(("0", "1"), (), 0), (("0", "1"), ("x1", "x2"), 1, "quantified"),
+                               (("0", "1"), ("x1", "x2"), 1)]
     incl = StructureMap(identity_map(b2), {"a": "t0", "b": "t2"})
     first = is_elementary_up_to_depth(incl, s, t, 1)
     assert is_elementary_up_to_depth(incl, s, t, 1) == first
-    assert len(fresh_fragments) == 2
+    assert len(fresh_fragments) == 3
 
 
 def _with_repeated_tuples(monkeypatch):
@@ -203,13 +203,12 @@ def test_sweep_fails_when_map_search_drops_injectivity(monkeypatch, b2, sig_r):
 
 
 def test_sweep_fails_when_diagram_scan_skips_identity_checks(monkeypatch, b2, sig_r):
-    original = diagrams._diagram_side
+    entries = diagrams.Diagram.entries.fget
 
-    def without_identities(block, d):
-        kept = tuple(e for e in d.entries if not isinstance(e.sentence, Eq))
-        return original(block, replace(d, entries=kept))
+    def without_identities(d):
+        return tuple(e for e in entries(d) if not isinstance(e.sentence, Eq))
 
-    monkeypatch.setattr(diagrams, "_diagram_side", without_identities)
+    monkeypatch.setattr(diagrams.Diagram, "entries", property(without_identities))
     report = cor1_sweep(b2, sig_r, 2, 2)
     assert not report.ok
     assert all(diag and not emb for _, _, diag, emb in report.disagreements)

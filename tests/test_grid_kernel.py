@@ -80,7 +80,9 @@ def test_a_chain_over_256_elements_exits_2_from_the_cli(tmp_path, monkeypatch, c
     path = str(tmp_path / "s.json")
     for argv in (["implies-exists", "--left", path, "--right", path, "--n", "1"],
                  ["equiv", "--left", path, "--right", path, "--depth", "1"],
-                 ["diagram", "--kind", "eldiag", "--structure", path]):
+                 ["diagram", "--kind", "eldiag", "--structure", path],
+                 ["diagram", "--kind", "diag", "--structure", path],
+                 ["check-diagram", "--source", path, "--target", path, "--map", "a=a,b=b"]):
         assert cli.main(argv) == 2, argv
         assert "over 256" in capsys.readouterr().err, argv
 

@@ -154,3 +154,19 @@ def test_a_separator_the_evaluator_refutes_raises(monkeypatch):
     with pytest.raises(InternalError, match="disagree on a separator"):
         equiv_up_to_depth(one, two, 1)
 
+
+
+def test_equivalence_names_the_rows_only_up_to_its_separator(monkeypatch):
+    from gradedmt import consequence, generation
+    from gradedmt.corpus import data_dir
+    from gradedmt.files import load_structure
+
+    left, right = (load_structure(data_dir() / f"{name}.json") for name in ("edgeless2", "path3"))
+    tables = []
+    monkeypatch.setattr(consequence, "ValueClasses", lambda *args: tables.append(generation.ValueClasses(*args))
+                        or tables[-1])
+    res = equiv_up_to_depth(left, right, 2)
+    assert (res.equal, res.sentences_checked) == (False, 2658)
+    assert res.separator == exists_block(("x1", "x2"), Atom("R", (Var("x1"), Var("x2"))))
+    # the separator is closed position 5, row 25 of 3,698: the table names the first 256 rows only
+    assert (len(tables[0].cls), len(tables[0].family.program)) == (256, 3698)
