@@ -129,7 +129,7 @@ def check_tarski_vaught(chain: StructureChain, depth: int | None = None,
     tuples = [tup for member in chain.members for tup in product(member.domain, repeat=len(variables))]
     n = len(tuples)
     cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]  # each tuple's union cell
-    report.quantifier_free_checked = n * len(family.program)
+    report.quantifier_free_checked = n * len(family.free)
     table = ValueClasses(family, grids)
     for limit in (len(family.leaves), None):  # the whole family only when some leaf differs
         table.extend(limit)

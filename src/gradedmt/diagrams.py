@@ -91,12 +91,12 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
     terms = ground_terms(sharp.sig, constants + tuple(s.sig.constants()), bounds.term_depth)
     depth, vals = bounds.connective_depth, len(truth_constant_labels(s.sig, s.chain.elements))
     family = fragment(s.sig, s.chain.elements, [], depth, terms)  # at depth 0, its leaves before the truth constants
-    parts = [(family, (), range(len(family.program) if depth else len(family.leaves) - vals))]
+    parts = [(family, (), range(len(family.free) if depth else len(family.leaves) - vals))]
     completeness = f"quantifier-free to depth {depth}" if depth else "atomic"
     if kind == ELDIAG:
         family = sentence_family(sharp.sig, s.chain.elements, bounds.quantifier_depth, bounds.num_vars, terms)
-        first, level = len(family.program) if depth else len(family.leaves) - vals, []
-        for op, i, j in family.program:  # a block row counts as over the connective depth
+        first, level = len(family.free) if depth else len(family.leaves) - vals, []
+        for op, i, j in family.rows():  # a block row counts as over the connective depth
             level.append(0 if op is None or op is Not else depth + 1 if type(op) is tuple else level[i] + level[j] + 1)
         parts.append((family, tuple(f"x{i}" for i in range(1, bounds.num_vars + 1)),
                       [k for k, fv in enumerate(family.free) if not fv and not (k < first and level[k] <= depth)]))

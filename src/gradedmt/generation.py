@@ -1,7 +1,8 @@
 """Canonical formula families and bulk evaluation over assignment grids.
 
 One builder, `_build_fragment`, makes every formula family of the package
-as an index program, where a formula is built only when read, by
+as an index program held in typed columns, one kind code and two operand
+positions a row, where a formula is built only when read, by
 `Fragment.matrix`, the one formula builder:
 
 * fragment-bounded checks read quantifier-free matrices of bounded
@@ -24,7 +25,8 @@ grows in family order only as far as its caller reads, and folds each
 class through each prefix suffix once (`read`).
 """
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from copy import copy
 from functools import cached_property, lru_cache, reduce
@@ -61,6 +63,8 @@ from .syntax import (
 )
 
 _CONNECTIVES = (And, Or, Strong, Implies, Iff)
+_KINDS = (None, Not, *_CONNECTIVES)  # a family's first kind codes; its block kinds follow
+_IMPLICATION, _FIVE = array("H", [_KINDS.index(Implies)]), array("H", map(_KINDS.index, _CONNECTIVES))
 
 
 @lru_cache(maxsize=64)
@@ -163,23 +167,31 @@ def prenex_formula(matrix: Formula, prefix) -> Formula:
 
 
 class Fragment:
-    """Formulas in generation order, as an index program: `program[k]` is
-    (connective, left, right), the earlier positions of matrix k's operands
-    (a negation names its body twice), ((kind, block), body, body) for a
-    quantifier block in a quantified family, or (None, 0, 0) for a leaf, the
-    formula `leaves[k]`; leaves come first.  `free[k]` is matrix k's
-    free-variable set.  A formula is built only when read, by `matrix(k)`,
-    the one formula builder.  Shared, so read-only; one plan per (steps, keep)."""
+    """Formulas in generation order, as an index program held in columns:
+    row k, read by `rows`, is (`kinds[ops[k]]`, `lefts[k]`, `rights[k]`), a
+    connective and the earlier positions of matrix k's operands (a negation
+    names its body twice), ((kind, block), body, body) for a quantifier block
+    in a quantified family, or (None, 0, 0) for a leaf, the formula
+    `leaves[k]`; leaves come first, and without `columns` every row is one.
+    `free[k]` is matrix k's free-variable set.  A formula is built only when
+    read, by `matrix(k)`, the one formula builder.  Shared, so read-only; one
+    plan per (steps, keep)."""
 
-    def __init__(self, leaves: Sequence[Formula], program: Sequence[tuple], free: Sequence[frozenset]):
-        self.leaves, self.program, self.free = tuple(leaves), tuple(program), tuple(free)
+    def __init__(self, leaves: Sequence[Formula], free: Sequence[frozenset], columns: tuple | None = None):
+        self.leaves, self.free = tuple(leaves), tuple(free)
+        zeros = array("i", [0]) * len(self.free)
+        self.kinds, self.ops, self.lefts, self.rights = columns or (_KINDS, array("H", zeros), zeros, zeros)
         self._plans: dict = {}
+
+    def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """(connective, left, right) per row from `start` to `stop` (the end with None)."""
+        return zip(map(self.kinds.__getitem__, self.ops[start:stop]), self.lefts[start:stop], self.rights[start:stop])
 
     def matrix(self, k: int, memo: dict | None = None) -> Formula:
         """Matrix k; the formulas read with one `memo` share their operands."""
         memo = {} if memo is None else memo
         if k not in memo:
-            kind, i, j = self.program[k]
+            kind, i, j = self.kinds[self.ops[k]], self.lefts[k], self.rights[k]  # one row, read in place
             memo[k] = (self.leaves[k] if kind is None else Not(self.matrix(i, memo)) if kind is Not
                        else prenex_formula(self.matrix(i, memo), (kind,)) if type(kind) is tuple
                        else kind(self.matrix(i, memo), self.matrix(j, memo)))
@@ -210,7 +222,7 @@ class StreamPlan:
     matrix built by `Fragment.matrix`."""
 
     def __init__(self, family: Fragment, steps: tuple, keep=None):
-        self.family, self.rows, self.starts, self.offsets = family, [], [], [0]
+        self.family, self.rows, self.starts, self.offsets = family, [], [], [0]  # starts: one array a step
         seen: dict = {fv: set() for fv in set(family.free)}  # per free set, the (prefix, params) pairs so far
         for quantifiable, target in steps:
             rows = {}
@@ -222,7 +234,7 @@ class StreamPlan:
                 rows[fv] = tuple(p for p in new if keep is None or keep(p)), params
             lengths = {fv: len(prefixes) for fv, (prefixes, _) in rows.items()}
             self.rows.append(rows)
-            self.starts.append(list(accumulate(map(lengths.__getitem__, family.free), initial=0)))
+            self.starts.append(array("q", accumulate(map(lengths.__getitem__, family.free), initial=0)))
             self.offsets.append(self.offsets[-1] + self.starts[-1][-1])
         self.size = self.offsets[-1]
 
@@ -261,7 +273,7 @@ def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[st
     else:
         _fragments.move_to_end(key)
         meter = BudgetMeter("matrix generation")
-        meter.tick(min(len(family.program), meter.limit + 1))
+        meter.tick(min(len(family.free), meter.limit + 1))
     return family
 
 
@@ -280,25 +292,34 @@ def _build_fragment(sig, labels, variables, depth, extra_terms, quantified=False
     are built, and fails where a tick per row would."""
     meter = BudgetMeter("sentence generation" if quantified else "matrix generation")
     leaves = tuple(dict.fromkeys(atoms_over(sig, [Var(v) for v in variables] + list(extra_terms), labels)))
-    program = [(None, 0, 0)] * len(leaves) + [(Not, k, k) for k, a in enumerate(leaves) if not isinstance(a, Val)]
+    negated = [k for k, a in enumerate(leaves) if not isinstance(a, Val)]
+    ops = array("H", [0]) * len(leaves) + array("H", [1]) * len(negated)
+    lefts = array("i", [0]) * len(leaves) + array("i", negated)
+    rights, kinds = array("i", lefts), list(_KINDS)
     sets: dict = {}  # one object per distinct set: a family has only a few
-    join = lru_cache(maxsize=None)(lambda a, b: sets.setdefault(a | b, a | b))
     free = [sets.setdefault(fv, fv) for fv in (frozenset(free_variables(a)) for a in leaves)]
-    free += [free[k] for _, k, _ in program[len(leaves):]]
-    starts, blocks = [0], set()  # level l is program[starts[l]:starts[l + 1]]
+    free += [free[k] for k in negated]
+    starts, blocks, plans = [0], set(), {}  # level l is rows starts[l]:starts[l + 1]
     for level in range(depth + 1):  # level 0 is built: here it is only charged
-        final, built = quantified and level == depth, len(program)
+        final, built = quantified and level == depth, len(ops)
         for k in range(starts[level - 1], starts[level]) if quantified and level else ():
-            kind, body, _ = program[k]
-            parts = _variable_subsets(tuple(v for v in variables if v in free[k]))
-            for part in parts[-1:] if final else parts:  # the last subset is the whole set
-                for q in (FORALL, EXISTS):
+            plan = plans.get(key := (ops[k], free[k], final))
+            if plan is None:  # (code, merged, free set) per block row, planned once per key
+                kind, plan = kinds[ops[k]], plans.setdefault(key, [])
+                parts = _variable_subsets(tuple(v for v in variables if v in free[k]))  # the last is the whole set
+                for part, q in product(parts[-1:] if final else parts, (FORALL, EXISTS)):
                     merged = type(kind) is tuple and kind[0] == q  # a block over a block of its kind
-                    row = ((q, part + kind[1]), body, body) if merged else ((q, part), k, k)
-                    if row not in blocks:
-                        blocks.add(row)
-                        program.append(row)
-                        free.append(sets.setdefault(rest := free[k].difference(part), rest))
+                    block = (q, part + kind[1]) if merged else (q, part)
+                    if block not in kinds:
+                        kinds.append(block)
+                    plan.append((kinds.index(block), merged, sets.setdefault(rest := free[k].difference(part), rest)))
+            for code, merged, rest in plan:  # a merged row names its body's body
+                if (code, body := lefts[k] if merged else k) not in blocks:
+                    blocks.add((code, body))
+                    ops.append(code)
+                    lefts.append(body)
+                    rights.append(body)
+                    free.append(rest)
         rows = [range(starts[l], starts[l + 1]) for l in range(level)]
         if final:
             rows = [[k for k in r if not free[k]] for r in rows]
@@ -306,15 +327,21 @@ def _build_fragment(sig, labels, variables, depth, extra_terms, quantified=False
         # rows per split: five a pair when the left level is the lower, implication alone when it is
         # the higher, and on one level of n entries n * n implications and 4 * n(n + 1) / 2 others
         count = sum(len(a) * (5 * len(b) if d < 0 else len(b) if d else 3 * len(a) + 2) for a, b, d in splits)
-        meter.tick(min(len(program) - built + count if level else len(program), meter.limit - meter.used + 1))
+        meter.tick(min(len(ops) - built + count if level else len(ops), meter.limit - meter.used + 1))
         for left, right, d in splits:
-            for i in left:
-                for j in right:
-                    kinds = _CONNECTIVES if d < 0 or d == 0 and i <= j else (Implies,)
-                    program += [(kind, i, j) for kind in kinds]
-                    free += [join(free[i], free[j])] * len(kinds)
-        starts.append(len(program))
-    return Fragment(leaves, program, free)
+            once, fives, runs = array("i", right), array("i", [j for j in right for _ in range(5)]), {}
+            for i in left:  # one run of rows per left operand: implication alone before the cut, then five
+                cut = len(right) if d > 0 else bisect_left(right, i) if d == 0 else 0
+                if free[i] not in runs:  # the run's free sets, alone and five times each, per left free set
+                    joins = [sets.setdefault(u := free[i] | free[j], u) for j in right]
+                    runs[free[i]] = joins, [fv for fv in joins for _ in range(5)]
+                joins, joins5 = runs[free[i]]
+                ops += _IMPLICATION * cut + _FIVE * (len(right) - cut)
+                lefts += array("i", [i]) * (5 * len(right) - 4 * cut)
+                rights += once[:cut] + fives[5 * cut:]
+                free += joins[:cut] + joins5[5 * cut:]
+        starts.append(len(ops))
+    return Fragment(leaves, free, (tuple(kinds), ops, lefts, rights))
 
 
 def sentence_family(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
@@ -339,7 +366,7 @@ def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence
                 extra_terms: Sequence = ()) -> list[Formula]:
     """Quantifier-free formulas over the variable pool, ops-count levels, sharing their operands."""
     family = fragment(sig, chain_labels, variables, depth, extra_terms)
-    return [family.matrix(k, memo) for memo in [{}] for k in range(len(family.program))]
+    return [family.matrix(k, memo) for memo in [{}] for k in range(len(family.free))]
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +398,7 @@ def prenex_candidates(
     quantified; remaining free variables are parameter slots.  Pure
     parameter matrices are emitted once, as quantifier-free candidates.
     """
-    family = Fragment(matrices, [(None, 0, 0)] * len(matrices), [frozenset(free_variables(phi)) for phi in matrices])
+    family = Fragment(matrices, [frozenset(free_variables(phi)) for phi in matrices])
     yield from family.plan([(quantifiable, target)])
 
 
@@ -419,7 +446,7 @@ class AssignmentGrid:
     `_leaf` (atoms, identities, truth constants) and `_combine` (each
     connective as a `bytes.translate` table, see `_byte_tables`) serve both
     `values`, a plain recursion kept as a reference, and `ValueClasses`,
-    which runs a family's `program` over the value classes of several grids
+    which runs a family's rows over the value classes of several grids
     at once and memoises their folds.  A grid keeps no per-formula state, so
     tables may share it.
     """
@@ -521,7 +548,7 @@ class AssignmentGrid:
 class ValueClasses:
     """A family's matrices by value class over several grids, grown in
     family order: `cls[k]` is matrix k's class id, `vecs[c]` class c's
-    values at each grid's cells in turn.  `family.program` runs over class
+    values at each grid's cells in turn.  `family.rows()` run over class
     ids, interned by their bytes, so no matrix is built as a formula and
     each connective meets each pair of operand classes once, with the tables
     of each run of grids that share a chain.  `extend(n)` resumes where the
@@ -543,11 +570,11 @@ class ValueClasses:
 
     def extend(self, n: int | None = None) -> None:
         """Name the first n matrices (every matrix with None), from where the table stopped."""
-        program, cls, vecs, runs, memo = self.family.program, self.cls, self.vecs, self._runs, self._memo
-        stop = len(program) if n is None else min(n, len(program))
-        for leaf in self.family.leaves[len(cls):stop]:  # the leaves come first
+        family, cls, vecs, runs, memo = self.family, self.cls, self.vecs, self._runs, self._memo
+        stop = len(family.free) if n is None else min(n, len(family.free))
+        for leaf in family.leaves[len(cls):stop]:  # the leaves come first
             cls.append(self._intern(b"".join(g._leaf(leaf) for g in self.grids)))
-        for kind, i, j in program[len(cls):stop]:
+        for kind, i, j in family.rows(len(cls), stop):
             key = (kind, cls[i], cls[j])
             c = memo.get(key)
             if c is None:

@@ -43,6 +43,7 @@ class SourceSpan:
 
 _SYMBOLS = ["<->", "->", "/\\", "\\/", "&", "~", "(", ")", ",", "."]
 _KEYWORDS = {"forall", "exists", "not", "val"}
+_BINARY = ((Iff, "<->"), (Implies, "->"), (Or, "\\/"), (And, "/\\"), (Strong, "&"))  # loosest first
 
 
 @dataclass(frozen=True)
@@ -117,44 +118,18 @@ class _Parser:
     def fail(self, message: str, tok: _Token):
         raise ParseError(f"{message} at {tok.span}")
 
-    # precedence chain, loosest first
-
     def formula(self) -> Formula:
-        return self.iff()
+        return self.binary(0)
 
-    def iff(self) -> Formula:
-        left = self.implication()
-        while self.peek().text == "<->":
+    def binary(self, level: int) -> Formula:
+        """The connectives of `_BINARY[level:]` over `unary`: implication
+        groups to the right, the others to the left."""
+        ctor, symbol = _BINARY[level]
+        left = self.binary(level + 1) if level + 1 < len(_BINARY) else self.unary()
+        while self.peek().text == symbol:
             self.take()
-            left = Iff(left, self.implication())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().text == "->":
-            self.take()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek().text == "\\/":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.strong()
-        while self.peek().text == "/\\":
-            self.take()
-            left = And(left, self.strong())
-        return left
-
-    def strong(self) -> Formula:
-        left = self.unary()
-        while self.peek().text == "&":
-            self.take()
-            left = Strong(left, self.unary())
+            left = ctor(left, self.binary(level) if ctor is Implies else
+                        self.binary(level + 1) if level + 1 < len(_BINARY) else self.unary())
         return left
 
     def unary(self) -> Formula:
@@ -272,12 +247,8 @@ def parse_theory(text: str, sig: Signature) -> list[Formula]:
 
 # --- rendering ---
 
-_PREC_IFF = 1
-_PREC_IMPLIES = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_STRONG = 5
-_PREC_UNARY = 6
+_PREC = {ctor: prec for prec, (ctor, _) in enumerate(_BINARY, 1)}  # how tightly each connective binds
+_PREC_UNARY = len(_BINARY) + 1
 
 
 def render_term(t) -> str:
@@ -314,21 +285,10 @@ def _render(phi: Formula, outer: int) -> str:
         word = "forall" if ctor is Forall else "exists"
         text = f"{word} {' '.join(variables)} . {_render(body, 0)}"
         return f"({text})" if outer > 0 else text
-    if isinstance(phi, Strong):
-        text = f"{_render(phi.left, _PREC_STRONG)} & {_render(phi.right, _PREC_STRONG + 1)}"
-        return _wrap(text, _PREC_STRONG, outer)
-    if isinstance(phi, And):
-        text = f"{_render(phi.left, _PREC_AND)} /\\ {_render(phi.right, _PREC_AND + 1)}"
-        return _wrap(text, _PREC_AND, outer)
-    if isinstance(phi, Or):
-        text = f"{_render(phi.left, _PREC_OR)} \\/ {_render(phi.right, _PREC_OR + 1)}"
-        return _wrap(text, _PREC_OR, outer)
-    if isinstance(phi, Implies):
-        text = f"{_render(phi.left, _PREC_IMPLIES + 1)} -> {_render(phi.right, _PREC_IMPLIES)}"
-        return _wrap(text, _PREC_IMPLIES, outer)
-    if isinstance(phi, Iff):
-        text = f"{_render(phi.left, _PREC_IFF)} <-> {_render(phi.right, _PREC_IFF + 1)}"
-        return _wrap(text, _PREC_IFF, outer)
+    if type(phi) in _PREC:
+        prec, right = _PREC[type(phi)], type(phi) is Implies  # implication groups to the right
+        text = f"{_render(phi.left, prec + right)} {_BINARY[prec - 1][1]} {_render(phi.right, prec + 1 - right)}"
+        return _wrap(text, prec, outer)
     raise TypeError(f"not a formula: {phi!r}")
 
 

@@ -277,7 +277,7 @@ def test_tarski_vaught_evaluates_only_the_leaves_of_a_valid_chain(monkeypatch, s
     asked, extend = [], ValueClasses.extend
 
     def recording(table, n=None):
-        asked.append((len(table.family.program), n))
+        asked.append((len(table.family.free), n))
         return extend(table, n)
 
     monkeypatch.setattr(ValueClasses, "extend", recording)

@@ -109,7 +109,7 @@ def test_entries_share_their_operands(g3, sig_p):
     (family, _, positions), = diagram.parts
     entries = diagram.entries
     assert list(positions) == list(range(len(entries)))
-    rows = [(e.sentence, *family.program[k]) for k, e in enumerate(entries) if family.program[k][0] is not None]
+    rows = [(e.sentence, *row) for e, row in zip(entries, family.rows()) if row[0] is not None]
     assert rows and all(phi.body is entries[i].sentence if kind is Not else
                         phi.left is entries[i].sentence and phi.right is entries[j].sentence
                         for phi, kind, i, j in rows)

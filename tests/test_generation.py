@@ -1,5 +1,6 @@
 import itertools
 import sys
+from array import array
 from collections import OrderedDict
 
 import pytest
@@ -218,8 +219,7 @@ def test_elementary_family_matches_reference_order(which, total_vars, matrix_dep
 def test_prenex_candidates_yield_their_plan():
     sig, extra = ORDER_SIGNATURES["constant"]
     matrices = qf_matrices(sig, G3.elements, ["x1", "x2"], 0, extra)
-    family = generation.Fragment(matrices, [(None, 0, 0)] * len(matrices),
-                                 [frozenset(free_variables(phi)) for phi in matrices])
+    family = generation.Fragment(matrices, [frozenset(free_variables(phi)) for phi in matrices])
     target = PrenexClass(EXISTS, 2)
     assert list(prenex_candidates(matrices, ["x1", "x2"], target)) == list(family.plan([(["x1", "x2"], target)]))
 
@@ -322,7 +322,7 @@ def pr_structures(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     s=pr_structures(),
-    positions=st.lists(st.integers(0, len(PR_FAMILY.program) - 1), min_size=1, max_size=4),
+    positions=st.lists(st.integers(0, len(PR_FAMILY.free) - 1), min_size=1, max_size=4),
     order=st.permutations(GRID_VARS),
 )
 def test_prefix_folds_match_plain_evaluator(s, positions, order):
@@ -352,11 +352,11 @@ PAIR_VARS = ("x1", "x2")
 PAIR_FAMILY = generation.fragment(expand_with_truth_constants(SIG_PR, G3), G3.elements, PAIR_VARS, 1)
 
 
-PAIR_MATRICES = [PAIR_FAMILY.matrix(k) for k in range(len(PAIR_FAMILY.program))]
+PAIR_MATRICES = [PAIR_FAMILY.matrix(k) for k in range(len(PAIR_FAMILY.free))]
 
 
 def test_family_program_reads_only_earlier_positions():
-    for k, (phi, (kind, i, j)) in enumerate(zip(PAIR_MATRICES, PAIR_FAMILY.program)):
+    for k, (phi, (kind, i, j)) in enumerate(zip(PAIR_MATRICES, PAIR_FAMILY.rows())):
         assert kind is (type(phi) if isinstance(phi, (Not, And, Or, Strong, Implies, Iff)) else None)
         assert kind is None or (i < k and j < k)
 
@@ -444,10 +444,12 @@ def _pool_build(sig, labels, variables, depth, extra_terms=()):
 
 
 class _PoolFragment(generation.Fragment):
-    """A family that reads the pool build's own formulas."""
+    """A family that reads the pool build's own formulas, its program as columns."""
 
     def __init__(self, matrices, free, program):
-        super().__init__([phi for phi, (kind, _, _) in zip(matrices, program) if kind is None], program, free)
+        ops, lefts, rights = zip(*((generation._KINDS.index(kind), i, j) for kind, i, j in program))
+        super().__init__([phi for phi, (kind, _, _) in zip(matrices, program) if kind is None], free,
+                         (generation._KINDS, array("H", ops), array("i", lefts), array("i", rights)))
         self.matrices = matrices
 
     def matrix(self, k):
@@ -476,7 +478,7 @@ def test_index_program_build_matches_the_pool_build(case, depth):
     labels = generation.truth_constant_labels(sig, G3.elements)
     family = generation._build_fragment(sig, labels, variables, depth, extra)
     matrices, free, program = _pool_build(sig, labels, variables, depth, extra)
-    assert family.program == program
+    assert tuple(family.rows()) == program
     assert family.free == free
     assert len({id(fv) for fv in family.free}) == len(set(free))  # one object per distinct set
     assert family.leaves == matrices[:len(family.leaves)]
@@ -497,7 +499,7 @@ def test_a_budget_cut_in_any_level_fails_like_the_pool_build(monkeypatch):
         assert str(got.value) == str(want.value) == f"matrix generation exceeded budget of {limit}"
         assert (got.value.required, got.value.budget) == (want.value.required, want.value.budget)
     monkeypatch.setenv("GRADEDMT_BUDGET", str(ends[2]))
-    assert len(generation._build_fragment(sig, labels, variables, 2, extra).program) == ends[2]
+    assert len(generation._build_fragment(sig, labels, variables, 2, extra).free) == ends[2]
 
 
 SIG_P = Signature(predicates={"P": 1})

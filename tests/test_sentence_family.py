@@ -169,4 +169,4 @@ def test_equivalence_names_the_rows_only_up_to_its_separator(monkeypatch):
     assert (res.equal, res.sentences_checked) == (False, 2658)
     assert res.separator == exists_block(("x1", "x2"), Atom("R", (Var("x1"), Var("x2"))))
     # the separator is closed position 5, row 25 of 3,698: the table names the first 256 rows only
-    assert (len(tables[0].cls), len(tables[0].family.program)) == (256, 3698)
+    assert (len(tables[0].cls), len(tables[0].family.free)) == (256, 3698)

@@ -119,7 +119,7 @@ def reference_stream(family, steps):
             new = [p for p in _prefixes(to_bind, target) if (p, params) not in seen]
             seen.update((p, params) for p in new)
             rows[fv].append((new, params))
-    matrices = [family.matrix(k) for k in range(len(family.program))]
+    matrices = [family.matrix(k) for k in range(len(family.free))]
     for i in range(len(steps)):
         for k, (matrix, fv) in enumerate(zip(matrices, family.free)):
             new, params = rows[fv][i]
@@ -419,7 +419,7 @@ def stream_plans(draw):
     sets = [frozenset(v for v, bit in zip(variables, bits) if bit)
             for bits in product((0, 1), repeat=len(variables))]
     free = draw(st.lists(st.sampled_from(sets), max_size=12))
-    family = Fragment([Atom("P", (Var(f"m{k}"),)) for k in range(len(free))], [(None, 0, 0)] * len(free), free)
+    family = Fragment([Atom("P", (Var(f"m{k}"),)) for k in range(len(free))], free)
     targets = st.sampled_from([quantifier_free_class()] + [PrenexClass(kind, blocks)
                                                            for kind in (FORALL, EXISTS) for blocks in (1, 2, 3)])
     steps = draw(st.lists(st.tuples(st.permutations(variables).flatmap(
@@ -464,13 +464,13 @@ def _check_value_classes(grids, monkeypatch):
     table.extend()
     cls, vecs = table.cls, table.vecs
     monkeypatch.undo()
-    assert len(cls) == len(VALUE_FAMILY.program)
+    assert len(cls) == len(VALUE_FAMILY.free)
     # one class per distinct vector, and each matrix's class holds its vector
     assert len({tuple(vec) for vec in vecs}) == len(vecs) == len(set(cls))
     for k, c in enumerate(cls):
         assert list(vecs[c]) == [v for grid in grids for v in grid.values(VALUE_FAMILY.matrix(k))]
     # each connective meets each pair of operand classes once per run of tables
-    triples = {(kind, cls[i], cls[j]) for kind, i, j in VALUE_FAMILY.program if kind}
+    triples = {(kind, cls[i], cls[j]) for kind, i, j in VALUE_FAMILY.rows() if kind}
     assert len(calls) == len(triples) * _runs(grids)
     return cls, vecs
 
@@ -533,8 +533,8 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     steps = [(qvars, PrenexClass(EXISTS, 1))]
     reached = 1 + max(k for _, k, *_ in islice(reference_stream(family, steps), bounds.max_candidates))
     assert family.plan(steps, bounds.max_candidates).reach(bounds.max_candidates) == reached
-    prefix = family.program[:reached]
-    assert reached < len(family.program)
+    prefix = list(family.rows(0, reached))
+    assert reached < len(family.free)
     calls, lengths = _count_work(monkeypatch)
     report = implies_exists_n(s, s, ("a", "b"), 1, bounds)
     assert report.ok and report.candidates_checked == bounds.max_candidates
@@ -560,7 +560,7 @@ def test_a_failing_call_evaluates_only_the_first_256_matrices(monkeypatch):
     report = implies_exists_n(left, right, ("a",), 2)
     assert render_formula(report.separator) == "exists x1 . not R(x1, p1)" and report.candidates_checked == 57
     _, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
-    assert lengths == [256] and len(family.program) == 5940 and len(family.leaves) == 23
+    assert lengths == [256] and len(family.free) == 5940 and len(family.leaves) == 23
     assert calls == {"_leaf": 2 * 23, "_combine": 134}
 
 
@@ -573,7 +573,7 @@ def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch)
     qvars, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
     plan = family.plan([(qvars, PrenexClass(EXISTS, 2))])
     assert report.ok and report.candidates_checked == plan.size
-    assert lengths == [256, 512, 1024, 2048, 4096, plan.reach(plan.size)] and lengths[-1] == len(family.program)
+    assert lengths == [256, 512, 1024, 2048, 4096, plan.reach(plan.size)] and lengths[-1] == len(family.free)
     assert calls["_leaf"] == 2 * len(family.leaves)
 
 
@@ -588,7 +588,7 @@ def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_gr
     reference, plan = _both_loops(family, [EXISTS_STEPS], AssignmentGrid(left, ["x1", "x2"]),
                                   AssignmentGrid(right, ["x1", "x2"]), None, {}, lambda slots: [()])
     assert plan == reference and plan[0][0] == 1101
-    assert lengths == [256, 512, 1024, len(family.program)] == [256, 512, 1024, 1518]
+    assert lengths == [256, 512, 1024, len(family.free)] == [256, 512, 1024, 1518]
 
 
 def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
