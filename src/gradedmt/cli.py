@@ -88,11 +88,11 @@ def _structure_with_options(args, attr="structure"):
     return s
 
 
-def _parse_binds(binds):
+def _parse_binds(binds, flag="--bind", shape="VAR=LABEL"):
     out = {}
     for item in binds or ():
         if "=" not in item:
-            raise GradedmtError(f"--bind expects VAR=LABEL, got {item!r}")
+            raise GradedmtError(f"{flag} expects {shape}, got {item!r}")
         var, label = item.split("=", 1)
         out[var] = label
     return out
@@ -181,13 +181,13 @@ def cmd_check_diagram(args) -> int:
     bounds = _diagram_bounds_from(args)
     diagram = build_diagram(source, args.kind, bounds)
     if args.map:
-        images = []
-        mapping = _parse_binds(args.map.split(","))
-        for name, element in zip(diagram.constants, source.domain):
+        mapping = _parse_binds(args.map.split(","), "--map", "SOURCE=TARGET")
+        for element in [*mapping, *source.domain]:  # the diagram's constants name the domain in order
+            if element not in source.domain:
+                raise GradedmtError(f"--map names {element!r}, which is not a source element")
             if element not in mapping:
                 raise GradedmtError(f"--map misses source element {element!r}")
-            images.append(mapping[element])
-        expanded = interpret_constants(target, diagram, images)
+        expanded = interpret_constants(target, diagram, [mapping[element] for element in source.domain])
         rep = models_diagram(expanded, diagram)
         payload = {"models": rep.ok}
         if not rep.ok:

@@ -586,7 +586,7 @@ class ValueClasses:
             cls.append(c)
 
     def classes(self, positions: Sequence[int]) -> Iterator[int]:
-        """These ascending positions' class ids in turn, the table doubled from 256 matrices as read."""
+        """These ascending positions' class ids, the table doubled from 256 matrices as read: its one growth path."""
         for k in positions:
             if k >= len(self.cls):
                 self.extend(min(max(k + 1, 2 * len(self.cls), 256), positions[-1] + 1))

@@ -141,14 +141,15 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     tuple does not transfer along (f, g) to the image tuple: f must carry
     the source value to the target value, or with f None a top source value
     must stay top.  `tuples(params)` lists the source tuples.  Matrices are
-    read by class from a `ValueClasses` table over both grids, grown by
-    doubling from 256 matrices to at most the last one the plan reaches, and
-    folded by class.  A (class, prefix, params) triple fixes the free set, so
-    it is decided once, at the first matrix of its (class, free set) group;
-    groups in order of first matrix hold ascending, disjoint runs of
-    positions, and a step is covered in full, the table growing as its
-    groups run out, before the next, so the first failing triple met is the
-    first failure, and no candidate is read one at a time.
+    read by class from a `ValueClasses` table over both grids and folded by
+    class.  A (class, prefix, params) triple fixes the free set, so it is
+    decided once, at the first matrix of its (class, free set) group; groups
+    in order of first matrix hold ascending, disjoint runs of positions.
+    Step 0 lists the groups in one pass of `ValueClasses.classes`, which
+    grows the table as far as it is read, to at most the last matrix the
+    plan reaches; it returns or ends the pass, and each later step walks the
+    list, so the first failing triple met is the first failure, and no
+    candidate is read one at a time.
     `meter` is ticked in bulk with the positions read, at most its limit + 1
     as single ticks would stop, before any replay through `eval_formula`.
     Returns (positions checked, separator, source tuple), or (checked, None,
@@ -160,8 +161,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
     family, reach = plan.family, plan.reach(end)
     table = ValueClasses(family, [grid_s, grid_t])
-    groups: list = []  # (first matrix, class, free set) of each (class, free set) group, by first matrix
-    firsts: dict = {}  # (class, free set) -> its first matrix
+    firsts: dict = {}  # (class, free set) -> its first matrix, in order of first matrix
     cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
 
     def failure(c, prefix, params):
@@ -177,20 +177,14 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
         vt = table.read(c, 1, prefix)
         return next(((tup, vs[i], vt[j]) for tup, i, j in row if not transfers[vs[i]][vt[j]]), None)
 
+    def grouped():  # (first matrix, class, free set) of each group as step 0 reads the table
+        for k, key in enumerate(zip(table.classes(range(reach)), family.free)):
+            if firsts.setdefault(key, k) == k:
+                yield k, *key
+
     def first_failure():
-        for step, rows in enumerate(plan.rows):
-            index = 0
-            while index < len(groups) or len(table.cls) < reach:
-                if index == len(groups):  # double the table and list the groups it adds
-                    named = len(table.cls)
-                    table.extend(min(reach, max(256, 2 * named)))
-                    for k in range(named, len(table.cls)):
-                        key = table.cls[k], family.free[k]
-                        if firsts.setdefault(key, k) == k:
-                            groups.append((k, *key))
-                    continue
-                k, c, fv = groups[index]
-                index += 1
+        for step, rows in enumerate(plan.rows):  # step 0 returns or lists every group
+            for k, c, fv in grouped() if step == 0 else ((k, *key) for key, k in firsts.items()):
                 start = plan.position(step, k)
                 if start >= end:
                     return None
@@ -432,22 +426,6 @@ def _count_domain_candidates(source, target, injective, agreement) -> int:
     return len(target.domain) ** free
 
 
-def _first_map(source, target, alg_candidates, entries, injective, agreement=None, extra_filter=None):
-    """The candidate loop of `search_structure_map`: the first (alg, g) that
-    passes the transport check and `extra_filter`, or None.  The caller
-    keeps only injective algebra maps when `injective` and builds the
-    source's transport entries."""
-    for alg in alg_candidates:
-        f = alg.map
-        for g in _domain_candidates(source, target, injective, agreement):
-            if _first_untransported(f, g, entries, target) is not None:
-                continue
-            if extra_filter is not None and not extra_filter(alg, g):
-                continue
-            return alg, g
-    return None
-
-
 def search_structure_map(
     source: Structure,
     target: Structure,
@@ -469,5 +447,9 @@ def search_structure_map(
     if injective:
         alg_candidates = [alg for alg in alg_candidates if alg.injective]
     entries = _transport_entries(source)
-    found = _first_map(source, target, alg_candidates, entries, injective, agreement, extra_filter)
-    return None if found is None else StructureMap(*found, kind="embedding" if injective else "strong")
+    for alg in alg_candidates:
+        for g in _domain_candidates(source, target, injective, agreement):
+            if (_first_untransported(alg.map, g, entries, target) is None
+                    and (extra_filter is None or extra_filter(alg, g))):
+                return StructureMap(alg, g, kind="embedding" if injective else "strong")
+    return None

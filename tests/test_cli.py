@@ -375,6 +375,32 @@ def test_eval_bind_outside_domain(capsys):
     assert "domain" in capsys.readouterr().err
 
 
+def test_eval_bind_without_equals_names_bind(capsys):
+    code = main([
+        "eval",
+        "--structure", str(DATA / "structure_m.json"),
+        "--formula", "P(x)",
+        "--bind", "x",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --bind expects VAR=LABEL, got 'x'\n"
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ("n0", "--map expects SOURCE=TARGET, got 'n0'"),
+    ("n0=n0,n1=n1,n2=n2,zz=n0", "--map names 'zz', which is not a source element"),
+])
+def test_check_diagram_map_errors_name_map(capsys, mapping, message):
+    code = main([
+        "check-diagram",
+        "--source", str(DATA / "structure_m.json"),
+        "--target", str(DATA / "structure_n.json"),
+        "--map", mapping,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_consequence_truth_constants_on_and_off(capsys):
     argv = [
         "consequence",

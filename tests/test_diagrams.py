@@ -2,7 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
-from gradedmt import corpus, diagrams, morphisms
+from gradedmt import corpus, diagrams
 from gradedmt.algebra import identity_map
 from gradedmt.diagrams import (
     DIAG,
@@ -19,7 +19,7 @@ from gradedmt.diagrams import (
 )
 from gradedmt.errors import BudgetError, SignatureError
 from gradedmt.generation import structure_space
-from gradedmt.morphisms import StructureMap, is_elementary_up_to_depth, is_embedding
+from gradedmt.morphisms import StructureMap, is_elementary_up_to_depth, is_embedding, search_structure_map
 from gradedmt.parser import parse_formula, parse_theory
 from gradedmt.semantics import Structure, eval_formula
 from gradedmt.syntax import Eq, Signature
@@ -258,7 +258,7 @@ def _orbit_map(block):
     return least
 
 
-def _class_pair_embedding_side(chain, sources, targets):
+def _class_pair_embedding_side(sources, targets):
     """The embedding side as the sweep decided it before: one map search per
     pair of relabelling classes, read back to every member pair."""
     classes = []
@@ -267,15 +267,14 @@ def _class_pair_embedding_side(chain, sources, targets):
         for i, least in enumerate(_orbit_map(block)):
             members[least] = members.get(least, 0) | 1 << block.position(i)
         classes += [(block.at(r), bits) for r, bits in members.items()]
-    algebra, out = [identity_map(chain)], []
+    out = []
     for block in sources:
         embeds: dict = {}
         for least in _orbit_map(block):
             if least not in embeds:
                 rep = block.at(least)
-                entries = morphisms._transport_entries(rep)
                 embeds[least] = sum(bits for t, bits in classes
-                                    if morphisms._first_map(rep, t, algebra, entries, True) is not None)
+                                    if search_structure_map(rep, t, injective=True) is not None)
             out.append(embeds[least])
     return out
 
@@ -294,7 +293,7 @@ def test_pull_back_pass_matches_the_class_pair_searches(chain, sig, sizes):
                     functions={c: 0 for c, a in sig.items() if not a})
     sources, targets = structure_space(sig, chain, sizes[0]), structure_space(sig, chain, sizes[1], "t")
     found = diagrams._embedding_side(sources, targets, sizes[0])
-    assert found == _class_pair_embedding_side(chain, sources, targets)
+    assert found == _class_pair_embedding_side(sources, targets)
     assert 0 < sum(e.bit_count() for e in found) < len(found) * targets.size
 
 

@@ -23,9 +23,9 @@ from gradedmt import corpus, morphisms
 from gradedmt.algebra import AlgebraMap
 from gradedmt.budget import BudgetMeter
 from gradedmt.errors import BudgetError, InternalError
-from gradedmt.generation import (AssignmentGrid, Fragment, ValueClasses, _prefixes, elementary_plan, fragment,
-                                 prenex_formula)
-from gradedmt.morphisms import StructureMap, first_transfer_failure, is_elementary_up_to_depth
+from gradedmt.generation import (AssignmentGrid, Fragment, StreamPlan, ValueClasses, _prefixes, elementary_plan,
+                                 fragment, prenex_formula)
+from gradedmt.morphisms import StructureMap, first_transfer_failure, inclusion_map, is_elementary_up_to_depth
 from gradedmt.parser import render_formula
 from gradedmt.semantics import Structure, eval_formula
 from gradedmt.syntax import (EXISTS, FORALL, Atom, PrenexClass, Signature, Var, expand_with_truth_constants,
@@ -589,6 +589,34 @@ def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_gr
                                   AssignmentGrid(right, ["x1", "x2"]), None, {}, lambda slots: [()])
     assert plan == reference and plan[0][0] == 1101
     assert lengths == [256, 512, 1024, len(family.free)] == [256, 512, 1024, 1518]
+
+
+def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monkeypatch):
+    # elementarity at depth 1 walks 6 steps; one pass of `classes` names the matrices within step 0
+    left, _ = _pr_pair(0)
+    plan = elementary_plan(SIG_PR, left.chain.elements, 1, 2, 1, [])
+    events, lengths = [], []  # events: the step of each position read, "named" per extension, "read" per pass
+    position, extend, classes = StreamPlan.position, ValueClasses.extend, ValueClasses.classes
+
+    def named(table, n=None):
+        extend(table, n)
+        events.append("named")
+        lengths.append(len(table.cls))
+
+    def read(table, positions):
+        yield from classes(table, positions)
+        events.append("read")
+
+    monkeypatch.setattr(ValueClasses, "extend", named)
+    monkeypatch.setattr(ValueClasses, "classes", read)
+    monkeypatch.setattr(StreamPlan, "position", lambda self, i, *rest: events.append(i) or position(self, i, *rest))
+    report = is_elementary_up_to_depth(inclusion_map(left, left), left, left, 1)
+    assert report.ok and report.formulas_checked == plan.size == 6726
+    cut = events.index("read")
+    assert set(events[:cut]) == {0, "named"} and set(events[cut + 1:]) == {1, 2, 3, 4, 5}
+    walked = lengths[:]
+    list(ValueClasses(plan.family, [AssignmentGrid(left, ["x1", "x2"])] * 2).classes(range(plan.reach(plan.size))))
+    assert walked == lengths[len(walked):] == [256, 512, 1024, 1518] and plan.reach(plan.size) == 1518
 
 
 def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
