@@ -16,8 +16,7 @@ from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
-from . import corpus
-from .algebra import validate_chain
+from . import algebra, corpus
 from .chains import check_tarski_vaught, normalize_chain, union_of_chain, validate_chain_of_structures
 from .consequence import bounded_consequence, equiv_up_to_depth
 from .diagrams import (
@@ -94,6 +93,8 @@ def _parse_binds(binds, flag="--bind", shape="VAR=LABEL"):
         if "=" not in item:
             raise GradedmtError(f"{flag} expects {shape}, got {item!r}")
         var, label = item.split("=", 1)
+        if var in out:
+            raise GradedmtError(f"{flag} names {var!r} twice")
         out[var] = label
     return out
 
@@ -187,6 +188,8 @@ def cmd_check_diagram(args) -> int:
                 raise GradedmtError(f"--map names {element!r}, which is not a source element")
             if element not in mapping:
                 raise GradedmtError(f"--map misses source element {element!r}")
+            if mapping[element] not in target.domain:
+                raise GradedmtError(f"--map sends {element!r} to {mapping[element]!r}, which is not a target element")
         expanded = interpret_constants(target, diagram, [mapping[element] for element in source.domain])
         rep = models_diagram(expanded, diagram)
         payload = {"models": rep.ok}
@@ -358,24 +361,17 @@ def cmd_counterexample(args) -> int:
 
 
 def _suite_los_tarski(args) -> dict:
-    rep = substructure_preservation_suite(args.seed, args.instances)
-    return rep.as_dict()
+    return substructure_preservation_suite(args.seed, args.instances).as_dict()
 
 
 def _suite_negative_control(args) -> dict:
-    rep = substructure_preservation_suite(
-        args.seed, args.instances, lead=EXISTS, claim="exists(1)-negative-control"
-    )
-    out = rep.as_dict()
+    rep = substructure_preservation_suite(args.seed, args.instances, lead=EXISTS, claim="exists(1)-negative-control")
     # the control passes when violations DO occur
-    out["ok"] = len(rep.violations) >= 1
-    out["expected"] = "at least one violation"
-    return out
+    return {**rep.as_dict(), "ok": len(rep.violations) >= 1, "expected": "at least one violation"}
 
 
 def _suite_unions(args) -> dict:
-    rep = union_preservation_suite(args.seed, args.instances)
-    return rep.as_dict()
+    return union_preservation_suite(args.seed, args.instances).as_dict()
 
 
 def _suite_cor1(args) -> dict:
@@ -393,20 +389,12 @@ def _suite_counterexample(args) -> dict:
 
 
 def _suite_algebra(args) -> dict:
-    from .algebra import derive_residuum
-
     results = {}
-    ok = True
     for name in ("godel4", "lukasiewicz3", "bool2"):
         chain = getattr(corpus, name)()
-        report = validate_chain(chain)
-        derived = derive_residuum(chain.elements, chain.star)
-        results[name] = {
-            "valid": report.ok,
-            "residuum_reproduced": derived == chain.implies,
-        }
-        ok = ok and report.ok and derived == chain.implies
-    return {"claim": "algebra-soundness", "chains": results, "ok": ok}
+        results[name] = {"valid": algebra.validate_chain(chain).ok,
+                         "residuum_reproduced": algebra.derive_residuum(chain.elements, chain.star) == chain.implies}
+    return {"claim": "algebra-soundness", "chains": results, "ok": all(all(r.values()) for r in results.values())}
 
 
 def _suite_bounded_consequence(args) -> dict:
@@ -417,14 +405,9 @@ def _suite_bounded_consequence(args) -> dict:
     symmetry = [parse_formula("forall x y . (R(x, y) -> R(y, x))", sig)]
     irreflexivity = parse_formula("forall x . (R(x, x) -> val(0))", sig)
     refuted = bounded_consequence(symmetry, irreflexivity, sig, corpus.bool2(), 1)
-    ok = entailed.holds and not refuted.holds and refuted.countermodel.size == 1
-    return {
-        "claim": "bounded-consequence",
-        "reversed_symmetry_entailed_at_3": entailed.holds,
-        "irreflexivity_refuted_with_size_1": (not refuted.holds)
-        and refuted.countermodel.size == 1,
-        "ok": ok,
-    }
+    refuted_at_1 = not refuted.holds and refuted.countermodel.size == 1
+    return {"claim": "bounded-consequence", "reversed_symmetry_entailed_at_3": entailed.holds,
+            "irreflexivity_refuted_with_size_1": refuted_at_1, "ok": entailed.holds and refuted_at_1}
 
 
 def _suite_amalgamation(args) -> dict:
@@ -442,34 +425,21 @@ def _suite_amalgamation(args) -> dict:
     twin = AmalgamInstance(left=p3, right=p3, common=common1, generators=("n0",))
     res3 = search_amalgam(twin, 2, 3)
     checks["common_point_n2"] = res3.found and _certificates_ok(res3, p3, p3)
-    m = corpus.structure_m()
-    n = corpus.structure_n()
+    m, n = corpus.structure_m(), corpus.structure_n()
     sig_a = expand_with_truth_constants(m.sig, m.chain)
-    m = replace(m, sig=sig_a)
-    n = replace(n, sig=sig_a)
+    m, n = replace(m, sig=sig_a), replace(n, sig=sig_a)
     try:
         search_amalgam(AmalgamInstance(left=m, right=n), 1, 3)
         checks["truth_constant_precondition_fails"] = False
     except PreconditionError as err:
-        witness = err.witness
         checks["truth_constant_precondition_fails"] = (
-            witness is not None
-            and render_formula(witness.separator) == "exists x1 . P(x1) <-> val(3/4)"
-        )
-    return {
-        "claim": "amalgamation-certificates",
-        "checks": checks,
-        "ok": all(checks.values()),
-    }
+            err.witness is not None and render_formula(err.witness.separator) == "exists x1 . P(x1) <-> val(3/4)")
+    return {"claim": "amalgamation-certificates", "checks": checks, "ok": all(checks.values())}
 
 
 def _certificates_ok(result, left, right) -> bool:
-    left_ok = is_embedding(result.left_map, left, result.amalgam).ok
-    sub_ok = is_substructure(right, result.amalgam).ok
-    elem_ok = is_elementary_up_to_depth(
-        result.right_map, right, result.amalgam, result.elementary_depth
-    ).ok
-    return left_ok and sub_ok and elem_ok
+    return (is_embedding(result.left_map, left, result.amalgam).ok and is_substructure(right, result.amalgam).ok
+            and is_elementary_up_to_depth(result.right_map, right, result.amalgam, result.elementary_depth).ok)
 
 
 _SUITES = {
@@ -490,11 +460,9 @@ def cmd_verify(args) -> int:
         raise GradedmtError(f"unknown suite {args.suite!r}; have {sorted(_SUITES)}")
     payload = _SUITES[args.suite](args)
     ok = bool(payload.get("ok"))
-    lines = [f"suite {args.suite}: {'pass' if ok else 'FAIL'}"]
-    for key, value in sorted(payload.items()):
-        if key in ("claim", "ok", "violations", "sentences"):
-            continue
-        lines.append(f"  {key}: {value}")
+    lines = [f"suite {args.suite}: {'pass' if ok else 'FAIL'}"] + [
+        f"  {key}: {value}" for key, value in sorted(payload.items())
+        if key not in ("claim", "ok", "violations", "sentences")]
     violations = payload.get("violations")
     if violations:
         lines.append(f"  violations: {len(violations)}")
@@ -516,7 +484,9 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p, seed=False, bounds=False):
+def _add_common(p, handler, seed=False, bounds=False, **defaults):
+    """Set the subcommand's handler and defaults, and add the options subcommands share."""
+    p.set_defaults(handler=handler, **defaults)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", help="write the report to this path instead of stdout")
     if seed:
@@ -540,34 +510,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--bind", action="append", metavar="VAR=LABEL")
     p.add_argument("--truth-constants", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_eval)
+    _add_common(p, cmd_eval)
 
     p = sub.add_parser("classify", help="prenex class of a formula")
     p.add_argument("--formula", required=True)
     p.add_argument("--labels", default="", help="comma-separated licensed truth-constant labels")
-    _add_common(p)
-    p.set_defaults(handler=cmd_classify)
+    _add_common(p, cmd_classify)
 
     p = sub.add_parser("check-sub", help="substructure test")
     p.add_argument("--sub", required=True)
     p.add_argument("--super", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_check_sub)
+    _add_common(p, cmd_check_sub)
 
     p = sub.add_parser("enum-subs", help="enumerate substructures")
     p.add_argument("--structure", required=True)
     p.add_argument("--include-subalgebra-reducts", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_enum_subs)
+    _add_common(p, cmd_enum_subs)
 
     for name, kind in (("find-hom", "homomorphism"), ("find-embed", "embedding")):
         p = sub.add_parser(name, help=f"search a strong {kind}")
         p.add_argument("--source", required=True)
         p.add_argument("--target", required=True)
         p.add_argument("--free-algebra-map", action="store_true")
-        _add_common(p)
-        p.set_defaults(handler=cmd_find_map, injective=kind == "embedding")
+        _add_common(p, cmd_find_map, injective=kind == "embedding")
 
     for name in ("diagram", "check-diagram"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')}")
@@ -582,23 +547,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--connective-depth", dest="connective_depth", type=_nonnegative_int, default=0)
         p.add_argument("--quantifier-depth", dest="quantifier_depth", type=_nonnegative_int, default=1)
         p.add_argument("--num-vars", dest="num_vars", type=_nonnegative_int, default=2)
-        _add_common(p)
-        p.set_defaults(handler=cmd_diagram if name == "diagram" else cmd_check_diagram)
+        _add_common(p, cmd_diagram if name == "diagram" else cmd_check_diagram)
 
     p = sub.add_parser("equiv", help="depth-bounded sentence equivalence")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--depth", type=_nonnegative_int, default=2)
     p.add_argument("--truth-constants", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=cmd_equiv)
+    _add_common(p, cmd_equiv)
 
     p = sub.add_parser("union", help="union of a chain file")
     p.add_argument("--chain", required=True)
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--save", help="write the union structure to this path")
-    _add_common(p)
-    p.set_defaults(handler=cmd_union)
+    _add_common(p, cmd_union)
 
     p = sub.add_parser("check-chain", help="validate a chain and its union clauses")
     p.add_argument("--chain", required=True)
@@ -606,8 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elementary-depth", dest="elementary_depth", type=_nonnegative_int, default=None)
     p.add_argument("--tv-depth", dest="tv_depth", type=_nonnegative_int, default=None)
     p.add_argument("--matrix-depth", dest="matrix_depth", type=_nonnegative_int, default=1)
-    _add_common(p)
-    p.set_defaults(handler=cmd_check_chain)
+    _add_common(p, cmd_check_chain)
 
     p = sub.add_parser("implies-exists", help="bounded existential transfer")
     p.add_argument("--left", required=True)
@@ -615,8 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_nonnegative_int, default=1)
     p.add_argument("--params", default="")
     p.add_argument("--truth-constants", action="store_true")
-    _add_common(p, bounds=True)
-    p.set_defaults(handler=cmd_implies_exists)
+    _add_common(p, cmd_implies_exists, bounds=True)
 
     p = sub.add_parser("amalgamate", help="bounded amalgam certificate search")
     p.add_argument("--left", required=True)
@@ -628,8 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_nonnegative_int, default=2)
     p.add_argument("--truth-constants", action="store_true")
     p.add_argument("--save", help="write the amalgam structure to this path")
-    _add_common(p, bounds=True)
-    p.set_defaults(handler=cmd_amalgamate)
+    _add_common(p, cmd_amalgamate, bounds=True)
 
     p = sub.add_parser("consequence", help="bounded semantic consequence")
     p.add_argument("--theory", required=True)
@@ -637,27 +596,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
     p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_consequence)
+    _add_common(p, cmd_consequence)
 
     p = sub.add_parser("universal-consequences", help="bounded universal consequences")
     p.add_argument("--theory", required=True)
     p.add_argument("--algebra", required=True)
     p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
     p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
-    _add_common(p, bounds=True)
-    p.set_defaults(handler=cmd_universal_consequences)
+    _add_common(p, cmd_universal_consequences, bounds=True)
 
     p = sub.add_parser("counterexample", help="reproduce the bundled separation example")
     p.add_argument("--depth", type=_nonnegative_int, default=2)
-    _add_common(p)
-    p.set_defaults(handler=cmd_counterexample)
+    _add_common(p, cmd_counterexample)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--instances", type=_positive_int, default=50)
-    _add_common(p, seed=True)
-    p.set_defaults(handler=cmd_verify)
+    _add_common(p, cmd_verify, seed=True)
 
     return parser
 

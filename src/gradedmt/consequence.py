@@ -87,7 +87,7 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
     family = sentence_family(sig, s1.chain.elements, depth)
     xs = [f"x{i}" for i in range(1, depth + 1)]
     table = ValueClasses(family, [AssignmentGrid(s1, xs), AssignmentGrid(s2, xs)])
-    top, closed = s1.chain.top, [k for k, fv in enumerate(family.free) if not fv]
+    top, closed = s1.chain.top, family.closed()
     sat = lru_cache(maxsize=None)(lambda c: (table.read(c, 0)[0] == top, table.read(c, 1)[0] == top))
     k = next((k for k, c in zip(closed, table.classes(closed)) if sat(c)[0] != sat(c)[1]), None)
     if k is None:

@@ -17,6 +17,7 @@ target at a time through `models_diagram` in `diagram_model_exists`, or on
 the planes of every target of a structure-space block at once in `cor1_sweep`.
 """
 
+from array import array
 from dataclasses import dataclass, field, replace
 from itertools import permutations, product
 from typing import Iterator, Sequence
@@ -95,11 +96,12 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
     completeness = f"quantifier-free to depth {depth}" if depth else "atomic"
     if kind == ELDIAG:
         family = sentence_family(sharp.sig, s.chain.elements, bounds.quantifier_depth, bounds.num_vars, terms)
-        first, level = len(family.free) if depth else len(family.leaves) - vals, []
-        for op, i, j in family.rows():  # a block row counts as over the connective depth
-            level.append(0 if op is None or op is Not else depth + 1 if type(op) is tuple else level[i] + level[j] + 1)
+        first, level = len(family.free) if depth else len(family.leaves) - vals, array("B")
+        for op, i, j in family.rows():  # a block row, or one built from it, counts as over the connective depth
+            level.append(0 if op is None or op is Not else depth + 1 if type(op) is tuple
+                         else min(level[i] + level[j] + 1, depth + 1))
         parts.append((family, tuple(f"x{i}" for i in range(1, bounds.num_vars + 1)),
-                      [k for k, fv in enumerate(family.free) if not fv and not (k < first and level[k] <= depth)]))
+                      array("i", (k for k in family.closed() if not (k < first and level[k] <= depth)))))
         completeness += f"; quantified to depth {bounds.quantifier_depth}"
     values = bytes(v for _, _, v in _read(sharp, parts))
     return Diagram(kind, constants, tuple(parts), values, completeness, s.chain.elements)

@@ -27,15 +27,15 @@ class through each prefix suffix once (`read`).
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from copy import copy
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, combinations, count, groupby, islice, product
-from operator import and_, itemgetter, or_
+from itertools import accumulate, combinations, compress, count, groupby, islice, product
+from operator import and_, itemgetter, not_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .budget import BudgetMeter, check_budget
-from .errors import FormatError, SignatureError
+from .errors import BudgetError, FormatError, SignatureError
 from .semantics import Structure, _truth_constant_index, eval_term
 from .syntax import (
     And,
@@ -65,6 +65,7 @@ from .syntax import (
 _CONNECTIVES = (And, Or, Strong, Implies, Iff)
 _KINDS = (None, Not, *_CONNECTIVES)  # a family's first kind codes; its block kinds follow
 _IMPLICATION, _FIVE = array("H", [_KINDS.index(Implies)]), array("H", map(_KINDS.index, _CONNECTIVES))
+_OFFSET_MAX = 256 ** array("I").itemsize - 1  # the largest plan offset a 4-byte `StreamPlan.starts` entry holds
 
 
 @lru_cache(maxsize=64)
@@ -166,6 +167,22 @@ def prenex_formula(matrix: Formula, prefix) -> Formula:
     return matrix
 
 
+class _Coded(Sequence):
+    """A read-only sequence held as a column of codes into a tuple of its distinct items."""
+
+    def __init__(self, codes: array, items: tuple):
+        self.codes, self.items = codes, items
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, k: int):
+        return self.items[self.codes[k]]
+
+    def __iter__(self) -> Iterator:
+        return map(self.items.__getitem__, self.codes)
+
+
 class Fragment:
     """Formulas in generation order, as an index program held in columns:
     row k, read by `rows`, is (`kinds[ops[k]]`, `lefts[k]`, `rights[k]`), a
@@ -173,15 +190,26 @@ class Fragment:
     names its body twice), ((kind, block), body, body) for a quantifier block
     in a quantified family, or (None, 0, 0) for a leaf, the formula
     `leaves[k]`; leaves come first, and without `columns` every row is one.
-    `free[k]` is matrix k's free-variable set.  A formula is built only when
+    Matrix k's free-variable set is `sets[codes[k]]`: `codes` is a 2-byte
+    column into `sets`, the family's distinct free sets, the empty set first,
+    so a closed row has code 0.  `free` reads the column as sets; given one
+    set a row, the constructor codes them.  A formula is built only when
     read, by `matrix(k)`, the one formula builder.  Shared, so read-only; one
     plan per (steps, keep)."""
 
-    def __init__(self, leaves: Sequence[Formula], free: Sequence[frozenset], columns: tuple | None = None):
-        self.leaves, self.free = tuple(leaves), tuple(free)
-        zeros = array("i", [0]) * len(self.free)
+    def __init__(self, leaves: Sequence[Formula], free: Sequence, columns: tuple | None = None,
+                 sets: tuple | None = None):
+        if sets is None:  # one free set a row
+            sets = tuple(dict.fromkeys([frozenset(), *free]))
+            free = array("H", map({fv: c for c, fv in enumerate(sets)}.__getitem__, free))
+        self.leaves, self.sets, self.codes, self.free = tuple(leaves), sets, free, _Coded(free, sets)
+        zeros = array("i", [0]) * len(free)
         self.kinds, self.ops, self.lefts, self.rights = columns or (_KINDS, array("H", zeros), zeros, zeros)
         self._plans: dict = {}
+
+    def closed(self) -> array:
+        """The closed rows' positions, ascending: the rows of code 0."""
+        return array("i", compress(range(len(self.codes)), map(not_, self.codes)))
 
     def rows(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
         """(connective, left, right) per row from `start` to `stop` (the end with None)."""
@@ -218,12 +246,15 @@ class StreamPlan:
     candidate (step i, matrix k, prefix p) sits at `position(i, k, p)`: the
     step's offset, plus `starts[i][k]`, the row lengths of the matrices
     before k, plus p (ranking in a known enumeration order; Kreher & Stinson
-    1999, ch. 2).  Iterating yields the first `size` candidates, each
-    matrix built by `Fragment.matrix`."""
+    1999, ch. 2).  `starts[i]` is a 4-byte column, summed over the family's
+    free-set codes; a step of more positions than it holds raises
+    BudgetError.  Iterating yields the first `size` candidates, each matrix
+    built by `Fragment.matrix`."""
 
     def __init__(self, family: Fragment, steps: tuple, keep=None):
         self.family, self.rows, self.starts, self.offsets = family, [], [], [0]  # starts: one array a step
-        seen: dict = {fv: set() for fv in set(family.free)}  # per free set, the (prefix, params) pairs so far
+        seen: dict = {fv: set() for fv in family.sets}  # per free set, the (prefix, params) pairs so far
+        counts = Counter(family.codes)  # rows per free-set code
         for quantifiable, target in steps:
             rows = {}
             for fv, pairs in seen.items():
@@ -232,9 +263,13 @@ class StreamPlan:
                 new = [p for p in _prefixes(to_bind, target) if (p, params) not in pairs]
                 pairs.update((p, params) for p in new)
                 rows[fv] = tuple(p for p in new if keep is None or keep(p)), params
-            lengths = {fv: len(prefixes) for fv, (prefixes, _) in rows.items()}
+            lengths = [len(prefixes) for prefixes, _ in rows.values()]  # by code, as `seen` is in code order
             self.rows.append(rows)
-            self.starts.append(array("q", accumulate(map(lengths.__getitem__, family.free), initial=0)))
+            if (total := sum(lengths[c] * n for c, n in counts.items())) > _OFFSET_MAX:
+                raise BudgetError(f"stream plan step {len(self.rows)} of {len(steps)} over {len(family.codes)}"
+                                  f" matrices has {total} positions, over the {_OFFSET_MAX} its offsets hold",
+                                  required=total, budget=_OFFSET_MAX)
+            self.starts.append(array("I", accumulate(map(lengths.__getitem__, family.codes), initial=0)))
             self.offsets.append(self.offsets[-1] + self.starts[-1][-1])
         self.size = self.offsets[-1]
 
@@ -286,36 +321,42 @@ def _build_fragment(sig, labels, variables, depth, extra_terms, quantified=False
     `quantified` family opens each level with block rows over the previous
     level's open rows (by variable order, subsets by size, forall first); a
     block over a block of its kind is one merged row, and a row already built
-    is skipped, so rows are equal exactly when their formulas are.  Its final
-    level keeps only closed operands and blocks binding every free variable.
-    Each level is charged to the meter in one tick before its connectives
-    are built, and fails where a tick per row would."""
+    is skipped, so rows are equal exactly when their formulas are: a bitset
+    per block code marks the bodies it has.  Its final level keeps only
+    closed operands and blocks binding every free variable.  Free sets are
+    coded as met, each row's code appended to a 2-byte column.  Each level
+    is charged to the meter in one tick before its connectives are built,
+    and fails where a tick per row would."""
     meter = BudgetMeter("sentence generation" if quantified else "matrix generation")
     leaves = tuple(dict.fromkeys(atoms_over(sig, [Var(v) for v in variables] + list(extra_terms), labels)))
     negated = [k for k, a in enumerate(leaves) if not isinstance(a, Val)]
     ops = array("H", [0]) * len(leaves) + array("H", [1]) * len(negated)
     lefts = array("i", [0]) * len(leaves) + array("i", negated)
     rights, kinds = array("i", lefts), list(_KINDS)
-    sets: dict = {}  # one object per distinct set: a family has only a few
-    free = [sets.setdefault(fv, fv) for fv in (frozenset(free_variables(a)) for a in leaves)]
-    free += [free[k] for k in negated]
-    starts, blocks, plans = [0], set(), {}  # level l is rows starts[l]:starts[l + 1]
+    sets: dict = {frozenset(): 0}  # free set -> its code, the empty set first: a family has only a few
+    free = array("H", [sets.setdefault(frozenset(free_variables(a)), len(sets)) for a in leaves])
+    free += array("H", map(free.__getitem__, negated))
+    starts, blocks, plans = [0], {}, {}  # level l is rows starts[l]:starts[l + 1]; blocks: code -> bitset
     for level in range(depth + 1):  # level 0 is built: here it is only charged
-        final, built = quantified and level == depth, len(ops)
+        final, built, named, size = quantified and level == depth, len(ops), tuple(sets), starts[level] + 7 >> 3
+        for bits in blocks.values():  # a bit per position before the level, where every body sits
+            bits.extend(bytes(size - len(bits)))
         for k in range(starts[level - 1], starts[level]) if quantified and level else ():
             plan = plans.get(key := (ops[k], free[k], final))
-            if plan is None:  # (code, merged, free set) per block row, planned once per key
-                kind, plan = kinds[ops[k]], plans.setdefault(key, [])
-                parts = _variable_subsets(tuple(v for v in variables if v in free[k]))  # the last is the whole set
+            if plan is None:  # (code, merged, free-set code) per block row, planned once per key
+                kind, plan, fv = kinds[ops[k]], plans.setdefault(key, []), named[free[k]]
+                parts = _variable_subsets(tuple(v for v in variables if v in fv))  # the last is the whole set
                 for part, q in product(parts[-1:] if final else parts, (FORALL, EXISTS)):
                     merged = type(kind) is tuple and kind[0] == q  # a block over a block of its kind
                     block = (q, part + kind[1]) if merged else (q, part)
                     if block not in kinds:
                         kinds.append(block)
-                    plan.append((kinds.index(block), merged, sets.setdefault(rest := free[k].difference(part), rest)))
+                        blocks[len(kinds) - 1] = bytearray(size)
+                    plan.append((kinds.index(block), merged, sets.setdefault(fv.difference(part), len(sets))))
             for code, merged, rest in plan:  # a merged row names its body's body
-                if (code, body := lefts[k] if merged else k) not in blocks:
-                    blocks.add((code, body))
+                bits, body = blocks[code], lefts[k] if merged else k
+                if not bits[body >> 3] >> (body & 7) & 1:
+                    bits[body >> 3] |= 1 << (body & 7)
                     ops.append(code)
                     lefts.append(body)
                     rights.append(body)
@@ -330,18 +371,20 @@ def _build_fragment(sig, labels, variables, depth, extra_terms, quantified=False
         meter.tick(min(len(ops) - built + count if level else len(ops), meter.limit - meter.used + 1))
         for left, right, d in splits:
             once, fives, runs = array("i", right), array("i", [j for j in right for _ in range(5)]), {}
+            codes = array("H", map(free.__getitem__, right))
             for i in left:  # one run of rows per left operand: implication alone before the cut, then five
                 cut = len(right) if d > 0 else bisect_left(right, i) if d == 0 else 0
-                if free[i] not in runs:  # the run's free sets, alone and five times each, per left free set
-                    joins = [sets.setdefault(u := free[i] | free[j], u) for j in right]
-                    runs[free[i]] = joins, [fv for fv in joins for _ in range(5)]
+                if free[i] not in runs:  # the run's free-set codes, alone and five times each, per left code
+                    union = {c: sets.setdefault(named[free[i]] | named[c], len(sets)) for c in dict.fromkeys(codes)}
+                    joins = array("H", map(union.__getitem__, codes))
+                    runs[free[i]] = joins, array("H", [c for c in joins for _ in range(5)])
                 joins, joins5 = runs[free[i]]
                 ops += _IMPLICATION * cut + _FIVE * (len(right) - cut)
                 lefts += array("i", [i]) * (5 * len(right) - 4 * cut)
                 rights += once[:cut] + fives[5 * cut:]
                 free += joins[:cut] + joins5[5 * cut:]
         starts.append(len(ops))
-    return Fragment(leaves, free, (tuple(kinds), ops, lefts, rights))
+    return Fragment(leaves, free, (tuple(kinds), ops, lefts, rights), tuple(sets))
 
 
 def sentence_family(sig: Signature, chain_labels: Sequence[str], depth: int, num_vars: int | None = None,
@@ -359,7 +402,7 @@ def generate_sentences(sig: Signature, chain_labels: Sequence[str], depth: int, 
                        extra_terms: Sequence = ()) -> list[Formula]:
     """The closed positions of `sentence_family`, as formulas, in family order."""
     family = sentence_family(sig, chain_labels, depth, num_vars, extra_terms)
-    return [family.matrix(k, memo) for memo in [{}] for k, fv in enumerate(family.free) if not fv]
+    return [family.matrix(k, memo) for memo in [{}] for k in family.closed()]
 
 
 def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence[str], depth: int,

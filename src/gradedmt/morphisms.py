@@ -161,7 +161,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
     family, reach = plan.family, plan.reach(end)
     table = ValueClasses(family, [grid_s, grid_t])
-    firsts: dict = {}  # (class, free set) -> its first matrix, in order of first matrix
+    firsts: dict = {}  # (class, free-set code) -> its first matrix, in order of first matrix
     cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
 
     def failure(c, prefix, params):
@@ -177,18 +177,18 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
         vt = table.read(c, 1, prefix)
         return next(((tup, vs[i], vt[j]) for tup, i, j in row if not transfers[vs[i]][vt[j]]), None)
 
-    def grouped():  # (first matrix, class, free set) of each group as step 0 reads the table
-        for k, key in enumerate(zip(table.classes(range(reach)), family.free)):
+    def grouped():  # (first matrix, class, free-set code) of each group as step 0 reads the table
+        for k, key in enumerate(zip(table.classes(range(reach)), family.codes)):
             if firsts.setdefault(key, k) == k:
                 yield k, *key
 
     def first_failure():
         for step, rows in enumerate(plan.rows):  # step 0 returns or lists every group
-            for k, c, fv in grouped() if step == 0 else ((k, *key) for key, k in firsts.items()):
+            for k, c, code in grouped() if step == 0 else ((k, *key) for key, k in firsts.items()):
                 start = plan.position(step, k)
                 if start >= end:
                     return None
-                prefixes, params = rows[fv]
+                prefixes, params = rows[family.sets[code]]
                 for p, prefix in enumerate(prefixes[:end - start]):
                     bad = failure(c, prefix, params)
                     if bad is not None:

@@ -1,11 +1,14 @@
 import itertools
+from array import array
+from bisect import bisect_right
 from collections import OrderedDict
 
 import pytest
 
 from gradedmt import corpus, generation
+from gradedmt.errors import BudgetError
 from gradedmt.semantics import Structure
-from gradedmt.syntax import Signature
+from gradedmt.syntax import EXISTS, FORALL, PrenexClass, Signature, free_variables
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +81,48 @@ def fresh_fragments(monkeypatch):
 
     monkeypatch.setattr(generation, "_build_fragment", counting)
     return built
+
+
+def assert_coded_family(family, monkeypatch):
+    """Differential checks of a family's free-set codes and its plans' 4-byte
+    offsets.  Each row's decoded free set is its formula's.  A plan over
+    every split of the family's variables, under both leads, ranks its
+    candidates as the plans did while they summed row lengths over one
+    frozenset a row into 8-byte 'q' offsets.  Its offset guard raises
+    BudgetError exactly when a step holds more positions than the guard's
+    limit."""
+    memo = {}
+    free = [frozenset(free_variables(family.matrix(k, memo))) for k in range(len(family.codes))]
+    assert list(family.free) == free and family.sets[0] == frozenset()
+    assert family.codes.typecode == "H" and list(family.sets) == list(dict.fromkeys([frozenset(), *free]))
+    assert list(family.closed()) == [k for k, fv in enumerate(free) if not fv]
+    variables = sorted(set().union(*family.sets))
+    steps = tuple((tuple(variables[n:]), PrenexClass(lead, 2)) for n in range(len(variables) + 1)
+                  for lead in (FORALL, EXISTS))
+    plan = family.plan(steps)
+    lengths = [{fv: len(prefixes) for fv, (prefixes, _) in rows.items()} for rows in plan.rows]
+    starts = [array("q", itertools.accumulate(map(step.__getitem__, free), initial=0)) for step in lengths]
+    offsets = list(itertools.accumulate((step[-1] for step in starts), initial=0))
+    assert [step.typecode for step in plan.starts] == ["I"] * len(steps)
+    assert list(map(list, plan.starts)) == list(map(list, starts)) and plan.offsets == offsets
+    for i, rows in enumerate(plan.rows):
+        for k in [*range(0, len(free), max(1, len(free) // 300)), len(free) - 1]:
+            for p in range(len(rows[free[k]][0])):
+                assert plan.position(i, k, p) == offsets[i] + starts[i][k] + p
+    for end in {*range(0, plan.size + 2, max(1, plan.size // 300)), *offsets, *(o + 1 for o in offsets)}:
+        assert plan.reach(end) == max((bisect_right(starts[i], min(end, offsets[i + 1]) - 1 - offset)
+                                       for i, offset in enumerate(offsets[:-1]) if offset < end), default=0)
+    biggest = max(step[-1] for step in starts)
+    assert biggest <= generation._OFFSET_MAX == 2**32 - 1
+    if not biggest:
+        return
+    first = next(i for i, step in enumerate(starts) if step[-1] == biggest)
+    with monkeypatch.context() as patch:
+        patch.setattr(generation, "_OFFSET_MAX", biggest - 1)
+        with pytest.raises(BudgetError) as err:
+            generation.StreamPlan(family, steps)
+        assert str(err.value) == (f"stream plan step {first + 1} of {len(steps)} over {len(free)} matrices has"
+                                  f" {biggest} positions, over the {biggest - 1} its offsets hold")
+        assert (err.value.required, err.value.budget) == (biggest, biggest - 1)
+        patch.setattr(generation, "_OFFSET_MAX", biggest)
+        assert generation.StreamPlan(family, steps).size == plan.size

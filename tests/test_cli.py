@@ -386,9 +386,23 @@ def test_eval_bind_without_equals_names_bind(capsys):
     assert capsys.readouterr().err == "error: --bind expects VAR=LABEL, got 'x'\n"
 
 
+@pytest.mark.parametrize("binds", [["x=n0", "x=n1"], ["x=n0", "x=n0"]])
+def test_eval_repeated_bind_names_bind(capsys, binds):
+    code = main([
+        "eval",
+        "--structure", str(DATA / "structure_m.json"),
+        "--formula", "P(x)",
+        *[arg for bind in binds for arg in ("--bind", bind)],
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --bind names 'x' twice\n"
+
+
 @pytest.mark.parametrize("mapping, message", [
     ("n0", "--map expects SOURCE=TARGET, got 'n0'"),
     ("n0=n0,n1=n1,n2=n2,zz=n0", "--map names 'zz', which is not a source element"),
+    ("n0=n0,n0=n1,n1=n1,n2=n2", "--map names 'n0' twice"),
+    ("n0=n0,n1=n1,n2=zz", "--map sends 'n2' to 'zz', which is not a target element"),
 ])
 def test_check_diagram_map_errors_name_map(capsys, mapping, message):
     code = main([

@@ -2,13 +2,16 @@
 
 `generation._build_fragment` stores a family as a kind code and two operand
 positions a row (`Fragment.ops`, `lefts`, `rights`), read back as
-(connective, left, right) by `Fragment.rows`.  These tests compare every row,
-free set and leaf with a copy of the builder that kept one
-(connective, left, right) tuple per row, and bound the bytes a family keeps
-a row, so that a return to a tuple per row fails here.
+(connective, left, right) by `Fragment.rows`, and a free-set code a row
+(`Fragment.codes`, read back as sets by `Fragment.free`).  These tests
+compare every row, free set and leaf with a copy of the builder that kept
+one (connective, left, right) tuple and one set per row, check the codes
+and plan offsets against references, and bound the bytes a family keeps a
+row, so that a return to a tuple per row fails here.
 """
 
 import tracemalloc
+from array import array
 from itertools import product
 
 import pytest
@@ -18,6 +21,7 @@ from gradedmt.budget import BudgetMeter
 from gradedmt.generation import (_CONNECTIVES, _KINDS, _build_fragment, _variable_subsets, atoms_over,
                                  truth_constant_labels)
 from gradedmt.syntax import EXISTS, FORALL, App, Atom, Implies, Not, PrenexClass, Signature, Val, Var, free_variables
+from tests.conftest import assert_coded_family
 
 LABELS = ("0", "1")
 
@@ -84,7 +88,7 @@ def test_columns_hold_the_tuple_builders_rows(name, n, depth, quantified):
     family = _build_fragment(sig, labels, variables, depth, extra, quantified)
     leaves, program, free = tuple_build(sig, labels, variables, depth, extra, quantified)
     assert tuple(family.rows()) == program
-    assert family.free == free and family.leaves == leaves
+    assert tuple(family.free) == free and family.leaves == leaves
     assert (family.ops.typecode, family.lefts.typecode, family.rights.typecode) == ("H", "i", "i")
     # the fixed codes, then each block kind in order of first use
     assert family.kinds[:len(_KINDS)] == _KINDS
@@ -92,6 +96,28 @@ def test_columns_hold_the_tuple_builders_rows(name, n, depth, quantified):
     assert list(first_used) == list(range(len(_KINDS), len(family.kinds)))
     start = len(program) // 3
     assert list(family.rows(start, start + 7)) == list(program[start:start + 7])
+
+
+@pytest.mark.parametrize("name, n, depth, quantified", FAMILIES)
+def test_free_set_codes_and_plan_offsets_match_the_references(name, n, depth, quantified, monkeypatch):
+    sig, extra = SIGS[name]
+    variables = [f"x{i}" for i in range(1, n + 1)]
+    assert_coded_family(_build_fragment(sig, truth_constant_labels(sig, LABELS), variables, depth, extra, quantified),
+                        monkeypatch)
+
+
+def test_given_free_sets_are_coded_with_the_empty_set_first():
+    one, two = frozenset({"x1"}), frozenset({"x1", "x2"})
+    family = generation.Fragment([Atom("R", (Var("x1"), Var("x2")))] * 4, [two, one, two, frozenset()])
+    assert family.sets == (frozenset(), two, one) and list(family.codes) == [1, 2, 1, 0]
+    assert list(family.free) == [two, one, two, frozenset()] and family.free[1] is one and len(family.free) == 4
+    assert list(family.closed()) == [3]
+
+
+def test_the_offset_guard_sits_at_the_4_byte_limit():
+    assert array("I", [generation._OFFSET_MAX])[0] == 2**32 - 1
+    with pytest.raises(OverflowError):
+        array("I", [generation._OFFSET_MAX + 1])
 
 
 def test_a_leaf_family_reads_its_leaves_by_position():

@@ -479,7 +479,7 @@ def test_index_program_build_matches_the_pool_build(case, depth):
     family = generation._build_fragment(sig, labels, variables, depth, extra)
     matrices, free, program = _pool_build(sig, labels, variables, depth, extra)
     assert tuple(family.rows()) == program
-    assert family.free == free
+    assert tuple(family.free) == free
     assert len({id(fv) for fv in family.free}) == len(set(free))  # one object per distinct set
     assert family.leaves == matrices[:len(family.leaves)]
     assert [family.matrix(k) for k in range(len(matrices))] == list(matrices)

@@ -6,10 +6,13 @@ body)` row, and `equiv_up_to_depth` and elementary diagrams read its
 closed positions through one `ValueClasses` table.  These tests compare
 the sentence order and every budget failure with a copy of the closure
 that built and hashed one tree per sentence, and `equiv_up_to_depth` with
-that closure read by `eval_formula`.
+that closure read by `eval_formula`; they check each family's free-set
+codes and plan offsets against references, and bound the memory a build
+peaks at.
 """
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -17,11 +20,14 @@ import pytest
 from gradedmt import corpus
 from gradedmt.budget import BudgetMeter
 from gradedmt.consequence import equiv_up_to_depth
+from gradedmt.corpus import data_dir
 from gradedmt.errors import BudgetError, InternalError
-from gradedmt.generation import AssignmentGrid, atoms_over, generate_sentences, truth_constant_labels
+from gradedmt.files import load_structure
+from gradedmt.generation import AssignmentGrid, atoms_over, generate_sentences, sentence_family, truth_constant_labels
 from gradedmt.semantics import Structure, eval_formula
 from gradedmt.syntax import (EXISTS, FORALL, And, App, Atom, Iff, Implies, Not, Or, Signature, Strong, Val, Var,
                              exists_block, expand_with_truth_constants, forall_block, free_variables)
+from tests.conftest import assert_coded_family
 
 CHAINS = {name: getattr(corpus, name)() for name in ("bool2", "godel3", "lukasiewicz3")}
 SIG_P = Signature(predicates={"P": 1})
@@ -170,3 +176,46 @@ def test_equivalence_names_the_rows_only_up_to_its_separator(monkeypatch):
     assert res.separator == exists_block(("x1", "x2"), Atom("R", (Var("x1"), Var("x2"))))
     # the separator is closed position 5, row 25 of 3,698: the table names the first 256 rows only
     assert (len(tables[0].cls), len(tables[0].family.free)) == (256, 3698)
+
+
+def built_families():
+    """(signature, chain labels, depth, num_vars, extra terms) of each sentence family these tests build, by name."""
+    path3 = load_structure(data_dir() / "path3.json")
+    out = {case: (sig, chain.elements, depth, num_vars, extra)
+           for case, (sig, chain, depth, num_vars, extra) in ORDER_CASES.items()}
+    out["budget cuts"] = (SIG_PR, CHAINS["bool2"].elements, 2, None, ())
+    out["separator replay"] = (SIG_P, G3.elements, 1, None, ())
+    out["edgeless2 against path3"] = (path3.sig, path3.chain.elements, 2, None, ())
+    for seed in range(24):
+        left, _, depth, sig = equiv_pair(seed)
+        family = (sig, left.chain.elements, depth, None, ())
+        if repr(family) not in map(repr, out.values()):
+            out[f"equivalence pair {seed}"] = family
+    return out
+
+
+BUILT = built_families()
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_free_set_codes_and_plan_offsets_match_the_references(name, monkeypatch):
+    assert_coded_family(sentence_family(*BUILT[name]), monkeypatch)
+
+
+def test_a_sentence_family_build_peaks_under_32_bytes_a_row():
+    # path3's signature, R/2, at depth 2 over three variables: 14,598 rows,
+    # about 14 bytes a row kept and 20 at the build's peak; the builder that
+    # kept a tuple a row in its repeat check and a set reference a row for
+    # the free sets peaked at 112
+    path3 = load_structure(data_dir() / "path3.json")
+    args = (path3.sig, path3.chain.elements, 2, 3)
+    sentence_family(*args)  # fill the module caches first
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        family = sentence_family(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(family.free) == 14598
+    assert peak <= 32 * len(family.free)
