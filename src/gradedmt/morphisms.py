@@ -5,9 +5,12 @@ and a domain map.  Claimed kinds are always re-verified, never trusted.
 Searches run in a fixed candidate order so results are reproducible.
 Generated formulas travel along a map in one routine with two relations,
 `first_transfer_failure`, and every separator it reports is replayed.
+Along an isomorphism it reads no formula: an isomorphism commutes with
+every connective and with the min and max of a quantifier, so every value
+transfers, and its counts are the positions that verdict covers.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 from math import perm
 from typing import Iterator, Mapping, Sequence
@@ -153,12 +156,27 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     `meter` is ticked in bulk with the positions read, at most its limit + 1
     as single ticks would stop, before any replay through `eval_formula`.
     Returns (positions checked, separator, source tuple), or (checked, None,
-    None)."""
-    _check_interprets(grid_s.structure.sig, grid_t.structure)  # both grids evaluate the family
-    top_s, top_t = grid_s.structure.chain.top, grid_t.structure.chain.top
+    None): the checked positions are those the verdict covers.
+    Along an isomorphism no table is built: if the grids share a chain, f is
+    None or the identity, and h (g, and the identity where g is silent) is a
+    bijection onto the target domain that carries the source grid's `fixed`
+    to the target's and passes `_first_untransported` with the identity, no
+    triple fails, since an isomorphism commutes with every connective and
+    with the min and max of a quantifier; every position to the end is
+    covered and ticked."""
+    s, t = grid_s.structure, grid_t.structure
+    _check_interprets(s.sig, t)  # both grids evaluate the family
+    top_s, top_t = s.chain.top, t.chain.top
+    end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
+    same, h = range(top_s + 1), {d: g.get(d, d) for d in s.domain}
+    if (s.chain == t.chain and (f is None or tuple(f) == tuple(same)) and sorted(h.values()) == sorted(t.domain)
+            and {p: h.get(d) for p, d in grid_s.fixed.items()} == grid_t.fixed
+            and _first_untransported(same, h, _transport_entries(s), t) is None):
+        if meter is not None:
+            meter.tick(end)
+        return end, None, None
     transfers = [[b == f[a] if f is not None else a != top_s or b == top_t  # [source value][target value]
                   for b in range(top_t + 1)] for a in range(top_s + 1)]
-    end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
     family, reach = plan.family, plan.reach(end)
     table = ValueClasses(family, [grid_s, grid_t])
     firsts: dict = {}  # (class, free-set code) -> its first matrix, in order of first matrix
@@ -204,8 +222,8 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     _, k, prefix, params, (tup, a, b) = found
     phi = prenex_formula(family.matrix(k), prefix)
     asg = dict(zip(params, tup))
-    if (eval_formula(phi, grid_s.structure, asg) != a
-            or eval_formula(phi, grid_t.structure, {p: g[d] for p, d in asg.items()}) != b):
+    if (eval_formula(phi, s, asg) != a
+            or eval_formula(phi, t, {p: g[d] for p, d in asg.items()}) != b):
         raise InternalError("grid and evaluator disagree")
     return checked, phi, tup
 
@@ -297,14 +315,8 @@ def induced_substructure(s: Structure, subset: Sequence[str]) -> Structure:
         predicates[name] = {
             args: s.predicates[name][args] for args in product(sub, repeat=arity)
         }
-    return Structure(
-        chain=s.chain,
-        sig=s.sig,
-        domain=tuple(sub),
-        predicates=predicates,
-        functions=functions,
-        name=f"{s.name}|{{{','.join(sub)}}}" if s.name else "",
-    )
+    return replace(s, domain=tuple(sub), predicates=predicates, functions=functions,
+                   name=f"{s.name}|{{{','.join(sub)}}}" if s.name else "")
 
 
 def _generated_domain(s: Structure, seed: Sequence[str]) -> tuple:
@@ -354,16 +366,9 @@ def enumerate_substructures(s: Structure, include_subalgebra_reducts: bool = Fal
 
 
 def _proper_subalgebras(chain: FiniteChain) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    indices = range(chain.size)
-    for size in range(0, chain.size):
-        for seed in combinations(indices, size):
-            closed = generated_subalgebra(chain, seed)
-            if closed not in seen and len(closed) < chain.size:
-                seen.add(closed)
-                out.append(closed)
-    return sorted(out, key=lambda t: (len(t), t))
+    closed = {generated_subalgebra(chain, seed) for size in range(chain.size)
+              for seed in combinations(range(chain.size), size)}
+    return sorted((c for c in closed if len(c) < chain.size), key=lambda c: (len(c), c))
 
 
 def _reduct_to_subalgebra(s: Structure, indices: tuple[int, ...]) -> Structure | None:
@@ -376,14 +381,7 @@ def _reduct_to_subalgebra(s: Structure, indices: tuple[int, ...]) -> Structure |
         name: {args: remap[v] for args, v in table.items()}
         for name, table in s.predicates.items()
     }
-    return Structure(
-        chain=sub_chain,
-        sig=s.sig,
-        domain=s.domain,
-        predicates=predicates,
-        functions=s.functions,
-        name=s.name,
-    )
+    return replace(s, chain=sub_chain, predicates=predicates)
 
 
 # --- searches ---

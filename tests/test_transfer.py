@@ -5,8 +5,10 @@ params) triple once, at a stream position its `StreamPlan` computes.
 These tests pin elementarity verdicts across two chains, check the plan's
 positions against a copy of the stream read one candidate at a time,
 compare the check with a copy of the per-candidate loop it replaced (for
-the relations of all three callers, under caps and budget cuts), and check
-`generation.ValueClasses` against the on-demand grid driver.
+the relations of all three callers, under caps and budget cuts), check
+`generation.ValueClasses` against the on-demand grid driver, and check that
+a transfer along an isomorphism is decided without reading the family,
+while a pair that breaks one condition of that rule reads it.
 To print the cross-chain pins again, run
 
     PYTHONPATH=src python tests/test_transfer.py
@@ -28,7 +30,7 @@ from gradedmt.generation import (AssignmentGrid, Fragment, StreamPlan, ValueClas
 from gradedmt.morphisms import StructureMap, first_transfer_failure, inclusion_map, is_elementary_up_to_depth
 from gradedmt.parser import render_formula
 from gradedmt.semantics import Structure, eval_formula
-from gradedmt.syntax import (EXISTS, FORALL, Atom, PrenexClass, Signature, Var, expand_with_truth_constants,
+from gradedmt.syntax import (EXISTS, FORALL, App, Atom, PrenexClass, Signature, Var, expand_with_truth_constants,
                              quantifier_free_class)
 
 BOOL2 = corpus.bool2()
@@ -400,6 +402,12 @@ def test_every_cap_and_budget_cut_matches_the_reference():
     for cap in range(checked + 2):
         result = _cut_at_every_position(family, steps, left, right, None, {}, lambda slots: [()], cap)
         assert (result[1] is None) == (cap < checked)
+    # isomorphic pairs, along the identity and along a swap, build no table and stop where the reference stops
+    for grid, g in ((left, {}), (right, {"a": "b", "b": "a"})):
+        work = _transfer_work(family, steps, grid, grid, None, g, lambda slots: [()])
+        assert work == ((family.plan(steps).size, None, None), NO_WORK)
+        for cap in (*range(checked + 2), None):
+            assert _cut_at_every_position(family, steps, grid, grid, None, g, lambda slots: [()], cap)[1] is None
 
 
 def test_a_budget_cut_comes_before_a_replay_disagreement(monkeypatch):
@@ -528,6 +536,10 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     s = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "c"), predicates={
         p: {args: rnd.randrange(chain.size) for args in product("abc", repeat=a)}
         for p, a in SIG_PR.predicates.items()})
+    # s into a one-element extension: the transfer holds, and no isomorphism decides it unread
+    extension = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "c", "d"), predicates={
+        p: {args: s.predicates[p][args] if "d" not in args else rnd.randrange(chain.size)
+            for args in product("abcd", repeat=a)} for p, a in SIG_PR.predicates.items()})
     bounds = FormulaBounds(max_candidates=10)
     qvars, _, family = _family(SIG_PR, chain, 2, bounds)
     steps = [(qvars, PrenexClass(EXISTS, 1))]
@@ -536,7 +548,7 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     prefix = list(family.rows(0, reached))
     assert reached < len(family.free)
     calls, lengths = _count_work(monkeypatch)
-    report = implies_exists_n(s, s, ("a", "b"), 1, bounds)
+    report = implies_exists_n(s, extension, ("a", "b"), 1, bounds)
     assert report.ok and report.candidates_checked == bounds.max_candidates
     # each leaf of the prefix once per grid, each connective of it at most once
     assert lengths == [reached]
@@ -568,8 +580,9 @@ def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch)
     from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
 
     left, _ = _pr_pair(0)
+    copy = left.rename_domain({"a": "a", "b": "c"})  # isomorphic, but not along the identity
     calls, lengths = _count_work(monkeypatch)
-    report = implies_exists_n(left, left, ("a",), 2)
+    report = implies_exists_n(left, copy, ("a",), 2)
     qvars, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
     plan = family.plan([(qvars, PrenexClass(EXISTS, 2))])
     assert report.ok and report.candidates_checked == plan.size
@@ -592,8 +605,14 @@ def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_gr
 
 
 def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monkeypatch):
-    # elementarity at depth 1 walks 6 steps; one pass of `classes` names the matrices within step 0
-    left, _ = _pr_pair(0)
+    # elementarity at depth 1 walks 6 steps; one pass of `classes` names the matrices within step 0.
+    # A seeded two-element structure into its three-element twin (c a copy of a) holds, not by isomorphism
+    chain, rnd = TARGET_CHAINS["godel3"], random.Random(67)
+    left = Structure(chain=chain, sig=SIG_PR, domain=("a", "b"), predicates={
+        p: {args: rnd.randrange(chain.size) for args in product("ab", repeat=a)} for p, a in SIG_PR.predicates.items()})
+    twin = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "c"), predicates={
+        p: {args: left.predicates[p][tuple("a" if d == "c" else d for d in args)] for args in product("abc", repeat=a)}
+        for p, a in SIG_PR.predicates.items()})
     plan = elementary_plan(SIG_PR, left.chain.elements, 1, 2, 1, [])
     events, lengths = [], []  # events: the step of each position read, "named" per extension, "read" per pass
     position, extend, classes = StreamPlan.position, ValueClasses.extend, ValueClasses.classes
@@ -610,12 +629,13 @@ def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monk
     monkeypatch.setattr(ValueClasses, "extend", named)
     monkeypatch.setattr(ValueClasses, "classes", read)
     monkeypatch.setattr(StreamPlan, "position", lambda self, i, *rest: events.append(i) or position(self, i, *rest))
-    report = is_elementary_up_to_depth(inclusion_map(left, left), left, left, 1)
+    report = is_elementary_up_to_depth(inclusion_map(left, twin), left, twin, 1)
     assert report.ok and report.formulas_checked == plan.size == 6726
     cut = events.index("read")
     assert set(events[:cut]) == {0, "named"} and set(events[cut + 1:]) == {1, 2, 3, 4, 5}
     walked = lengths[:]
-    list(ValueClasses(plan.family, [AssignmentGrid(left, ["x1", "x2"])] * 2).classes(range(plan.reach(plan.size))))
+    grids = [AssignmentGrid(left, ["x1", "x2"]), AssignmentGrid(twin, ["x1", "x2"])]
+    list(ValueClasses(plan.family, grids).classes(range(plan.reach(plan.size))))
     assert walked == lengths[len(walked):] == [256, 512, 1024, 1518] and plan.reach(plan.size) == 1518
 
 
@@ -643,3 +663,100 @@ def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
                                    f, g, tuples)
     assert reused == fresh
     assert fresh[0] == 79 and render_formula(fresh[1]) == "forall x1 . P(x1) \\/ R(x1, x1)"
+
+
+# --- the isomorphism rule ---
+# With one chain, f None or the identity, and g (the identity where it is
+# silent) an isomorphism that carries the source's fixed parameters to the
+# target's, `first_transfer_failure` decides the plan without reading it.
+
+NO_WORK = {"tables": 0, "_leaf": 0, "_combine": 0, "fold": 0}
+G3 = CHAINS["godel3"]
+SAME = {d: d for d in "abc"}
+SWAP = {"a": "b", "b": "a", "c": "c"}  # an automorphism of SYM
+RENAME = {"a": "u", "b": "v", "c": "w"}
+SYM = Structure(chain=G3, sig=SIG_PR, domain=("a", "b", "c"), predicates={
+    "P": {("a",): 1, ("b",): 1, ("c",): 2}, "R": dict(zip(product("abc", repeat=2), (2, 0, 1, 0, 2, 1, 0, 0, 1)))})
+SYM_CONSTANT = Structure(chain=G3, sig=Signature(predicates=SIG_PR.predicates, functions={"k": 0}),
+                         domain=SYM.domain, predicates=SYM.predicates, functions={"k": {(): "c"}})
+SYM_TRUTH = Structure(chain=G3, sig=expand_with_truth_constants(SIG_PR, G3), domain=SYM.domain,
+                      predicates=SYM.predicates)
+
+
+def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2)):
+    """`_both_loops`'s first seven arguments and `keep` for one caller's relation from s to t along g:
+    elementarity along f, existential transfer from `params` to `image` (by default their images
+    under g), or the universal transport of the n = 2 amalgam search."""
+    terms, variables = [App(c) for c in s.sig.constants()], ["x1", "x2"]
+    if name == "elementarity":
+        steps = [(variables[n:], k) for n in range(3) for k in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
+        return (fragment(s.sig, s.chain.elements, variables, 1, terms), steps, AssignmentGrid(s, variables),
+                AssignmentGrid(t, variables), f, g, lambda slots: product(s.domain, repeat=len(slots))), None
+    pvars = [f"p{i}" for i in range(1, len(params) + 1)]
+    if name == "existential":
+        left, right = dict(zip(pvars, params)), dict(zip(pvars, image or [g[d] for d in params]))
+        return (fragment(s.sig, s.chain.elements, variables + pvars, 1, terms), [(variables, PrenexClass(EXISTS, 1))],
+                AssignmentGrid(s, variables, fixed=left), AssignmentGrid(t, variables, fixed=right), None, g,
+                lambda slots: [tuple(left[p] for p in slots)]), None
+    axes = ["x1"] + pvars  # as in `universal_transport_ok`, the parameters are grid variables
+    return (fragment(s.sig, s.chain.elements, axes, 0, terms), [(["x1"], PrenexClass(FORALL, 1))],
+            AssignmentGrid(s, axes), AssignmentGrid(t, axes), None, g,
+            lambda slots: product(s.domain, repeat=len(slots))), bool
+
+
+def _transfer_work(family, steps, grid_s, grid_t, f, g, tuples, keep=None):
+    """The plan loop's result on fresh grids, and the `ValueClasses` tables it
+    built and the `_leaf`, `_combine` and `fold` calls it made."""
+    counts = dict.fromkeys(NO_WORK, 0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for owner, name, key in ((ValueClasses, "__init__", "tables"), (AssignmentGrid, "_leaf", "_leaf"),
+                                 (AssignmentGrid, "_combine", "_combine"), (AssignmentGrid, "fold", "fold")):
+            def counted(*args, original=getattr(owner, name), key=key):
+                counts[key] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        grids = (AssignmentGrid(x.structure, x.variables, fixed=x.fixed) for x in (grid_s, grid_t))
+        result = first_transfer_failure(family.plan(steps, keep=keep), *grids, f, g, tuples)
+    return result, counts
+
+
+RULE_CASES = {
+    "identity": (SYM, SYM, SAME),
+    "automorphism": (SYM, SYM, SWAP),
+    "relabelled copy": (SYM, SYM.rename_domain(RENAME), RENAME),
+    "parameters": (SYM, SYM, SWAP, ("a", "c")),
+    "truth constants": (SYM_TRUTH, SYM_TRUTH, SWAP),
+    "constant": (SYM_CONSTANT, SYM_CONSTANT, SWAP),
+}
+
+
+@pytest.mark.parametrize("relation", ("elementarity", "existential", "universal"))
+@pytest.mark.parametrize("case", sorted(RULE_CASES))
+def test_a_transfer_along_an_isomorphism_reads_nothing_and_matches_the_reference(relation, case):
+    args, keep = _relation(relation, *RULE_CASES[case])
+    reference, plan = _both_loops(*args, keep=keep)
+    assert plan == reference and plan[0][1] is None
+    assert _transfer_work(*args, keep=keep) == (plan[0], NO_WORK)
+
+
+FLAT = {"P": {("a",): 0, ("b",): 0}, "R": dict.fromkeys(product("ab", repeat=2), 0)}  # bottom everywhere
+NEGATIVE_CASES = {  # each breaks one condition of the rule
+    "one entry off": ("elementarity", SYM, Structure(chain=G3, sig=SIG_PR, domain=SYM.domain, predicates={
+        "P": SYM.predicates["P"], "R": {**SYM.predicates["R"], ("a", "c"): 2}}), SAME),
+    "algebra map": ("elementarity", SYM, SYM, SAME, ("a",), None, (0, 0, 2)),
+    "fixed parameters": ("existential", SYM, SYM, SAME, ("a",), ("b",)),  # holds along SWAP, which h is not
+    "not onto": ("universal", SYM, Structure(chain=G3, sig=SIG_PR, domain=("a", "b", "c", "d"), predicates={
+        "P": {**SYM.predicates["P"], ("d",): 0},
+        "R": {args: SYM.predicates["R"].get(args, 2) for args in product("abcd", repeat=2)}}), SAME),
+    "chains": ("elementarity", Structure(chain=BOOL2, sig=SIG_PR, domain=("a", "b"), predicates=FLAT),
+               Structure(chain=G3, sig=SIG_PR, domain=("a", "b"), predicates=FLAT), SAME, ("a",), None, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_CASES))
+def test_a_transfer_off_an_isomorphism_reads_the_table_and_matches_the_reference(case):
+    args, keep = _relation(*NEGATIVE_CASES[case])
+    reference, plan = _both_loops(*args, keep=keep)
+    assert plan == reference
+    result, work = _transfer_work(*args, keep=keep)
+    assert result == plan[0] and work["tables"] == 1 and work["_leaf"] > 0
