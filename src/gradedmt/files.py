@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .algebra import FiniteChain, chain_from_dict, validate_chain
 from .errors import FormatError, PreconditionError
-from .parser import infer_signature, parse_theory
+from .parser import _infer_theory, parse_theory
 from .semantics import Structure
 from .syntax import Formula, Signature
 
@@ -194,7 +194,7 @@ def load_theory(
     except OSError as err:
         raise FormatError(f"cannot read {path}: {err}")
     if sig is None:
-        sig = infer_signature(text, licensed_labels)
+        return _infer_theory(text, licensed_labels)
     return parse_theory(text, sig), sig
 
 

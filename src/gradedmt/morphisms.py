@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 from .algebra import (AlgebraMap, FiniteChain, generated_subalgebra, identity_map, is_algebra_homomorphism,
                       subalgebra_inclusion)
 from .budget import check_budget
-from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
+from .errors import ChainMismatchError, FormatError, InternalError, PreconditionError, SignatureError
 from .generation import AssignmentGrid, ValueClasses, elementary_plan, prenex_formula
 from .semantics import Structure, eval_formula
 from .syntax import App, Formula, Signature
@@ -156,21 +156,23 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
     `meter` is ticked in bulk with the positions read, at most its limit + 1
     as single ticks would stop, before any replay through `eval_formula`.
     Returns (positions checked, separator, source tuple), or (checked, None,
-    None): the checked positions are those the verdict covers.
+    None): the checked positions are those the verdict covers.  With h the
+    map g, and the identity where g is silent, a target grid that does not
+    fix h's image of the source grid's `fixed` raises PreconditionError.
     Along an isomorphism no table is built: if the grids share a chain, f is
-    None or the identity, and h (g, and the identity where g is silent) is a
-    bijection onto the target domain that carries the source grid's `fixed`
-    to the target's and passes `_first_untransported` with the identity, no
-    triple fails, since an isomorphism commutes with every connective and
-    with the min and max of a quantifier; every position to the end is
-    covered and ticked."""
+    None or the identity, and h is a bijection onto the target domain that
+    passes `_first_untransported` with the identity, no triple fails, since
+    an isomorphism commutes with every connective and with the min and max
+    of a quantifier; every position to the end is covered and ticked."""
     s, t = grid_s.structure, grid_t.structure
     _check_interprets(s.sig, t)  # both grids evaluate the family
     top_s, top_t = s.chain.top, t.chain.top
     end = plan.size if meter is None else min(plan.size, meter.limit - meter.used + 1)
     same, h = range(top_s + 1), {d: g.get(d, d) for d in s.domain}
+    image = {p: h.get(d) for p, d in grid_s.fixed.items()}
+    if image != grid_t.fixed:
+        raise PreconditionError(f"target grid fixes {grid_t.fixed}, not {image}, the image of the source grid's")
     if (s.chain == t.chain and (f is None or tuple(f) == tuple(same)) and sorted(h.values()) == sorted(t.domain)
-            and {p: h.get(d) for p, d in grid_s.fixed.items()} == grid_t.fixed
             and _first_untransported(same, h, _transport_entries(s), t) is None):
         if meter is not None:
             meter.tick(end)

@@ -29,6 +29,7 @@ from .syntax import (
     Var,
     exists_block,
     forall_block,
+    free_variables,
 )
 
 
@@ -96,10 +97,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, sig: Signature):
+    def __init__(self, text: str, sig: Signature, notes: list | None = None):
         self.sig = sig
         self.tokens = _tokenize(text)
         self.pos = 0
+        # recording mode (`infer_signature`): names are not looked up in `sig` but
+        # noted as (name, arity or None when bare, "term" | "formula" | "bound")
+        self.notes = notes
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -117,6 +121,17 @@ class _Parser:
 
     def fail(self, message: str, tok: _Token):
         raise ParseError(f"{message} at {tok.span}")
+
+    def parse(self) -> Formula:
+        """The whole text as one formula."""
+        try:
+            phi = self.formula()
+        except RecursionError:
+            raise ParseError("formula nested too deeply") from None
+        tail = self.peek()
+        if tail.kind != "end":
+            raise ParseError(f"trailing input {tail.text!r} at {tail.span}")
+        return phi
 
     def formula(self) -> Formula:
         return self.binary(0)
@@ -148,6 +163,8 @@ class _Parser:
             variables.append(self.take().text)
         if not variables:
             self.fail("quantifier needs at least one variable", self.peek())
+        if self.notes is not None:
+            self.notes += [(v, None, "bound") for v in variables]
         self.expect(".")
         body = self.formula()
         return (forall_block if tok.text == "forall" else exists_block)(variables, body)
@@ -158,7 +175,9 @@ class _Parser:
             self.take()
             inner = self.formula()
             self.expect(")")
-            return self.maybe_identity_formula(inner)
+            if self.peek().text == "~":
+                self.fail("parenthesized formulas cannot be identity operands", self.peek())
+            return inner
         if tok.text == "val":
             self.take()
             self.expect("(")
@@ -172,45 +191,58 @@ class _Parser:
         if tok.kind != "name":
             self.fail(f"expected a formula, found {tok.text!r}", tok)
         # predicate application, or a term followed by ~
-        if tok.text in self.sig.predicates:
+        if self.notes is None and tok.text in self.sig.predicates:
             name_tok = self.take()
             args = self.argument_list(self.sig.predicates[name_tok.text], name_tok)
             if self.peek().text == "~":
                 self.fail("a predicate application is not a term", self.peek())
-            return Atom(name_tok.text, tuple(args))
-        left = self.term()
+            return Atom(name_tok.text, tuple(args or ()))
+        left = self.term("formula")
+        if isinstance(left, Atom):  # recording mode, and no `~` follows
+            return left
         self.expect("~")
-        right = self.term()
-        return Eq(left, right)
+        return Eq(left, self.term())
 
-    def maybe_identity_formula(self, inner: Formula) -> Formula:
+    def noted(self, name: str, place: str):
+        """Recording mode: note the name just taken, then read its optional
+        arguments; at formula position it is a term when `~` follows."""
+        slot = len(self.notes)
+        args = self.argument_list()
         if self.peek().text == "~":
-            self.fail("parenthesized formulas cannot be identity operands", self.peek())
-        return inner
+            place = "term"
+        self.notes.insert(slot, (name, None if args is None else len(args), place))
+        if place == "formula":
+            return Atom(name, tuple(args or ()))
+        return Var(name) if args is None else App(name, tuple(args))
 
-    def argument_list(self, arity: int, name_tok: _Token) -> list:
-        args = []
+    def argument_list(self, arity: int | None = None, name_tok: _Token | None = None) -> list | None:
+        """The parenthesized terms after a name, or None when no `(` follows;
+        unless `arity` is None, there must be that many."""
+        args = None
         if self.peek().text == "(":
             self.take()
+            args = []
             if self.peek().text != ")":
                 args.append(self.term())
                 while self.peek().text == ",":
                     self.take()
                     args.append(self.term())
             self.expect(")")
-        if len(args) != arity:
+        if arity is not None and len(args or ()) != arity:
             self.fail(
-                f"{name_tok.text!r} expects {arity} arguments, got {len(args)}", name_tok
+                f"{name_tok.text!r} expects {arity} arguments, got {len(args or ())}", name_tok
             )
         return args
 
-    def term(self):
+    def term(self, place: str = "term"):
         tok = self.take()
         if tok.kind != "name" or tok.text in _KEYWORDS:
             self.fail(f"expected a term, found {tok.text!r}", tok)
+        if self.notes is not None:
+            return self.noted(tok.text, place)
         if tok.text in self.sig.functions:
             args = self.argument_list(self.sig.functions[tok.text], tok)
-            return App(tok.text, tuple(args))
+            return App(tok.text, tuple(args or ()))
         if tok.text in self.sig.predicates:
             self.fail(f"{tok.text!r} is a predicate, not a term", tok)
         if self.peek().text == "(":
@@ -220,26 +252,23 @@ class _Parser:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse one formula against a signature."""
-    parser = _Parser(text, sig)
-    try:
-        phi = parser.formula()
-    except RecursionError:
-        raise ParseError("formula nested too deeply") from None
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"trailing input {tail.text!r} at {tail.span}")
-    return phi
+    return _Parser(text, sig).parse()
 
 
 def parse_theory(text: str, sig: Signature) -> list[Formula]:
     """Parse newline-separated formulas; # starts a comment."""
+    return _each_line(text, lambda line: parse_formula(line, sig))
+
+
+def _each_line(text: str, parse) -> list:
+    """`parse` of each line that has text before any `#` comment; an error names its line."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            out.append(parse_formula(line, sig))
+            out.append(parse(line))
         except ParseError as err:
             raise ParseError(f"line {lineno}: {err}") from err
     return out
@@ -300,130 +329,44 @@ def _wrap(text: str, prec: int, outer: int) -> str:
 
 
 def infer_signature(text: str, licensed_labels=()) -> Signature:
-    """Guess a signature from theory text.
+    """Infer a signature from theory text whose lines are sentences.
 
-    An applied name is a function when any occurrence sits inside another
-    application or next to `~`, otherwise a predicate.  Quantified names
-    are variables; remaining bare names in term position become object
-    constants.  Assumes the text consists of sentences.
-    """
-    tokens = [t for t in _tokenize(text) if t.kind != "end"]
-    n = len(tokens)
-    bound: set[str] = set()
-    i = 0
-    while i < n:
-        if tokens[i].text in ("forall", "exists"):
-            i += 1
-            while i < n and tokens[i].kind == "name" and tokens[i].text not in _KEYWORDS:
-                bound.add(tokens[i].text)
-                i += 1
-        else:
-            i += 1
+    The parser reads each line once in recording mode.  At formula position
+    `name(args)` is a predicate unless `~` follows it; an application in
+    term position is a function; a bare name is a variable if a quantifier
+    anywhere in the text binds it, else a constant in term position and a
+    0-ary predicate at formula position; two arities for one name raise
+    ParseError.  Predicates keep their order of first occurrence; functions
+    list the applied ones, then the constants, each in that order.  Every
+    line is then parsed against the signature, and a free name raises
+    ParseError naming its line."""
+    return _infer_theory(text, licensed_labels)[1]
 
-    applied: dict[str, int] = {}
-    term_named: set[str] = set()
-    bare_in_term: set[str] = set()
-    frames: list[tuple[str, str | None]] = []  # ("app", name) or ("group", None)
 
-    def inside_app() -> bool:
-        return any(kind == "app" for kind, _ in frames)
+def _infer_theory(text: str, licensed_labels=()) -> tuple[list[Formula], Signature]:
+    """The sentences of theory text and the signature `infer_signature` infers for them."""
+    licensed, notes = Signature(truth_constants=licensed_labels), []
+    _each_line(text, lambda line: _Parser(line, licensed, notes).parse())
+    bound = {name for name, _, place in notes if place == "bound"}
+    applied = {}  # applications and bare 0-ary predicates
+    for name, arity, place in notes:
+        if arity is None and (place == "term" or name in bound):
+            continue  # a constant or a variable
+        arity = arity or 0
+        if applied.setdefault(name, arity) != arity:
+            raise ParseError(f"{name!r} used with arities {applied[name]} and {arity}")
+    functional = {name for name, arity, place in notes if arity is not None and place == "term"}
+    constants = {name: 0 for name, arity, place in notes
+                 if arity is None and place == "term" and name not in bound and name not in applied}
+    sig = Signature(predicates={name: a for name, a in applied.items() if name not in functional},
+                    functions={**{name: a for name, a in applied.items() if name in functional}, **constants},
+                    truth_constants=licensed.truth_constants)
 
-    i = 0
-    while i < n:
-        tok = tokens[i]
-        word = tok.text
-        if word == "(":
-            frames.append(("group", None))
-            i += 1
-            continue
-        if word == ")":
-            if not frames:
-                raise ParseError(f"unbalanced ')' at {tok.span}")
-            kind, name = frames.pop()
-            if kind == "app" and name is not None:
-                if i + 1 < n and tokens[i + 1].text == "~":
-                    term_named.add(name)
-            i += 1
-            continue
-        if word == "val":
-            i += 4  # val ( label )
-            continue
-        if tok.kind == "name" and word not in _KEYWORDS:
-            is_call = i + 1 < n and tokens[i + 1].text == "("
-            near_tilde = (i + 1 < n and tokens[i + 1].text == "~") or (
-                i > 0 and tokens[i - 1].text == "~"
-            )
-            if is_call:
-                count = _count_args(tokens, i + 1)
-                if word in applied and applied[word] != count:
-                    raise ParseError(f"{word!r} used with arities {applied[word]} and {count}")
-                applied[word] = count
-                if inside_app() or near_tilde:
-                    term_named.add(word)
-                frames.append(("app", word))
-                i += 2  # skip the opening paren, frame already pushed
-                continue
-            if word in bound:
-                i += 1
-                continue
-            if inside_app() or near_tilde:
-                bare_in_term.add(word)
-            else:
-                applied.setdefault(word, 0)
-            i += 1
-            continue
-        if word == ",":
-            i += 1
-            continue
-        i += 1
-
-    predicates: dict[str, int] = {}
-    functions: dict[str, int] = {}
-    for name, arity in applied.items():
-        if name in term_named:
-            functions[name] = arity
-        else:
-            predicates[name] = arity
-    for name in bare_in_term:
-        if name not in predicates and name not in functions:
-            functions[name] = 0
-    sig = Signature(
-        predicates=predicates,
-        functions=functions,
-        truth_constants=frozenset(licensed_labels),
-    )
-    # sanity: everything must now parse as sentences
-    from .syntax import free_variables
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    def sentence(line: str) -> Formula:
         phi = parse_formula(line, sig)
         loose = free_variables(phi)
         if loose:
-            raise ParseError(
-                f"line {lineno}: cannot infer role of free name(s) {sorted(loose)}"
-            )
-    return sig
+            raise ParseError(f"cannot infer role of free name(s) {sorted(loose)}")
+        return phi
 
-
-def _count_args(tokens, open_idx) -> int:
-    depth = 0
-    count = 0
-    saw_any = False
-    j = open_idx
-    while j < len(tokens):
-        t = tokens[j].text
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-            if depth == 0:
-                return count + 1 if saw_any else 0
-        elif depth == 1 and t == ",":
-            count += 1
-        elif depth >= 1:
-            saw_any = True
-        j += 1
-    raise ParseError("unbalanced parentheses")
+    return _each_line(text, sentence), sig

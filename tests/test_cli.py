@@ -223,6 +223,14 @@ def test_consequence_subcommand(capsys):
     assert code2 == 1 and payload2["report"]["countermodel"]
 
 
+def test_consequence_reads_a_theory_with_a_line_break_before_a_parenthesis(capsys, tmp_path):
+    theory = tmp_path / "t.thy"
+    theory.write_text("forall x . R(x, x) -> Q\n(Q -> val(0))\n")
+    code, out = run(capsys, "consequence", "--theory", str(theory), "--algebra", str(DATA / "bool2.json"),
+                    "--formula", "forall x . (R(x, x) -> val(0))", "--max-domain", "2")
+    assert code == 0 and out == "holds (bounded, domains <= 2)\n"
+
+
 def test_universal_consequences_subcommand(capsys):
     code, payload = run_json(
         capsys,

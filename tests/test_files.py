@@ -135,6 +135,20 @@ def test_theory_error_names_line(tmp_path, sig_r):
     with pytest.raises(ParseError) as err:
         load_theory(path, sig=sig_r)
     assert "line 2" in str(err.value)
+    # with the signature inferred
+    path.write_text("forall x . R(x, x)\nforall x . R(x,)\n")
+    with pytest.raises(ParseError) as err:
+        load_theory(path)
+    assert str(err.value) == "line 2: expected a term, found ')' at line 1, column 16"
+
+
+def test_an_inferred_theory_keeps_a_line_break_before_a_parenthesis(tmp_path):
+    # a line that ends in a name is not applied to the parenthesis that starts the next line
+    path = tmp_path / "t.thy"
+    path.write_text("forall x . R(x, x) -> Q\n(Q -> val(0))\n")
+    theory, sig = load_theory(path)
+    assert sig.predicates == {"R": 2, "Q": 0} and sig.functions == {}
+    assert [render_formula(phi) for phi in theory] == ["forall x . R(x, x) -> Q", "Q -> val(0)"]
 
 
 def test_bundled_theories_parse():

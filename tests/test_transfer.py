@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from gradedmt import corpus, morphisms
 from gradedmt.algebra import AlgebraMap
 from gradedmt.budget import BudgetMeter
-from gradedmt.errors import BudgetError, InternalError
+from gradedmt.errors import BudgetError, InternalError, PreconditionError
 from gradedmt.generation import (AssignmentGrid, Fragment, StreamPlan, ValueClasses, _prefixes, elementary_plan,
                                  fragment, prenex_formula)
 from gradedmt.morphisms import StructureMap, first_transfer_failure, inclusion_map, is_elementary_up_to_depth
@@ -667,8 +667,9 @@ def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
 
 # --- the isomorphism rule ---
 # With one chain, f None or the identity, and g (the identity where it is
-# silent) an isomorphism that carries the source's fixed parameters to the
-# target's, `first_transfer_failure` decides the plan without reading it.
+# silent) an isomorphism, `first_transfer_failure` decides the plan without
+# reading it.  Fixed parameters that g does not carry to the target's are
+# the caller's error.
 
 NO_WORK = {"tables": 0, "_leaf": 0, "_combine": 0, "fold": 0}
 G3 = CHAINS["godel3"]
@@ -744,7 +745,6 @@ NEGATIVE_CASES = {  # each breaks one condition of the rule
     "one entry off": ("elementarity", SYM, Structure(chain=G3, sig=SIG_PR, domain=SYM.domain, predicates={
         "P": SYM.predicates["P"], "R": {**SYM.predicates["R"], ("a", "c"): 2}}), SAME),
     "algebra map": ("elementarity", SYM, SYM, SAME, ("a",), None, (0, 0, 2)),
-    "fixed parameters": ("existential", SYM, SYM, SAME, ("a",), ("b",)),  # holds along SWAP, which h is not
     "not onto": ("universal", SYM, Structure(chain=G3, sig=SIG_PR, domain=("a", "b", "c", "d"), predicates={
         "P": {**SYM.predicates["P"], ("d",): 0},
         "R": {args: SYM.predicates["R"].get(args, 2) for args in product("abcd", repeat=2)}}), SAME),
@@ -760,3 +760,19 @@ def test_a_transfer_off_an_isomorphism_reads_the_table_and_matches_the_reference
     assert plan == reference
     result, work = _transfer_work(*args, keep=keep)
     assert result == plan[0] and work["tables"] == 1 and work["_leaf"] > 0
+
+
+@pytest.mark.parametrize("image", ("b", "c"))
+def test_fixed_parameters_off_the_maps_image_are_the_callers_error(image):
+    # p1 = a on the source, p1 = b or c on the target, along the identity; with c the per-candidate
+    # loop meets a failing triple and its replay reads the target at a, where the grid read c
+    (family, steps, grid_s, grid_t, f, g, tuples), _ = _relation("existential", SYM, SYM, SAME, ("a",), (image,))
+    triples = (triple[2:] for triple in reference_stream(family, steps))
+    if image == "c":
+        with pytest.raises(InternalError, match="grid and evaluator disagree"):
+            reference_transfer_failure(grid_s, grid_t, triples, f, g, tuples)
+    else:
+        assert reference_transfer_failure(grid_s, grid_t, triples, f, g, tuples)[1] is None
+    with pytest.raises(PreconditionError) as err:
+        first_transfer_failure(family.plan(steps), grid_s, grid_t, f, g, tuples)
+    assert str(err.value) == f"target grid fixes {{'p1': '{image}'}}, not {{'p1': 'a'}}, the image of the source grid's"
