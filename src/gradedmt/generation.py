@@ -477,6 +477,40 @@ def elementary_family(
 # --- grid evaluation ---
 
 
+@lru_cache(maxsize=512)
+def _reader(sizes: tuple, t: int, args: tuple):
+    """The getter of a leaf's values at every cell of grids of these domain
+    sizes over t variables, in turn, off its tables in `product` order
+    concatenated: an argument a >= 0 reads the cell's digit on axis a, a
+    negative one element ~a in every cell."""
+    out, base, r = [], 0, len(args)
+    for m in sizes:
+        out += [base + sum(m ** (r - 1 - j) * (cell[a] if a >= 0 else ~a) for j, a in enumerate(args))
+                for cell in product(range(m), repeat=t)]
+        base += m ** r
+    return itemgetter(*out) if len(out) > 1 else itemgetter(slice(out[0], out[0] + 1))
+
+
+def _leaf_values(grids, phi: Formula, flats: dict, sizes: tuple) -> bytes:
+    """A leaf's values on grids of these sizes that share their variables, fixed elements and chain,
+    in turn: one `_reader` read of their `_flat` tables concatenated (kept in `flats`), or a truth
+    constant's byte times the width; several grids read an argument off their axes grid by grid."""
+    first = grids[0]
+    if isinstance(phi, Atom):
+        key, terms = phi.name, phi.args
+    elif isinstance(phi, Eq):
+        key, terms = Eq, (phi.left, phi.right)
+    elif isinstance(phi, Val):
+        return bytes([_truth_constant_index(first.structure.chain, phi.label)]) * sum(g.size for g in grids)
+    else:
+        raise TypeError(f"not a formula: {phi!r}")
+    flat = flats.get(key) or flats.setdefault(key, b"".join([g._flat(key) for g in grids]))
+    args = tuple(map(first._arg, terms))
+    if len(grids) > 1 and min(args, default=0) < 0:
+        return b"".join(g._leaf(phi) for g in grids)
+    return bytes(_reader(sizes, len(first.variables), args)(flat))
+
+
 class AssignmentGrid:
     """Values of formulas at every assignment of a fixed variable tuple.
 
@@ -486,8 +520,9 @@ class AssignmentGrid:
     variable folds its axis and broadcasts the result so further
     combination stays aligned.  Variables in `fixed` are not axes: they
     take their given element in every cell.  One evaluator, two drivers:
-    `_leaf` (atoms, identities, truth constants) and `_combine` (each
-    connective as a `bytes.translate` table, see `_byte_tables`) serve both
+    `_leaf` (atoms, identities, truth constants, each one `_reader` getter
+    over a table in `product` order) and `_combine` (each connective as a
+    `bytes.translate` table, see `_byte_tables`) serve both
     `values`, a plain recursion kept as a reference, and `ValueClasses`,
     which runs a family's rows over the value classes of several grids
     at once and memoises their folds.  A grid keeps no per-formula state, so
@@ -505,22 +540,28 @@ class AssignmentGrid:
         self.size = self.m**t
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
         self._dom_pos = {d: i for i, d in enumerate(structure.domain)}
-        self._columns: dict = {}  # term -> its value at every cell
+        self._flats, self._args = {}, {}  # `_flat` key -> its table; a term off the axes -> its `_arg`
         self._tables = _byte_tables(structure.chain.star, structure.chain.implies)
         self._axes: dict = {}  # var -> its m lanes, then the getter that broadcasts a folded lane
 
-    def _term_column(self, term) -> list[str]:
-        col = self._columns.get(term)
-        if col is None:
-            if not isinstance(term, Var):
-                col = [eval_term(term, self.structure, {})] * self.size
-            elif term.name in self.fixed:
-                col = [self.fixed[term.name]] * self.size
-            else:
-                stride, dom = self.strides[term.name], self.structure.domain
-                col = [dom[(idx // stride) % self.m] for idx in range(self.size)]
-            self._columns[term] = col
-        return col
+    def _arg(self, term) -> int:
+        """A term as a `_reader` argument: its axis, or ~p if it takes domain element p in every cell."""
+        if isinstance(term, Var) and term.name not in self.fixed:
+            return self.variables.index(term.name)
+        a = self._args.get(term)
+        if a is None:
+            a = self._args[term] = ~self._dom_pos[
+                self.fixed[term.name] if isinstance(term, Var) else eval_term(term, self.structure, {})]
+        return a
+
+    def _flat(self, key) -> bytes:
+        """A predicate's table in `product` order; for key Eq, top every m + 1 cells, bottom (0) elsewhere."""
+        if key is Eq:
+            return ((bytes([self.structure.chain.top]) + bytes(self.m)) * self.m)[:self.m ** 2]
+        table = self.structure.predicates.get(key)
+        if table is None:
+            raise SignatureError(f"structure does not interpret predicate {key!r}")
+        return bytes(table.values())
 
     def values(self, phi: Formula) -> bytes:
         """On-demand driver: the operands, then this node."""
@@ -533,21 +574,8 @@ class AssignmentGrid:
         return self._leaf(phi)
 
     def _leaf(self, phi: Formula) -> bytes:
-        """Atoms, identities and truth constants."""
-        chain = self.structure.chain
-        if isinstance(phi, Atom):
-            table = self.structure.predicates.get(phi.name)
-            if table is None:
-                raise SignatureError(f"structure does not interpret predicate {phi.name!r}")
-            cols = [self._term_column(t) for t in phi.args]
-            return bytes(map(table.__getitem__, zip(*cols))) if cols else bytes([table[()]]) * self.size
-        if isinstance(phi, Eq):
-            top, bot = chain.top, chain.bottom
-            return bytes([top if x == y else bot
-                          for x, y in zip(self._term_column(phi.left), self._term_column(phi.right))])
-        if isinstance(phi, Val):
-            return bytes([_truth_constant_index(chain, phi.label)]) * self.size
-        raise TypeError(f"not a formula: {phi!r}")
+        """Atoms, identities and truth constants: `_leaf_values` on this grid alone."""
+        return _leaf_values((self,), phi, self._flats, (self.m,))
 
     def _combine(self, kind: type, a: bytes, b: bytes | None = None) -> bytes:
         """One connective (its node class) over its operands' value vectors."""
@@ -594,9 +622,14 @@ class ValueClasses:
     values at each grid's cells in turn.  `family.rows()` run over class
     ids, interned by their bytes, so no matrix is built as a formula and
     each connective meets each pair of operand classes once, with the tables
-    of each run of grids that share a chain.  `extend(n)` resumes where the
-    table stopped, so a caller grows it only as far as it reads (bottom-up
-    enumeration checked as the bank grows: Udupa et al., TRANSIT, PLDI 2013).
+    of each run of grids that share a chain.  A leaf is one row over every
+    grid (`_leaf_row`): grids that share their variables, fixed elements and
+    chain read it with one getter off their tables concatenated, so a table
+    of a structure and its substructures reads each leaf once, not once a
+    grid.  `extend(n)` resumes where the table stopped, and `classes` grows
+    it to the leaves, then doubles it, so a caller grows it only as far as
+    it reads (bottom-up enumeration checked as the bank grows: Udupa et al.,
+    TRANSIT, PLDI 2013).
     The table names the folds too: `read` memoises them under its own class
     ids, so equal-valued matrices share their folds, and a block row's class
     is its body's class read through the block on each grid."""
@@ -607,6 +640,9 @@ class ValueClasses:
         runs = [list(run) for _, run in groupby(zip(self.grids, bounds, bounds[1:]), lambda r: id(r[0]._tables))]
         self._runs = [(run[0][0], run[0][1], run[-1][2]) for run in runs]  # (grid, start, end) per run
         self._bounds = bounds  # grid i's cells are vecs[c][bounds[i]:bounds[i + 1]]
+        first, self._sizes, self._flats = self.grids[0], tuple([g.m for g in self.grids]), {}
+        self._wide = len(self.grids) == 1 or all(g.variables == first.variables and g.fixed == first.fixed
+                                                 and g.structure.chain == first.structure.chain for g in self.grids)
         self._ids: dict = {}  # values -> class id
         self._memo: dict = {}  # (connective, left class, right class) -> class id
         self._folds: dict = {}  # ((grid, class), kind, var), then further folds -> values
@@ -616,7 +652,7 @@ class ValueClasses:
         family, cls, vecs, runs, memo = self.family, self.cls, self.vecs, self._runs, self._memo
         stop = len(family.free) if n is None else min(n, len(family.free))
         for leaf in family.leaves[len(cls):stop]:  # the leaves come first
-            cls.append(self._intern(b"".join(g._leaf(leaf) for g in self.grids)))
+            cls.append(self._intern(self._leaf_row(leaf)))
         for kind, i, j in family.rows(len(cls), stop):
             key = (kind, cls[i], cls[j])
             c = memo.get(key)
@@ -628,11 +664,18 @@ class ValueClasses:
                     b"".join(g._combine(kind, a[s:e], b[s:e]) for g, s, e in runs))
             cls.append(c)
 
+    def _leaf_row(self, leaf: Formula) -> bytes:
+        """A leaf's values on every grid: one read if the grids share variables, fixed elements and chain."""
+        if self._wide:
+            return _leaf_values(self.grids, leaf, self._flats, self._sizes)
+        return b"".join(g._leaf(leaf) for g in self.grids)
+
     def classes(self, positions: Sequence[int]) -> Iterator[int]:
-        """These ascending positions' class ids, the table doubled from 256 matrices as read: its one growth path."""
+        """These ascending positions' class ids, the table grown as read, its one
+        growth path: to the leaves at first, then doubled, never past the last position."""
         for k in positions:
             if k >= len(self.cls):
-                self.extend(min(max(k + 1, 2 * len(self.cls), 256), positions[-1] + 1))
+                self.extend(min(max(k + 1, 2 * len(self.cls), len(self.family.leaves)), positions[-1] + 1))
             yield self.cls[k]
 
     def read(self, c: int, i: int, prefix=()) -> bytes:

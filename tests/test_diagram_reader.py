@@ -138,7 +138,7 @@ def test_the_reader_builds_and_evaluates_no_tree(monkeypatch, g3):
 
 
 def test_a_failing_check_reads_only_the_front_of_the_family(monkeypatch, g3, sig_p):
-    # a target with P at bottom fails the first atom: the table names 256 rows, not the 52k-row family
+    # a target with P at bottom fails the first atom: the table names its 8 leaves, not the 52k-row family
     s = Structure(chain=g3, sig=sig_p, domain=("a", "b"), predicates={"P": {("a",): 2, ("b",): 0}})
     diagram = build_diagram(s, DIAG, DiagramBounds(connective_depth=2))
     (family, _, positions), = diagram.parts
@@ -148,7 +148,7 @@ def test_a_failing_check_reads_only_the_front_of_the_family(monkeypatch, g3, sig
     t = Structure(chain=g3, sig=sig_p, domain=("a", "b"), predicates={"P": {("a",): 0, ("b",): 0}})
     check = models_diagram(interpret_constants(t, diagram, ("a", "b")), diagram)
     assert not check.ok and check.failing == diagram.entries[0] and check.actual == 0
-    assert len(positions) > 50_000 and len(tables[0].cls) == 256
+    assert len(positions) > 50_000 and len(tables[0].cls) == len(family.leaves) == 8
 
 
 def _without_predicate(sig_p, g3):

@@ -174,8 +174,8 @@ def test_equivalence_names_the_rows_only_up_to_its_separator(monkeypatch):
     res = equiv_up_to_depth(left, right, 2)
     assert (res.equal, res.sentences_checked) == (False, 2658)
     assert res.separator == exists_block(("x1", "x2"), Atom("R", (Var("x1"), Var("x2"))))
-    # the separator is closed position 5, row 25 of 3,698: the table names the first 256 rows only
-    assert (len(tables[0].cls), len(tables[0].family.free)) == (256, 3698)
+    # the separator is closed position 5, row 25 of 3,698: the table names its 10 leaves, then doubles to 40 rows
+    assert (len(tables[0].family.leaves), len(tables[0].cls), len(tables[0].family.free)) == (10, 40, 3698)
 
 
 def built_families():

@@ -513,13 +513,14 @@ if __name__ == "__main__":
 
 
 def _count_work(monkeypatch):
-    """Count `_leaf` and `_combine` calls, and list the table's length after each `extend`."""
-    calls, lengths, extend = {"_leaf": 0, "_combine": 0}, [], ValueClasses.extend
-    for name in calls:
-        def counted(self, *args, original=getattr(AssignmentGrid, name), name=name):
+    """Count the leaf rows a table computes (`ValueClasses._leaf_row`, one a leaf over all its grids)
+    and `_combine` calls, and list the table's length after each `extend`."""
+    calls, lengths, extend = {"_leaf_row": 0, "_combine": 0}, [], ValueClasses.extend
+    for owner, name in ((ValueClasses, "_leaf_row"), (AssignmentGrid, "_combine")):
+        def counted(self, *args, original=getattr(owner, name), name=name):
             calls[name] += 1
             return original(self, *args)
-        monkeypatch.setattr(AssignmentGrid, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     def recorded(table, n=None):
         extend(table, n)
@@ -550,9 +551,9 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     calls, lengths = _count_work(monkeypatch)
     report = implies_exists_n(s, extension, ("a", "b"), 1, bounds)
     assert report.ok and report.candidates_checked == bounds.max_candidates
-    # each leaf of the prefix once per grid, each connective of it at most once
+    # each leaf of the prefix once for both grids, each connective of it at most once
     assert lengths == [reached]
-    assert calls["_leaf"] == 2 * sum(kind is None for kind, _, _ in prefix)
+    assert calls["_leaf_row"] == sum(kind is None for kind, _, _ in prefix)
     assert calls["_combine"] <= sum(kind is not None for kind, _, _ in prefix)
 
 
@@ -564,7 +565,7 @@ def _pr_pair(seed: int):
         for p, a in SIG_PR.predicates.items()}) for _ in range(2))
 
 
-def test_a_failing_call_evaluates_only_the_first_256_matrices(monkeypatch):
+def test_a_failing_call_evaluates_only_the_first_46_matrices(monkeypatch):
     from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
 
     left, right = _pr_pair(0)
@@ -572,8 +573,9 @@ def test_a_failing_call_evaluates_only_the_first_256_matrices(monkeypatch):
     report = implies_exists_n(left, right, ("a",), 2)
     assert render_formula(report.separator) == "exists x1 . not R(x1, p1)" and report.candidates_checked == 57
     _, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
-    assert lengths == [256] and len(family.free) == 5940 and len(family.leaves) == 23
-    assert calls == {"_leaf": 2 * 23, "_combine": 134}
+    # the table names the 23 leaves first, then doubles once
+    assert lengths == [23, 46] and len(family.free) == 5940 and len(family.leaves) == 23
+    assert calls == {"_leaf_row": 23, "_combine": 16}
 
 
 def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch):
@@ -586,12 +588,12 @@ def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch)
     qvars, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
     plan = family.plan([(qvars, PrenexClass(EXISTS, 2))])
     assert report.ok and report.candidates_checked == plan.size
-    assert lengths == [256, 512, 1024, 2048, 4096, plan.reach(plan.size)] and lengths[-1] == len(family.free)
-    assert calls["_leaf"] == 2 * len(family.leaves)
+    assert lengths == [23, 46, 92, 184, 368, 736, 1472, 2944, 5888, plan.reach(plan.size)]
+    assert lengths[-1] == len(family.free) and calls["_leaf_row"] == len(family.leaves)
 
 
 def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_grows(monkeypatch):
-    # the separator sits at position 1,100 of a single step, so the table doubles three times within the step
+    # the separator sits at position 1,100 of a single step: the table names the 12 leaves, then doubles within the step
     chain, rnd = TARGET_CHAINS["godel3"], random.Random(6)
     left, right = (Structure(chain=chain, sig=SIG_PR, domain=domain, predicates={
         p: {args: rnd.randrange(chain.size) for args in product(domain, repeat=a)}
@@ -601,7 +603,7 @@ def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_gr
     reference, plan = _both_loops(family, [EXISTS_STEPS], AssignmentGrid(left, ["x1", "x2"]),
                                   AssignmentGrid(right, ["x1", "x2"]), None, {}, lambda slots: [()])
     assert plan == reference and plan[0][0] == 1101
-    assert lengths == [256, 512, 1024, len(family.free)] == [256, 512, 1024, 1518]
+    assert lengths == [12, 24, 48, 96, 192, 384, 768, len(family.free)] and len(family.free) == 1518
 
 
 def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monkeypatch):
@@ -636,7 +638,8 @@ def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monk
     walked = lengths[:]
     grids = [AssignmentGrid(left, ["x1", "x2"]), AssignmentGrid(twin, ["x1", "x2"])]
     list(ValueClasses(plan.family, grids).classes(range(plan.reach(plan.size))))
-    assert walked == lengths[len(walked):] == [256, 512, 1024, 1518] and plan.reach(plan.size) == 1518
+    assert walked == lengths[len(walked):] == [12, 24, 48, 96, 192, 384, 768, 1518]
+    assert len(plan.family.leaves) == 12 and plan.reach(plan.size) == 1518
 
 
 def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
@@ -671,7 +674,7 @@ def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
 # reading it.  Fixed parameters that g does not carry to the target's are
 # the caller's error.
 
-NO_WORK = {"tables": 0, "_leaf": 0, "_combine": 0, "fold": 0}
+NO_WORK = {"tables": 0, "_leaf_row": 0, "_combine": 0, "fold": 0}
 G3 = CHAINS["godel3"]
 SAME = {d: d for d in "abc"}
 SWAP = {"a": "b", "b": "a", "c": "c"}  # an automorphism of SYM
@@ -707,10 +710,10 @@ def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2)):
 
 def _transfer_work(family, steps, grid_s, grid_t, f, g, tuples, keep=None):
     """The plan loop's result on fresh grids, and the `ValueClasses` tables it
-    built and the `_leaf`, `_combine` and `fold` calls it made."""
+    built, the leaf rows they computed and the `_combine` and `fold` calls it made."""
     counts = dict.fromkeys(NO_WORK, 0)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        for owner, name, key in ((ValueClasses, "__init__", "tables"), (AssignmentGrid, "_leaf", "_leaf"),
+        for owner, name, key in ((ValueClasses, "__init__", "tables"), (ValueClasses, "_leaf_row", "_leaf_row"),
                                  (AssignmentGrid, "_combine", "_combine"), (AssignmentGrid, "fold", "fold")):
             def counted(*args, original=getattr(owner, name), key=key):
                 counts[key] += 1
@@ -759,7 +762,7 @@ def test_a_transfer_off_an_isomorphism_reads_the_table_and_matches_the_reference
     reference, plan = _both_loops(*args, keep=keep)
     assert plan == reference
     result, work = _transfer_work(*args, keep=keep)
-    assert result == plan[0] and work["tables"] == 1 and work["_leaf"] > 0
+    assert result == plan[0] and work["tables"] == 1 and work["_leaf_row"] > 0
 
 
 @pytest.mark.parametrize("image", ("b", "c"))
