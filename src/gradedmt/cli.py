@@ -497,10 +497,6 @@ def _add_common(p, handler, seed=False, bounds=False, **defaults):
         p.add_argument("--max-candidates", dest="max_candidates", type=_nonnegative_int, default=None)
 
 
-def _count(default) -> dict:
-    return {"type": _nonnegative_int, "default": default}
-
-
 @cache  # built once per process: argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -508,54 +504,116 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graded first-order model theory over finite chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    req, flag = {"required": True}, {"action": "store_true"}
-    truth = {"action": argparse.BooleanOptionalAction, "default": True}
-    pair, theory = [("left", req), ("right", req)], [("theory", req), ("algebra", req)]
-    diagram = [("kind", {"choices": ("diag", "eldiag"), "default": "diag"}), ("term-depth", _count(0)),
-               ("connective-depth", _count(0)), ("quantifier-depth", _count(1)), ("num-vars", _count(2))]
-    max_domain = ("max-domain", {"type": int, "required": True})
-    commands = [  # name, help, handler, its options in order, `_add_common` keywords
-        ("eval", "evaluate a formula in a structure", cmd_eval,
-         [("structure", req), ("formula", req), ("bind", {"action": "append", "metavar": "VAR=LABEL"}),
-          ("truth-constants", flag)], {}),
-        ("classify", "prenex class of a formula", cmd_classify,
-         [("formula", req), ("labels", {"default": "", "help": "comma-separated licensed truth-constant labels"})], {}),
-        ("check-sub", "substructure test", cmd_check_sub, [("sub", req), ("super", req)], {}),
-        ("enum-subs", "enumerate substructures", cmd_enum_subs,
-         [("structure", req), ("include-subalgebra-reducts", flag)], {}),
-        *((name, f"search a strong {kind}", cmd_find_map,
-           [("source", req), ("target", req), ("free-algebra-map", flag)], {"injective": kind == "embedding"})
-          for name, kind in (("find-hom", "homomorphism"), ("find-embed", "embedding"))),
-        ("diagram", "diagram", cmd_diagram, [("structure", req), *diagram], {}),
-        ("check-diagram", "check diagram", cmd_check_diagram,
-         [("source", req), ("target", req), ("map", {"help": "comma-separated a=x interpretation of source elements"}),
-          *diagram], {}),
-        ("equiv", "depth-bounded sentence equivalence", cmd_equiv,
-         [*pair, ("depth", _count(2)), ("truth-constants", flag)], {}),
-        ("union", "union of a chain file", cmd_union,
-         [("chain", req), ("normalize", flag), ("save", {"help": "write the union structure to this path"})], {}),
-        ("check-chain", "validate a chain and its union clauses", cmd_check_chain,
-         [("chain", req), ("normalize", flag), ("elementary-depth", _count(None)), ("tv-depth", _count(None)),
-          ("matrix-depth", _count(1))], {}),
-        ("implies-exists", "bounded existential transfer", cmd_implies_exists,
-         [*pair, ("n", _count(1)), ("params", {"default": ""}), ("truth-constants", flag)], {"bounds": True}),
-        ("amalgamate", "bounded amalgam certificate search", cmd_amalgamate,
-         [*pair, ("common", {"default": None}), ("params", {"default": ""}), ("n", _count(1)),
-          ("max-size", {"type": _positive_int, "required": True}), ("depth", _count(2)), ("truth-constants", flag),
-          ("save", {"help": "write the amalgam structure to this path"})], {"bounds": True}),
-        ("consequence", "bounded semantic consequence", cmd_consequence,
-         [*theory, ("formula", req), max_domain, ("truth-constants", truth)], {}),
-        ("universal-consequences", "bounded universal consequences", cmd_universal_consequences,
-         [*theory, max_domain, ("truth-constants", truth)], {"bounds": True}),
-        ("counterexample", "reproduce the bundled separation example", cmd_counterexample, [("depth", _count(2))], {}),
-        ("verify", "run a verification suite", cmd_verify,
-         [("suite", req), ("instances", {"type": _positive_int, "default": 50})], {"seed": True}),
-    ]
-    for name, help_text, handler, options, common in commands:
-        p = sub.add_parser(name, help=help_text)
-        for option, spec in options:
-            p.add_argument(f"--{option}", **spec)
-        _add_common(p, handler, **common)
+
+    p = sub.add_parser("eval", help="evaluate a formula in a structure")
+    p.add_argument("--structure", required=True)
+    p.add_argument("--formula", required=True)
+    p.add_argument("--bind", action="append", metavar="VAR=LABEL")
+    p.add_argument("--truth-constants", action="store_true")
+    _add_common(p, cmd_eval)
+
+    p = sub.add_parser("classify", help="prenex class of a formula")
+    p.add_argument("--formula", required=True)
+    p.add_argument("--labels", default="", help="comma-separated licensed truth-constant labels")
+    _add_common(p, cmd_classify)
+
+    p = sub.add_parser("check-sub", help="substructure test")
+    p.add_argument("--sub", required=True)
+    p.add_argument("--super", required=True)
+    _add_common(p, cmd_check_sub)
+
+    p = sub.add_parser("enum-subs", help="enumerate substructures")
+    p.add_argument("--structure", required=True)
+    p.add_argument("--include-subalgebra-reducts", action="store_true")
+    _add_common(p, cmd_enum_subs)
+
+    for name, kind in (("find-hom", "homomorphism"), ("find-embed", "embedding")):
+        p = sub.add_parser(name, help=f"search a strong {kind}")
+        p.add_argument("--source", required=True)
+        p.add_argument("--target", required=True)
+        p.add_argument("--free-algebra-map", action="store_true")
+        _add_common(p, cmd_find_map, injective=kind == "embedding")
+
+    for name in ("diagram", "check-diagram"):
+        p = sub.add_parser(name, help=f"{name.replace('-', ' ')}")
+        if name == "diagram":
+            p.add_argument("--structure", required=True)
+        else:
+            p.add_argument("--source", required=True)
+            p.add_argument("--target", required=True)
+            p.add_argument("--map", help="comma-separated a=x interpretation of source elements")
+        p.add_argument("--kind", choices=("diag", "eldiag"), default="diag")
+        p.add_argument("--term-depth", dest="term_depth", type=_nonnegative_int, default=0)
+        p.add_argument("--connective-depth", dest="connective_depth", type=_nonnegative_int, default=0)
+        p.add_argument("--quantifier-depth", dest="quantifier_depth", type=_nonnegative_int, default=1)
+        p.add_argument("--num-vars", dest="num_vars", type=_nonnegative_int, default=2)
+        _add_common(p, cmd_diagram if name == "diagram" else cmd_check_diagram)
+
+    p = sub.add_parser("equiv", help="depth-bounded sentence equivalence")
+    p.add_argument("--left", required=True)
+    p.add_argument("--right", required=True)
+    p.add_argument("--depth", type=_nonnegative_int, default=2)
+    p.add_argument("--truth-constants", action="store_true")
+    _add_common(p, cmd_equiv)
+
+    p = sub.add_parser("union", help="union of a chain file")
+    p.add_argument("--chain", required=True)
+    p.add_argument("--normalize", action="store_true")
+    p.add_argument("--save", help="write the union structure to this path")
+    _add_common(p, cmd_union)
+
+    p = sub.add_parser("check-chain", help="validate a chain and its union clauses")
+    p.add_argument("--chain", required=True)
+    p.add_argument("--normalize", action="store_true")
+    p.add_argument("--elementary-depth", dest="elementary_depth", type=_nonnegative_int, default=None)
+    p.add_argument("--tv-depth", dest="tv_depth", type=_nonnegative_int, default=None)
+    p.add_argument("--matrix-depth", dest="matrix_depth", type=_nonnegative_int, default=1)
+    _add_common(p, cmd_check_chain)
+
+    p = sub.add_parser("implies-exists", help="bounded existential transfer")
+    p.add_argument("--left", required=True)
+    p.add_argument("--right", required=True)
+    p.add_argument("--n", type=_nonnegative_int, default=1)
+    p.add_argument("--params", default="")
+    p.add_argument("--truth-constants", action="store_true")
+    _add_common(p, cmd_implies_exists, bounds=True)
+
+    p = sub.add_parser("amalgamate", help="bounded amalgam certificate search")
+    p.add_argument("--left", required=True)
+    p.add_argument("--right", required=True)
+    p.add_argument("--common", default=None)
+    p.add_argument("--params", default="")
+    p.add_argument("--n", type=_nonnegative_int, default=1)
+    p.add_argument("--max-size", dest="max_size", type=_positive_int, required=True)
+    p.add_argument("--depth", type=_nonnegative_int, default=2)
+    p.add_argument("--truth-constants", action="store_true")
+    p.add_argument("--save", help="write the amalgam structure to this path")
+    _add_common(p, cmd_amalgamate, bounds=True)
+
+    p = sub.add_parser("consequence", help="bounded semantic consequence")
+    p.add_argument("--theory", required=True)
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--formula", required=True)
+    p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
+    p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
+    _add_common(p, cmd_consequence)
+
+    p = sub.add_parser("universal-consequences", help="bounded universal consequences")
+    p.add_argument("--theory", required=True)
+    p.add_argument("--algebra", required=True)
+    p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
+    p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
+    _add_common(p, cmd_universal_consequences, bounds=True)
+
+    p = sub.add_parser("counterexample", help="reproduce the bundled separation example")
+    p.add_argument("--depth", type=_nonnegative_int, default=2)
+    _add_common(p, cmd_counterexample)
+
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument("--suite", required=True)
+    p.add_argument("--instances", type=_positive_int, default=50)
+    _add_common(p, cmd_verify, seed=True)
+
     return parser
 
 

@@ -477,38 +477,16 @@ def elementary_family(
 # --- grid evaluation ---
 
 
-@lru_cache(maxsize=512)
-def _reader(sizes: tuple, t: int, args: tuple):
-    """The getter of a leaf's values at every cell of grids of these domain
-    sizes over t variables, in turn, off its tables in `product` order
-    concatenated: an argument a >= 0 reads the cell's digit on axis a, a
-    negative one element ~a in every cell."""
-    out, base, r = [], 0, len(args)
-    for m in sizes:
-        out += [base + sum(m ** (r - 1 - j) * (cell[a] if a >= 0 else ~a) for j, a in enumerate(args))
+@lru_cache(maxsize=256)  # shapes: the suites and the widest CLI grids keep at most 144 (about 80 KiB)
+def _reader(dims: tuple, *columns: tuple):
+    """The getter of a leaf's values at every cell of some grids in turn, off their tables in `product` order
+    joined: `dims` has each grid's (m, t), and a column each argument's axis a >= 0, or ~p for element p."""
+    out, base = [], 0
+    for (m, t), *args in zip(dims, *columns):
+        out += [base + sum(m ** (len(args) - 1 - j) * (cell[a] if a >= 0 else ~a) for j, a in enumerate(args))
                 for cell in product(range(m), repeat=t)]
-        base += m ** r
+        base += m ** len(args)
     return itemgetter(*out) if len(out) > 1 else itemgetter(slice(out[0], out[0] + 1))
-
-
-def _leaf_values(grids, phi: Formula, flats: dict, sizes: tuple) -> bytes:
-    """A leaf's values on grids of these sizes that share their variables, fixed elements and chain,
-    in turn: one `_reader` read of their `_flat` tables concatenated (kept in `flats`), or a truth
-    constant's byte times the width; several grids read an argument off their axes grid by grid."""
-    first = grids[0]
-    if isinstance(phi, Atom):
-        key, terms = phi.name, phi.args
-    elif isinstance(phi, Eq):
-        key, terms = Eq, (phi.left, phi.right)
-    elif isinstance(phi, Val):
-        return bytes([_truth_constant_index(first.structure.chain, phi.label)]) * sum(g.size for g in grids)
-    else:
-        raise TypeError(f"not a formula: {phi!r}")
-    flat = flats.get(key) or flats.setdefault(key, b"".join([g._flat(key) for g in grids]))
-    args = tuple(map(first._arg, terms))
-    if len(grids) > 1 and min(args, default=0) < 0:
-        return b"".join(g._leaf(phi) for g in grids)
-    return bytes(_reader(sizes, len(first.variables), args)(flat))
 
 
 class AssignmentGrid:
@@ -516,18 +494,14 @@ class AssignmentGrid:
 
     The grid for t variables over a domain of size m is one immutable
     `bytes` of m**t chain indices, one byte a cell, first variable most
-    significant, so a chain may have at most 256 elements.  Quantifying a
-    variable folds its axis and broadcasts the result so further
-    combination stays aligned.  Variables in `fixed` are not axes: they
-    take their given element in every cell.  One evaluator, two drivers:
-    `_leaf` (atoms, identities, truth constants, each one `_reader` getter
-    over a table in `product` order) and `_combine` (each connective as a
-    `bytes.translate` table, see `_byte_tables`) serve both
-    `values`, a plain recursion kept as a reference, and `ValueClasses`,
-    which runs a family's rows over the value classes of several grids
-    at once and memoises their folds.  A grid keeps no per-formula state, so
-    tables may share it.
+    significant, so a chain may have at most 256 elements; variables in
+    `fixed` are not axes but take their given element in every cell.
+    Quantifying a variable folds its axis and broadcasts the result, so
+    combination stays aligned.  `values`, a plain recursion kept as a
+    reference, and `ValueClasses` (leaves by its `_leaf_row`) share
+    `_combine`, each connective a `bytes.translate` table (`_byte_tables`).
     """
+    _leaves = cached_property(lambda self: ValueClasses(None, (self,)))  # a one-grid table for `values`' leaves
 
     def __init__(self, structure: Structure, variables: Sequence[str], *, fixed=None):
         if structure.chain.size > 256:
@@ -540,7 +514,8 @@ class AssignmentGrid:
         self.size = self.m**t
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
         self._dom_pos = {d: i for i, d in enumerate(structure.domain)}
-        self._flats, self._args = {}, {}  # `_flat` key -> its table; a term off the axes -> its `_arg`
+        self._flats = {p: bytes(table.values()) for p, table in structure.predicates.items()}  # `product` order
+        self._flats[Eq] = ((bytes([structure.chain.top]) + bytes(self.m)) * self.m)[:self.m ** 2]  # the diagonal
         self._tables = _byte_tables(structure.chain.star, structure.chain.implies)
         self._axes: dict = {}  # var -> its m lanes, then the getter that broadcasts a folded lane
 
@@ -548,20 +523,7 @@ class AssignmentGrid:
         """A term as a `_reader` argument: its axis, or ~p if it takes domain element p in every cell."""
         if isinstance(term, Var) and term.name not in self.fixed:
             return self.variables.index(term.name)
-        a = self._args.get(term)
-        if a is None:
-            a = self._args[term] = ~self._dom_pos[
-                self.fixed[term.name] if isinstance(term, Var) else eval_term(term, self.structure, {})]
-        return a
-
-    def _flat(self, key) -> bytes:
-        """A predicate's table in `product` order; for key Eq, top every m + 1 cells, bottom (0) elsewhere."""
-        if key is Eq:
-            return ((bytes([self.structure.chain.top]) + bytes(self.m)) * self.m)[:self.m ** 2]
-        table = self.structure.predicates.get(key)
-        if table is None:
-            raise SignatureError(f"structure does not interpret predicate {key!r}")
-        return bytes(table.values())
+        return ~self._dom_pos[eval_term(term, self.structure, self.fixed)]
 
     def values(self, phi: Formula) -> bytes:
         """On-demand driver: the operands, then this node."""
@@ -571,11 +533,7 @@ class AssignmentGrid:
             return self._combine(type(phi), self.values(phi.left), self.values(phi.right))
         if isinstance(phi, (Forall, Exists)):
             return self.fold(self.values(phi.body), phi.var, FORALL if isinstance(phi, Forall) else EXISTS)
-        return self._leaf(phi)
-
-    def _leaf(self, phi: Formula) -> bytes:
-        """Atoms, identities and truth constants: `_leaf_values` on this grid alone."""
-        return _leaf_values((self,), phi, self._flats, (self.m,))
+        return self._leaves._leaf_row(phi)
 
     def _combine(self, kind: type, a: bytes, b: bytes | None = None) -> bytes:
         """One connective (its node class) over its operands' value vectors."""
@@ -620,29 +578,22 @@ class ValueClasses:
     """A family's matrices by value class over several grids, grown in
     family order: `cls[k]` is matrix k's class id, `vecs[c]` class c's
     values at each grid's cells in turn.  `family.rows()` run over class
-    ids, interned by their bytes, so no matrix is built as a formula and
-    each connective meets each pair of operand classes once, with the tables
-    of each run of grids that share a chain.  A leaf is one row over every
-    grid (`_leaf_row`): grids that share their variables, fixed elements and
-    chain read it with one getter off their tables concatenated, so a table
-    of a structure and its substructures reads each leaf once, not once a
-    grid.  `extend(n)` resumes where the table stopped, and `classes` grows
-    it to the leaves, then doubles it, so a caller grows it only as far as
-    it reads (bottom-up enumeration checked as the bank grows: Udupa et al.,
-    TRANSIT, PLDI 2013).
-    The table names the folds too: `read` memoises them under its own class
-    ids, so equal-valued matrices share their folds, and a block row's class
-    is its body's class read through the block on each grid."""
+    ids, interned by their bytes, so no matrix is built as a formula, a
+    leaf is one read of every grid (`_leaf_row`) and a connective meets
+    each pair of operand classes once, per run of grids over one chain.
+    `extend(n)` resumes where the table stopped, so a caller grows it only
+    as far as it reads (bottom-up enumeration checked as the bank grows:
+    Udupa et al., TRANSIT, PLDI 2013).  `read` memoises folds under the
+    table's class ids, so equal-valued matrices share their folds, and a
+    block row's class is its body's class read through the block on each grid."""
 
     def __init__(self, family: Fragment, grids: Sequence[AssignmentGrid]):
         self.family, self.grids, self.cls, self.vecs = family, tuple(grids), [], []
         bounds = list(accumulate((g.size for g in self.grids), initial=0))
-        runs = [list(run) for _, run in groupby(zip(self.grids, bounds, bounds[1:]), lambda r: id(r[0]._tables))]
-        self._runs = [(run[0][0], run[0][1], run[-1][2]) for run in runs]  # (grid, start, end) per run
+        runs = [list(run) for _, run in groupby(zip(self.grids, bounds, bounds[1:]), lambda r: r[0].structure.chain)]
+        self._runs = [(run[0][0], run[0][1], run[-1][2]) for run in runs]  # (grid, start, end) per run of one chain
         self._bounds = bounds  # grid i's cells are vecs[c][bounds[i]:bounds[i + 1]]
-        first, self._sizes, self._flats = self.grids[0], tuple([g.m for g in self.grids]), {}
-        self._wide = len(self.grids) == 1 or all(g.variables == first.variables and g.fixed == first.fixed
-                                                 and g.structure.chain == first.structure.chain for g in self.grids)
+        self._dims, self._cache = tuple([(g.m, len(g.variables)) for g in self.grids]), {}  # for `_leaf_row`
         self._ids: dict = {}  # values -> class id
         self._memo: dict = {}  # (connective, left class, right class) -> class id
         self._folds: dict = {}  # ((grid, class), kind, var), then further folds -> values
@@ -651,8 +602,7 @@ class ValueClasses:
         """Name the first n matrices (every matrix with None), from where the table stopped."""
         family, cls, vecs, runs, memo = self.family, self.cls, self.vecs, self._runs, self._memo
         stop = len(family.free) if n is None else min(n, len(family.free))
-        for leaf in family.leaves[len(cls):stop]:  # the leaves come first
-            cls.append(self._intern(self._leaf_row(leaf)))
+        cls += map(self._intern, map(self._leaf_row, family.leaves[len(cls):stop]))  # the leaves come first
         for kind, i, j in family.rows(len(cls), stop):
             key = (kind, cls[i], cls[j])
             c = memo.get(key)
@@ -664,15 +614,23 @@ class ValueClasses:
                     b"".join(g._combine(kind, a[s:e], b[s:e]) for g, s, e in runs))
             cls.append(c)
 
-    def _leaf_row(self, leaf: Formula) -> bytes:
-        """A leaf's values on every grid: one read if the grids share variables, fixed elements and chain."""
-        if self._wide:
-            return _leaf_values(self.grids, leaf, self._flats, self._sizes)
-        return b"".join(g._leaf(leaf) for g in self.grids)
+    def _leaf_row(self, phi: Formula) -> bytes:
+        """A leaf's values: a truth constant's byte a run, else one `_reader` read (tables, `_arg`s in `_cache`)."""
+        if isinstance(phi, Val):
+            return b"".join([bytes([_truth_constant_index(g.structure.chain, phi.label)]) * (e - s)
+                             for g, s, e in self._runs])
+        if not isinstance(phi, (Atom, Eq)):
+            raise TypeError(f"not a formula: {phi!r}")
+        key, terms = (phi.name, phi.args) if isinstance(phi, Atom) else (Eq, (phi.left, phi.right))
+        if key not in self._cache:
+            if any(key not in g._flats for g in self.grids):
+                raise SignatureError(f"structure does not interpret predicate {key!r}")
+            self._cache[key] = b"".join([g._flats[key] for g in self.grids])
+        args = [self._cache.get(u) or self._cache.setdefault(u, tuple([g._arg(u) for g in self.grids])) for u in terms]
+        return bytes(_reader(self._dims, *args)(self._cache[key]))
 
     def classes(self, positions: Sequence[int]) -> Iterator[int]:
-        """These ascending positions' class ids, the table grown as read, its one
-        growth path: to the leaves at first, then doubled, never past the last position."""
+        """These ascending positions' class ids, the table doubled from its leaves as read: its one growth path."""
         for k in positions:
             if k >= len(self.cls):
                 self.extend(min(max(k + 1, 2 * len(self.cls), len(self.family.leaves)), positions[-1] + 1))

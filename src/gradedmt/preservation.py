@@ -398,33 +398,20 @@ def _random_structure(rnd: random.Random, chain) -> Structure:
 
 
 def _check_instance(report, chain, lead: str, blocks: int, sources, targets) -> None:
-    """Count one instance: each suite sentence top on every source must stay
-    top on each (structure, context) target.  One value-class table spans all
-    their (x1, x2) grids, so each leaf is read once for all of them.  The
-    outer block is the cells' min (forall) or max (exists), exact as every
-    axis left is bound by it or not free, so `lost` is memoised per (class,
-    inner blocks): a one-block sentence's verdict on every grid at once is
-    the grid ids of the cells that decide it; with inner blocks, each grid's
-    slice is folded through them and read, sources first."""
-    sig = expand_with_truth_constants(_SUITE_SIG, chain)
-    qvars, family, rows = _sentences(sig, chain, lead, blocks, _SUITE_BOUNDS)
+    """Count one instance: each suite sentence top on every source must stay top on each (structure,
+    context) target, decided by `lost` over one value-class table of all their (x1, x2) grids."""
+    qvars, family, rows = _sentences(expand_with_truth_constants(_SUITE_SIG, chain), chain, lead, blocks, _SUITE_BOUNDS)
     grids = [AssignmentGrid(s, qvars) for s in [*sources, *(t for t, _ in targets)]]
     table = ValueClasses(family, grids)
     table.extend(max((k for k, _, _ in rows), default=-1) + 1)
-    n, ids = len(sources), b"".join(bytes([i]) * g.size for i, g in enumerate(grids))
-    deciding, outer = bytearray([lead == FORALL]) * 256, min if lead == FORALL else max
-    deciding[chain.top] = lead == EXISTS  # 1 at the values that decide the outer block
+    n, ids = len(sources), b"".join([bytes([i]) * g.size for i, g in enumerate(grids)])  # each cell's grid
+    deciding = bytes([lead == FORALL]) * chain.top + bytes([lead == EXISTS]) * (256 - chain.top)  # 1: a deciding value
 
     @lru_cache(maxsize=None)
-    def lost(c: int, inner: tuple) -> set:
-        """The grids where the sentence is not top, or the first source where it is not."""
-        if not inner:  # forall is lost where a cell decides it, exists kept
-            decided = set(compress(ids, table.vecs[c].translate(deciding)))
-            return decided if lead == FORALL else set(range(len(grids))).difference(decided)
-        bad = (i for i in range(len(grids)) if outer(table.read(c, i, inner)) != chain.top)
-        first = next(bad, len(grids))  # no grid's id when none is lost
-        return {first} if first < n else {first, *bad}
-
+    def lost(c: int, inner: tuple) -> set:  # the grids where c is not top (exact: no axis is left free)
+        vec = b"".join([table.read(c, i, inner) for i in range(len(grids))]) if inner else table.vecs[c]
+        decided = set(compress(ids, vec.translate(deciding)))  # with a non-top (forall) or top (exists) cell
+        return decided if lead == FORALL else set(range(len(grids))) - decided
     satisfied = [(phi, bad) for k, prefix, phi in rows if (bad := lost(table.cls[k], prefix[1:])).isdisjoint(range(n))]
     report.checks += len(satisfied) * len(targets)
     report.violations += [PreservationViolation(report.instances, phi, context, ())

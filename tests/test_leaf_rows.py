@@ -1,12 +1,13 @@
 """Leaf rows of a value-class table against the plain evaluator.
 
-A `ValueClasses` table reads each leaf once for all its grids when they
-share their variables, fixed elements and chain: an atom or identity of
-grid variables is one getter over the grids' tables concatenated, a truth
-constant one byte times the width (`generation._leaf_values`).  Any other
-leaf or table is read grid by grid (`AssignmentGrid._leaf`).  Every row is
-compared with `eval_formula` at every cell, and the count of per-grid reads
-says which path ran.
+A `ValueClasses` table reads each leaf once for all its grids
+(`ValueClasses._leaf_row`): an atom or identity is one getter over the
+grids' tables joined, keyed by each grid's domain size and variable count
+and the leaf's arguments there (an axis, or the element a fixed parameter
+or a constant names); a truth constant is its byte on each run of grids
+over one chain (equal labels and tables: a chain relabelled is another
+run).  Every row is compared with `eval_formula` at every cell, and the
+table must read each leaf once.
 """
 
 import random
@@ -16,16 +17,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradedmt import corpus
-from gradedmt.algebra import enumerate_mtl_chains
+from gradedmt.algebra import FiniteChain, enumerate_mtl_chains
 from gradedmt.generation import AssignmentGrid, Fragment, ValueClasses, atoms_over
 from gradedmt.morphisms import enumerate_substructures
 from gradedmt.semantics import Structure, eval_formula
-from gradedmt.syntax import FORALL, App, Atom, Signature, Val, Var, expand_with_truth_constants, free_variables
+from gradedmt.syntax import FORALL, App, Signature, Var, expand_with_truth_constants, free_variables
 
 CHAINS = [chain for k in (2, 3, 4) for chain in enumerate_mtl_chains(k)]
 PREDICATES = {"N": 0, "P": 1, "R": 2, "T": 3}
 LABELS = ("0", "e1", "1")  # bottom and top by name in every chain, and e1 in each
-MODES = ("shared", "fixed", "constant", "permuted", "two chains")
+MODES = ("shared", "fixed", "constant", "permuted", "two chains", "relabelled")
+
+
+def _relabelled(chain):
+    """The chain with its second and third elements' labels swapped: the same tables, e1 elsewhere."""
+    labels = chain.elements
+    return FiniteChain(elements=(labels[0], labels[2], labels[1], *labels[3:]), star=chain.star, implies=chain.implies)
 
 
 def _structure(rnd, chain, sig, size):
@@ -41,76 +48,57 @@ def tables(draw):
     """1-16 grids of 1-4 elements over 1-3 variables, and the leaves over
     them: nullary to ternary atoms (repeated variables among them),
     identities and truth constants.  Each mode but "shared" draws a table
-    some of whose leaves or grids must be read grid by grid: a fixed p1, a
-    constant c, a grid with its variables reversed, or a second chain."""
+    whose grids read some argument differently: a fixed p1, a constant c,
+    a grid with its variables reversed, a second chain, or the chain
+    relabelled."""
     mode, rnd = draw(st.sampled_from(MODES)), random.Random(draw(st.integers(0, 2**32)))
     variables = tuple(f"x{i}" for i in range(1, draw(st.integers(2 if mode == "permuted" else 1, 3)) + 1))
-    chain = draw(st.sampled_from(CHAINS))
-    other = draw(st.sampled_from([c for c in CHAINS if c != chain]))
+    chain = draw(st.sampled_from([c for c in CHAINS if c.size > 2 or mode != "relabelled"]))
+    other = _relabelled(chain) if mode == "relabelled" else draw(st.sampled_from([c for c in CHAINS if c != chain]))
     sig = Signature(predicates=PREDICATES, functions={"c": 0} if mode == "constant" else {})
     grids = []
     for i in range(draw(st.integers(1 if mode in ("shared", "fixed", "constant") else 2, 16))):
-        s = _structure(rnd, other if mode == "two chains" and i % 2 else chain, sig, draw(st.integers(1, 4)))
+        s = _structure(rnd, other if mode in ("two chains", "relabelled") and i % 2 else chain, sig,
+                       draw(st.integers(1, 4)))
         fixed = {"p1": rnd.choice(s.domain[:2])} if mode == "fixed" else None
         grids.append(AssignmentGrid(s, variables[::-1] if mode == "permuted" and i % 2 else variables, fixed=fixed))
     terms = [Var(v) for v in variables] + {"fixed": [Var("p1")], "constant": [App("c")]}.get(mode, [])
     return grids, atoms_over(sig, terms, LABELS)
 
 
-def _args(leaf) -> tuple:
-    return leaf.args if isinstance(leaf, Atom) else () if isinstance(leaf, Val) else (leaf.left, leaf.right)
-
-
-def _per_grid_reads(grids, leaves) -> int:
-    """The `_leaf` calls the rule makes: none for one grid; every leaf on every grid unless
-    the grids share variables, fixed elements and chain; else each leaf with an argument
-    that is not a grid axis, on every grid."""
-    first = grids[0]
-    if len(grids) == 1:
-        return 0
-    if any((g.variables, g.fixed, g.structure.chain) != (first.variables, first.fixed, first.structure.chain)
-           for g in grids):
-        return len(leaves) * len(grids)
-    axes = {Var(v) for v in first.variables if v not in first.fixed}
-    return len(grids) * sum(not axes.issuperset(_args(leaf)) for leaf in leaves)
-
-
-def _check(grids, leaves) -> int:
-    """Each leaf's row against `eval_formula` at every cell; the per-grid reads the table made."""
+def _check(grids, leaves) -> None:
+    """Each leaf's row against `eval_formula` at every cell, and one leaf read a leaf."""
     family = Fragment(leaves, [frozenset(free_variables(leaf)) for leaf in leaves])
-    reads, leaf = [], AssignmentGrid._leaf
+    reads, row = [], ValueClasses._leaf_row
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(AssignmentGrid, "_leaf", lambda self, phi: reads.append(phi) or leaf(self, phi))
+        monkeypatch.setattr(ValueClasses, "_leaf_row", lambda table, phi: reads.append(phi) or row(table, phi))
         table = ValueClasses(family, grids)
         table.extend()
+    assert reads == list(leaves)
     for k, phi in enumerate(leaves):
         want = [eval_formula(phi, g.structure, {**dict(zip(g.variables, cell)), **g.fixed})
                 for g in grids for cell in product(g.structure.domain, repeat=len(g.variables))]
         assert list(table.vecs[table.cls[k]]) == want, phi
-    return len(reads)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=tables())
 def test_table_wide_leaf_rows_match_the_evaluator_at_every_cell(case):
-    grids, leaves = case
-    assert _check(grids, leaves) == _per_grid_reads(grids, leaves)
+    _check(*case)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_each_mode_reads_grid_by_grid_what_it_must(mode):
-    # two grids of 2 and 3 elements, seeded, so each fallback runs whatever hypothesis draws
+def test_each_mode_reads_each_leaf_once_over_both_grids(mode):
+    # two grids of 2 and 3 elements, seeded, so each mode runs whatever hypothesis draws
     chain, rnd, variables = CHAINS[3], random.Random(mode), ("x1", "x2")
     sig = Signature(predicates=PREDICATES, functions={"c": 0} if mode == "constant" else {})
-    structures = [_structure(rnd, CHAINS[1] if mode == "two chains" and i else chain, sig, 2 + i) for i in range(2)]
+    second = {"two chains": CHAINS[1], "relabelled": _relabelled(chain)}.get(mode, chain)
+    structures = [_structure(rnd, second if i else chain, sig, 2 + i) for i in range(2)]
     grids = [AssignmentGrid(s, variables[::-1] if mode == "permuted" and i else variables,
                             fixed={"p1": s.domain[i]} if mode == "fixed" else None) for i, s in enumerate(structures)]
     leaves = atoms_over(sig, [Var("x1"), Var("x2")] + {"fixed": [Var("p1")], "constant": [App("c")]}.get(mode, []),
                         LABELS)
-    reads = _check(grids, leaves)
-    # shared: no leaf grid by grid; constant: the leaves naming c, as the grids share the rest; else every leaf
-    want = {"shared": 0, "constant": 2 * sum(App("c") in _args(leaf) for leaf in leaves)}.get(mode, 2 * len(leaves))
-    assert reads == want == _per_grid_reads(grids, leaves) and (0 < reads < 2 * len(leaves)) is (mode == "constant")
+    _check(grids, leaves)
 
 
 def test_a_los_tarski_instance_reads_each_leaf_once_for_its_15_grids(monkeypatch):
@@ -121,9 +109,8 @@ def test_a_los_tarski_instance_reads_each_leaf_once_for_its_15_grids(monkeypatch
     chain = corpus.godel4()
     big = _structure(random.Random(4), chain, _SUITE_SIG, 4)
     targets = [(s, str(s.domain)) for s in enumerate_substructures(big) if s.size < big.size]
-    counts = {"tables": 0, "_leaf_row": 0, "_leaf": 0}
-    for owner, name, key in ((ValueClasses, "__init__", "tables"), (ValueClasses, "_leaf_row", "_leaf_row"),
-                             (AssignmentGrid, "_leaf", "_leaf")):
+    counts = {"tables": 0, "_leaf_row": 0}
+    for owner, name, key in ((ValueClasses, "__init__", "tables"), (ValueClasses, "_leaf_row", "_leaf_row")):
         def counted(*args, original=getattr(owner, name), key=key):
             counts[key] += 1
             return original(*args)
@@ -131,6 +118,6 @@ def test_a_los_tarski_instance_reads_each_leaf_once_for_its_15_grids(monkeypatch
     report = PreservationReport("pin")
     _check_instance(report, chain, FORALL, 1, [big], targets)
     family = _sentences(expand_with_truth_constants(_SUITE_SIG, chain), chain, FORALL, 1, _SUITE_BOUNDS)[1]
-    # one table over the structure and its 14 proper substructures: one row a leaf, no per-grid read
+    # one table over the structure and its 14 proper substructures: one row a leaf, and no one-grid table
     assert len(targets) == 14 and report.ok and report.checks > 0
-    assert counts == {"tables": 1, "_leaf_row": len(family.leaves), "_leaf": 0} and len(family.leaves) == 14
+    assert counts == {"tables": 1, "_leaf_row": len(family.leaves)} and len(family.leaves) == 14
