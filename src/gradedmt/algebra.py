@@ -229,8 +229,6 @@ def generated_subalgebra(chain: FiniteChain, seed: Iterable) -> tuple[int, ...]:
     for i in current:
         if not 0 <= i < chain.size:
             raise FormatError(f"seed index {i} out of range")
-    if not current:
-        raise FormatError("seed must be nonempty")
 
     changed = True
     while changed:

@@ -360,32 +360,16 @@ def cmd_counterexample(args) -> int:
     return _emit(args, payload, rep.ok, lines)
 
 
-def _suite_los_tarski(args) -> dict:
-    return substructure_preservation_suite(args.seed, args.instances).as_dict()
-
-
 def _suite_negative_control(args) -> dict:
     rep = substructure_preservation_suite(args.seed, args.instances, lead=EXISTS, claim="exists(1)-negative-control")
     # the control passes when violations DO occur
     return {**rep.as_dict(), "ok": len(rep.violations) >= 1, "expected": "at least one violation"}
 
 
-def _suite_unions(args) -> dict:
-    return union_preservation_suite(args.seed, args.instances).as_dict()
-
-
 def _suite_cor1(args) -> dict:
     rep = cor1_sweep(corpus.godel3(), Signature(predicates={"R": 2}), 2, 3)
     counts = ("instances", "agreements", "both_true", "both_false", "ok")
     return {"claim": "diagram-embedding-equivalence", **{name: getattr(rep, name) for name in counts}}
-
-
-def _suite_roundtrip(args) -> dict:
-    return roundtrip_suite(args.seed, args.instances)
-
-
-def _suite_counterexample(args) -> dict:
-    return reproduce_counterexample().as_dict()
 
 
 def _suite_algebra(args) -> dict:
@@ -443,12 +427,12 @@ def _certificates_ok(result, left, right) -> bool:
 
 
 _SUITES = {
-    "los-tarski-lemma": _suite_los_tarski,
+    "los-tarski-lemma": lambda args: substructure_preservation_suite(args.seed, args.instances).as_dict(),
     "exists-negative-control": _suite_negative_control,
-    "unions-chain-lemma": _suite_unions,
+    "unions-chain-lemma": lambda args: union_preservation_suite(args.seed, args.instances).as_dict(),
     "cor1-equivalence": _suite_cor1,
-    "parser-roundtrip": _suite_roundtrip,
-    "counterexample": _suite_counterexample,
+    "parser-roundtrip": lambda args: roundtrip_suite(args.seed, args.instances),
+    "counterexample": lambda args: reproduce_counterexample().as_dict(),
     "algebra-soundness": _suite_algebra,
     "bounded-consequence": _suite_bounded_consequence,
     "amalgamation": _suite_amalgamation,
@@ -484,17 +468,85 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p, handler, seed=False, bounds=False, **defaults):
-    """Set the subcommand's handler and defaults, and add the options subcommands share."""
-    p.set_defaults(handler=handler, **defaults)
-    p.add_argument("--format", choices=("json", "text"), default="text")
-    p.add_argument("--out", help="write the report to this path instead of stdout")
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if bounds:
-        p.add_argument("--matrix-depth", dest="matrix_depth", type=_nonnegative_int, default=1)
-        p.add_argument("--num-vars", dest="num_vars", type=_nonnegative_int, default=2)
-        p.add_argument("--max-candidates", dest="max_candidates", type=_nonnegative_int, default=None)
+_OPTIONS = {  # each flag's add_argument keywords, which a command may update at its flag
+    "--structure": dict(required=True),
+    "--formula": dict(required=True),
+    "--bind": dict(action="append", metavar="VAR=LABEL"),
+    "--truth-constants": dict(action="store_true"),
+    "--labels": dict(default="", help="comma-separated licensed truth-constant labels"),
+    "--sub": dict(required=True),
+    "--super": dict(required=True),
+    "--include-subalgebra-reducts": dict(action="store_true"),
+    "--source": dict(required=True),
+    "--target": dict(required=True),
+    "--free-algebra-map": dict(action="store_true"),
+    "--map": dict(help="comma-separated a=x interpretation of source elements"),
+    "--kind": dict(choices=("diag", "eldiag"), default="diag"),
+    "--term-depth": dict(type=_nonnegative_int, default=0),
+    "--connective-depth": dict(type=_nonnegative_int, default=0),
+    "--quantifier-depth": dict(type=_nonnegative_int, default=1),
+    "--num-vars": dict(type=_nonnegative_int, default=2),
+    "--left": dict(required=True),
+    "--right": dict(required=True),
+    "--depth": dict(type=_nonnegative_int, default=2),
+    "--chain": dict(required=True),
+    "--normalize": dict(action="store_true"),
+    "--save": dict(),  # its help is given at each command
+    "--elementary-depth": dict(type=_nonnegative_int),
+    "--tv-depth": dict(type=_nonnegative_int),
+    "--matrix-depth": dict(type=_nonnegative_int, default=1),
+    "--n": dict(type=_nonnegative_int, default=1),
+    "--params": dict(default=""),
+    "--common": dict(),
+    "--max-size": dict(type=_positive_int, required=True),
+    "--theory": dict(required=True),
+    "--algebra": dict(required=True),
+    "--max-domain": dict(type=int, required=True),
+    "--suite": dict(required=True),
+    "--instances": dict(type=_positive_int, default=50),
+    "--format": dict(choices=("json", "text"), default="text"),
+    "--out": dict(help="write the report to this path instead of stdout"),
+    "--seed": dict(type=int, default=0),
+    "--max-candidates": dict(type=_nonnegative_int),
+}
+_REPORT = ("--format", "--out")
+_BOUNDS = ("--matrix-depth", "--num-vars", "--max-candidates")
+_DIAGRAM = ("--kind", "--term-depth", "--connective-depth", "--quantifier-depth", "--num-vars")
+_FIND_MAP = ("--source", "--target", "--free-algebra-map")
+
+# name, help, handler, flags in --help order, then any handler defaults; a
+# (flag, keywords) pair updates the flag's `_OPTIONS` keywords at its command
+_COMMANDS = (
+    ("eval", "evaluate a formula in a structure", cmd_eval,
+     ("--structure", "--formula", "--bind", "--truth-constants", *_REPORT)),
+    ("classify", "prenex class of a formula", cmd_classify, ("--formula", "--labels", *_REPORT)),
+    ("check-sub", "substructure test", cmd_check_sub, ("--sub", "--super", *_REPORT)),
+    ("enum-subs", "enumerate substructures", cmd_enum_subs,
+     ("--structure", "--include-subalgebra-reducts", *_REPORT)),
+    ("find-hom", "search a strong homomorphism", cmd_find_map, (*_FIND_MAP, *_REPORT), {"injective": False}),
+    ("find-embed", "search a strong embedding", cmd_find_map, (*_FIND_MAP, *_REPORT), {"injective": True}),
+    ("diagram", "diagram", cmd_diagram, ("--structure", *_DIAGRAM, *_REPORT)),
+    ("check-diagram", "check diagram", cmd_check_diagram, ("--source", "--target", "--map", *_DIAGRAM, *_REPORT)),
+    ("equiv", "depth-bounded sentence equivalence", cmd_equiv,
+     ("--left", "--right", "--depth", "--truth-constants", *_REPORT)),
+    ("union", "union of a chain file", cmd_union,
+     ("--chain", "--normalize", ("--save", dict(help="write the union structure to this path")), *_REPORT)),
+    ("check-chain", "validate a chain and its union clauses", cmd_check_chain,
+     ("--chain", "--normalize", "--elementary-depth", "--tv-depth", "--matrix-depth", *_REPORT)),
+    ("implies-exists", "bounded existential transfer", cmd_implies_exists,
+     ("--left", "--right", "--n", "--params", "--truth-constants", *_REPORT, *_BOUNDS)),
+    ("amalgamate", "bounded amalgam certificate search", cmd_amalgamate,
+     ("--left", "--right", "--common", "--params", "--n", "--max-size", "--depth", "--truth-constants",
+      ("--save", dict(help="write the amalgam structure to this path")), *_REPORT, *_BOUNDS)),
+    ("consequence", "bounded semantic consequence", cmd_consequence,
+     ("--theory", "--algebra", "--formula", "--max-domain",
+      ("--truth-constants", dict(action=argparse.BooleanOptionalAction, default=True)), *_REPORT)),
+    ("universal-consequences", "bounded universal consequences", cmd_universal_consequences,
+     ("--theory", "--algebra", "--max-domain",
+      ("--truth-constants", dict(action=argparse.BooleanOptionalAction, default=True)), *_REPORT, *_BOUNDS)),
+    ("counterexample", "reproduce the bundled separation example", cmd_counterexample, ("--depth", *_REPORT)),
+    ("verify", "run a verification suite", cmd_verify, ("--suite", "--instances", *_REPORT, "--seed")),
+)
 
 
 @cache  # built once per process: argparse keeps no state between parse_args calls
@@ -504,116 +556,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graded first-order model theory over finite chains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula in a structure")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--bind", action="append", metavar="VAR=LABEL")
-    p.add_argument("--truth-constants", action="store_true")
-    _add_common(p, cmd_eval)
-
-    p = sub.add_parser("classify", help="prenex class of a formula")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--labels", default="", help="comma-separated licensed truth-constant labels")
-    _add_common(p, cmd_classify)
-
-    p = sub.add_parser("check-sub", help="substructure test")
-    p.add_argument("--sub", required=True)
-    p.add_argument("--super", required=True)
-    _add_common(p, cmd_check_sub)
-
-    p = sub.add_parser("enum-subs", help="enumerate substructures")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--include-subalgebra-reducts", action="store_true")
-    _add_common(p, cmd_enum_subs)
-
-    for name, kind in (("find-hom", "homomorphism"), ("find-embed", "embedding")):
-        p = sub.add_parser(name, help=f"search a strong {kind}")
-        p.add_argument("--source", required=True)
-        p.add_argument("--target", required=True)
-        p.add_argument("--free-algebra-map", action="store_true")
-        _add_common(p, cmd_find_map, injective=kind == "embedding")
-
-    for name in ("diagram", "check-diagram"):
-        p = sub.add_parser(name, help=f"{name.replace('-', ' ')}")
-        if name == "diagram":
-            p.add_argument("--structure", required=True)
-        else:
-            p.add_argument("--source", required=True)
-            p.add_argument("--target", required=True)
-            p.add_argument("--map", help="comma-separated a=x interpretation of source elements")
-        p.add_argument("--kind", choices=("diag", "eldiag"), default="diag")
-        p.add_argument("--term-depth", dest="term_depth", type=_nonnegative_int, default=0)
-        p.add_argument("--connective-depth", dest="connective_depth", type=_nonnegative_int, default=0)
-        p.add_argument("--quantifier-depth", dest="quantifier_depth", type=_nonnegative_int, default=1)
-        p.add_argument("--num-vars", dest="num_vars", type=_nonnegative_int, default=2)
-        _add_common(p, cmd_diagram if name == "diagram" else cmd_check_diagram)
-
-    p = sub.add_parser("equiv", help="depth-bounded sentence equivalence")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--depth", type=_nonnegative_int, default=2)
-    p.add_argument("--truth-constants", action="store_true")
-    _add_common(p, cmd_equiv)
-
-    p = sub.add_parser("union", help="union of a chain file")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--save", help="write the union structure to this path")
-    _add_common(p, cmd_union)
-
-    p = sub.add_parser("check-chain", help="validate a chain and its union clauses")
-    p.add_argument("--chain", required=True)
-    p.add_argument("--normalize", action="store_true")
-    p.add_argument("--elementary-depth", dest="elementary_depth", type=_nonnegative_int, default=None)
-    p.add_argument("--tv-depth", dest="tv_depth", type=_nonnegative_int, default=None)
-    p.add_argument("--matrix-depth", dest="matrix_depth", type=_nonnegative_int, default=1)
-    _add_common(p, cmd_check_chain)
-
-    p = sub.add_parser("implies-exists", help="bounded existential transfer")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--n", type=_nonnegative_int, default=1)
-    p.add_argument("--params", default="")
-    p.add_argument("--truth-constants", action="store_true")
-    _add_common(p, cmd_implies_exists, bounds=True)
-
-    p = sub.add_parser("amalgamate", help="bounded amalgam certificate search")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--common", default=None)
-    p.add_argument("--params", default="")
-    p.add_argument("--n", type=_nonnegative_int, default=1)
-    p.add_argument("--max-size", dest="max_size", type=_positive_int, required=True)
-    p.add_argument("--depth", type=_nonnegative_int, default=2)
-    p.add_argument("--truth-constants", action="store_true")
-    p.add_argument("--save", help="write the amalgam structure to this path")
-    _add_common(p, cmd_amalgamate, bounds=True)
-
-    p = sub.add_parser("consequence", help="bounded semantic consequence")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
-    p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
-    _add_common(p, cmd_consequence)
-
-    p = sub.add_parser("universal-consequences", help="bounded universal consequences")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--max-domain", dest="max_domain", type=int, required=True)
-    p.add_argument("--truth-constants", action=argparse.BooleanOptionalAction, default=True)
-    _add_common(p, cmd_universal_consequences, bounds=True)
-
-    p = sub.add_parser("counterexample", help="reproduce the bundled separation example")
-    p.add_argument("--depth", type=_nonnegative_int, default=2)
-    _add_common(p, cmd_counterexample)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--instances", type=_positive_int, default=50)
-    _add_common(p, cmd_verify, seed=True)
-
+    for name, summary, handler, flags, *defaults in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, **dict(*defaults))
+        for flag in flags:
+            flag, keywords = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **{**_OPTIONS[flag], **keywords})
     return parser
 
 

@@ -4,10 +4,12 @@ Binding from tight to loose: atoms and `not`, `&`, `/\\`, `\\/`, `->`
 (right associative), `<->`.  Quantifiers `forall x y . phi` and
 `exists x . phi` scope to the end of phi and elaborate to nested single
 quantifiers.  `val(LABEL)` is a truth constant and `t1 ~ t2` is crisp
-identity.  Whitespace is insignificant; `#` starts a comment in theory
-text.
+identity.  A name may hold `/`, but not directly before `\\`: `P/\\Q`
+is `P /\\ Q`.  Whitespace is insignificant; `#` starts a comment in
+theory text.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -42,9 +44,11 @@ class SourceSpan:
         return f"line {self.line}, column {self.column}"
 
 
-_SYMBOLS = ["<->", "->", "/\\", "\\/", "&", "~", "(", ")", ",", "."]
 _KEYWORDS = {"forall", "exists", "not", "val"}
 _BINARY = ((Iff, "<->"), (Implies, "->"), (Or, "\\/"), (And, "/\\"), (Strong, "&"))  # loosest first
+# one lexeme per match, alternatives tried in order; a name stops before `/\`
+_LEXEME = re.compile(r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<comment>#.*)"
+                     r"|(?P<sym><->|->|/\\|\\/|[&~(),.])|(?P<name>(?:[\w']|/(?!\\))+)")
 
 
 @dataclass(frozen=True)
@@ -55,43 +59,20 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched:
-            tokens.append(_Token("sym", matched, SourceSpan(line, col)))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isalnum() or ch in "_'/":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'/"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], SourceSpan(line, col)))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r} at {SourceSpan(line, col)}")
+    """The tokens of `text` and a closing "end" token.  Columns count
+    characters from 1; a comment does not advance the column."""
+    tokens, pos, line, col = [], 0, 1, 1
+    while pos < len(text):
+        match = _LEXEME.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r} at {SourceSpan(line, col)}")
+        kind, pos = match.lastgroup, match.end()
+        if kind == "newline":
+            line, col = line + 1, 1
+        elif kind != "comment":
+            if kind != "space":
+                tokens.append(_Token(kind, match.group(), SourceSpan(line, col)))
+            col += len(match.group())
     tokens.append(_Token("end", "", SourceSpan(line, col)))
     return tokens
 
