@@ -34,11 +34,14 @@ class StructureChain:
 def validate_chain_of_structures(
     members: Sequence[Structure], elementary_depth: int | None = None
 ) -> StructureChain:
-    """Verify consecutive substructure inclusions (transitivity covers
-    the rest); optionally certify each inclusion elementary to a depth."""
+    """Verify one algebra for every member and consecutive substructure
+    inclusions (transitivity covers the rest); optionally certify each
+    inclusion elementary to a depth."""
     if not members:
         raise FormatError("a chain needs at least one structure")
     for i in range(len(members) - 1):
+        if members[i + 1].chain != members[0].chain:
+            raise ChainValidationError(f"member {i + 1} is not over the algebra of member 0")
         rep = is_substructure(members[i], members[i + 1])
         if not rep.ok:
             raise ChainValidationError(
@@ -129,7 +132,7 @@ def check_tarski_vaught(chain: StructureChain, depth: int | None = None,
     tuples = [tup for member in chain.members for tup in product(member.domain, repeat=len(variables))]
     n = len(tuples)
     cells = [n + grids[-1].cell(dict(zip(variables, tup))) for tup in tuples]  # each tuple's union cell
-    report.quantifier_free_checked = n * len(family.free)
+    report.quantifier_free_checked = n * len(family.codes)
     table = ValueClasses(family, grids)
     for limit in (len(family.leaves), None):  # the whole family only when some leaf differs
         table.extend(limit)

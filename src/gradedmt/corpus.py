@@ -13,31 +13,13 @@ from pathlib import Path
 
 from .files import load_algebra, load_structure, load_theory
 
-_NAMES = [
-    "godel4.json",
-    "godel3.json",
-    "lukasiewicz3.json",
-    "bool2.json",
-    "structure_m.json",
-    "structure_n.json",
-    "triangle.json",
-    "path3.json",
-    "edgeless2.json",
-    "edgeless3.json",
-    "weighted_graph.thy",
-    "degree_two.thy",
-    "fuzzy_subgroup.thy",
-]
-
-
-def data_path(name: str) -> Path:
-    if name not in _NAMES:
-        raise KeyError(f"no bundled file named {name!r}; have {_NAMES}")
-    return Path(str(resources.files("gradedmt") / "data" / name))
-
 
 def data_dir() -> Path:
     return Path(str(resources.files("gradedmt") / "data"))
+
+
+def data_path(name: str) -> Path:
+    return data_dir() / name
 
 
 def godel4():

@@ -92,11 +92,11 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
     terms = ground_terms(sharp.sig, constants + tuple(s.sig.constants()), bounds.term_depth)
     depth, vals = bounds.connective_depth, len(truth_constant_labels(s.sig, s.chain.elements))
     family = fragment(s.sig, s.chain.elements, [], depth, terms)  # at depth 0, its leaves before the truth constants
-    parts = [(family, (), range(len(family.free) if depth else len(family.leaves) - vals))]
+    parts = [(family, (), range(len(family.codes) if depth else len(family.leaves) - vals))]
     completeness = f"quantifier-free to depth {depth}" if depth else "atomic"
     if kind == ELDIAG:
         family = sentence_family(sharp.sig, s.chain.elements, bounds.quantifier_depth, bounds.num_vars, terms)
-        first, level = len(family.free) if depth else len(family.leaves) - vals, array("B")
+        first, level = len(family.codes) if depth else len(family.leaves) - vals, array("B")
         for op, i, j in family.rows():  # a block row, or one built from it, counts as over the connective depth
             level.append(0 if op is None or op is Not else depth + 1 if type(op) is tuple
                          else min(level[i] + level[j] + 1, depth + 1))
@@ -119,8 +119,11 @@ class DiagramCheck:
 
 def models_diagram(t_expanded: Structure, diagram: Diagram) -> DiagramCheck:
     """Read the recorded positions in an expansion of the target, which must
+    be over the diagram's chain labels (else ChainMismatchError) and
     interpret every diagram constant (else SignatureError); the first value
     that differs makes the failing entry, the one formula built."""
+    if t_expanded.chain.elements != diagram.chain_labels:
+        raise ChainMismatchError("both structures must share one chain")
     _check_interprets(Signature(functions=dict.fromkeys(diagram.constants, 0)), t_expanded)
     for (family, k, got), want in zip(_read(t_expanded, diagram.parts), diagram.values):
         if got != want:

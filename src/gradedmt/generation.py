@@ -167,22 +167,6 @@ def prenex_formula(matrix: Formula, prefix) -> Formula:
     return matrix
 
 
-class _Coded(Sequence):
-    """A read-only sequence held as a column of codes into a tuple of its distinct items."""
-
-    def __init__(self, codes: array, items: tuple):
-        self.codes, self.items = codes, items
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, k: int):
-        return self.items[self.codes[k]]
-
-    def __iter__(self) -> Iterator:
-        return map(self.items.__getitem__, self.codes)
-
-
 class Fragment:
     """Formulas in generation order, as an index program held in columns:
     row k, read by `rows`, is (`kinds[ops[k]]`, `lefts[k]`, `rights[k]`), a
@@ -191,9 +175,9 @@ class Fragment:
     in a quantified family, or (None, 0, 0) for a leaf, the formula
     `leaves[k]`; leaves come first, and without `columns` every row is one.
     Matrix k's free-variable set is `sets[codes[k]]`: `codes` is a 2-byte
-    column into `sets`, the family's distinct free sets, the empty set first,
-    so a closed row has code 0.  `free` reads the column as sets; given one
-    set a row, the constructor codes them.  A formula is built only when
+    column into `sets`, the family's distinct free sets and their one
+    decoding table, the empty set first, so a closed row has code 0; given
+    one set a row, the constructor codes them.  A formula is built only when
     read, by `matrix(k)`, the one formula builder.  Shared, so read-only; one
     plan per (steps, keep)."""
 
@@ -202,7 +186,7 @@ class Fragment:
         if sets is None:  # one free set a row
             sets = tuple(dict.fromkeys([frozenset(), *free]))
             free = array("H", map({fv: c for c, fv in enumerate(sets)}.__getitem__, free))
-        self.leaves, self.sets, self.codes, self.free = tuple(leaves), sets, free, _Coded(free, sets)
+        self.leaves, self.sets, self.codes = tuple(leaves), sets, free
         zeros = array("i", [0]) * len(free)
         self.kinds, self.ops, self.lefts, self.rights = columns or (_KINDS, array("H", zeros), zeros, zeros)
         self._plans: dict = {}
@@ -242,29 +226,30 @@ class StreamPlan:
     by matrix in family order, wraps the matrix in the prefixes new at that
     step; a (prefix, params) pair the matrix had at an earlier step is
     skipped.  Which pairs are new depends only on the free variables, so
-    `rows[i]` maps each free set to its (prefixes, params) at step i, and
-    candidate (step i, matrix k, prefix p) sits at `position(i, k, p)`: the
-    step's offset, plus `starts[i][k]`, the row lengths of the matrices
-    before k, plus p (ranking in a known enumeration order; Kreher & Stinson
-    1999, ch. 2).  `starts[i]` is a 4-byte column, summed over the family's
-    free-set codes; a step of more positions than it holds raises
-    BudgetError.  Iterating yields the first `size` candidates, each matrix
-    built by `Fragment.matrix`."""
+    `rows[i]` is a tuple indexed by free-set code (`Fragment.codes`), each
+    entry the set's (prefixes, params) at step i, and candidate (step i,
+    matrix k, prefix p) sits at `position(i, k, p)`: the step's offset, plus
+    `starts[i][k]`, the row lengths of the matrices before k, plus p
+    (ranking in a known enumeration order; Kreher & Stinson 1999, ch. 2).
+    `starts[i]` is a 4-byte column, summed over the family's free-set
+    codes; a step of more positions than it holds raises BudgetError.
+    Iterating yields the first `size` candidates, each matrix built by
+    `Fragment.matrix`."""
 
     def __init__(self, family: Fragment, steps: tuple, keep=None):
         self.family, self.rows, self.starts, self.offsets = family, [], [], [0]  # starts: one array a step
-        seen: dict = {fv: set() for fv in family.sets}  # per free set, the (prefix, params) pairs so far
+        seen = [set() for _ in family.sets]  # by free-set code, the (prefix, params) pairs so far
         counts = Counter(family.codes)  # rows per free-set code
         for quantifiable, target in steps:
-            rows = {}
-            for fv, pairs in seen.items():
+            rows = []
+            for fv, pairs in zip(family.sets, seen):
                 to_bind = tuple(v for v in quantifiable if v in fv)
                 params = tuple(sorted(fv.difference(to_bind)))
                 new = [p for p in _prefixes(to_bind, target) if (p, params) not in pairs]
                 pairs.update((p, params) for p in new)
-                rows[fv] = tuple(p for p in new if keep is None or keep(p)), params
-            lengths = [len(prefixes) for prefixes, _ in rows.values()]  # by code, as `seen` is in code order
-            self.rows.append(rows)
+                rows.append((tuple(p for p in new if keep is None or keep(p)), params))
+            lengths = [len(prefixes) for prefixes, _ in rows]
+            self.rows.append(tuple(rows))
             if (total := sum(lengths[c] * n for c, n in counts.items())) > _OFFSET_MAX:
                 raise BudgetError(f"stream plan step {len(self.rows)} of {len(steps)} over {len(family.codes)}"
                                   f" matrices has {total} positions, over the {_OFFSET_MAX} its offsets hold",
@@ -284,7 +269,7 @@ class StreamPlan:
     def __iter__(self) -> Iterator[tuple[Formula, tuple, tuple]]:
         family = self.family
         return islice(((matrix, prefix, params) for rows in self.rows
-                       for k, (prefixes, params) in enumerate(map(rows.__getitem__, family.free)) if prefixes
+                       for k, (prefixes, params) in enumerate(map(rows.__getitem__, family.codes)) if prefixes
                        for matrix in (family.matrix(k),) for prefix in prefixes), self.size)
 
 
@@ -308,7 +293,7 @@ def fragment(sig: Signature, chain_labels: Sequence[str], variables: Sequence[st
     else:
         _fragments.move_to_end(key)
         meter = BudgetMeter("matrix generation")
-        meter.tick(min(len(family.free), meter.limit + 1))
+        meter.tick(min(len(family.codes), meter.limit + 1))
     return family
 
 
@@ -409,7 +394,7 @@ def qf_matrices(sig: Signature, chain_labels: Sequence[str], variables: Sequence
                 extra_terms: Sequence = ()) -> list[Formula]:
     """Quantifier-free formulas over the variable pool, ops-count levels, sharing their operands."""
     family = fragment(sig, chain_labels, variables, depth, extra_terms)
-    return [family.matrix(k, memo) for memo in [{}] for k in range(len(family.free))]
+    return [family.matrix(k, memo) for memo in [{}] for k in range(len(family.codes))]
 
 
 @lru_cache(maxsize=None)
@@ -601,7 +586,7 @@ class ValueClasses:
     def extend(self, n: int | None = None) -> None:
         """Name the first n matrices (every matrix with None), from where the table stopped."""
         family, cls, vecs, runs, memo = self.family, self.cls, self.vecs, self._runs, self._memo
-        stop = len(family.free) if n is None else min(n, len(family.free))
+        stop = len(family.codes) if n is None else min(n, len(family.codes))
         cls += map(self._intern, map(self._leaf_row, family.leaves[len(cls):stop]))  # the leaves come first
         for kind, i, j in family.rows(len(cls), stop):
             key = (kind, cls[i], cls[j])

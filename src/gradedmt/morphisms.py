@@ -139,15 +139,18 @@ class ElementarityReport:
         return self.ok
 
 
-def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
+def first_transfer_failure(plan, grid_s, grid_t, f, g, meter=None):
     """First candidate of `plan` (a `StreamPlan`) whose value at a source
     tuple does not transfer along (f, g) to the image tuple: f must carry
     the source value to the target value, or with f None a top source value
-    must stay top.  `tuples(params)` lists the source tuples.  Matrices are
-    read by class from a `ValueClasses` table over both grids and folded by
-    class.  A (class, prefix, params) triple fixes the free set, so it is
-    decided once, at the first matrix of its (class, free set) group; groups
-    in order of first matrix hold ascending, disjoint runs of positions.
+    must stay top.  The source tuples come from the source grid: a parameter
+    takes the element `grid_s.fixed` gives it, else ranges over the source
+    domain, in `product` order.  Matrices are read by class from a
+    `ValueClasses` table over both grids and folded by class.  A (class,
+    prefix, params) triple fixes the free set, so it is decided once, at the
+    first matrix of its (class, free-set code) group, whose prefixes and
+    params are `plan.rows[step][code]`; groups in order of first matrix hold
+    ascending, disjoint runs of positions.
     Step 0 lists the groups in one pass of `ValueClasses.classes`, which
     grows the table as far as it is read, to at most the last matrix the
     plan reaches; it returns or ends the pass, and each later step walks the
@@ -179,7 +182,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
         return end, None, None
     transfers = [[b == f[a] if f is not None else a != top_s or b == top_t  # [source value][target value]
                   for b in range(top_t + 1)] for a in range(top_s + 1)]
-    family, reach = plan.family, plan.reach(end)
+    family, reach, fixed = plan.family, plan.reach(end), grid_s.fixed
     table = ValueClasses(family, [grid_s, grid_t])
     firsts: dict = {}  # (class, free-set code) -> its first matrix, in order of first matrix
     cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
@@ -190,7 +193,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
         if row is None:
             row = cells[params] = [(tup, grid_s.cell(dict(zip(params, tup))),
                                     grid_t.cell({p: g[d] for p, d in zip(params, tup)}))
-                                   for tup in tuples(params)]
+                                   for tup in product(*([fixed[p]] if p in fixed else s.domain for p in params))]
         vs = table.read(c, 0, prefix)
         if f is None and all(vs[i] != top_s for _, i, _ in row):
             return None  # the target is folded only under a top source cell
@@ -208,7 +211,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, tuples, meter=None):
                 start = plan.position(step, k)
                 if start >= end:
                     return None
-                prefixes, params = rows[family.sets[code]]
+                prefixes, params = rows[code]
                 for p, prefix in enumerate(prefixes[:end - start]):
                     bad = failure(c, prefix, params)
                     if bad is not None:
@@ -250,8 +253,7 @@ def is_elementary_up_to_depth(m: StructureMap, source: Structure, target: Struct
     plan = elementary_plan(source.sig, source.chain.elements, depth, depth + 1, matrix_depth,
                            [App(c) for c in source.sig.constants()])
     checked, separator, tup = first_transfer_failure(
-        plan, AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars),
-        m.algebra_map.map, m.domain_map, lambda params: product(source.domain, repeat=len(params)))
+        plan, AssignmentGrid(source, grid_vars), AssignmentGrid(target, grid_vars), m.algebra_map.map, m.domain_map)
     return ElementarityReport(separator is None, depth, separator, tup or (), checked)
 
 

@@ -94,8 +94,7 @@ def implies_exists_n(left: Structure, right: Structure, params: Sequence[str], n
     checked, separator, tup = first_transfer_failure(
         family.plan([(qvars, PrenexClass(EXISTS, n))], bounds.max_candidates),
         AssignmentGrid(left, qvars, fixed=assignment), AssignmentGrid(right, qvars, fixed=assignment),
-        None, dict(zip(params, params)), lambda slots: [tuple(assignment[p] for p in slots)],
-        BudgetMeter("existential transfer"))
+        None, dict(zip(params, params)), BudgetMeter("existential transfer"))
     return ExistsFlowReport(separator is None, n, separator, tup or (), checked, bounds)
 
 
@@ -169,8 +168,9 @@ def _sentences(sig: Signature, chain, lead: str, blocks: int, bounds: FormulaBou
     if out is None:
         (rows,) = family.plan([(qvars, PrenexClass(lead, blocks))]).rows
         out = _SENTENCE_CACHE[key] = list(islice((
-            (k, prefix, prenex_formula(family.matrix(k), prefix)) for k, fv in enumerate(family.free)
-            if not rows[fv][1] for prefix in rows[fv][0] if prefix and prefix[0][0] == lead), bounds.max_candidates))
+            (k, prefix, prenex_formula(family.matrix(k), prefix))
+            for k, (prefixes, params) in enumerate(map(rows.__getitem__, family.codes)) if not params
+            for prefix in prefixes if prefix and prefix[0][0] == lead), bounds.max_candidates))
     return qvars, family, out
 
 
@@ -237,8 +237,7 @@ def universal_transport_ok(g: Mapping[str, str], source: Structure, target: Stru
     # Forall(1) admits no other lead, so keeping non-empty prefixes drops quantifier-free ones
     _, separator, _ = first_transfer_failure(
         family.plan([(qvars, PrenexClass(FORALL, 1))], keep=bool),
-        AssignmentGrid(source, qvars + pvars), AssignmentGrid(target, qvars + pvars), None,
-        g, lambda params: product(source.domain, repeat=len(params)))
+        AssignmentGrid(source, qvars + pvars), AssignmentGrid(target, qvars + pvars), None, g)
     return separator is None
 
 

@@ -86,28 +86,40 @@ def fresh_fragments(monkeypatch):
 def assert_coded_family(family, monkeypatch):
     """Differential checks of a family's free-set codes and its plans' 4-byte
     offsets.  Each row's decoded free set is its formula's.  A plan over
-    every split of the family's variables, under both leads, ranks its
-    candidates as the plans did while they summed row lengths over one
-    frozenset a row into 8-byte 'q' offsets.  Its offset guard raises
-    BudgetError exactly when a step holds more positions than the guard's
-    limit."""
+    every split of the family's variables, under both leads, holds as rows,
+    indexed by code, the (prefixes, params) of each free set in a
+    frozenset-keyed table built here, and ranks its candidates as the plans did
+    while they summed row lengths over one frozenset a row into 8-byte 'q'
+    offsets.  Its offset guard raises BudgetError exactly when a step holds
+    more positions than the guard's limit."""
     memo = {}
     free = [frozenset(free_variables(family.matrix(k, memo))) for k in range(len(family.codes))]
-    assert list(family.free) == free and family.sets[0] == frozenset()
+    assert [family.sets[c] for c in family.codes] == free and family.sets[0] == frozenset()
     assert family.codes.typecode == "H" and list(family.sets) == list(dict.fromkeys([frozenset(), *free]))
     assert list(family.closed()) == [k for k, fv in enumerate(free) if not fv]
     variables = sorted(set().union(*family.sets))
     steps = tuple((tuple(variables[n:]), PrenexClass(lead, 2)) for n in range(len(variables) + 1)
                   for lead in (FORALL, EXISTS))
     plan = family.plan(steps)
-    lengths = [{fv: len(prefixes) for fv, (prefixes, _) in rows.items()} for rows in plan.rows]
+    by_set, seen = [], {fv: set() for fv in set(free)}  # the plan's rows keyed by free set, built here
+    for quantifiable, target in steps:
+        by_set.append({})
+        for fv, pairs in seen.items():
+            to_bind = tuple(v for v in quantifiable if v in fv)
+            params = tuple(sorted(fv.difference(to_bind)))
+            new = tuple(p for p in generation._prefixes(to_bind, target) if (p, params) not in pairs)
+            pairs.update((p, params) for p in new)
+            by_set[-1][fv] = new, params
+    assert all(type(rows) is tuple and len(rows) == len(family.sets) for rows in plan.rows)
+    assert [{fv: rows[family.sets.index(fv)] for fv in step} for step, rows in zip(by_set, plan.rows)] == by_set
+    lengths = [{fv: len(prefixes) for fv, (prefixes, _) in step.items()} for step in by_set]
     starts = [array("q", itertools.accumulate(map(step.__getitem__, free), initial=0)) for step in lengths]
     offsets = list(itertools.accumulate((step[-1] for step in starts), initial=0))
     assert [step.typecode for step in plan.starts] == ["I"] * len(steps)
     assert list(map(list, plan.starts)) == list(map(list, starts)) and plan.offsets == offsets
-    for i, rows in enumerate(plan.rows):
+    for i, step in enumerate(lengths):
         for k in [*range(0, len(free), max(1, len(free) // 300)), len(free) - 1]:
-            for p in range(len(rows[free[k]][0])):
+            for p in range(step[free[k]]):
                 assert plan.position(i, k, p) == offsets[i] + starts[i][k] + p
     for end in {*range(0, plan.size + 2, max(1, plan.size // 300)), *offsets, *(o + 1 for o in offsets)}:
         assert plan.reach(end) == max((bisect_right(starts[i], min(end, offsets[i + 1]) - 1 - offset)

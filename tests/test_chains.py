@@ -40,6 +40,36 @@ def test_reversed_chain_invalid(complete_graphs):
         validate_chain_of_structures([complete_graphs[4], complete_graphs[3]])
 
 
+def _chain_over_two_algebras():
+    """m0 over bool2 with P(a) = 1; m1 over godel3 with P(a) = 1 and P(b) = 1/2:
+    m0 is a substructure of m1 (bool2 is a subalgebra of godel3), but the two
+    members are over different algebras."""
+    sig, b2, g3 = Signature(predicates={"P": 1}), corpus.bool2(), corpus.godel3()
+    m0 = Structure(chain=b2, sig=sig, domain=("a",), predicates={"P": {("a",): b2.index("1")}})
+    m1 = Structure(chain=g3, sig=sig, domain=("a", "b"),
+                   predicates={"P": {("a",): g3.index("1"), ("b",): g3.index("1/2")}})
+    return m0, m1
+
+
+def test_a_member_over_another_algebra_is_rejected():
+    m0, m1 = _chain_over_two_algebras()
+    assert is_substructure(m0, m1).ok
+    with pytest.raises(ChainValidationError, match="^member 1 is not over the algebra of member 0$"):
+        validate_chain_of_structures([m0, m1])
+
+
+@pytest.mark.parametrize("command", ["union", "check-chain"])
+def test_the_cli_rejects_a_chain_over_two_algebras(command, tmp_path, capsys):
+    from gradedmt.cli import main
+    from gradedmt.files import save_structure
+
+    for name, member in zip(("m0", "m1"), _chain_over_two_algebras()):
+        save_structure(member, tmp_path / f"{name}.json")
+    (tmp_path / "chain.json").write_text('["m0.json", "m1.json"]')
+    assert main([command, "--chain", str(tmp_path / "chain.json")]) == 2
+    assert capsys.readouterr().err == "error: member 1 is not over the algebra of member 0\n"
+
+
 def test_union_is_last_member(complete_graphs):
     chain = validate_chain_of_structures(nested_complete_graphs(complete_graphs))
     union = union_of_chain(chain)
@@ -277,7 +307,7 @@ def test_tarski_vaught_evaluates_only_the_leaves_of_a_valid_chain(monkeypatch, s
     asked, extend = [], ValueClasses.extend
 
     def recording(table, n=None):
-        asked.append((len(table.family.free), n))
+        asked.append((len(table.family.codes), n))
         return extend(table, n)
 
     monkeypatch.setattr(ValueClasses, "extend", recording)

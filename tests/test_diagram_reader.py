@@ -9,6 +9,7 @@ by `eval_formula`), and pin that the reader builds no tree per entry.
 
 import random
 import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from gradedmt import corpus, diagrams, generation
 from gradedmt.diagrams import (DIAG, ELDIAG, DiagramBounds, build_diagram, diagram_model_exists, expansion_sharp,
                                interpret_constants, models_diagram)
-from gradedmt.errors import SignatureError
+from gradedmt.errors import ChainMismatchError, SignatureError
 from gradedmt.generation import atoms_over, generate_sentences, ground_terms, qf_matrices
 from gradedmt.semantics import Structure, eval_formula
 from gradedmt.syntax import Not, Signature, constant_name_for
@@ -176,3 +177,33 @@ def test_check_diagram_map_on_a_target_without_the_predicate_exits_2(tmp_path, c
     argv = ["check-diagram", "--source", str(tmp_path / "s.json"), "--target", str(tmp_path / "t.json"), "--map", "a=x"]
     assert main(argv) == 2
     assert "structure does not interpret predicate 'P'" in capsys.readouterr().err
+
+
+def _relabelled_chain(g3, sig_p):
+    """P(a) = 1/2 over godel3, and P(x) = a over the same Goedel tables labelled 0 < a < 1."""
+    source = Structure(chain=g3, sig=sig_p, domain=("a",), predicates={"P": {("a",): 1}})
+    relabelled = replace(g3, elements=("0", "a", "1"), name="godel3-relabelled")
+    return source, Structure(chain=relabelled, sig=sig_p, domain=("x",), predicates={"P": {("x",): 1}})
+
+
+def test_a_target_over_other_chain_labels_is_a_chain_mismatch(g3, sig_p):
+    source, target = _relabelled_chain(g3, sig_p)
+    diagram = build_diagram(source, DIAG)
+    with pytest.raises(ChainMismatchError, match="both structures must share one chain"):
+        models_diagram(interpret_constants(target, diagram, ("x",)), diagram)
+    with pytest.raises(ChainMismatchError, match="both structures must share one chain"):
+        diagram_model_exists(target, diagram)
+
+
+def test_check_diagram_map_across_chains_exits_2(tmp_path, capsys, g3, sig_p):
+    from gradedmt.cli import main
+    from gradedmt.files import save_structure
+
+    source, target = _relabelled_chain(g3, sig_p)
+    save_structure(source, tmp_path / "s.json")
+    save_structure(target, tmp_path / "t.json")
+    argv = ["check-diagram", "--source", str(tmp_path / "s.json"), "--target", str(tmp_path / "t.json")]
+    for extra in ([], ["--map", "a=x"]):  # the same verdict with and without a map
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "both structures must share one chain" in captured.err

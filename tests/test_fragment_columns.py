@@ -3,7 +3,7 @@
 `generation._build_fragment` stores a family as a kind code and two operand
 positions a row (`Fragment.ops`, `lefts`, `rights`), read back as
 (connective, left, right) by `Fragment.rows`, and a free-set code a row
-(`Fragment.codes`, read back as sets by `Fragment.free`).  These tests
+(`Fragment.codes`, decoded by `Fragment.sets`).  These tests
 compare every row, free set and leaf with a copy of the builder that kept
 one (connective, left, right) tuple and one set per row, check the codes
 and plan offsets against references, and bound the bytes a family keeps a
@@ -88,7 +88,7 @@ def test_columns_hold_the_tuple_builders_rows(name, n, depth, quantified):
     family = _build_fragment(sig, labels, variables, depth, extra, quantified)
     leaves, program, free = tuple_build(sig, labels, variables, depth, extra, quantified)
     assert tuple(family.rows()) == program
-    assert tuple(family.free) == free and family.leaves == leaves
+    assert tuple(map(family.sets.__getitem__, family.codes)) == free and family.leaves == leaves
     assert (family.ops.typecode, family.lefts.typecode, family.rights.typecode) == ("H", "i", "i")
     # the fixed codes, then each block kind in order of first use
     assert family.kinds[:len(_KINDS)] == _KINDS
@@ -110,7 +110,7 @@ def test_given_free_sets_are_coded_with_the_empty_set_first():
     one, two = frozenset({"x1"}), frozenset({"x1", "x2"})
     family = generation.Fragment([Atom("R", (Var("x1"), Var("x2")))] * 4, [two, one, two, frozenset()])
     assert family.sets == (frozenset(), two, one) and list(family.codes) == [1, 2, 1, 0]
-    assert list(family.free) == [two, one, two, frozenset()] and family.free[1] is one and len(family.free) == 4
+    assert family.sets[family.codes[1]] is one and len(family.codes) == 4
     assert list(family.closed()) == [3]
 
 
@@ -140,6 +140,6 @@ def test_a_family_keeps_at_most_32_bytes_a_row():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(family.free) == 31518
-    assert kept <= 32 * len(family.free)
+    assert len(family.codes) == 31518
+    assert kept <= 32 * len(family.codes)
 

@@ -322,7 +322,7 @@ def pr_structures(draw):
 @settings(max_examples=60, deadline=None)
 @given(
     s=pr_structures(),
-    positions=st.lists(st.integers(0, len(PR_FAMILY.free) - 1), min_size=1, max_size=4),
+    positions=st.lists(st.integers(0, len(PR_FAMILY.codes) - 1), min_size=1, max_size=4),
     order=st.permutations(GRID_VARS),
 )
 def test_prefix_folds_match_plain_evaluator(s, positions, order):
@@ -337,7 +337,7 @@ def test_prefix_folds_match_plain_evaluator(s, positions, order):
         (rows,) = PR_FAMILY.plan([(["x1", "x2"], target)]).rows
         for k in positions:
             c, formula = table.cls[k], PR_FAMILY.matrix(k)
-            for prefix in rows[PR_FAMILY.free[k]][0]:
+            for prefix in rows[PR_FAMILY.codes[k]][0]:
                 vals = table.read(c, 0, prefix)
                 assert not prefix or table.read(c, 0, prefix) is vals  # each fold memoised
                 for asg in assignments(GRID_VARS, s.domain):
@@ -352,7 +352,7 @@ PAIR_VARS = ("x1", "x2")
 PAIR_FAMILY = generation.fragment(expand_with_truth_constants(SIG_PR, G3), G3.elements, PAIR_VARS, 1)
 
 
-PAIR_MATRICES = [PAIR_FAMILY.matrix(k) for k in range(len(PAIR_FAMILY.free))]
+PAIR_MATRICES = [PAIR_FAMILY.matrix(k) for k in range(len(PAIR_FAMILY.codes))]
 
 
 def test_family_program_reads_only_earlier_positions():
@@ -479,8 +479,8 @@ def test_index_program_build_matches_the_pool_build(case, depth):
     family = generation._build_fragment(sig, labels, variables, depth, extra)
     matrices, free, program = _pool_build(sig, labels, variables, depth, extra)
     assert tuple(family.rows()) == program
-    assert tuple(family.free) == free
-    assert len({id(fv) for fv in family.free}) == len(set(free))  # one object per distinct set
+    assert tuple(map(family.sets.__getitem__, family.codes)) == free
+    assert len(set(family.sets)) == len(family.sets) == len({frozenset(), *free})  # one entry per distinct set
     assert family.leaves == matrices[:len(family.leaves)]
     assert [family.matrix(k) for k in range(len(matrices))] == list(matrices)
 
@@ -499,7 +499,7 @@ def test_a_budget_cut_in_any_level_fails_like_the_pool_build(monkeypatch):
         assert str(got.value) == str(want.value) == f"matrix generation exceeded budget of {limit}"
         assert (got.value.required, got.value.budget) == (want.value.required, want.value.budget)
     monkeypatch.setenv("GRADEDMT_BUDGET", str(ends[2]))
-    assert len(generation._build_fragment(sig, labels, variables, 2, extra).free) == ends[2]
+    assert len(generation._build_fragment(sig, labels, variables, 2, extra).codes) == ends[2]
 
 
 SIG_P = Signature(predicates={"P": 1})

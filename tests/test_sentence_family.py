@@ -175,7 +175,7 @@ def test_equivalence_names_the_rows_only_up_to_its_separator(monkeypatch):
     assert (res.equal, res.sentences_checked) == (False, 2658)
     assert res.separator == exists_block(("x1", "x2"), Atom("R", (Var("x1"), Var("x2"))))
     # the separator is closed position 5, row 25 of 3,698: the table names its 10 leaves, then doubles to 40 rows
-    assert (len(tables[0].family.leaves), len(tables[0].cls), len(tables[0].family.free)) == (10, 40, 3698)
+    assert (len(tables[0].family.leaves), len(tables[0].cls), len(tables[0].family.codes)) == (10, 40, 3698)
 
 
 def built_families():
@@ -217,5 +217,5 @@ def test_a_sentence_family_build_peaks_under_32_bytes_a_row():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert len(family.free) == 14598
-    assert peak <= 32 * len(family.free)
+    assert len(family.codes) == 14598
+    assert peak <= 32 * len(family.codes)

@@ -112,7 +112,8 @@ def reference_stream(family, steps):
     prefix, params) read one at a time, a (prefix, params) pair a matrix had
     at an earlier step skipped."""
     rows: dict = {}
-    for fv in set(family.free):
+    free = [family.sets[c] for c in family.codes]
+    for fv in set(free):
         seen: set = set()
         rows[fv] = []
         for quantifiable, target in steps:
@@ -121,9 +122,9 @@ def reference_stream(family, steps):
             new = [p for p in _prefixes(to_bind, target) if (p, params) not in seen]
             seen.update((p, params) for p in new)
             rows[fv].append((new, params))
-    matrices = [family.matrix(k) for k in range(len(family.free))]
+    matrices = [family.matrix(k) for k in range(len(family.codes))]
     for i in range(len(steps)):
-        for k, (matrix, fv) in enumerate(zip(matrices, family.free)):
+        for k, (matrix, fv) in enumerate(zip(matrices, free)):
             new, params = rows[fv][i]
             for prefix in new:
                 yield i, k, matrix, prefix, params
@@ -240,9 +241,7 @@ def exists_pairs(draw):
 @st.composite
 def elementary_pairs(draw):
     """A source, a target over a possibly different chain, an algebra map
-    table f and a domain map g, with a drawn subset of source tuples per
-    parameter list, so that which tuples a triple reads depends on its
-    params."""
+    table f and a domain map g, the grid variable count and the matrix depth."""
     source_name, target_name, f = draw(st.sampled_from(CHAIN_PAIRS))
     source = _structure(draw, CHAINS[source_name], tuple(f"d{i}" for i in range(draw(st.integers(1, 2)))))
     domain = source.domain + tuple(f"e{i}" for i in range(draw(st.integers(0, 1))))
@@ -252,20 +251,22 @@ def elementary_pairs(draw):
     else:
         target = _structure(draw, CHAINS[target_name], domain)
         g = {d: draw(st.sampled_from(domain)) for d in source.domain}
-    salt = draw(st.integers(0, 2**16))
-
-    def tuples(params):
-        return [t for t in product(source.domain, repeat=len(params))
-                if random.Random(f"{salt}{params}{t}").random() < 0.5]
-
-    return source, target, f, g, tuples, draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    return source, target, f, g, draw(st.integers(1, 2)), draw(st.integers(0, 1))
 
 
-def _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap=None, keep=None, budget=None):
-    """The reference on the stream read one candidate at a time, and the
-    plan loop, each on fresh grids with a fresh meter: per loop its result,
-    the budget error's message (which names the phase), `required` and
-    `budget`, or the replay error's message; then the meter's `used`."""
+def grid_tuples(grid):
+    """The source tuples per parameter list that `first_transfer_failure`
+    reads off the source grid: a parameter takes the element the grid fixes
+    it to, else ranges over the domain, in `product` order."""
+    return lambda params: product(*([grid.fixed[p]] if p in grid.fixed else grid.structure.domain for p in params))
+
+
+def _both_loops(family, steps, grid_s, grid_t, f, g, cap=None, keep=None, budget=None):
+    """The reference, fed `grid_tuples`, on the stream read one candidate at
+    a time, and the plan loop, each on fresh grids with a fresh meter: per
+    loop its result, the budget error's message (which names the phase),
+    `required` and `budget`, or the replay error's message; then the meter's
+    `used`."""
     out = []
     for loop in ("reference", "plan"):
         s, t = (AssignmentGrid(x.structure, x.variables, fixed=x.fixed) for x in (grid_s, grid_t))
@@ -274,9 +275,9 @@ def _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap=None, keep=None
             if loop == "reference":
                 triples = islice((triple[2:] for triple in reference_stream(family, steps)
                                   if keep is None or keep(triple[3])), cap)
-                result = reference_transfer_failure(s, t, triples, f, g, tuples, meter)
+                result = reference_transfer_failure(s, t, triples, f, g, grid_tuples(s), meter)
             else:
-                result = first_transfer_failure(family.plan(steps, cap, keep), s, t, f, g, tuples, meter)
+                result = first_transfer_failure(family.plan(steps, cap, keep), s, t, f, g, meter)
         except BudgetError as err:
             result = str(err), err.required, err.budget
         except InternalError as err:
@@ -285,12 +286,12 @@ def _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap=None, keep=None
     return out
 
 
-def _cut_at_every_position(family, steps, grid_s, grid_t, f, g, tuples, cap=None, keep=None):
+def _cut_at_every_position(family, steps, grid_s, grid_t, f, g, cap=None, keep=None):
     """Both loops unbounded, then with every budget up to one past the positions read."""
-    (result, used), plan = _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap, keep)
+    (result, used), plan = _both_loops(family, steps, grid_s, grid_t, f, g, cap, keep)
     assert plan == (result, used)
     for budget in range(used + 2):
-        reference, plan = _both_loops(family, steps, grid_s, grid_t, f, g, tuples, cap, keep, budget)
+        reference, plan = _both_loops(family, steps, grid_s, grid_t, f, g, cap, keep, budget)
         assert plan == reference
         assert reference[1] == min(used, budget + 1)
     return result
@@ -308,21 +309,20 @@ def test_top_transfer_with_fixed_parameters_matches_the_reference(case, cap):
     assignment = dict(zip(pvars, params))
     reference, plan = _both_loops(
         family, [(qvars, target)], AssignmentGrid(left, qvars, fixed=assignment),
-        AssignmentGrid(right, qvars, fixed=assignment), None, dict(zip(params, params)),
-        lambda slots: [tuple(assignment[p] for p in slots)], cap)
+        AssignmentGrid(right, qvars, fixed=assignment), None, dict(zip(params, params)), cap)
     assert plan == reference
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=elementary_pairs())
 def test_value_transfer_with_parameter_tuples_matches_the_reference(case):
-    source, target, f, g, tuples, total_vars, matrix_depth = case
+    source, target, f, g, total_vars, matrix_depth = case
     plan = elementary_plan(SIG_PR, source.chain.elements, 1, total_vars, matrix_depth)
     variables = [f"x{i}" for i in range(1, total_vars + 1)]
     steps = [(variables[n:], t) for n in range(total_vars + 1)
              for t in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
     reference, classes = _both_loops(plan.family, steps, AssignmentGrid(source, variables),
-                                     AssignmentGrid(target, variables), f, g, tuples)
+                                     AssignmentGrid(target, variables), f, g)
     assert classes == reference
 
 
@@ -330,33 +330,55 @@ def test_value_transfer_with_parameter_tuples_matches_the_reference(case):
 @given(case=elementary_pairs())
 def test_universal_transport_on_non_empty_prefixes_matches_the_reference(case):
     # the plan of `universal_transport_ok`: parameters as grid variables, every tuple read
-    source, target, _, g, _, _, _ = case
+    source, target, _, g, _, _ = case
     qvars, pvars = ["x1"], ["p1"]
     family = fragment(SIG_PR, source.chain.elements, qvars + pvars, 0)
     reference, plan = _both_loops(
         family, [(qvars, PrenexClass(FORALL, 1))], AssignmentGrid(source, qvars + pvars),
-        AssignmentGrid(target, qvars + pvars), None, g,
-        lambda params: product(source.domain, repeat=len(params)), keep=bool)
+        AssignmentGrid(target, qvars + pvars), None, g, keep=bool)
     assert plan == reference
 
 
-def test_a_class_that_passed_is_decided_again_under_new_params():
-    # on one element P(x1) and P(x2) share a class; sentences and params (x1,)
-    # read no tuple, so P(x1) passes unread, and P(x2) under params (x2,) fails
-    g3 = CHAINS["godel3"]
+@st.composite
+def partly_fixed_pairs(draw):
+    """An `elementary_pairs` case over x1 and parameters p1, p2, with a drawn
+    subset of the parameters fixed on the source grid, each to a drawn
+    source element, and on the target grid to its image under g; the rest
+    stay grid variables, and only x1 is ever quantified."""
+    source, target, f, g, _, matrix_depth = draw(elementary_pairs())
+    fixed = {p: draw(st.sampled_from(source.domain)) for p in ("p1", "p2") if draw(st.booleans())}
+    axes = ["x1"] + [p for p in ("p1", "p2") if p not in fixed]
+    image = {p: g[d] for p, d in fixed.items()}
+    grids = AssignmentGrid(source, axes, fixed=fixed), AssignmentGrid(target, axes, fixed=image)
+    return (source.chain, *grids, draw(st.sampled_from([f, None])), g,
+            draw(st.sampled_from([0, matrix_depth])), draw(st.sampled_from((FORALL, EXISTS))))
 
-    def point(p):
-        return Structure(chain=g3, sig=SIG_PR, domain=("d0",),
-                         predicates={"P": {("d0",): p}, "R": {("d0", "d0"): 0}})
 
-    plan = elementary_plan(SIG_PR, g3.elements, 1, 2, 0)
-    steps = [(("x1", "x2")[n:], t) for n in range(3) for t in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
-    reference, classes = _both_loops(
-        plan.family, steps, AssignmentGrid(point(2), ("x1", "x2")), AssignmentGrid(point(1), ("x1", "x2")),
-        (0, 1, 2), {"d0": "d0"}, lambda params: [] if params in ((), ("x1",)) else [("d0",) * len(params)])
-    assert classes == reference
-    (_, separator, tup), _ = classes
-    assert render_formula(separator) == "P(x2)" and tup == ("d0",)
+@settings(max_examples=25, deadline=None)
+@given(case=partly_fixed_pairs())
+def test_value_transfer_with_some_parameters_fixed_matches_the_reference(case):
+    # a triple's params mix fixed parameters (one tuple entry each) with ranging ones
+    chain, grid_s, grid_t, f, g, matrix_depth, lead = case
+    family = fragment(SIG_PR, chain.elements, ("x1", "p1", "p2"), matrix_depth)
+    steps = [(("x1",), PrenexClass(lead, 1)), ((), quantifier_free_class())]
+    reference, plan = _both_loops(family, steps, grid_s, grid_t, f, g)
+    assert plan == reference
+
+
+def test_a_fixed_parameter_takes_its_element_and_the_others_range_over_the_source_domain():
+    # the two sides differ only at R(d1, d0), read first by R(p1, x2) with p1 fixed to d1: the
+    # separator's tuple gives p1 its fixed element and x2 its value, in sorted parameter order
+    g3, domain = CHAINS["godel3"], ("d0", "d1")
+    left, right = (Structure(chain=g3, sig=SIG_PR, domain=domain, predicates={
+        "P": {("d0",): 0, ("d1",): 0}, "R": {**dict.fromkeys(product(domain, repeat=2), 0), ("d1", "d0"): v}})
+        for v in (2, 1))
+    family = fragment(SIG_PR, g3.elements, ("x1", "x2", "p1"), 0)
+    grids = (AssignmentGrid(s, ("x1", "x2"), fixed={"p1": "d1"}) for s in (left, right))
+    steps, g = [(("x1",), PrenexClass(FORALL, 1))], {"d0": "d0", "d1": "d1"}
+    reference, plan = _both_loops(family, steps, *grids, (0, 1, 2), g)
+    assert plan == reference
+    (_, separator, tup), _ = plan
+    assert render_formula(separator) == "R(p1, x2)" and tup == ("d1", "d0")
 
 
 def _one_point_pair(left=(2, 1), right=(2, 0)):
@@ -368,24 +390,22 @@ def _one_point_pair(left=(2, 1), right=(2, 0)):
 
 def test_a_prefix_of_the_stream_stops_where_the_reference_stops():
     family = fragment(SIG_PR, CHAINS["godel3"].elements, ["x1", "x2"], 1)
-    full = _both_loops(family, [EXISTS_STEPS], *_one_point_pair(), None, {}, lambda slots: [()])
+    full = _both_loops(family, [EXISTS_STEPS], *_one_point_pair(), None, {})
     assert full[0] == full[1] and full[0][0][1] is not None
     cap = full[0][0][0] - 1
-    cut = _both_loops(family, [EXISTS_STEPS], *_one_point_pair(), None, {}, lambda slots: [()], cap)
+    cut = _both_loops(family, [EXISTS_STEPS], *_one_point_pair(), None, {}, cap)
     assert cut[0] == cut[1] == ((cap, None, None), cap)
 
 
 def test_a_budget_cut_at_every_position_matches_the_reference():
     family = fragment(SIG_PR, CHAINS["godel3"].elements, ["x1", "x2"], 0)
     grids = _one_point_pair((0, 0), (1, 0))  # not P(x1) is top on the left only: a late separator
-    checked, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {}, lambda slots: [()])
+    checked, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {})
     assert render_formula(separator) == "exists x1 . not P(x1)" and checked > 10
     # the stream cut before its separator, and read to its end
-    checked, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {}, lambda slots: [()],
-                                                   cap=checked - 1)
+    checked, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {}, cap=checked - 1)
     assert separator is None
-    _, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], grids[0], grids[0], None, {},
-                                             lambda slots: [()])
+    _, separator, _ = _cut_at_every_position(family, [EXISTS_STEPS], grids[0], grids[0], None, {})
     assert separator is None
 
 
@@ -397,17 +417,17 @@ def test_every_cap_and_budget_cut_matches_the_reference():
         "P": dict(zip([("a",), ("b",)], p)), "R": dict.fromkeys(product("ab", repeat=2), 0)}), ["x1", "x2"])
         for p in ((0, 1), (1, 1)))
     steps = [(("x1", "x2"), PrenexClass(EXISTS, 2))]
-    checked, separator, _ = _cut_at_every_position(family, steps, left, right, None, {}, lambda slots: [()])
+    checked, separator, _ = _cut_at_every_position(family, steps, left, right, None, {})
     assert render_formula(separator) == "exists x1 . not P(x1)"
     for cap in range(checked + 2):
-        result = _cut_at_every_position(family, steps, left, right, None, {}, lambda slots: [()], cap)
+        result = _cut_at_every_position(family, steps, left, right, None, {}, cap)
         assert (result[1] is None) == (cap < checked)
     # isomorphic pairs, along the identity and along a swap, build no table and stop where the reference stops
     for grid, g in ((left, {}), (right, {"a": "b", "b": "a"})):
-        work = _transfer_work(family, steps, grid, grid, None, g, lambda slots: [()])
+        work = _transfer_work(family, steps, grid, grid, None, g)
         assert work == ((family.plan(steps).size, None, None), NO_WORK)
         for cap in (*range(checked + 2), None):
-            assert _cut_at_every_position(family, steps, grid, grid, None, g, lambda slots: [()], cap)[1] is None
+            assert _cut_at_every_position(family, steps, grid, grid, None, g, cap)[1] is None
 
 
 def test_a_budget_cut_comes_before_a_replay_disagreement(monkeypatch):
@@ -415,7 +435,7 @@ def test_a_budget_cut_comes_before_a_replay_disagreement(monkeypatch):
         monkeypatch.setattr(module, "eval_formula", lambda phi, s, asg=None: -1)
     family = fragment(SIG_PR, CHAINS["godel3"].elements, ["x1", "x2"], 0)
     grids = _one_point_pair((0, 0), (1, 0))
-    result = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {}, lambda slots: [()])
+    result = _cut_at_every_position(family, [EXISTS_STEPS], *grids, None, {})
     assert result == "grid and evaluator disagree"
 
 
@@ -444,7 +464,7 @@ def test_plan_positions_rank_the_stream(case, keep):
     assert plan.size == len(want)
     assert list(plan) == [triple[2:] for triple in want]
     for rank, (i, k, _, prefix, params) in enumerate(want):
-        prefixes, row_params = plan.rows[i][family.free[k]]
+        prefixes, row_params = plan.rows[i][family.codes[k]]
         assert row_params == params
         assert plan.position(i, k, prefixes.index(prefix)) == rank
     for end in range(len(want) + 2):
@@ -472,7 +492,7 @@ def _check_value_classes(grids, monkeypatch):
     table.extend()
     cls, vecs = table.cls, table.vecs
     monkeypatch.undo()
-    assert len(cls) == len(VALUE_FAMILY.free)
+    assert len(cls) == len(VALUE_FAMILY.codes)
     # one class per distinct vector, and each matrix's class holds its vector
     assert len({tuple(vec) for vec in vecs}) == len(vecs) == len(set(cls))
     for k, c in enumerate(cls):
@@ -547,7 +567,7 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     reached = 1 + max(k for _, k, *_ in islice(reference_stream(family, steps), bounds.max_candidates))
     assert family.plan(steps, bounds.max_candidates).reach(bounds.max_candidates) == reached
     prefix = list(family.rows(0, reached))
-    assert reached < len(family.free)
+    assert reached < len(family.codes)
     calls, lengths = _count_work(monkeypatch)
     report = implies_exists_n(s, extension, ("a", "b"), 1, bounds)
     assert report.ok and report.candidates_checked == bounds.max_candidates
@@ -574,7 +594,7 @@ def test_a_failing_call_evaluates_only_the_first_46_matrices(monkeypatch):
     assert render_formula(report.separator) == "exists x1 . not R(x1, p1)" and report.candidates_checked == 57
     _, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
     # the table names the 23 leaves first, then doubles once
-    assert lengths == [23, 46] and len(family.free) == 5940 and len(family.leaves) == 23
+    assert lengths == [23, 46] and len(family.codes) == 5940 and len(family.leaves) == 23
     assert calls == {"_leaf_row": 23, "_combine": 16}
 
 
@@ -589,7 +609,7 @@ def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch)
     plan = family.plan([(qvars, PrenexClass(EXISTS, 2))])
     assert report.ok and report.candidates_checked == plan.size
     assert lengths == [23, 46, 92, 184, 368, 736, 1472, 2944, 5888, plan.reach(plan.size)]
-    assert lengths[-1] == len(family.free) and calls["_leaf_row"] == len(family.leaves)
+    assert lengths[-1] == len(family.codes) and calls["_leaf_row"] == len(family.leaves)
 
 
 def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_grows(monkeypatch):
@@ -601,9 +621,9 @@ def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_gr
     family = fragment(SIG_PR, chain.elements, ["x1", "x2"], 1)
     _, lengths = _count_work(monkeypatch)
     reference, plan = _both_loops(family, [EXISTS_STEPS], AssignmentGrid(left, ["x1", "x2"]),
-                                  AssignmentGrid(right, ["x1", "x2"]), None, {}, lambda slots: [()])
+                                  AssignmentGrid(right, ["x1", "x2"]), None, {})
     assert plan == reference and plan[0][0] == 1101
-    assert lengths == [12, 24, 48, 96, 192, 384, 768, len(family.free)] and len(family.free) == 1518
+    assert lengths == [12, 24, 48, 96, 192, 384, 768, len(family.codes)] and len(family.codes) == 1518
 
 
 def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monkeypatch):
@@ -652,18 +672,13 @@ def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
         "P": {("d0",): 1, ("d1",): 0, ("d2",): 2},
         "R": dict(zip(product(domain, repeat=2), (1, 1, 2, 1, 2, 0, 1, 0, 1)))})
     variables, f, g = ("x1", "x2"), (0, 1, 2), {"d0": "d0", "d1": "d1"}
-
-    def tuples(params):
-        return product(source.domain, repeat=len(params))
-
     first = fragment(SIG_PR, chain.elements, variables, 1).plan([(variables, PrenexClass(FORALL, 2))])
     second = fragment(expand_with_truth_constants(SIG_PR, chain), chain.elements, variables, 1).plan(
         [(variables, PrenexClass(EXISTS, 2))])
     grids = AssignmentGrid(source, variables), AssignmentGrid(target, variables)
-    first_transfer_failure(first, *grids, f, g, tuples)
-    reused = first_transfer_failure(second, *grids, f, g, tuples)
-    fresh = first_transfer_failure(second, AssignmentGrid(source, variables), AssignmentGrid(target, variables),
-                                   f, g, tuples)
+    first_transfer_failure(first, *grids, f, g)
+    reused = first_transfer_failure(second, *grids, f, g)
+    fresh = first_transfer_failure(second, AssignmentGrid(source, variables), AssignmentGrid(target, variables), f, g)
     assert reused == fresh
     assert fresh[0] == 79 and render_formula(fresh[1]) == "forall x1 . P(x1) \\/ R(x1, x1)"
 
@@ -688,27 +703,25 @@ SYM_TRUTH = Structure(chain=G3, sig=expand_with_truth_constants(SIG_PR, G3), dom
 
 
 def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2)):
-    """`_both_loops`'s first seven arguments and `keep` for one caller's relation from s to t along g:
+    """`_both_loops`'s first six arguments and `keep` for one caller's relation from s to t along g:
     elementarity along f, existential transfer from `params` to `image` (by default their images
     under g), or the universal transport of the n = 2 amalgam search."""
     terms, variables = [App(c) for c in s.sig.constants()], ["x1", "x2"]
     if name == "elementarity":
         steps = [(variables[n:], k) for n in range(3) for k in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
         return (fragment(s.sig, s.chain.elements, variables, 1, terms), steps, AssignmentGrid(s, variables),
-                AssignmentGrid(t, variables), f, g, lambda slots: product(s.domain, repeat=len(slots))), None
+                AssignmentGrid(t, variables), f, g), None
     pvars = [f"p{i}" for i in range(1, len(params) + 1)]
     if name == "existential":
         left, right = dict(zip(pvars, params)), dict(zip(pvars, image or [g[d] for d in params]))
         return (fragment(s.sig, s.chain.elements, variables + pvars, 1, terms), [(variables, PrenexClass(EXISTS, 1))],
-                AssignmentGrid(s, variables, fixed=left), AssignmentGrid(t, variables, fixed=right), None, g,
-                lambda slots: [tuple(left[p] for p in slots)]), None
+                AssignmentGrid(s, variables, fixed=left), AssignmentGrid(t, variables, fixed=right), None, g), None
     axes = ["x1"] + pvars  # as in `universal_transport_ok`, the parameters are grid variables
     return (fragment(s.sig, s.chain.elements, axes, 0, terms), [(["x1"], PrenexClass(FORALL, 1))],
-            AssignmentGrid(s, axes), AssignmentGrid(t, axes), None, g,
-            lambda slots: product(s.domain, repeat=len(slots))), bool
+            AssignmentGrid(s, axes), AssignmentGrid(t, axes), None, g), bool
 
 
-def _transfer_work(family, steps, grid_s, grid_t, f, g, tuples, keep=None):
+def _transfer_work(family, steps, grid_s, grid_t, f, g, keep=None):
     """The plan loop's result on fresh grids, and the `ValueClasses` tables it
     built, the leaf rows they computed and the `_combine` and `fold` calls it made."""
     counts = dict.fromkeys(NO_WORK, 0)
@@ -720,7 +733,7 @@ def _transfer_work(family, steps, grid_s, grid_t, f, g, tuples, keep=None):
                 return original(*args)
             monkeypatch.setattr(owner, name, counted)
         grids = (AssignmentGrid(x.structure, x.variables, fixed=x.fixed) for x in (grid_s, grid_t))
-        result = first_transfer_failure(family.plan(steps, keep=keep), *grids, f, g, tuples)
+        result = first_transfer_failure(family.plan(steps, keep=keep), *grids, f, g)
     return result, counts
 
 
@@ -769,13 +782,13 @@ def test_a_transfer_off_an_isomorphism_reads_the_table_and_matches_the_reference
 def test_fixed_parameters_off_the_maps_image_are_the_callers_error(image):
     # p1 = a on the source, p1 = b or c on the target, along the identity; with c the per-candidate
     # loop meets a failing triple and its replay reads the target at a, where the grid read c
-    (family, steps, grid_s, grid_t, f, g, tuples), _ = _relation("existential", SYM, SYM, SAME, ("a",), (image,))
+    (family, steps, grid_s, grid_t, f, g), _ = _relation("existential", SYM, SYM, SAME, ("a",), (image,))
     triples = (triple[2:] for triple in reference_stream(family, steps))
     if image == "c":
         with pytest.raises(InternalError, match="grid and evaluator disagree"):
-            reference_transfer_failure(grid_s, grid_t, triples, f, g, tuples)
+            reference_transfer_failure(grid_s, grid_t, triples, f, g, grid_tuples(grid_s))
     else:
-        assert reference_transfer_failure(grid_s, grid_t, triples, f, g, tuples)[1] is None
+        assert reference_transfer_failure(grid_s, grid_t, triples, f, g, grid_tuples(grid_s))[1] is None
     with pytest.raises(PreconditionError) as err:
-        first_transfer_failure(family.plan(steps), grid_s, grid_t, f, g, tuples)
+        first_transfer_failure(family.plan(steps), grid_s, grid_t, f, g)
     assert str(err.value) == f"target grid fixes {{'p1': '{image}'}}, not {{'p1': 'a'}}, the image of the source grid's"
