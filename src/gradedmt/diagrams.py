@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from itertools import permutations, product
 from typing import Iterator, Sequence
 
+from .algebra import FiniteChain
 from .budget import check_budget
 from .errors import ChainMismatchError, FormatError
 from .generation import (AssignmentGrid, StructureBlock, StructureStream, ValueClasses, fragment, ground_terms,
@@ -62,7 +63,7 @@ class Diagram:
     parts: tuple  # (family, grid variables, closed positions): the quantifier-free part, then any quantified one
     values: bytes  # the recorded value of each part's positions in turn
     completeness: str
-    chain_labels: tuple
+    chain: FiniteChain  # the source's: a target is read only over an equal chain, tables and labels
 
     @property
     def entries(self) -> tuple:
@@ -104,7 +105,7 @@ def build_diagram(s: Structure, kind: str = DIAG, bounds: DiagramBounds = Diagra
                       array("i", (k for k in family.closed() if not (k < first and level[k] <= depth)))))
         completeness += f"; quantified to depth {bounds.quantifier_depth}"
     values = bytes(v for _, _, v in _read(sharp, parts))
-    return Diagram(kind, constants, tuple(parts), values, completeness, s.chain.elements)
+    return Diagram(kind, constants, tuple(parts), values, completeness, s.chain)
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,10 @@ class DiagramCheck:
 
 def models_diagram(t_expanded: Structure, diagram: Diagram) -> DiagramCheck:
     """Read the recorded positions in an expansion of the target, which must
-    be over the diagram's chain labels (else ChainMismatchError) and
+    be over the diagram's chain (else ChainMismatchError) and
     interpret every diagram constant (else SignatureError); the first value
     that differs makes the failing entry, the one formula built."""
-    if t_expanded.chain.elements != diagram.chain_labels:
+    if t_expanded.chain != diagram.chain:
         raise ChainMismatchError("both structures must share one chain")
     _check_interprets(Signature(functions=dict.fromkeys(diagram.constants, 0)), t_expanded)
     for (family, k, got), want in zip(_read(t_expanded, diagram.parts), diagram.values):
@@ -145,7 +146,7 @@ def render_diagram(diagram: Diagram) -> str:
     """Theory-file form: one `sentence <-> val(label)` line per entry."""
     from .parser import render_formula
 
-    lines = [f"({render_formula(e.sentence)}) <-> val({diagram.chain_labels[e.value]})" for e in diagram.entries]
+    lines = [f"({render_formula(e.sentence)}) <-> val({diagram.chain.elements[e.value]})" for e in diagram.entries]
     return "\n".join([f"# {diagram.kind} diagram, {diagram.completeness}", *lines]) + "\n"
 
 

@@ -21,8 +21,8 @@ Both are deterministic, deduplicate structurally, and respect a search
 budget.  `AssignmentGrid` evaluates formulas at every variable assignment
 at once, one byte a cell; a `ValueClasses` table runs a family over
 several grids, names each distinct value vector once, as a class id,
-grows in family order only as far as its caller reads, and folds each
-class through each prefix suffix once (`read`).
+grows in family order only as far as its caller reads, and folds a class
+through a prefix (`read`), each fold memoised by value (`_folded`).
 """
 
 from array import array
@@ -474,6 +474,33 @@ def _reader(dims: tuple, *columns: tuple):
     return itemgetter(*out) if len(out) > 1 else itemgetter(slice(out[0], out[0] + 1))
 
 
+@lru_cache(maxsize=256)
+def _axis(m: int, size: int, stride: int) -> list:
+    """An axis's m lanes, its cells at each value (a slice on the first or last axis, else a getter), then
+    the getter that broadcasts a folded lane: cell i reads folded cell i // (stride * m) * stride + i % stride."""
+    width = size // m
+    return [slice(j, None, m) if stride == 1 else slice(j * width, (j + 1) * width) if stride == width
+            else itemgetter(*[i for i in range(size) if i // stride % m == j]) for j in range(m)
+            ] + [itemgetter(*[i // (stride * m) * stride + i % stride for i in range(size)])]
+
+
+_FOLDS = 4096  # distinct folds kept: a `fragment` pass or a `verify` suite computes about 2,100
+_ORDER = bytes(x * 16 for x in range(16)).ljust(256, b"\0"), {  # `_packed`'s pair code, min and max for k <= 16
+    kind: bytes(map(pick, *zip(*product(range(16), repeat=2)))) for kind, pick in ((FORALL, min), (EXISTS, max))}
+
+
+@lru_cache(maxsize=_FOLDS)
+def _folded(values: bytes, m: int, stride: int, k: int, kind: str) -> bytes:
+    """A fold by value (a memo function: Michie, Nature 1968), so every grid and table of one shape
+    shares it: the min (forall) or max (exists) of the m lanes of the axis of `stride` over k chain
+    indices, combined lane by lane through `_packed` (per cell over 16 elements), broadcast back."""
+    *parts, broadcast = _axis(m, len(values), stride)
+    lanes = [values[part] if isinstance(part, slice) else bytes(part(values)) for part in parts]
+    if k > 16:
+        return bytes(broadcast(bytes(map(min if kind == FORALL else max, *lanes))))
+    return bytes(broadcast(reduce(lambda a, b: _packed(a, b, _ORDER[0], _ORDER[1][kind]), lanes)))
+
+
 class AssignmentGrid:
     """Values of formulas at every assignment of a fixed variable tuple.
 
@@ -482,9 +509,10 @@ class AssignmentGrid:
     significant, so a chain may have at most 256 elements; variables in
     `fixed` are not axes but take their given element in every cell.
     Quantifying a variable folds its axis and broadcasts the result, so
-    combination stays aligned.  `values`, a plain recursion kept as a
-    reference, and `ValueClasses` (leaves by its `_leaf_row`) share
-    `_combine`, each connective a `bytes.translate` table (`_byte_tables`).
+    combination stays aligned (`fold`, memoised by value in `_folded`).
+    `values`, a plain recursion kept as a reference, and `ValueClasses`
+    (leaves by its `_leaf_row`) share `_combine`, each connective a
+    `bytes.translate` table (`_byte_tables`).
     """
     _leaves = cached_property(lambda self: ValueClasses(None, (self,)))  # a one-grid table for `values`' leaves
 
@@ -494,7 +522,7 @@ class AssignmentGrid:
         self.structure = structure
         self.variables = tuple(variables)
         self.fixed = dict(fixed or {})
-        self.m = structure.size
+        self.m, self.k = structure.size, structure.chain.size
         t = len(self.variables)
         self.size = self.m**t
         self.strides = {v: self.m ** (t - 1 - i) for i, v in enumerate(self.variables)}
@@ -502,7 +530,6 @@ class AssignmentGrid:
         self._flats = {p: bytes(table.values()) for p, table in structure.predicates.items()}  # `product` order
         self._flats[Eq] = ((bytes([structure.chain.top]) + bytes(self.m)) * self.m)[:self.m ** 2]  # the diagonal
         self._tables = _byte_tables(structure.chain.star, structure.chain.implies)
-        self._axes: dict = {}  # var -> its m lanes, then the getter that broadcasts a folded lane
 
     def _arg(self, term) -> int:
         """A term as a `_reader` argument: its axis, or ~p if it takes domain element p in every cell."""
@@ -530,29 +557,8 @@ class AssignmentGrid:
         return _packed(a, b, scale, tables[kind])
 
     def fold(self, values: bytes, var: str, kind: str) -> bytes:
-        """Quantify `var`: the min (forall) or max (exists) of the m lanes of
-        its axis, each the cells at one value of `var` (a slice when the axis
-        is the first or the last, else a getter), broadcast back to every
-        cell: cell i reads folded cell i // (stride * m) * stride + i % stride."""
-        if self.m == 1:  # one lane, and a getter of one index would return an int
-            return values
-        axis = self._axes.get(var)
-        if axis is None:
-            stride, m, size = self.strides[var], self.m, self.size
-            width = size // m
-            axis = self._axes[var] = [
-                slice(j, None, m) if stride == 1 else slice(j * width, (j + 1) * width) if stride == width
-                else itemgetter(*[i for i in range(size) if i // stride % m == j]) for j in range(m)
-            ] + [itemgetter(*[i // (stride * m) * stride + i % stride for i in range(size)])]
-        lanes = [values[part] if isinstance(part, slice) else bytes(part(values)) for part in axis[:-1]]
-        scale, tables = self._tables
-        if scale is None:
-            folded = bytes(map(min if kind == FORALL else max, *lanes))
-        else:
-            table, folded = tables[And if kind == FORALL else Or], lanes[0]
-            for lane in lanes[1:]:
-                folded = _packed(folded, lane, scale, table)
-        return bytes(axis[-1](folded))
+        """Quantify `var`: the min (forall) or max (exists) of its axis's lanes, broadcast back (`_folded`)."""
+        return values if self.m == 1 else _folded(values, self.m, self.strides[var], self.k, kind)
 
     def cell(self, assignment) -> int:
         """The cell of the assignment; a grid variable it leaves out reads as the first element."""
@@ -568,9 +574,8 @@ class ValueClasses:
     each pair of operand classes once, per run of grids over one chain.
     `extend(n)` resumes where the table stopped, so a caller grows it only
     as far as it reads (bottom-up enumeration checked as the bank grows:
-    Udupa et al., TRANSIT, PLDI 2013).  `read` memoises folds under the
-    table's class ids, so equal-valued matrices share their folds, and a
-    block row's class is its body's class read through the block on each grid."""
+    Udupa et al., TRANSIT, PLDI 2013).  A block row's class is its body's
+    class read through the block on each grid (`read`)."""
 
     def __init__(self, family: Fragment, grids: Sequence[AssignmentGrid]):
         self.family, self.grids, self.cls, self.vecs = family, tuple(grids), [], []
@@ -581,7 +586,6 @@ class ValueClasses:
         self._dims, self._cache = tuple([(g.m, len(g.variables)) for g in self.grids]), {}  # for `_leaf_row`
         self._ids: dict = {}  # values -> class id
         self._memo: dict = {}  # (connective, left class, right class) -> class id
-        self._folds: dict = {}  # ((grid, class), kind, var), then further folds -> values
 
     def extend(self, n: int | None = None) -> None:
         """Name the first n matrices (every matrix with None), from where the table stopped."""
@@ -622,17 +626,11 @@ class ValueClasses:
             yield self.cls[k]
 
     def read(self, c: int, i: int, prefix=()) -> bytes:
-        """Class c's values on grid i, folded through `prefix`'s blocks
-        innermost first.  Each single fold is memoised under (i, c) and the
-        folds before it, so prefixes that end alike share their inner folds."""
-        grid, key, out = self.grids[i], (i, c), self.vecs[c][self._bounds[i]:self._bounds[i + 1]]
+        """Class c's values on grid i, folded through `prefix`'s blocks innermost first (`AssignmentGrid.fold`)."""
+        grid, out = self.grids[i], self.vecs[c][self._bounds[i]:self._bounds[i + 1]]
         for kind, part in reversed(prefix):
             for var in reversed(part):  # a block's order is free, and last bound first shares the most
-                key = key, kind, var
-                hit = self._folds.get(key)
-                if hit is None:
-                    hit = self._folds[key] = grid.fold(out, var, kind)
-                out = hit
+                out = grid.fold(out, var, kind)
         return out
 
     def _intern(self, vals: bytes) -> int:

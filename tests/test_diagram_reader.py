@@ -195,6 +195,23 @@ def test_a_target_over_other_chain_labels_is_a_chain_mismatch(g3, sig_p):
         diagram_model_exists(target, diagram)
 
 
+def _other_algebra(g3, l3, sig_p):
+    """P(a) = 1/2 over godel3, and P(x) = 1/2 over lukasiewicz3: equal labels, other tables."""
+    assert l3.elements == g3.elements and l3 != g3
+    return tuple(Structure(chain=chain, sig=sig_p, domain=(d,), predicates={"P": {(d,): 1}})
+                 for chain, d in ((g3, "a"), (l3, "x")))
+
+
+def test_a_target_over_another_algebra_with_equal_labels_is_a_chain_mismatch(g3, l3, sig_p):
+    source, target = _other_algebra(g3, l3, sig_p)
+    diagram = build_diagram(source, DIAG, DiagramBounds(connective_depth=1))
+    with pytest.raises(ChainMismatchError, match="both structures must share one chain"):
+        models_diagram(interpret_constants(target, diagram, ("x",)), diagram)
+    with pytest.raises(ChainMismatchError, match="both structures must share one chain"):
+        diagram_model_exists(target, diagram)
+    assert diagram.chain is g3 and models_diagram(interpret_constants(source, diagram, ("a",)), diagram)
+
+
 def test_check_diagram_map_across_chains_exits_2(tmp_path, capsys, g3, sig_p):
     from gradedmt.cli import main
     from gradedmt.files import save_structure
@@ -204,6 +221,20 @@ def test_check_diagram_map_across_chains_exits_2(tmp_path, capsys, g3, sig_p):
     save_structure(target, tmp_path / "t.json")
     argv = ["check-diagram", "--source", str(tmp_path / "s.json"), "--target", str(tmp_path / "t.json")]
     for extra in ([], ["--map", "a=x"]):  # the same verdict with and without a map
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "both structures must share one chain" in captured.err
+
+
+def test_check_diagram_map_across_algebras_with_equal_labels_exits_2(tmp_path, capsys, g3, l3, sig_p):
+    from gradedmt.cli import main
+    from gradedmt.files import save_structure
+
+    for structure, name in zip(_other_algebra(g3, l3, sig_p), ("s.json", "t.json")):
+        save_structure(structure, tmp_path / name)
+    argv = ["check-diagram", "--source", str(tmp_path / "s.json"), "--target", str(tmp_path / "t.json"),
+            "--connective-depth", "1"]
+    for extra in ([], ["--map", "a=x"]):  # a Goedel diagram is never read with Lukasiewicz negation
         assert main(argv + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "both structures must share one chain" in captured.err

@@ -2,22 +2,25 @@
 
 A grid holds a value vector as `bytes`, one byte a cell.  `_combine` runs a
 connective as whole-vector operations on pair codes (`generation._packed`)
-and `fold` combines the lanes of an axis by the packed min or max; over 16
-elements both take a per-cell path, and over 256 a grid is refused.  These
-tests compare both with plain lookups in `_connective_tables`, on every
-chain of 2 to 5 elements and on a 17-element Goedel chain.
+and `fold` combines the lanes of an axis by the packed min or max, through
+`generation._folded`, one memo by value for every grid; over 16 elements
+both take a per-cell path, and over 256 a grid is refused.  These tests
+compare both with plain lookups in `_connective_tables`, on every chain of
+2 to 5 elements and on a 17-element Goedel chain, and `_folded` with a
+plain min and max over the lanes of each axis.
 """
 
 import json
 import random
+from itertools import product
 
 import pytest
 
-from gradedmt import cli, files
-from gradedmt.algebra import ChainReport, enumerate_mtl_chains, godel_chain
+from gradedmt import cli, files, generation
+from gradedmt.algebra import ChainReport, enumerate_mtl_chains, godel_chain, lukasiewicz_chain
 from gradedmt.errors import FormatError
 from gradedmt.files import save_algebra
-from gradedmt.generation import AssignmentGrid, _connective_tables
+from gradedmt.generation import AssignmentGrid, _connective_tables, _folded
 from gradedmt.semantics import Structure
 from gradedmt.syntax import EXISTS, FORALL, And, Iff, Implies, Not, Or, Signature, Strong
 
@@ -61,6 +64,34 @@ def test_fold_matches_a_per_cell_min_and_max_on_every_axis(index):
             for kind, pick in ((FORALL, min), (EXISTS, max)):
                 want = [pick(values[i + (d - i // stride % m) * stride] for d in range(m)) for i in range(grid.size)]
                 assert list(grid.fold(values, var, kind)) == want, (m, var, kind)
+
+
+@pytest.mark.parametrize("k", (2, 3, 17))  # 17 takes the per-cell path
+def test_folded_matches_a_plain_min_and_max_over_the_lanes(k):
+    rnd = random.Random(k)
+    for m, t in product(range(2, 5), range(1, 4)):
+        size = m**t
+        values = bytes(rnd.randrange(k) for _ in range(size))
+        for stride in (m ** (t - 1 - axis) for axis in range(t)):
+            for kind, pick in ((FORALL, min), (EXISTS, max)):
+                lanes = [[values[i + (d - i // stride % m) * stride] for d in range(m)] for i in range(size)]
+                assert list(_folded(values, m, stride, k, kind)) == list(map(pick, lanes)), (m, t, stride, kind)
+
+
+def test_grids_over_other_structures_and_chains_of_one_shape_share_their_folds():
+    chains, rnd = (godel_chain(["0", "h", "1"]), lukasiewicz_chain(["0", "h", "1"])), random.Random(5)
+    grids = [AssignmentGrid(Structure(chain=chain, sig=SIG, domain=("a", "b", "c"), predicates={
+        "P": {(d,): rnd.randrange(3) for d in "abc"}}), VARIABLES[:2]) for chain in chains]
+    values = bytes(rnd.randrange(3) for _ in range(9))
+    for var, kind in product(VARIABLES[:2], (FORALL, EXISTS)):
+        before = _folded.cache_info()
+        first, second = (grid.fold(values, var, kind) for grid in grids)
+        after = _folded.cache_info()
+        assert first is second and after.hits >= before.hits + 1 and after.misses <= before.misses + 1
+
+
+def test_the_fold_memo_is_bounded_by_its_module_constant():
+    assert _folded.cache_info().maxsize == generation._FOLDS > 0
 
 
 def test_a_chain_over_256_elements_is_refused():

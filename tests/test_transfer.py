@@ -663,8 +663,9 @@ def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monk
 
 
 def test_a_grid_pair_reused_by_a_second_family_reads_that_familys_folds():
-    # folds are memoised under the class ids of the table that named them, so
-    # a second family's classes must not read the first family's folds
+    # a fold is memoised by the vector it folds and its axis's shape, never by a
+    # table's class id, so a second family's classes, whose ids name other
+    # vectors on the same grids, must read the folds of their own vectors
     chain, domain = CHAINS["godel3"], ("d0", "d1", "d2")
     source = Structure(chain=chain, sig=SIG_PR, domain=domain[:2], predicates={
         "P": {("d0",): 0, ("d1",): 2}, "R": dict(zip(product(domain[:2], repeat=2), (2, 0, 1, 1)))})
