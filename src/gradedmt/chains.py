@@ -1,10 +1,10 @@
 """Chains of structures, their unions, and union-value checks.
 
 A chain is a list of structures over one algebra, each a literal
-substructure of the next (nested domains with identical labels).  For a
-finite chain the union coincides with the last member; it is still
-assembled entry by entry and cross-checked, so an inconsistent input
-cannot slip through.
+substructure of the next (nested domains with identical labels), checked
+when its `StructureChain` is built.  For a finite chain the union
+coincides with the last member; it is still assembled member by member,
+its domain in order of first appearance.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +25,21 @@ class ChainValidationError(GradedmtError):
 
 @dataclass(frozen=True)
 class StructureChain:
+    """Structures over one algebra, each a literal substructure of the next: checked on construction."""
+
     members: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", members := tuple(self.members))
+        if not members:
+            raise FormatError("a chain needs at least one structure")
+        for i, (small, big) in enumerate(zip(members, members[1:])):  # transitivity covers the other pairs
+            if big.chain != members[0].chain:
+                raise ChainValidationError(f"member {i + 1} is not over the algebra of member 0")
+            rep = is_substructure(small, big)
+            if not rep.ok:
+                raise ChainValidationError(
+                    f"member {i} is not a substructure of member {i + 1}: clause {rep.clause}, {rep.detail}")
 
     def __len__(self):
         return len(self.members)
@@ -34,20 +48,9 @@ class StructureChain:
 def validate_chain_of_structures(
     members: Sequence[Structure], elementary_depth: int | None = None
 ) -> StructureChain:
-    """Verify one algebra for every member and consecutive substructure
-    inclusions (transitivity covers the rest); optionally certify each
-    inclusion elementary to a depth."""
-    if not members:
-        raise FormatError("a chain needs at least one structure")
-    for i in range(len(members) - 1):
-        if members[i + 1].chain != members[0].chain:
-            raise ChainValidationError(f"member {i + 1} is not over the algebra of member 0")
-        rep = is_substructure(members[i], members[i + 1])
-        if not rep.ok:
-            raise ChainValidationError(
-                f"member {i} is not a substructure of member {i + 1}: "
-                f"clause {rep.clause}, {rep.detail}"
-            )
+    """The chain of the members (`StructureChain` checks them); optionally
+    certify each inclusion elementary to a depth."""
+    chain = StructureChain(members)
     if elementary_depth is not None:
         for i, (small, big) in enumerate(zip(members, members[1:])):
             rep = is_elementary_up_to_depth(inclusion_map(small, big), small, big, elementary_depth)
@@ -56,13 +59,12 @@ def validate_chain_of_structures(
                     f"inclusion of member {i} is not elementary to depth {elementary_depth}; "
                     f"separated by {render_formula(rep.separator)} at parameters {rep.params}"
                 )
-    return StructureChain(tuple(members))
+    return chain
 
 
 def union_of_chain(chain: StructureChain) -> Structure:
-    """Union domain with each table entry inherited from any member that
-    contains the arguments; inconsistencies raise, though validation
-    makes them unreachable."""
+    """Union domain with each table entry inherited from the members that
+    contain the arguments, which agree on it: `StructureChain` checked them."""
     members = chain.members
     first = members[0]
     domain: list[str] = []
@@ -75,12 +77,7 @@ def union_of_chain(chain: StructureChain) -> Structure:
     for member in members:
         for merged, tables in ((predicates, member.predicates), (functions, member.functions)):
             for name, table in tables.items():
-                for args, value in table.items():
-                    known = merged[name].setdefault(args, value)
-                    if known != value:
-                        raise GradedmtError(
-                            f"inconsistent chain: {name}{args} is {known!r} and {value!r}"
-                        )
+                merged[name].update(table)
     return Structure(
         chain=first.chain,
         sig=first.sig,

@@ -180,8 +180,8 @@ def cmd_check_diagram(args) -> int:
     source = load_structure(args.source)
     target = load_structure(args.target)
     bounds = _diagram_bounds_from(args)
-    diagram = build_diagram(source, args.kind, bounds)
     if args.map:
+        diagram = build_diagram(source, args.kind, bounds)
         mapping = _parse_binds(args.map.split(","), "--map", "SOURCE=TARGET")
         for element in [*mapping, *source.domain]:  # the diagram's constants name the domain in order
             if element not in source.domain:
@@ -198,7 +198,7 @@ def cmd_check_diagram(args) -> int:
             payload["expected"] = source.chain.label(rep.failing.value)
             payload["actual"] = target.chain.label(rep.actual)
         return _emit(args, payload, rep.ok, [json.dumps(payload, sort_keys=True)])
-    report = diagram_embedding_equivalence(source, target, args.kind, bounds, diagram=diagram)
+    report = diagram_embedding_equivalence(source, target, args.kind, bounds)
     payload = {
         "diagram_side": report.diagram_side,
         "embedding_side": report.embedding_side,

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ChainMismatchError, FormatError, InternalError, SignatureError
+from .errors import FormatError, InternalError, SignatureError
 from .generation import AssignmentGrid, ValueClasses, sentence_family, structure_space
-from .morphisms import _check_interprets
+from .morphisms import _check_interprets, _check_one_chain
 from .semantics import Structure, eval_formula, is_model
 from .syntax import Formula, Signature, is_sentence
 
@@ -76,8 +76,7 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
     grids, grown only up to the separator: the first that takes top on one
     side only, replayed through `eval_formula`.
     """
-    if s1.chain != s2.chain:
-        raise ChainMismatchError("equivalence needs structures over one chain")
+    _check_one_chain(s1, s2)
     if sig is None:
         if s1.sig != s2.sig:
             raise SignatureError("structures disagree on the signature; pass one explicitly")

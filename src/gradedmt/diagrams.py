@@ -24,10 +24,11 @@ from typing import Iterator, Sequence
 
 from .algebra import FiniteChain
 from .budget import check_budget
-from .errors import ChainMismatchError, FormatError
+from .errors import FormatError
 from .generation import (AssignmentGrid, StructureBlock, StructureStream, ValueClasses, fragment, ground_terms,
                          sentence_family, structure_space, truth_constant_labels)
-from .morphisms import StructureMap, _check_interprets, is_elementary_up_to_depth, search_structure_map
+from .morphisms import (StructureMap, _check_interprets, _check_one_chain, is_elementary_up_to_depth,
+                        search_structure_map)
 from .semantics import Structure
 from .syntax import App, Formula, Not, Signature, constant_name_for, expand_with_domain_constants
 
@@ -123,8 +124,7 @@ def models_diagram(t_expanded: Structure, diagram: Diagram) -> DiagramCheck:
     be over the diagram's chain (else ChainMismatchError) and
     interpret every diagram constant (else SignatureError); the first value
     that differs makes the failing entry, the one formula built."""
-    if t_expanded.chain != diagram.chain:
-        raise ChainMismatchError("both structures must share one chain")
+    _check_one_chain(t_expanded, diagram)
     _check_interprets(Signature(functions=dict.fromkeys(diagram.constants, 0)), t_expanded)
     for (family, k, got), want in zip(_read(t_expanded, diagram.parts), diagram.values):
         if got != want:
@@ -194,7 +194,6 @@ def diagram_embedding_equivalence(
     target: Structure,
     kind: str = DIAG,
     bounds: DiagramBounds = DiagramBounds(),
-    diagram: Diagram | None = None,
 ) -> Cor1Report:
     """Compare the two routes of the diagram characterization.
 
@@ -204,10 +203,8 @@ def diagram_embedding_equivalence(
     depth for elementary diagrams.  The two booleans must agree on
     every finite instance.
     """
-    if source.chain != target.chain:
-        raise ChainMismatchError("both structures must share one chain")
-    d = diagram if diagram is not None else build_diagram(source, kind, bounds)
-    found, images = diagram_model_exists(target, d)
+    _check_one_chain(source, target)
+    found, images = diagram_model_exists(target, build_diagram(source, kind, bounds))
     extra_filter = None
     if kind != DIAG:
         depth = bounds.quantifier_depth

@@ -14,7 +14,7 @@ class SignatureError(GradedmtError):
 
 
 class ChainMismatchError(GradedmtError):
-    """A truth constant or algebra map does not fit the chain in use."""
+    """A truth constant or algebra map does not fit the chain in use, or two structures are over two chains."""
 
 
 class ParseError(GradedmtError):

@@ -60,6 +60,12 @@ def _check_interprets(sig: Signature, target: Structure, role: str = "target") -
             raise SignatureError(f"{role} does not interpret function {name!r}/{arity}")
 
 
+def _check_one_chain(*parts) -> None:
+    """The same-chain rule: the structures, or a structure and a `Diagram`, have equal `.chain`s."""
+    if any(part.chain != parts[0].chain for part in parts[1:]):
+        raise ChainMismatchError("both structures must share one chain")
+
+
 def _transport_entries(source: Structure) -> list:
     """Function symbols, then predicate symbols, each with its sorted table."""
     functions = [(True, n, sorted(source.functions[n].items())) for n in sorted(source.sig.functions)]
@@ -393,8 +399,7 @@ def _reduct_to_subalgebra(s: Structure, indices: tuple[int, ...]) -> Structure |
 
 def _algebra_map_candidates(source: Structure, target: Structure, fix_algebra_identity: bool) -> list[AlgebraMap]:
     if fix_algebra_identity:
-        if source.chain != target.chain:
-            raise ChainMismatchError("identity algebra map needs equal chains")
+        _check_one_chain(source, target)
         return [identity_map(source.chain)]
     out = []
     ks, kt = source.chain.size, target.chain.size

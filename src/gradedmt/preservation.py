@@ -23,6 +23,7 @@ from .errors import FormatError, PreconditionError, SignatureError
 from .generation import AssignmentGrid, ValueClasses, extension_space, fragment, prenex_formula, structure_space
 from .morphisms import (
     StructureMap,
+    _check_one_chain,
     _generated_domain,
     enumerate_substructures,
     first_transfer_failure,
@@ -84,8 +85,7 @@ def implies_exists_n(left: Structure, right: Structure, params: Sequence[str], n
     by the left structure at the parameters must be satisfied by the
     right structure at the same parameters; first violation returned.
     """
-    if left.chain != right.chain:
-        raise FormatError("both structures must share one chain")
+    _check_one_chain(left, right)
     for d in params:
         if d not in left.domain or d not in right.domain:
             raise FormatError(f"parameter {d!r} must lie in both domains")
@@ -189,8 +189,7 @@ class AmalgamInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.left.chain != self.right.chain:
-            raise FormatError("amalgam sides must share one chain")
+        _check_one_chain(self.left, self.right)
         if self.common is None:
             if self.generators:
                 raise FormatError("generators given without a common part")
@@ -233,6 +232,7 @@ def universal_transport_ok(g: Mapping[str, str], source: Structure, target: Stru
                            bounds: FormulaBounds) -> bool:
     """Generated one-block universal formulas with value top at a source
     tuple keep value top at the mapped tuple."""
+    _check_one_chain(source, target)
     qvars, pvars, family = _family(source.sig, source.chain, bounds.num_vars, bounds)
     # Forall(1) admits no other lead, so keeping non-empty prefixes drops quantifier-free ones
     _, separator, _ = first_transfer_failure(

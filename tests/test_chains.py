@@ -316,3 +316,12 @@ def test_tarski_vaught_evaluates_only_the_leaves_of_a_valid_chain(monkeypatch, s
     assert asked == [(1518, 12)]  # P/1, R/2, two variables, depth 1: the first 12 matrices are its leaves
     assert report.quantifier_free_ok
     assert report.quantifier_free_checked == 1518 * sum(m.size ** 2 for m in chain.members)
+
+
+def test_the_union_suite_validates_each_chain_once(monkeypatch):
+    """Five chains of three members: two substructure checks each, made once,
+    by `StructureChain`."""
+    calls, check = [], chains.is_substructure
+    monkeypatch.setattr(chains, "is_substructure", lambda sub, sup: calls.append(1) or check(sub, sup))
+    preservation.union_preservation_suite(0, 5)
+    assert len(calls) == 10
