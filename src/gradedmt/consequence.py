@@ -74,7 +74,10 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
     truth constants.  The sentences are the closed positions of
     `sentence_family`, read by one value-class table over both structures'
     grids, grown only up to the separator: the first that takes top on one
-    side only, replayed through `eval_formula`.
+    side only, replayed through `eval_formula`.  The family is built (and
+    charged) first; it is not read when the grids' cells, coloured by
+    `ValueClasses.refinements`, have one colour set in every round, since
+    cells of one colour agree on every sentence over the grid variables.
     """
     _check_one_chain(s1, s2)
     if sig is None:
@@ -86,9 +89,10 @@ def equiv_up_to_depth(s1: Structure, s2: Structure, depth: int, sig: Signature |
     family = sentence_family(sig, s1.chain.elements, depth)
     xs = [f"x{i}" for i in range(1, depth + 1)]
     table = ValueClasses(family, [AssignmentGrid(s1, xs), AssignmentGrid(s2, xs)])
-    top, closed = s1.chain.top, family.closed()
+    top, closed, cut = s1.chain.top, family.closed(), table.grids[0].size
+    unread = all(set(colour[:cut]) == set(colour[cut:]) for colour in table.refinements())
     sat = lru_cache(maxsize=None)(lambda c: (table.read(c, 0)[0] == top, table.read(c, 1)[0] == top))
-    k = next((k for k, c in zip(closed, table.classes(closed)) if sat(c)[0] != sat(c)[1]), None)
+    k = None if unread else next((k for k, c in zip(closed, table.classes(closed)) if sat(c)[0] != sat(c)[1]), None)
     if k is None:
         return EquivResult(True, None, len(closed), depth)
     separator = family.matrix(k)

@@ -99,33 +99,17 @@ def _packed(a: bytes, b: bytes, scale: bytes, table: bytes) -> bytes:
 
 
 def truth_constant_labels(sig: Signature, chain_labels: Sequence[str]) -> list[str]:
-    """Truth-constant labels available to generators, in chain order.
-
-    The endpoints are always available; other labels require a licence
-    in the signature.
-    """
-    out = []
+    """Truth-constant labels available to generators, in chain order: the endpoints always, any other
+    label with a licence in the signature."""
     last = len(chain_labels) - 1
-    for i, label in enumerate(chain_labels):
-        if i in (0, last) or label in sig.truth_constants:
-            out.append(label)
-    return out
+    return [label for i, label in enumerate(chain_labels) if i in (0, last) or label in sig.truth_constants]
 
 
 def atoms_over(sig: Signature, terms: Sequence, labels: Sequence[str]) -> list[Formula]:
     """Canonical atom list: predicate atoms, identity atoms, truth constants."""
     pool = tuple(terms)
-    out: list[Formula] = []
-    for name in sorted(sig.predicates):
-        arity = sig.predicates[name]
-        for args in product(pool, repeat=arity):
-            out.append(Atom(name, args))
-    for left in pool:
-        for right in pool:
-            out.append(Eq(left, right))
-    for label in labels:
-        out.append(Val(label))
-    return out
+    return ([Atom(name, args) for name in sorted(sig.predicates) for args in product(pool, repeat=sig.predicates[name])]
+            + [Eq(left, right) for left in pool for right in pool] + [Val(label) for label in labels])
 
 
 @lru_cache(maxsize=None)
@@ -139,18 +123,12 @@ def _variable_subsets(names: tuple) -> tuple:
 
 def ground_terms(sig: Signature, constants: Iterable[str], term_depth: int = 0):
     """Closed terms over the given constants, nesting proper function
-    symbols up to term_depth applications."""
+    symbols up to term_depth applications, each new term once."""
     all_terms = [App(c) for c in sorted(constants)]
     for _ in range(term_depth):
-        fresh = []
-        for name in sorted(sig.functions):
-            arity = sig.functions[name]
-            if arity == 0:
-                continue
-            for args in product(all_terms, repeat=arity):
-                t = App(name, args)
-                if t not in all_terms and t not in fresh:
-                    fresh.append(t)
+        fresh = [t for t in dict.fromkeys(App(name, args) for name in sorted(sig.functions) if sig.functions[name]
+                                          for args in product(all_terms, repeat=sig.functions[name]))
+                 if t not in all_terms]
         if not fresh:
             break
         all_terms.extend(fresh)
@@ -501,6 +479,14 @@ def _folded(values: bytes, m: int, stride: int, k: int, kind: str) -> bytes:
     return bytes(broadcast(reduce(lambda a, b: _packed(a, b, _ORDER[0], _ORDER[1][kind]), lanes)))
 
 
+def _lane_sets(grid, colour: list, var: str) -> list:
+    """Per cell of the grid, the set of `colour`s along the axis of `var` through it: a fold by set, not by order."""
+    if grid.m == 1:
+        return [frozenset(colour)]
+    *parts, broadcast = _axis(grid.m, grid.size, grid.strides[var])
+    return broadcast(list(map(frozenset, zip(*[colour[p] if isinstance(p, slice) else p(colour) for p in parts]))))
+
+
 class AssignmentGrid:
     """Values of formulas at every assignment of a fixed variable tuple.
 
@@ -632,6 +618,27 @@ class ValueClasses:
             for var in reversed(part):  # a block's order is free, and last bound first shares the most
                 out = grid.fold(out, var, kind)
         return out
+
+    def refinements(self) -> Iterator[list]:
+        """Each round's colours of the cells of every grid in turn (grids over one variable tuple): round 0
+        by the family's leaf rows, each later round a cell's colour with the set of colours along each axis
+        through it (the lanes of `_axis`), until the count stops growing.  Cells of one colour in the last
+        round take equal values on every row, at any quantifier depth: a row is a leaf, a connective of equal
+        values, or a fold over equal sets of colours (colour refinement: Immerman & Lander 1990)."""
+        self.extend(len(self.family.leaves))
+        leaves = dict.fromkeys(self.cls[:len(self.family.leaves)])
+        spans = list(zip(self.grids, self._bounds, self._bounds[1:]))  # (grid, start, end) per grid
+        keys, size = [zip(*[self.vecs[c][s:e] for c in leaves]) for _, s, e in spans], 0
+        while True:
+            ids, fresh, colour = {}, count(), []  # a colour is the first count its key met: distinct, not dense
+            for part in keys:
+                colour += map(ids.setdefault, part, fresh)
+            if len(ids) == size:
+                return
+            size = len(ids)
+            yield colour
+            keys = [zip(colour[s:e], *[_lane_sets(g, colour[s:e], v) for v in self.grids[0].variables])
+                    for g, s, e in spans]
 
     def _intern(self, vals: bytes) -> int:
         c = self._ids.setdefault(vals, len(self.vecs))

@@ -4,10 +4,13 @@ A map between structures is a pair: an algebra map between the chains
 and a domain map.  Claimed kinds are always re-verified, never trusted.
 Searches run in a fixed candidate order so results are reproducible.
 Generated formulas travel along a map in one routine with two relations,
-`first_transfer_failure`, and every separator it reports is replayed.
-Along an isomorphism it reads no formula: an isomorphism commutes with
-every connective and with the min and max of a quantifier, so every value
-transfers, and its counts are the positions that verdict covers.
+`first_transfer_failure`, and every separator it reports is replayed.  It
+reads no formula where none can separate: along an isomorphism, which
+commutes with every connective and with the min and max of a quantifier,
+or where the cells of both grids match in colour, coloured by their leaf
+values and refined by the colours along each axis (the k-pebble game:
+Immerman & Lander 1990; for graded structures Dellunde, García-Cerdaña &
+Noguera, FSS 345, 2018).  Such a verdict never names a separator.
 """
 
 from dataclasses import dataclass, replace
@@ -156,23 +159,22 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, meter=None):
     prefix, params) triple fixes the free set, so it is decided once, at the
     first matrix of its (class, free-set code) group, whose prefixes and
     params are `plan.rows[step][code]`; groups in order of first matrix hold
-    ascending, disjoint runs of positions.
-    Step 0 lists the groups in one pass of `ValueClasses.classes`, which
-    grows the table as far as it is read, to at most the last matrix the
-    plan reaches; it returns or ends the pass, and each later step walks the
-    list, so the first failing triple met is the first failure, and no
-    candidate is read one at a time.
-    `meter` is ticked in bulk with the positions read, at most its limit + 1
-    as single ticks would stop, before any replay through `eval_formula`.
-    Returns (positions checked, separator, source tuple), or (checked, None,
-    None): the checked positions are those the verdict covers.  With h the
-    map g, and the identity where g is silent, a target grid that does not
-    fix h's image of the source grid's `fixed` raises PreconditionError.
-    Along an isomorphism no table is built: if the grids share a chain, f is
-    None or the identity, and h is a bijection onto the target domain that
-    passes `_first_untransported` with the identity, no triple fails, since
-    an isomorphism commutes with every connective and with the min and max
-    of a quantifier; every position to the end is covered and ticked."""
+    ascending, disjoint runs of positions.  Step 0 lists the groups in one
+    pass of `ValueClasses.classes`, which grows the table as far as it is
+    read, to at most the last matrix the plan reaches; each later step walks
+    the list, so the first failing triple met is the first failure.
+    With one chain and f None or the identity, the plan is decided unread
+    where no separator can exist: along a bijection h (g, and the identity
+    where g is silent) that passes `_first_untransported`, with no table;
+    else, once the plan reaches past the leaves, when in every round of
+    `ValueClasses.refinements` the grids have one colour set and each source
+    cell meets a target cell of its colour at g's images of its coordinates
+    on the axes the plan's parameters range over.  `meter` is ticked in bulk
+    with the positions read (to the end when decided unread), at most its
+    limit + 1 as single ticks would stop, before any replay through
+    `eval_formula`.  Returns (positions checked, separator, source tuple),
+    or (checked, None, None).  A target grid that does not fix h's image of
+    the source grid's `fixed` raises PreconditionError."""
     s, t = grid_s.structure, grid_t.structure
     _check_interprets(s.sig, t)  # both grids evaluate the family
     top_s, top_t = s.chain.top, t.chain.top
@@ -181,15 +183,20 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, meter=None):
     image = {p: h.get(d) for p, d in grid_s.fixed.items()}
     if image != grid_t.fixed:
         raise PreconditionError(f"target grid fixes {grid_t.fixed}, not {image}, the image of the source grid's")
-    if (s.chain == t.chain and (f is None or tuple(f) == tuple(same)) and sorted(h.values()) == sorted(t.domain)
-            and _first_untransported(same, h, _transport_entries(s), t) is None):
-        if meter is not None:
-            meter.tick(end)
-        return end, None, None
+    family, fixed, table = plan.family, grid_s.fixed, None
+    plain = s.chain == t.chain and (f is None or tuple(f) == tuple(same))  # values compared as they are
+    if plain and sorted(h.values()) == sorted(t.domain):  # an isomorphism commutes with every row
+        unread = _first_untransported(same, h, _transport_entries(s), t) is None
+    elif unread := plain and plan.reach(end) >= len(family.leaves) and grid_s.variables == grid_t.variables:
+        table, ranging = ValueClasses(family, [grid_s, grid_t]), {v for rows in plan.rows for _, ps in rows for v in ps}
+        images, n = [grid_t._dom_pos.get(g.get(d)) for d in s.domain], grid_s.size  # a cell's key: ranging coordinates
+        sources = list(product(*[images if v in ranging else [0] * s.size for v in grid_s.variables]))
+        targets = list(product(*[range(t.size) if v in ranging else [0] * t.size for v in grid_t.variables]))
+        unread = all(set(colour[:n]) == set(colour[n:]) and set(zip(colour, sources)) <= set(zip(colour[n:], targets))
+                     for colour in table.refinements())
     transfers = [[b == f[a] if f is not None else a != top_s or b == top_t  # [source value][target value]
                   for b in range(top_t + 1)] for a in range(top_s + 1)]
-    family, reach, fixed = plan.family, plan.reach(end), grid_s.fixed
-    table = ValueClasses(family, [grid_s, grid_t])
+    table = None if unread else table or ValueClasses(family, [grid_s, grid_t])
     firsts: dict = {}  # (class, free-set code) -> its first matrix, in order of first matrix
     cells: dict = {}  # params -> [(source tuple, source cell, target cell)]
 
@@ -207,7 +214,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, meter=None):
         return next(((tup, vs[i], vt[j]) for tup, i, j in row if not transfers[vs[i]][vt[j]]), None)
 
     def grouped():  # (first matrix, class, free-set code) of each group as step 0 reads the table
-        for k, key in enumerate(zip(table.classes(range(reach)), family.codes)):
+        for k, key in enumerate(zip(table.classes(range(plan.reach(end))), family.codes)):
             if firsts.setdefault(key, k) == k:
                 yield k, *key
 
@@ -224,7 +231,7 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, meter=None):
                         return start + p, k, prefix, params, bad
         return None
 
-    found = first_failure()
+    found = None if unread else first_failure()
     checked = end if found is None else found[0] + 1
     if meter is not None:
         meter.tick(checked)
@@ -310,21 +317,13 @@ def induced_substructure(s: Structure, subset: Sequence[str]) -> Structure:
     sub = [d for d in s.domain if d in set(subset)]
     if not sub:
         raise FormatError("substructure domain must be nonempty")
-    sub_set = set(sub)
-    functions = {}
-    for name, arity in s.sig.functions.items():
-        table = {}
-        for args in product(sub, repeat=arity):
-            value = s.functions[name][args]
-            if value not in sub_set:
-                raise FormatError(f"subset not closed under function {name!r}")
-            table[args] = value
-        functions[name] = table
-    predicates = {}
-    for name, arity in s.sig.predicates.items():
-        predicates[name] = {
-            args: s.predicates[name][args] for args in product(sub, repeat=arity)
-        }
+    functions = {name: {args: s.functions[name][args] for args in product(sub, repeat=arity)}
+                 for name, arity in s.sig.functions.items()}
+    for name, table in functions.items():
+        if not set(table.values()) <= set(sub):
+            raise FormatError(f"subset not closed under function {name!r}")
+    predicates = {name: {args: s.predicates[name][args] for args in product(sub, repeat=arity)}
+                  for name, arity in s.sig.predicates.items()}
     return replace(s, domain=tuple(sub), predicates=predicates, functions=functions,
                    name=f"{s.name}|{{{','.join(sub)}}}" if s.name else "")
 
@@ -332,20 +331,11 @@ def induced_substructure(s: Structure, subset: Sequence[str]) -> Structure:
 def _generated_domain(s: Structure, seed: Sequence[str]) -> tuple:
     """The least subset holding `seed` and the constants that is closed
     under the functions, in domain order."""
-    current = set(seed)
-    for name in s.sig.constants():
-        current.add(s.functions[name][()])
-    if not current:
-        return ()
-    changed = True
-    while changed:
-        changed = False
-        for name in s.sig.proper_functions():
-            table = s.functions[name]
-            for args, value in table.items():
-                if all(a in current for a in args) and value not in current:
-                    current.add(value)
-                    changed = True
+    current, grown = set(seed) | {s.functions[name][()] for name in s.sig.constants()}, True
+    while grown:
+        grown = {value for name in s.sig.proper_functions() for args, value in s.functions[name].items()
+                 if value not in current and all(a in current for a in args)}
+        current |= grown
     return tuple(d for d in s.domain if d in current)
 
 
@@ -387,10 +377,7 @@ def _reduct_to_subalgebra(s: Structure, indices: tuple[int, ...]) -> Structure |
         return None
     sub_chain = s.chain.restrict(indices)
     remap = {old: new for new, old in enumerate(indices)}
-    predicates = {
-        name: {args: remap[v] for args, v in table.items()}
-        for name, table in s.predicates.items()
-    }
+    predicates = {name: {args: remap[v] for args, v in table.items()} for name, table in s.predicates.items()}
     return replace(s, chain=sub_chain, predicates=predicates)
 
 

@@ -8,7 +8,9 @@ compare the check with a copy of the per-candidate loop it replaced (for
 the relations of all three callers, under caps and budget cuts), check
 `generation.ValueClasses` against the on-demand grid driver, and check that
 a transfer along an isomorphism is decided without reading the family,
-while a pair that breaks one condition of that rule reads it.
+while a pair that breaks one condition of that rule reads it, and that a
+relabelled copy or a twin extension off a bijection is decided from the
+leaf rows alone by the colouring of the cells.
 To print the cross-chain pins again, run
 
     PYTHONPATH=src python tests/test_transfer.py
@@ -601,12 +603,16 @@ def test_a_failing_call_evaluates_only_the_first_46_matrices(monkeypatch):
 def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch):
     from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
 
+    # existential sentences go up to the one-element extension, whose fresh element no colour of the left matches
     left, _ = _pr_pair(0)
-    copy = left.rename_domain({"a": "a", "b": "c"})  # isomorphic, but not along the identity
+    rnd = random.Random(0)
+    extension = Structure(chain=left.chain, sig=SIG_PR, domain=("a", "b", "c"), predicates={
+        p: {args: left.predicates[p][args] if "c" not in args else rnd.randrange(left.chain.size)
+            for args in product("abc", repeat=a)} for p, a in SIG_PR.predicates.items()})
     calls, lengths = _count_work(monkeypatch)
-    report = implies_exists_n(left, copy, ("a",), 2)
+    report = implies_exists_n(left, extension, ("a",), 1)
     qvars, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
-    plan = family.plan([(qvars, PrenexClass(EXISTS, 2))])
+    plan = family.plan([(qvars, PrenexClass(EXISTS, 1))])
     assert report.ok and report.candidates_checked == plan.size
     assert lengths == [23, 46, 92, 184, 368, 736, 1472, 2944, 5888, plan.reach(plan.size)]
     assert lengths[-1] == len(family.codes) and calls["_leaf_row"] == len(family.leaves)
@@ -628,13 +634,14 @@ def test_a_late_failure_in_the_one_step_matches_the_reference_after_the_table_gr
 
 def test_a_many_step_check_names_in_step_0_what_a_fresh_table_names_as_read(monkeypatch):
     # elementarity at depth 1 walks 6 steps; one pass of `classes` names the matrices within step 0.
-    # A seeded two-element structure into its three-element twin (c a copy of a) holds, not by isomorphism
-    chain, rnd = TARGET_CHAINS["godel3"], random.Random(67)
+    # A two-element structure into a three-element near twin (c a copy of b, but for R(b, c)) holds at
+    # depth 1, and no colouring of the cells decides it unread
+    chain = TARGET_CHAINS["godel3"]
     left = Structure(chain=chain, sig=SIG_PR, domain=("a", "b"), predicates={
-        p: {args: rnd.randrange(chain.size) for args in product("ab", repeat=a)} for p, a in SIG_PR.predicates.items()})
+        "P": {("a",): 0, ("b",): 0}, "R": {("a", "a"): 1, ("a", "b"): 1, ("b", "a"): 0, ("b", "b"): 1}})
     twin = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "c"), predicates={
-        p: {args: left.predicates[p][tuple("a" if d == "c" else d for d in args)] for args in product("abc", repeat=a)}
-        for p, a in SIG_PR.predicates.items()})
+        "P": {(d,): 0 for d in "abc"}, "R": {**{args: left.predicates["R"][tuple("b" if d == "c" else d for d in args)]
+                                              for args in product("abc", repeat=2)}, ("b", "c"): 0}})
     plan = elementary_plan(SIG_PR, left.chain.elements, 1, 2, 1, [])
     events, lengths = [], []  # events: the step of each position read, "named" per extension, "read" per pass
     position, extend, classes = StreamPlan.position, ValueClasses.extend, ValueClasses.classes
@@ -703,20 +710,22 @@ SYM_TRUTH = Structure(chain=G3, sig=expand_with_truth_constants(SIG_PR, G3), dom
                       predicates=SYM.predicates)
 
 
-def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2)):
+def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2), depth=1):
     """`_both_loops`'s first six arguments and `keep` for one caller's relation from s to t along g:
     elementarity along f, existential transfer from `params` to `image` (by default their images
-    under g), or the universal transport of the n = 2 amalgam search."""
+    under g), each over matrices of connective depth `depth`, or the universal transport of the
+    n = 2 amalgam search."""
     terms, variables = [App(c) for c in s.sig.constants()], ["x1", "x2"]
     if name == "elementarity":
         steps = [(variables[n:], k) for n in range(3) for k in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
-        return (fragment(s.sig, s.chain.elements, variables, 1, terms), steps, AssignmentGrid(s, variables),
+        return (fragment(s.sig, s.chain.elements, variables, depth, terms), steps, AssignmentGrid(s, variables),
                 AssignmentGrid(t, variables), f, g), None
     pvars = [f"p{i}" for i in range(1, len(params) + 1)]
     if name == "existential":
         left, right = dict(zip(pvars, params)), dict(zip(pvars, image or [g[d] for d in params]))
-        return (fragment(s.sig, s.chain.elements, variables + pvars, 1, terms), [(variables, PrenexClass(EXISTS, 1))],
-                AssignmentGrid(s, variables, fixed=left), AssignmentGrid(t, variables, fixed=right), None, g), None
+        return (fragment(s.sig, s.chain.elements, variables + pvars, depth, terms),
+                [(variables, PrenexClass(EXISTS, 1))], AssignmentGrid(s, variables, fixed=left),
+                AssignmentGrid(t, variables, fixed=right), None, g), None
     axes = ["x1"] + pvars  # as in `universal_transport_ok`, the parameters are grid variables
     return (fragment(s.sig, s.chain.elements, axes, 0, terms), [(["x1"], PrenexClass(FORALL, 1))],
             AssignmentGrid(s, axes), AssignmentGrid(t, axes), None, g), bool
@@ -793,3 +802,60 @@ def test_fixed_parameters_off_the_maps_image_are_the_callers_error(image):
     with pytest.raises(PreconditionError) as err:
         first_transfer_failure(family.plan(steps), grid_s, grid_t, f, g)
     assert str(err.value) == f"target grid fixes {{'p1': '{image}'}}, not {{'p1': 'a'}}, the image of the source grid's"
+
+
+# --- the colouring rule ---
+# Off a bijection, with one chain and f None or the identity, `first_transfer_failure`
+# colours the cells of both grids by their leaf rows and refines the colours by the
+# sets along each axis (`ValueClasses.refinements`).  When every source cell meets a
+# target cell of its colour whose ranging-parameter coordinates are its images, no
+# formula of any depth tells them apart, and the plan is decided from the leaf rows.
+
+
+def _classed(domain):
+    """R(x, x) is 2 off c, R(x, c) is 1, every other R entry is 0, and P is 2 at c only: on a, b, c
+    this is SYM, and each further element is one more twin of a and b."""
+    return Structure(chain=G3, sig=SIG_PR, domain=tuple(domain), predicates={
+        "P": {(x,): 2 if x == "c" else 1 for x in domain},
+        "R": {(x, y): 2 if x == y != "c" else 1 if y == "c" else 0 for x, y in product(domain, repeat=2)}})
+
+
+TWIN = _classed("abcd")
+LEAVES_ONLY = {"tables": 1, "_combine": 0, "fold": 0}
+COLOURED_CASES = {  # (relation, source, target, g, params): none is an isomorphism along g
+    "relabelled copy": ("existential", SYM, SYM.rename_domain(RENAME), {}, ()),
+    "relabelled copy, fixed parameters": ("existential", SYM, SYM.rename_domain({"a": "a", "b": "v", "c": "w"}),
+                                          {"a": "a"}, ("a",)),
+    "twin, elementarity": ("elementarity", SYM, TWIN, SAME, ()),
+    "twin, universal": ("universal", SYM, TWIN, SAME, ("a",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLOURED_CASES))
+def test_a_coloured_transfer_reads_only_the_leaf_rows_and_matches_the_reference(case):
+    assert _classed("abc") == SYM
+    args, keep = _relation(*COLOURED_CASES[case])
+    reference, plan = _both_loops(*args, keep=keep)
+    assert plan == reference and plan[0][1] is None
+    result, work = _transfer_work(*args, keep=keep)
+    assert result == plan[0] and work == {**LEAVES_ONLY, "_leaf_row": len(args[0].leaves)}
+
+
+@pytest.mark.parametrize("case", sorted(COLOURED_CASES))
+def test_a_coloured_transfer_stops_where_the_reference_stops_at_every_cap_and_budget(case):
+    # over quantifier-free matrices of depth 0, so the plans are short: a cap below the leaves reads them
+    name, s, t, g, params = COLOURED_CASES[case]
+    (family, steps, grid_s, grid_t, f, g), keep = _relation(name, s, t, g, params, depth=0)
+    size = family.plan(steps, keep=keep).size
+    for cap in (*range(size + 2), None):
+        assert _cut_at_every_position(family, steps, grid_s, grid_t, f, g, cap, keep)[1] is None
+
+
+def test_a_coloured_pair_along_a_map_that_moves_a_parameter_off_its_colour_reads_the_table():
+    # TWIN has SYM's colour set, but g swaps a and c, where P differs: the rule needs the target
+    # cell at g's images of the ranging coordinates, so the plan is read, and it fails
+    args, keep = _relation("elementarity", SYM, TWIN, {"a": "c", "b": "b", "c": "a"})
+    reference, plan = _both_loops(*args, keep=keep)
+    assert plan == reference and plan[0][1] is not None
+    result, work = _transfer_work(*args, keep=keep)
+    assert result == plan[0] and work["_combine"] + work["fold"] > 0
