@@ -5,8 +5,8 @@ and a domain map.  Claimed kinds are always re-verified, never trusted.
 Searches run in a fixed candidate order so results are reproducible.
 Generated formulas travel along a map in one routine with two relations,
 `first_transfer_failure`, and every separator it reports is replayed.  It
-reads no formula where none can separate: along an isomorphism, which
-commutes with every connective and with the min and max of a quantifier,
+reads no formula where none can separate: along a strong embedding (an
+isomorphism keeps every value, an injective one top under exists blocks),
 or where the cells of both grids match in colour, coloured by their leaf
 values and refined by the colours along each axis (the k-pebble game:
 Immerman & Lander 1990; for graded structures Dellunde, García-Cerdaña &
@@ -24,7 +24,7 @@ from .budget import check_budget
 from .errors import ChainMismatchError, FormatError, InternalError, PreconditionError, SignatureError
 from .generation import AssignmentGrid, ValueClasses, elementary_plan, prenex_formula
 from .semantics import Structure, eval_formula
-from .syntax import App, Formula, Signature
+from .syntax import EXISTS, App, Formula, Signature
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,11 @@ class MapReport:
 
 
 def _check_interprets(sig: Signature, target: Structure, role: str = "target") -> None:
-    for name, arity in sig.predicates.items():
-        if target.sig.predicates.get(name) != arity:
-            raise SignatureError(f"{role} does not interpret predicate {name!r}/{arity}")
-    for name, arity in sig.functions.items():
-        if target.sig.functions.get(name) != arity:
-            raise SignatureError(f"{role} does not interpret function {name!r}/{arity}")
+    for kind, symbols, theirs in (("predicate", sig.predicates, target.sig.predicates),
+                                  ("function", sig.functions, target.sig.functions)):
+        for name, arity in symbols.items():
+            if theirs.get(name) != arity:
+                raise SignatureError(f"{role} does not interpret {kind} {name!r}/{arity}")
 
 
 def _check_one_chain(*parts) -> None:
@@ -108,11 +107,9 @@ def is_strong_homomorphism(m: StructureMap, source: Structure, target: Structure
     if not alg.ok:
         return MapReport(False, "algebra map is not a homomorphism", alg.counterexample)
     g = m.domain_map
-    missing = [d for d in source.domain if d not in g]
-    if missing:
+    if missing := [d for d in source.domain if d not in g]:
         return MapReport(False, f"domain map not total, missing {missing[0]!r}")
-    out_of_range = [d for d in source.domain if g[d] not in target.domain]
-    if out_of_range:
+    if out_of_range := [d for d in source.domain if g[d] not in target.domain]:
         return MapReport(False, f"domain map leaves the target domain at {out_of_range[0]!r}")
     miss = _first_untransported(m.algebra_map.map, g, _transport_entries(source), target)
     if miss is not None:
@@ -129,8 +126,7 @@ def is_embedding(m: StructureMap, source: Structure, target: Structure) -> MapRe
         return strong
     if not m.algebra_map.injective:
         return MapReport(False, "algebra map not injective")
-    values = [m.domain_map[d] for d in source.domain]
-    if len(set(values)) != len(values):
+    if len({m.domain_map[d] for d in source.domain}) != source.size:
         return MapReport(False, "domain map not injective")
     return MapReport(True)
 
@@ -164,9 +160,12 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, meter=None):
     read, to at most the last matrix the plan reaches; each later step walks
     the list, so the first failing triple met is the first failure.
     With one chain and f None or the identity, the plan is decided unread
-    where no separator can exist: along a bijection h (g, and the identity
-    where g is silent) that passes `_first_untransported`, with no table;
-    else, once the plan reaches past the leaves, when in every round of
+    where no separator can exist.  With no table, when h (g, and the identity
+    where g is silent) passes `_first_untransported` and is a bijection, or,
+    for f None, a quantifier-free family and exists-only prefixes, is
+    injective into the target: a strong embedding keeps each matrix's value,
+    and an exists block's max over a superset keeps top.  Else, off a
+    bijection, once the plan reaches past the leaves, when in every round of
     `ValueClasses.refinements` the grids have one colour set and each source
     cell meets a target cell of its colour at g's images of its coordinates
     on the axes the plan's parameters range over.  `meter` is ticked in bulk
@@ -185,9 +184,13 @@ def first_transfer_failure(plan, grid_s, grid_t, f, g, meter=None):
         raise PreconditionError(f"target grid fixes {grid_t.fixed}, not {image}, the image of the source grid's")
     family, fixed, table = plan.family, grid_s.fixed, None
     plain = s.chain == t.chain and (f is None or tuple(f) == tuple(same))  # values compared as they are
-    if plain and sorted(h.values()) == sorted(t.domain):  # an isomorphism commutes with every row
-        unread = _first_untransported(same, h, _transport_entries(s), t) is None
-    elif unread := plain and plan.reach(end) >= len(family.leaves) and grid_s.variables == grid_t.variables:
+    onto = sorted(h.values()) == sorted(t.domain)  # an isomorphism commutes with every row
+    rises = f is None and not any(type(kind) is tuple for kind in family.kinds) and all(  # top rises under exists
+        kind == EXISTS for rows in plan.rows for prefixes, _ in rows for prefix in prefixes for kind, _ in prefix)
+    unread = plain and (onto or rises and len(set(h.values()).intersection(t.domain)) == s.size) and (
+        _first_untransported(same, h, _transport_entries(s), t) is None)  # a strong embedding keeps each matrix
+    if plain and not (unread or onto) and plan.reach(end) >= len(family.leaves) and (
+            grid_s.variables == grid_t.variables):
         table, ranging = ValueClasses(family, [grid_s, grid_t]), {v for rows in plan.rows for _, ps in rows for v in ps}
         images, n = [grid_t._dom_pos.get(g.get(d)) for d in s.domain], grid_s.size  # a cell's key: ranging coordinates
         sources = list(product(*[images if v in ranging else [0] * s.size for v in grid_s.variables]))
@@ -299,8 +302,7 @@ def is_substructure(sub: Structure, sup: Structure) -> SubstructureReport:
         _check_interprets(sup.sig, sub)
     except SignatureError as err:
         return SubstructureReport(False, 0, str(err))
-    missing = [d for d in sub.domain if d not in sup.domain]
-    if missing:
+    if missing := [d for d in sub.domain if d not in sup.domain]:
         return SubstructureReport(False, 2, f"domain element {missing[0]!r} not in the superstructure")
     miss = _first_untransported(inclusion.map, {d: d for d in sub.domain}, _transport_entries(sub), sup)
     if miss is None:
@@ -372,8 +374,7 @@ def _proper_subalgebras(chain: FiniteChain) -> list[tuple[int, ...]]:
 
 
 def _reduct_to_subalgebra(s: Structure, indices: tuple[int, ...]) -> Structure | None:
-    used = {v for table in s.predicates.values() for v in table.values()}
-    if not used <= set(indices):
+    if not {v for table in s.predicates.values() for v in table.values()} <= set(indices):
         return None
     sub_chain = s.chain.restrict(indices)
     remap = {old: new for new, old in enumerate(indices)}
@@ -388,13 +389,9 @@ def _algebra_map_candidates(source: Structure, target: Structure, fix_algebra_id
     if fix_algebra_identity:
         _check_one_chain(source, target)
         return [identity_map(source.chain)]
-    out = []
-    ks, kt = source.chain.size, target.chain.size
-    for mapping in product(range(kt), repeat=ks):
-        m = AlgebraMap(source.chain, target.chain, mapping)
-        if is_algebra_homomorphism(m).ok:
-            out.append(m)
-    return out
+    maps = (AlgebraMap(source.chain, target.chain, mapping)
+            for mapping in product(range(target.chain.size), repeat=source.chain.size))
+    return [m for m in maps if is_algebra_homomorphism(m).ok]
 
 
 def _domain_candidates(source: Structure, target: Structure, injective: bool,

@@ -1,9 +1,9 @@
 """Preservation checks, bounded amalgamation, and the randomized suites.
 
-The relation checked by `implies_exists_n`, the hypothesis of both
-amalgam searches, reads: every generated existential sentence (with
-parameters) satisfied on the left is satisfied on the right.  It and the
-n = 2 universal transport are thin calls to `first_transfer_failure`.
+`implies_exists_n`, the hypothesis of both amalgam searches, checks that
+every generated existential sentence (with parameters) satisfied on the
+left is satisfied on the right.  It and the n = 2 universal transport call
+`first_transfer_failure`, which decides n = 1 unread for a substructure.
 All relations here are bounded by formula-generation limits, which travel
 with every report; running out of room is inconclusive, not a refutation.
 """

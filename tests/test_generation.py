@@ -383,9 +383,14 @@ def test_swapped_fold_is_caught_by_the_evaluator_replays(monkeypatch):
                      predicates={"P": {("a",): G3.top, ("b",): 0}})
     incl = inclusion_map(point, pair)
     # existential sentences go up to a superstructure; the inclusion is not
-    # elementary, but "exists x1 . P(x1)" takes top on both sides
-    assert implies_exists_n(point, pair, (), 1).ok
-    assert implies_exists_n(point, pair, ("a",), 1).ok
+    # elementary, but "exists x1 . P(x1)" takes top on both sides.  A substructure
+    # is decided without a fold, so the sentences go up from `copy`, two top
+    # points, to `grown`, which holds a copy of it (c as d) but not c itself
+    copy = Structure(chain=G3, sig=sig, domain=("a", "c"), predicates={"P": {("a",): G3.top, ("c",): G3.top}})
+    grown = Structure(chain=G3, sig=sig, domain=("a", "b", "d"),
+                      predicates={"P": {("a",): G3.top, ("b",): 0, ("d",): G3.top}})
+    assert implies_exists_n(point, pair, (), 1).ok and implies_exists_n(copy, grown, (), 1).ok
+    assert implies_exists_n(point, pair, ("a",), 1).ok and implies_exists_n(copy, grown, ("a",), 1).ok
     assert not is_elementary_up_to_depth(incl, point, pair, 1).ok
     fold = AssignmentGrid.fold
 
@@ -394,9 +399,9 @@ def test_swapped_fold_is_caught_by_the_evaluator_replays(monkeypatch):
 
     monkeypatch.setattr(AssignmentGrid, "fold", swapped)
     with pytest.raises(InternalError):
-        implies_exists_n(point, pair, (), 1)
+        implies_exists_n(copy, grown, (), 1)
     with pytest.raises(InternalError):
-        implies_exists_n(point, pair, ("a",), 1)
+        implies_exists_n(copy, grown, ("a",), 1)
     with pytest.raises(InternalError):
         is_elementary_up_to_depth(incl, point, pair, 1)
 

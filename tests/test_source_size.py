@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 # lines in src/gradedmt/*.py, lowered to the count of the last change that shrank it
-BASELINE_LINES = 4852
+BASELINE_LINES = 4849
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gradedmt"
 
 

@@ -8,9 +8,10 @@ compare the check with a copy of the per-candidate loop it replaced (for
 the relations of all three callers, under caps and budget cuts), check
 `generation.ValueClasses` against the on-demand grid driver, and check that
 a transfer along an isomorphism is decided without reading the family,
-while a pair that breaks one condition of that rule reads it, and that a
-relabelled copy or a twin extension off a bijection is decided from the
-leaf rows alone by the colouring of the cells.
+while a pair that breaks one condition of that rule reads it, that
+existential transfer along a strong embedding is decided unread too, and
+that a relabelled copy or a twin extension off a bijection is decided from
+the leaf rows alone by the colouring of the cells.
 To print the cross-chain pins again, run
 
     PYTHONPATH=src python tests/test_transfer.py
@@ -18,6 +19,7 @@ To print the cross-chain pins again, run
 
 import random
 import sys
+from dataclasses import replace
 from itertools import islice, product
 
 import pytest
@@ -28,7 +30,7 @@ from gradedmt.algebra import AlgebraMap
 from gradedmt.budget import BudgetMeter
 from gradedmt.errors import BudgetError, InternalError, PreconditionError
 from gradedmt.generation import (AssignmentGrid, Fragment, StreamPlan, ValueClasses, _prefixes, elementary_plan,
-                                 fragment, prenex_formula)
+                                 fragment, prenex_formula, sentence_family)
 from gradedmt.morphisms import StructureMap, first_transfer_failure, inclusion_map, is_elementary_up_to_depth
 from gradedmt.parser import render_formula
 from gradedmt.semantics import Structure, eval_formula
@@ -559,10 +561,12 @@ def test_a_capped_stream_evaluates_only_the_family_prefix_it_reaches(monkeypatch
     s = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "c"), predicates={
         p: {args: rnd.randrange(chain.size) for args in product("abc", repeat=a)}
         for p, a in SIG_PR.predicates.items()})
-    # s into a one-element extension: the transfer holds, and no isomorphism decides it unread
-    extension = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "c", "d"), predicates={
-        p: {args: s.predicates[p][args] if "d" not in args else rnd.randrange(chain.size)
-            for args in product("abcd", repeat=a)} for p, a in SIG_PR.predicates.items()})
+    # s into a one-element extension that relabels c as e: the transfer holds along the copy, but the
+    # identity on s's labels is neither an isomorphism nor a strong embedding, so nothing decides it unread
+    extension = Structure(chain=chain, sig=SIG_PR, domain=("a", "b", "e", "d"), predicates={
+        p: {args: s.predicates[p][tuple("c" if x == "e" else x for x in args)] if "d" not in args
+            else rnd.randrange(chain.size) for args in product("abed", repeat=a)}
+        for p, a in SIG_PR.predicates.items()})
     bounds = FormulaBounds(max_candidates=10)
     qvars, _, family = _family(SIG_PR, chain, 2, bounds)
     steps = [(qvars, PrenexClass(EXISTS, 1))]
@@ -603,12 +607,14 @@ def test_a_failing_call_evaluates_only_the_first_46_matrices(monkeypatch):
 def test_a_holding_call_grows_the_table_to_the_end_its_plan_reaches(monkeypatch):
     from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
 
-    # existential sentences go up to the one-element extension, whose fresh element no colour of the left matches
+    # existential sentences go up to the one-element extension, whose fresh element no colour of the left matches;
+    # it relabels b as e, so the identity on the left's labels is no strong embedding to decide it unread
     left, _ = _pr_pair(0)
     rnd = random.Random(0)
-    extension = Structure(chain=left.chain, sig=SIG_PR, domain=("a", "b", "c"), predicates={
-        p: {args: left.predicates[p][args] if "c" not in args else rnd.randrange(left.chain.size)
-            for args in product("abc", repeat=a)} for p, a in SIG_PR.predicates.items()})
+    extension = Structure(chain=left.chain, sig=SIG_PR, domain=("a", "e", "c"), predicates={
+        p: {args: left.predicates[p][tuple("b" if x == "e" else x for x in args)] if "c" not in args
+            else rnd.randrange(left.chain.size) for args in product("aec", repeat=a)}
+        for p, a in SIG_PR.predicates.items()})
     calls, lengths = _count_work(monkeypatch)
     report = implies_exists_n(left, extension, ("a",), 1)
     qvars, _, family = _family(SIG_PR, left.chain, 1, FormulaBounds())
@@ -710,11 +716,11 @@ SYM_TRUTH = Structure(chain=G3, sig=expand_with_truth_constants(SIG_PR, G3), dom
                       predicates=SYM.predicates)
 
 
-def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2), depth=1):
+def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2), depth=1, blocks=1):
     """`_both_loops`'s first six arguments and `keep` for one caller's relation from s to t along g:
-    elementarity along f, existential transfer from `params` to `image` (by default their images
-    under g), each over matrices of connective depth `depth`, or the universal transport of the
-    n = 2 amalgam search."""
+    elementarity along f, existential transfer (of up to `blocks` blocks) from `params` to `image`
+    (by default their images under g), each over matrices of connective depth `depth`, or the
+    universal transport of the n = 2 amalgam search."""
     terms, variables = [App(c) for c in s.sig.constants()], ["x1", "x2"]
     if name == "elementarity":
         steps = [(variables[n:], k) for n in range(3) for k in (PrenexClass(FORALL, 1), PrenexClass(EXISTS, 1))]
@@ -724,15 +730,15 @@ def _relation(name, s, t, g, params=("a",), image=None, f=(0, 1, 2), depth=1):
     if name == "existential":
         left, right = dict(zip(pvars, params)), dict(zip(pvars, image or [g[d] for d in params]))
         return (fragment(s.sig, s.chain.elements, variables + pvars, depth, terms),
-                [(variables, PrenexClass(EXISTS, 1))], AssignmentGrid(s, variables, fixed=left),
+                [(variables, PrenexClass(EXISTS, blocks))], AssignmentGrid(s, variables, fixed=left),
                 AssignmentGrid(t, variables, fixed=right), None, g), None
     axes = ["x1"] + pvars  # as in `universal_transport_ok`, the parameters are grid variables
     return (fragment(s.sig, s.chain.elements, axes, 0, terms), [(["x1"], PrenexClass(FORALL, 1))],
             AssignmentGrid(s, axes), AssignmentGrid(t, axes), None, g), bool
 
 
-def _transfer_work(family, steps, grid_s, grid_t, f, g, keep=None):
-    """The plan loop's result on fresh grids, and the `ValueClasses` tables it
+def _transfer_work(family, steps, grid_s, grid_t, f, g, keep=None, cap=None):
+    """The plan loop's result on fresh grids (the plan cut after `cap`), and the `ValueClasses` tables it
     built, the leaf rows they computed and the `_combine` and `fold` calls it made."""
     counts = dict.fromkeys(NO_WORK, 0)
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -743,7 +749,7 @@ def _transfer_work(family, steps, grid_s, grid_t, f, g, keep=None):
                 return original(*args)
             monkeypatch.setattr(owner, name, counted)
         grids = (AssignmentGrid(x.structure, x.variables, fixed=x.fixed) for x in (grid_s, grid_t))
-        result = first_transfer_failure(family.plan(steps, keep=keep), *grids, f, g)
+        result = first_transfer_failure(family.plan(steps, cap, keep), *grids, f, g)
     return result, counts
 
 
@@ -859,3 +865,73 @@ def test_a_coloured_pair_along_a_map_that_moves_a_parameter_off_its_colour_reads
     assert plan == reference and plan[0][1] is not None
     result, work = _transfer_work(*args, keep=keep)
     assert result == plan[0] and work["_combine"] + work["fold"] > 0
+
+
+# --- the strong-embedding rule ---
+# With one chain, f None, a family with no block rows and a plan of exists-only prefixes,
+# `first_transfer_failure` decides the plan unread when h (g, the identity where it is silent) is
+# injective into the target and passes `_first_untransported`: a strong embedding keeps every
+# matrix's value at the image tuple, and an exists block's max over a superset keeps top.
+
+EXT = Structure(chain=G3, sig=SIG_PR, domain=("a", "b", "c", "d"), predicates={  # SYM grown by d
+    "P": {**SYM.predicates["P"], ("d",): 0},
+    "R": {args: SYM.predicates["R"].get(args, 1 if "c" in args else 2) for args in product("abcd", repeat=2)}})
+EMBEDDED_CASES = {  # (source, target, params): the identity on the source's labels is a strong embedding
+    "one-element extension": (SYM, EXT, ()),
+    "fixed parameter": (SYM, EXT, ("a",)),
+    "truth constants": (SYM_TRUTH, replace(EXT, sig=SYM_TRUTH.sig), ()),
+    "constant": (SYM_CONSTANT, replace(EXT, sig=SYM_CONSTANT.sig, functions={"k": {(): "c"}}), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBEDDED_CASES))
+def test_existential_transfer_along_a_strong_embedding_reads_nothing_and_matches_the_reference(case):
+    s, t, params = EMBEDDED_CASES[case]
+    args, _ = _relation("existential", s, t, SAME, params)
+    reference, plan = _both_loops(*args)
+    assert plan == reference and plan[0][1] is None
+    assert _transfer_work(*args) == (plan[0], NO_WORK)
+    # over depth-0 matrices, so the plans are short: every cap, each with every budget cut
+    (family, steps, grid_s, grid_t, f, g), _ = _relation("existential", s, t, SAME, params, depth=0)
+    for cap in (*range(family.plan(steps).size + 2), None):
+        result = _cut_at_every_position(family, steps, grid_s, grid_t, f, g, cap)
+        assert result[1] is None and _transfer_work(family, steps, grid_s, grid_t, f, g, cap=cap) == (result, NO_WORK)
+
+
+FLAT_PAIR = Structure(chain=G3, sig=SIG_PR, domain=("a", "b"), predicates={  # a and b differ only by identity
+    "P": {("a",): 1, ("b",): 1}, "R": dict.fromkeys(product("ab", repeat=2), 0)})
+OFF_EMBEDDING_CASES = {  # each breaks one condition of the rule; `_relation`'s arguments
+    # h sends a and b to a, a strong map that is not injective: "exists x1 x2 . not x1 ~ x2" does not rise
+    "not injective": dict(name="existential", s=FLAT_PAIR, t=replace(FLAT_PAIR, domain=("a",), predicates={
+        "P": {("a",): 1}, "R": {("a", "a"): 0}}), g={"a": "a", "b": "a"}, params=()),
+    # P(c), SYM's one top P entry, drops to 1: "exists x1 . P(x1)" does not rise
+    "one entry off": dict(name="existential", s=SYM, t=replace(EXT, predicates={
+        "P": {**EXT.predicates["P"], ("c",): 1}, "R": EXT.predicates["R"]}), g=SAME, params=()),
+    "exists-forall plan": dict(name="existential", s=SYM, t=EXT, g=SAME, params=(), blocks=2),
+    "elementarity": dict(name="elementarity", s=SYM, t=EXT, g=SAME),
+    "universal transport": dict(name="universal", s=SYM, t=EXT, g=SAME),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_EMBEDDING_CASES))
+def test_a_transfer_off_the_strong_embedding_rule_reads_the_table_and_matches_the_reference(case):
+    args, keep = _relation(**OFF_EMBEDDING_CASES[case])
+    reference, plan = _both_loops(*args, keep=keep)
+    assert plan == reference
+    result, work = _transfer_work(*args, keep=keep)
+    assert result == plan[0] and work["tables"] == 1 and work["_leaf_row"] > 0
+
+
+def test_a_quantified_family_is_read_along_a_strong_embedding():
+    # every row of a quantified family under the empty prefix: exists-only, but "forall x1 . P(x1)" is
+    # a block row, top on two top points and not on their extension by a point where P is bottom
+    source = Structure(chain=G3, sig=SIG_PR, domain=("a", "b"), predicates={
+        "P": {("a",): 2, ("b",): 2}, "R": dict.fromkeys(product("ab", repeat=2), 0)})
+    target = Structure(chain=G3, sig=SIG_PR, domain=("a", "b", "d"), predicates={
+        "P": {("a",): 2, ("b",): 2, ("d",): 0}, "R": dict.fromkeys(product("abd", repeat=2), 0)})
+    args = (sentence_family(SIG_PR, G3.elements, 1), [((), PrenexClass(EXISTS, 1))],
+            AssignmentGrid(source, ["x1"]), AssignmentGrid(target, ["x1"]), None, {"a": "a", "b": "b"})
+    reference, plan = _both_loops(*args)
+    assert plan == reference and render_formula(plan[0][1]) == "forall x1 . P(x1)"
+    result, work = _transfer_work(*args)
+    assert result == plan[0] and work["tables"] == 1 and work["_leaf_row"] > 0

@@ -15,6 +15,15 @@ top" flags.  Then:
   certifies it (each cell of the substructure ends with the colour of its
   image) must be elementary to the depth by `eval_formula`, formula by
   formula over `elementary_family`, at every parameter tuple.
+* `exists`: `implies_exists_n` at n = 1 and 2, at the default bounds (the
+  scope's depth is not used), on every ordered pair with no parameter and
+  on every inclusion of a substructure (`enumerate_substructures`, the
+  whole structure included) with the substructure's first element as the
+  parameter, must give the verdict, first separator and
+  `candidates_checked` that `eval_formula` gives over the plan's sentences.
+  The count of calls decided with no value-class table (along a strong
+  embedding, or an isomorphism) is printed.  It runs on the scopes of at
+  most 84 structures: the others have 280,900 and 544,644 ordered pairs.
 
 The colouring is sufficient, never necessary: it may leave an equal pair
 or an elementary inclusion uncertified, and then the family is read.  This
@@ -24,28 +33,31 @@ most faults show on some small instance.  Stdlib only; run from a checkout:
     PYTHONPATH=src python3 tools/exhaustive.py                  # every scope
     PYTHONPATH=src python3 tools/exhaustive.py godel3-R-2-d1    # some scopes
 
-Each scope prints its pair and inclusion counts, how many were certified,
-and its time.  The exit code is 1 if any check fails, naming the pair.
+Each scope prints its pair and inclusion counts, how many were certified
+(for `exists`: decided with no table), and its time.  The exit code is 1
+if any check fails, naming the pair.
 """
 
 import sys
 import time
 from itertools import product
 
-from gradedmt import corpus
+from gradedmt import corpus, morphisms
 from gradedmt.consequence import equiv_up_to_depth
 from gradedmt.generation import (AssignmentGrid, ValueClasses, elementary_family, fragment, generate_sentences,
                                  prenex_formula, structure_space)
 from gradedmt.morphisms import enumerate_substructures, inclusion_map, is_elementary_up_to_depth
+from gradedmt.preservation import FormulaBounds, _family, implies_exists_n
 from gradedmt.semantics import eval_formula
-from gradedmt.syntax import Signature
+from gradedmt.syntax import EXISTS, PrenexClass, Signature
 
 # name: (chain, predicates, largest domain, depth, checks)
 SCOPES = {
-    "bool2-R-2-d2": ("bool2", {"R": 2}, 2, 2, ("equiv",)),
-    "godel3-R-2-d1": ("godel3", {"R": 2}, 2, 1, ("equiv", "inclusions")),
+    "bool2-R-2-d2": ("bool2", {"R": 2}, 2, 2, ("equiv", "exists")),
+    "godel3-R-2-d1": ("godel3", {"R": 2}, 2, 1, ("equiv", "inclusions", "exists")),
     "bool2-R-3-d1": ("bool2", {"R": 2}, 3, 1, ("inclusions",)),
     "godel3-PR-2-d1": ("godel3", {"P": 1, "R": 2}, 2, 1, ("equiv", "inclusions")),
+    "godel3-P-2-d1": ("godel3", {"P": 1}, 2, 1, ("exists",)),
 }
 
 
@@ -118,6 +130,57 @@ def check_inclusions(structures, depth) -> tuple[int, int, list]:
     return count, sure, bad
 
 
+def _key(s) -> tuple:
+    """A structure's labels and tables, as a dictionary key."""
+    return s.domain, tuple((p, tuple(sorted(table.items()))) for p, table in sorted(s.predicates.items()))
+
+
+def unread_transfer(call):
+    """call()'s result, and whether `first_transfer_failure` built no value-class table for it."""
+    built, table = [], morphisms.ValueClasses
+    morphisms.ValueClasses = lambda *args: built.append(args) or table(*args)
+    try:
+        return call(), not built
+    finally:
+        morphisms.ValueClasses = table
+
+
+def check_exists(structures, sig, chain) -> tuple[int, int, list]:
+    """(calls, calls decided with no table, mismatches): `implies_exists_n`
+    at n = 1 and 2 on every ordered pair with no parameter, and on every
+    inclusion with the substructure's first element as the parameter."""
+    bounds, calls, unread, bad = FormulaBounds(), 0, 0, []
+    cases = [((), (i, j), left, right) for (i, left), (j, right) in product(enumerate(structures), repeat=2)]
+    cases += [(sub.domain[:1], (i, sub.domain), sub, sup)
+              for i, sup in enumerate(structures) for sub in enumerate_substructures(sup)]
+    for n in (1, 2):
+        plans, tops = {}, {}
+        for params, where, left, right in cases:
+            if len(params) not in plans:
+                qvars, pvars, family = _family(sig, chain, len(params), bounds)
+                plan = family.plan([(qvars, PrenexClass(EXISTS, n))])
+                plans[len(params)] = pvars, [prenex_formula(matrix, prefix) for matrix, prefix, _ in plan]
+            pvars, sentences = plans[len(params)]
+            asg = dict(zip(pvars, params))
+            for s in (left, right):
+                if (_key(s), params) not in tops:
+                    tops[_key(s), params] = [eval_formula(phi, s, asg) == chain.top for phi in sentences]
+            first = next((k for k, (a, b) in enumerate(zip(tops[_key(left), params], tops[_key(right), params]))
+                          if a and not b), None)
+            want = (True, None, len(sentences)) if first is None else (False, sentences[first], first + 1)
+            calls += 1
+            try:
+                report, sure = unread_transfer(lambda: implies_exists_n(left, right, params, n, bounds))
+            except Exception as err:  # a fault may raise where it should answer: name the pair
+                bad.append(f"exists n={n} {where} at {params}: raised {err!r}, want {want}")
+                continue
+            unread += sure
+            if (report.ok, report.separator, report.candidates_checked) != want:
+                bad.append(f"exists n={n} {where} at {params}: got "
+                           f"{(report.ok, report.separator, report.candidates_checked)}, want {want}")
+    return calls, unread, bad
+
+
 def run(name: str) -> list:
     chain_name, predicates, size, depth, checks = SCOPES[name]
     chain, sig = getattr(corpus, chain_name)(), Signature(predicates=predicates)
@@ -127,11 +190,14 @@ def run(name: str) -> list:
     for check in checks:
         if check == "equiv":
             total, sure, found = check_equiv(structures, sig, chain, depth)
-        else:
+        elif check == "inclusions":
             total, sure, found = check_inclusions(structures, depth)
+        else:
+            total, sure, found = check_exists(structures, sig, chain)
         bad += found
-        print(f"{name} {check}: {len(structures)} structures, {total} "
-              f"{'pairs' if check == 'equiv' else 'inclusions'}, {sure} certified, {len(found)} mismatches")
+        what = {"equiv": "pairs", "inclusions": "inclusions"}.get(check, "calls")
+        print(f"{name} {check}: {len(structures)} structures, {total} {what}, "
+              f"{sure} {'decided with no table' if check == 'exists' else 'certified'}, {len(found)} mismatches")
     print(f"{name}: {time.perf_counter() - start:.1f} s")
     return bad
 
